@@ -30,11 +30,6 @@ from .models import (
     ModelParams,
     OhtaKawasaki,
     TrivialBranch,
-    ac_jacobian,
-    ac_residual,
-    acok_jacobian,
-    acok_residual,
-    ch_residual,
     ch_trivial_roots,
     green_operator,
     laplacian_apply,
@@ -54,7 +49,6 @@ from .analysis import (
     implicit_step_threshold,
     mode_wavenumber,
     sine_wavenumber,
-    trivial_states,
 )
 from .continuation import (
     BifurcationPoint,
@@ -73,7 +67,6 @@ from .continuation import (
     euler_predict,
     newton_correct,
     solutions_at,
-    thread_count,
     trace_branch,
 )
 
@@ -97,11 +90,6 @@ __all__ = [
     "ModelParams",
     "OhtaKawasaki",
     "TrivialBranch",
-    "ac_jacobian",
-    "ac_residual",
-    "acok_jacobian",
-    "acok_residual",
-    "ch_residual",
     "ch_trivial_roots",
     "green_operator",
     "laplacian_apply",
@@ -119,7 +107,6 @@ __all__ = [
     "implicit_step_threshold",
     "mode_wavenumber",
     "sine_wavenumber",
-    "trivial_states",
     "BifurcationPoint",
     "Branch",
     "BranchOrigin",
@@ -136,7 +123,6 @@ __all__ = [
     "euler_predict",
     "newton_correct",
     "solutions_at",
-    "thread_count",
     "trace_branch",
     "__version__",
 ]

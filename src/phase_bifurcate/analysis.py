@@ -25,7 +25,6 @@ from .models import GridSpec, ModelParams, ch_trivial_roots
 
 __all__ = [
     "AnalyticBifurcation",
-    "TrivialState",
     "sine_wavenumber",
     "cosine_wavenumber",
     "mode_wavenumber",
@@ -36,7 +35,6 @@ __all__ = [
     "acok_bifurcations_in_range",
     "eigenmode",
     "implicit_step_threshold",
-    "trivial_states",
 ]
 
 FAMILIES = ("sine", "cosine")
@@ -210,34 +208,3 @@ def implicit_step_threshold(epsilon: float) -> float:
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     return epsilon * epsilon
-
-
-@dataclass(frozen=True)
-class TrivialState:
-    """A constant steady state tagged with whether bifurcations occur on it."""
-
-    value: float
-    bifurcating: bool
-
-    def state(self, grid: GridSpec) -> np.ndarray:
-        return np.full(grid.n_nodes, self.value)
-
-
-def trivial_states(model_kind: str, params: ModelParams) -> list[TrivialState]:
-    """Constant steady states of a model, each tagged ``bifurcating``.
-
-    Only one branch per model hosts bifurcations: phi=0 for AC, the middle
-    cubic root for CH, phi=1/2 for ACOK.  (The tag is analytic knowledge for
-    reporting/tests; the numeric detector scans every branch regardless.)
-    """
-    if model_kind == "ac":
-        return [TrivialState(-1.0, False), TrivialState(0.0, True), TrivialState(1.0, False)]
-    if model_kind == "ch":
-        roots = ch_trivial_roots(params)
-        return [
-            TrivialState(v, i == roots.middle_index)
-            for i, v in enumerate(roots.values)
-        ]
-    if model_kind == "acok":
-        return [TrivialState(0.0, False), TrivialState(0.5, True), TrivialState(1.0, False)]
-    raise ValueError(f"unknown model kind {model_kind!r}")

@@ -68,24 +68,20 @@ class RunConfig:
     epsilon: float
     mu0: float
     gamma: float
-    param_min: float
-    param_max: float
-    initial_step: float
-    min_step: float
-    max_step: float
-    newton_tol: float
-    max_newton_iters: int
-    max_branch_points: int
-    use_pseudo_arclength: bool
-    dedupe_tol: float
-    seed_amplitude: Optional[float]
-    switch_offset: Optional[float]
+    settings: ContinuationSettings
     at_param: Optional[float]
     format: str
     out: Optional[str]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """Flat JSON ``config`` block: the settings' fields stand in for ``settings``."""
+        out = {}
+        for name, value in asdict(self).items():
+            if name == "settings":
+                out.update(value)
+            else:
+                out[name] = value
+        return out
 
 
 def _fmt(v: float) -> str:
@@ -150,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve(args) -> tuple[RunConfig, object, ModelParams, ContinuationSettings]:
+def resolve(args) -> tuple[RunConfig, object, ModelParams]:
     """Fill in model-dependent defaults and validate the combination."""
     kind = args.model
     if args.n_cells > MAX_N_CELLS:
@@ -178,16 +174,16 @@ def resolve(args) -> tuple[RunConfig, object, ModelParams, ContinuationSettings]
         overrides["param_min"], overrides["param_max"] = _parse_range(args.eps_range, "--eps-range")
     if args.gamma_range is not None:
         overrides["param_min"], overrides["param_max"] = _parse_range(args.gamma_range, "--gamma-range")
-    for flag, key in (
-        ("min_step", "min_step"),
-        ("max_step", "max_step"),
-        ("newton_tol", "newton_tol"),
-        ("max_newton_iters", "max_newton_iters"),
-        ("max_branch_points", "max_branch_points"),
-        ("seed_amplitude", "seed_amplitude"),
-        ("dedupe_tol", "dedupe_tol"),
+    for key in (
+        "min_step",
+        "max_step",
+        "newton_tol",
+        "max_newton_iters",
+        "max_branch_points",
+        "seed_amplitude",
+        "dedupe_tol",
     ):
-        v = getattr(args, flag)
+        v = getattr(args, key)
         if v is not None:
             overrides[key] = v
     if args.arclength:
@@ -227,23 +223,12 @@ def resolve(args) -> tuple[RunConfig, object, ModelParams, ContinuationSettings]
         epsilon=float(epsilon),
         mu0=float(args.mu0),
         gamma=float(gamma),
-        param_min=settings.param_min,
-        param_max=settings.param_max,
-        initial_step=settings.initial_step,
-        min_step=settings.min_step,
-        max_step=settings.max_step,
-        newton_tol=settings.newton_tol,
-        max_newton_iters=settings.max_newton_iters,
-        max_branch_points=settings.max_branch_points,
-        use_pseudo_arclength=settings.use_pseudo_arclength,
-        dedupe_tol=settings.dedupe_tol,
-        seed_amplitude=settings.seed_amplitude,
-        switch_offset=settings.switch_offset,
+        settings=settings,
         at_param=at_param,
         format=args.format,
         out=args.out,
     )
-    return cfg, model, params, settings
+    return cfg, model, params
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -567,10 +552,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg, model, params, settings = resolve(args)
+        cfg, model, params = resolve(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    settings = cfg.settings
 
     try:
         if args.command == "points":

@@ -9,17 +9,14 @@ iteration and classified against the analytic eigenmode families.  New
 branches are seeded along the null mode on both sides (the +/- offshoots of a
 pitchfork) and traced over the parameter window.
 
-Everything is deterministic: fixed iteration orders, a fixed inverse-iteration
-seed, and thread-count-independent result assembly, so identical inputs give
-bitwise-identical diagrams.
+Everything is deterministic: fixed iteration orders and a fixed
+inverse-iteration seed, so identical inputs give bitwise-identical diagrams.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
@@ -56,7 +53,6 @@ __all__ = [
     "compute_diagram",
     "solutions_at",
     "default_settings",
-    "thread_count",
 ]
 
 #: Bisection brackets are shrunk to this fraction of the parameter range.
@@ -201,18 +197,6 @@ ModelParamsLike = object
 
 def _sup(v: np.ndarray) -> float:
     return float(np.max(np.abs(v)))
-
-
-def thread_count() -> int:
-    """Branch-tracing worker count from PHASE_BIFURCATE_THREADS (default 1)."""
-    raw = os.environ.get("PHASE_BIFURCATE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        logger.warning("ignoring non-integer PHASE_BIFURCATE_THREADS=%r", raw)
-        return 1
 
 
 def _newton(model, params, guess, settings) -> tuple[BranchPoint, LuFactorization]:
@@ -382,19 +366,24 @@ class _ArclengthFrame:
         return math.sqrt(self.dot(dx, dmu, dx, dmu))
 
 
+def _bordered_jacobian(model, params_at, x, frame, tx, tmu) -> np.ndarray:
+    """``[[J, F_mu], [tx/n, tmu/pscale^2]]``: the Jacobian bordered by the
+    derivative of the arclength constraint along ``(tx, tmu)``."""
+    n = frame.n
+    m = np.zeros((n + 1, n + 1))
+    m[:n, :n] = model.jacobian(x, params_at)
+    m[:n, n] = model.param_derivative(x, params_at)
+    m[n, :n] = tx / n
+    m[n, n] = tmu / frame.pscale**2
+    return m
+
+
 def _arclength_tangent(model, params_at, x, frame, prev_tx, prev_tmu):
     """Unit tangent from the bordered system; orientation follows prev tangent."""
     n = frame.n
-    jac = model.jacobian(x, params_at)
-    fmu = model.param_derivative(x, params_at)
-    m = np.zeros((n + 1, n + 1))
-    m[:n, :n] = jac
-    m[:n, n] = fmu
-    m[n, :n] = prev_tx / n
-    m[n, n] = prev_tmu / frame.pscale**2
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
-    t = lu_solve(lu_factor(m), rhs)
+    t = lu_solve(lu_factor(_bordered_jacobian(model, params_at, x, frame, prev_tx, prev_tmu)), rhs)
     tx, tmu = t[:n], float(t[n])
     nrm = frame.norm(tx, tmu)
     return tx / nrm, tmu / nrm
@@ -453,9 +442,8 @@ def _trace_arclength(model, params, settings, start, direction, origin, branch_i
             edge_gap = min(mu - settings.param_min, settings.param_max - mu)
             stop = "param_bound" if edge_gap <= settings.max_step else "min_step"
             break
-        (x, mu, iters) = accepted
+        (x, mu, iters, res) = accepted
         fact = lu_factor(model.jacobian(x, model.with_param(params, mu)))
-        res = _sup(model.residual(x, model.with_param(params, mu)))
         points.append(
             BranchPoint(param=mu, state=x.copy(), residual_norm=res, det_sign=det_sign(fact), newton_iters_used=iters)
         )
@@ -477,6 +465,7 @@ def _trace_arclength(model, params, settings, start, direction, origin, branch_i
 def _arclength_correct(model, params, settings, frame, xg, mug, tx, tmu):
     """Newton on the residual augmented with the frozen-tangent plane constraint.
 
+    Returns ``(x, mu, iterations, residual sup-norm at (x, mu))``.
     Parameter values that leave the model's domain (or stray further than a
     tenth of the window beyond its edges) fail the step, so the caller
     shrinks the arclength step instead of evaluating the model out of range.
@@ -504,7 +493,7 @@ def _arclength_correct(model, params, settings, frame, xg, mug, tx, tmu):
         if not math.isfinite(rn):
             raise NewtonFailure("diverged", it, rn)
         if rn <= settings.newton_tol and abs(c) <= 1e-12:
-            return x, mu, it - 1
+            return x, mu, it - 1, rn
         if rn >= prev:
             growths += 1
             if growths >= 3:
@@ -512,15 +501,10 @@ def _arclength_correct(model, params, settings, frame, xg, mug, tx, tmu):
         else:
             growths = 0
         prev = rn
-        m = np.zeros((n + 1, n + 1))
-        m[:n, :n] = model.jacobian(x, params_at)
-        m[:n, n] = model.param_derivative(x, params_at)
-        m[n, :n] = tx / n
-        m[n, n] = tmu / frame.pscale**2
         rhs = np.zeros(n + 1)
         rhs[:n] = -r
         rhs[n] = -c
-        fact = lu_factor(m)
+        fact = lu_factor(_bordered_jacobian(model, params_at, x, frame, tx, tmu))
         if fact.singular:
             raise NewtonFailure("singular", it, rn)
         delta = lu_solve(fact, rhs)
@@ -773,10 +757,7 @@ def compute_diagram(model, params, settings: ContinuationSettings) -> Diagram:
 
     Traces every trivial branch, detects det-sign events on each, switches
     onto the emerging branches at every bifurcation and traces them, then
-    dedupes.  Branch tracing after detection is independent per bifurcation
-    and runs on PHASE_BIFURCATE_THREADS workers (results are merged in
-    deterministic submission order, so the thread count never changes the
-    output).
+    dedupes.
     """
     if model.active_parameter == "epsilon" and settings.param_min <= 0.0:
         raise ValueError("epsilon continuation requires a strictly positive parameter range")
@@ -810,14 +791,8 @@ def compute_diagram(model, params, settings: ContinuationSettings) -> Diagram:
             bif.bif_id = f"bp{len(bifurcations)}"
             bifurcations.append(bif)
 
-    workers = thread_count()
-    if workers > 1 and len(bifurcations) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            offshoot_lists = list(pool.map(lambda b: branch_switch(model, params, settings, b), bifurcations))
-    else:
-        offshoot_lists = [branch_switch(model, params, settings, b) for b in bifurcations]
-    for lst in offshoot_lists:
-        branches.extend(lst)
+    for bif in bifurcations:
+        branches.extend(branch_switch(model, params, settings, bif))
 
     return Diagram(
         model_kind=model.kind,

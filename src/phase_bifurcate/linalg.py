@@ -35,6 +35,10 @@ __all__ = [
 #: ``DEFAULT_PIVOT_RTOL * max-row-sum-norm`` marks the matrix singular.
 DEFAULT_PIVOT_RTOL = 1e-12
 
+#: Panel width of ``lu_factor``'s blocked Schur update.  It sets only the
+#: speed; the factors agree to rounding for any positive width.
+_LU_BLOCK = 48
+
 
 class SingularMatrixError(RuntimeError):
     """Raised when a solve is attempted with a factorization flagged singular."""
@@ -69,10 +73,6 @@ class LuFactorization:
     singular: bool
     pivot_floor: float
 
-    @property
-    def shape(self):
-        return self.packed.shape
-
 
 def _as_square_matrix(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
@@ -83,7 +83,7 @@ def _as_square_matrix(matrix) -> np.ndarray:
     return a
 
 
-def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL, block: int = 48) -> LuFactorization:
+def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> LuFactorization:
     """LU-factor a square matrix with partial (row) pivoting.
 
     Parameters
@@ -95,9 +95,6 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL, block: int = 48) -
         ``pivot_rtol * max_i sum_j |a_ij|``.  Pass 0.0 to flag only exact
         zero pivots (used by the bifurcation detector, which needs pivot
         *signs* arbitrarily close to a singularity).
-    block:
-        Panel width for the blocked Schur update.  Purely a performance
-        knob; the result is identical for any positive value.
     """
     a = _as_square_matrix(matrix).copy()
     n = a.shape[0]
@@ -106,8 +103,8 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL, block: int = 48) -
     singular = False
     floor = float(pivot_rtol) * (float(np.max(np.sum(np.abs(a), axis=1))) if n else 0.0)
 
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, _LU_BLOCK):
+        stop = min(start + _LU_BLOCK, n)
         # Unblocked elimination restricted to the current panel columns.
         for k in range(start, stop):
             p = k + int(np.argmax(np.abs(a[k:, k])))

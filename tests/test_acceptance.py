@@ -100,18 +100,6 @@ def _middle_value(kind, mu0, epsilon):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module", autouse=True)
-def single_threaded(monkeypatch_module):
-    monkeypatch_module.delenv("PHASE_BIFURCATE_THREADS", raising=False)
-
-
-@pytest.fixture(scope="module")
-def monkeypatch_module():
-    mp = pytest.MonkeyPatch()
-    yield mp
-    mp.undo()
-
-
 @pytest.fixture(scope="module")
 def ac_detect_200():
     t0 = time.perf_counter()

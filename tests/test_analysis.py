@@ -21,7 +21,6 @@ from phase_bifurcate import (
     laplacian_apply,
     mode_wavenumber,
     sine_wavenumber,
-    trivial_states,
 )
 
 
@@ -223,28 +222,8 @@ def test_eigenmode_rayleigh_quotient_near_k_squared():
 
 
 # ---------------------------------------------------------------------------
-# trivial states and the time-step threshold
+# the time-step threshold
 # ---------------------------------------------------------------------------
-
-
-def test_trivial_states_tags():
-    ac = trivial_states("ac", ModelParams(epsilon=0.3))
-    assert [(s.value, s.bifurcating) for s in ac] == [(-1.0, False), (0.0, True), (1.0, False)]
-    ok = trivial_states("acok", ModelParams(epsilon=0.3, gamma=100.0))
-    assert [(s.value, s.bifurcating) for s in ok] == [(0.0, False), (0.5, True), (1.0, False)]
-    ch = trivial_states("ch", ModelParams(epsilon=0.3, mu0=0.05))
-    assert sum(s.bifurcating for s in ch) == 1
-    middle = [s for s in ch if s.bifurcating][0]
-    assert middle.value == pytest.approx(-0.05 * 0.09, abs=1e-5)
-    with pytest.raises(ValueError):
-        trivial_states("swift-hohenberg", ModelParams(epsilon=0.3))
-
-
-def test_trivial_state_array_shape():
-    g = GridSpec(12)
-    s = trivial_states("ac", ModelParams(epsilon=0.3))[1].state(g)
-    assert s.shape == (13,)
-    assert np.all(s == 0.0)
 
 
 def test_implicit_step_threshold_is_eps_squared():

@@ -1,13 +1,13 @@
 """Tests for the continuation engine: Newton corrector, predictor, natural
 and pseudo-arclength tracing, det-sign event detection, branch switching,
-dedupe, threading, and parameter slicing.
+dedupe, and parameter slicing.
 
 Heavy machinery is exercised on small grids (N=80..100); fold handling uses
 a two-unknown toy system with known geometry (x1^2 + mu = 1, x2 = x1: a fold
 at mu=1 that natural stepping cannot round but arclength must)."""
 
 import math
-import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,10 +28,9 @@ from phase_bifurcate import (
     model_by_kind,
     newton_correct,
     solutions_at,
-    thread_count,
     trace_branch,
 )
-from phase_bifurcate.continuation import Branch, BranchPoint, _dedupe_branches
+from phase_bifurcate.continuation import Branch, BranchPoint, _dedupe_branches, _sup
 
 
 class FoldModel:
@@ -304,6 +303,25 @@ def test_arclength_agrees_with_natural_on_fold_free_segment():
         assert x_nat == pytest.approx(math.sqrt(1.0 - mu_q), abs=5e-4)
 
 
+def test_arclength_points_record_the_residual_at_their_own_state(ac_detection):
+    # The corrector's accepted residual is recorded without re-evaluation; it
+    # must be the residual of the stored state at the stored parameter.
+    g, model, params, settings, bifs = ac_detection
+    arc = replace(settings, use_pseudo_arclength=True)
+    sine0 = [b for b in bifs if b.mode_family == "sine"][0]
+    branches = branch_switch(model, params, arc, sine0)
+    fold_model = FoldModel()
+    fold_settings = toy_settings(use_pseudo_arclength=True)
+    start = newton_correct(fold_model, 0.0, np.array([1.0, 1.0]), fold_settings)
+    cases = [(model, params, b) for b in branches]
+    cases.append((fold_model, 0.0, trace_branch(fold_model, 0.0, fold_settings, start, +1)))
+    for m, p, branch in cases:
+        assert len(branch.points) > 3
+        for pt in branch.points:
+            fresh = _sup(m.residual(pt.state, m.with_param(p, pt.param)))
+            assert pt.residual_norm == fresh
+
+
 # ---------------------------------------------------------------------------
 # detection on a trivial branch
 # ---------------------------------------------------------------------------
@@ -465,29 +483,6 @@ def test_diagram_rerun_is_bitwise_identical(small_diagram):
             assert np.array_equal(p1.state, p2.state)
     for f1, f2 in zip(first.bifurcations, second.bifurcations):
         assert f1.param == f2.param and f1.bif_id == f2.bif_id
-
-
-def test_diagram_threaded_run_matches_serial(small_diagram, monkeypatch):
-    _, model, params, settings, serial = small_diagram
-    monkeypatch.setenv("PHASE_BIFURCATE_THREADS", "2")
-    assert thread_count() == 2
-    threaded = compute_diagram(model, params, settings)
-    assert [b.id for b in threaded.branches] == [b.id for b in serial.branches]
-    for b1, b2 in zip(serial.branches, threaded.branches):
-        for p1, p2 in zip(b1.points, b2.points):
-            assert p1.param == p2.param
-            assert np.array_equal(p1.state, p2.state)
-
-
-def test_thread_count_env_parsing(monkeypatch):
-    monkeypatch.delenv("PHASE_BIFURCATE_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("PHASE_BIFURCATE_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("PHASE_BIFURCATE_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("PHASE_BIFURCATE_THREADS", "eight")
-    assert thread_count() == 1
 
 
 def test_diagram_requires_positive_window_for_epsilon_models():

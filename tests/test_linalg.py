@@ -13,6 +13,7 @@ from phase_bifurcate import (
     det_sign,
     eigenmode,
     laplacian_matrix,
+    linalg,
     lu_factor,
     lu_solve,
     model_by_kind,
@@ -141,12 +142,14 @@ def test_det_sign_accepts_existing_factorization():
     assert det_sign(fact) == det_sign(a)
 
 
-def test_block_size_does_not_change_results():
+def test_block_size_does_not_change_results(monkeypatch):
     rng = np.random.default_rng(5)
     a = rng.standard_normal((97, 97))
-    f1 = lu_factor(a, block=1)
-    f2 = lu_factor(a, block=48)
-    f3 = lu_factor(a, block=500)
+    facts = []
+    for block in (1, 48, 500):
+        monkeypatch.setattr(linalg, "_LU_BLOCK", block)
+        facts.append(lu_factor(a))
+    f1, f2, f3 = facts
     assert np.array_equal(f1.perm, f2.perm) and np.array_equal(f2.perm, f3.perm)
     scale = np.max(np.abs(f1.packed))
     assert np.max(np.abs(f1.packed - f2.packed)) <= 1e-13 * scale

@@ -10,11 +10,6 @@ import pytest
 from phase_bifurcate import (
     GridSpec,
     ModelParams,
-    ac_jacobian,
-    ac_residual,
-    acok_jacobian,
-    acok_residual,
-    ch_residual,
     ch_trivial_roots,
     green_operator,
     laplacian_apply,
@@ -147,6 +142,35 @@ def test_trivial_states_have_tiny_residual():
         for state in model.trivial_states(params):
             sup = np.max(np.abs(model.residual(state, params)))
             assert sup <= 1e-12, f"{kind}: {sup:.3e}"
+
+
+def test_trivial_branches_bifurcating_flags_and_values():
+    g = GridSpec(12)
+    ac_params = ModelParams(epsilon=0.3)
+    ac = model_by_kind("ac", g).trivial_branches(ac_params)
+    assert [(b.value_of(ac_params), b.bifurcating) for b in ac] == [(-1.0, False), (0.0, True), (1.0, False)]
+    ok_params = ModelParams(epsilon=0.3, gamma=100.0)
+    ok = model_by_kind("acok", g).trivial_branches(ok_params)
+    assert [(b.value_of(ok_params), b.bifurcating) for b in ok] == [(0.0, False), (0.5, True), (1.0, False)]
+    ch_params = ModelParams(epsilon=0.3, mu0=0.05)
+    ch = model_by_kind("ch", g).trivial_branches(ch_params)
+    assert sum(b.bifurcating for b in ch) == 1
+    middle = [b for b in ch if b.bifurcating][0]
+    assert middle.value_of(ch_params) == pytest.approx(-0.05 * 0.09, abs=1e-5)
+    with pytest.raises(ValueError):
+        model_by_kind("swift-hohenberg", g)
+
+
+def test_trivial_branch_state_of_is_the_constant_vector():
+    g = GridSpec(12)
+    params = ModelParams(epsilon=0.3, mu0=0.05)
+    for kind in ("ac", "ch", "acok"):
+        for b in model_by_kind(kind, g).trivial_branches(params):
+            s = b.state_of(params, g)
+            assert s.shape == (13,)
+            assert np.all(s == b.value_of(params)), f"{kind} {b.label}"
+    s = model_by_kind("ac", g).trivial_branches(params)[1].state_of(params, g)
+    assert np.all(s == 0.0)
 
 
 def test_ch_roots_mu0_zero_are_exact():
@@ -411,29 +435,6 @@ def test_model_by_kind_ch_active_parameter():
     assert moved.mu0 == -0.2 and moved.epsilon == 0.3
     with pytest.raises(ValueError):
         model_by_kind("ch", g, active_parameter="gamma")
-
-
-@pytest.mark.parametrize("closure", ["symmetric", "onesided-right"])
-def test_free_functions_equal_model_methods_bitwise(closure):
-    g = GridSpec(40)
-    rng = np.random.default_rng(21)
-    state = 0.5 + 0.45 * (2.0 * rng.random(g.n_nodes) - 1.0)
-    p_ac = ModelParams(epsilon=0.2)
-    p_ch = ModelParams(epsilon=0.3, mu0=0.05)
-    p_ok = ModelParams(epsilon=0.3, gamma=700.0)
-    ac = model_by_kind("ac", g, closure=closure)
-    ch = model_by_kind("ch", g, closure=closure)
-    acok = model_by_kind("acok", g, closure=closure)
-    pairs = [
-        (ac_residual(state, p_ac, g, closure), ac.residual(state, p_ac)),
-        (ac_jacobian(state, p_ac, g, closure), ac.jacobian(state, p_ac)),
-        (ch_residual(state, p_ch, g, closure), ch.residual(state, p_ch)),
-        (acok_residual(state, p_ok, g, closure=closure), acok.residual(state, p_ok)),
-        (acok_jacobian(state, p_ok, g, closure=closure), acok.jacobian(state, p_ok)),
-        (acok_residual(state, p_ok, g, green_operator(g), closure), acok.residual(state, p_ok)),
-    ]
-    for free, method in pairs:
-        assert np.array_equal(free, method)
 
 
 def test_ac_ch_jacobians_are_tridiagonal():
