@@ -7,9 +7,9 @@ trace      compute a full diagram and write one record per accepted branch point
 solutions  enumerate the distinct nontrivial steady states at one parameter value
 verify     run the invariant suite and emit a machine-readable pass/fail report
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification
-failure.  Data goes to --out or stdout; human-oriented summaries go to stderr
-so CSV/JSON streams stay clean.
+Exit codes: 0 success, 1 usage error, 2 numerical or I/O failure (an
+unwritable --out), 3 verification failure.  Data goes to --out or stdout;
+human-oriented summaries go to stderr so CSV/JSON streams stay clean.
 """
 
 from __future__ import annotations

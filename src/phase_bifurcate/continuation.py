@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import (
     ConvergenceError,
-    LuFactorization,
+    Factorization,
     SingularMatrixError,
     det_sign,
     lu_factor,
@@ -199,7 +199,7 @@ def _sup(v: np.ndarray) -> float:
     return float(np.max(np.abs(v)))
 
 
-def _newton(model, params, guess, settings) -> tuple[BranchPoint, LuFactorization]:
+def _newton(model, params, guess, settings) -> tuple[BranchPoint, Factorization]:
     """Newton iteration to `newton_tol` in residual max-norm.
 
     Returns the accepted point together with the Jacobian factorization *at*
@@ -251,7 +251,7 @@ def newton_correct(model, params, guess, settings) -> BranchPoint:
     return point
 
 
-def euler_predict(model, params, point: BranchPoint, step: float, fact: Optional[LuFactorization] = None) -> np.ndarray:
+def euler_predict(model, params, point: BranchPoint, step: float, fact: Optional[Factorization] = None) -> np.ndarray:
     """First-order predictor: solve J dx = -F_mu * dmu at ``point``.
 
     ``fact`` may pass in the Jacobian factorization from the point's
@@ -312,7 +312,7 @@ def _trace_natural(model, params, settings, start, direction, origin, branch_id,
     stop = "max_points"
     cur = start
     cur_params = model.with_param(params, cur.param)
-    cur_fact: Optional[LuFactorization] = None
+    cur_fact: Optional[Factorization] = None
 
     while len(points) < settings.max_branch_points:
         if abs(cur.param - bound) <= edge_tol:

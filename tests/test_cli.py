@@ -1,16 +1,20 @@
 """End-to-end tests of the command-line interface: argument validation and
 exit codes, CSV/JSON payload shapes, schema conformance, byte-identity of
-equivalent runs, and the self-check subcommand's fault detection."""
+equivalent runs (also across BLAS thread counts), and the self-check
+subcommand's fault detection."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import phase_bifurcate
 from phase_bifurcate import cli
 
 
@@ -51,6 +55,27 @@ def load_schema(name):
 def test_usage_errors_exit_1(argv, capsys):
     assert run_cli(argv) == 1
     capsys.readouterr()  # swallow the argparse noise
+
+
+# ---------------------------------------------------------------------------
+# numerical and I/O failures (exit code 2)
+# ---------------------------------------------------------------------------
+
+
+def test_ch_leaving_three_root_window_exits_2(capsys):
+    # mu0=1.0 has three constant roots only for small eps: the scan leaves
+    # the window inside [0.3, 0.7].
+    assert run_cli(["points", "--model", "ch", "--mu0", "1.0", "--eps-range", "0.3:0.7", "--n", "40"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "three-real-root window" in err
+
+
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "x.csv"
+    assert run_cli(["points", "--model", "ac", "--n", "40", "--eps-range", "0.3:0.7", "--out", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("I/O failure:")
+    assert not missing.parent.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +269,39 @@ def test_verify_acok_variant_checks(tmp_path, capsys):
     assert "half_symmetry_residual" in names
     assert "acok_sine0_spot_abs_gap" in names
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread count
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solutions", "--model", "ac", "--epsilon", "0.15", "--n-cells", "60", "--eps-range", "0.14:0.7"],
+        # 61x61 dense Jacobians: more than one panel of the blocked LU, so
+        # its matrix-matrix Schur update runs through BLAS.
+        ["solutions", "--model", "acok", "--gamma", "100", "--epsilon", "0.3", "--n-cells", "60",
+         "--gamma-range", "0:700"],
+    ],
+    ids=["ac", "acok"],
+)
+def test_output_is_byte_identical_for_one_and_two_blas_threads(argv):
+    src = str(Path(phase_bifurcate.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, phase_bifurcate.cli as c; sys.exit(c.main(sys.argv[1:]))",
+             *argv, "--format", "json"],
+            capture_output=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append((proc.stdout, proc.stderr))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0])["count"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,21 @@ def test_newton_converges_to_odd_symmetric_state():
     assert np.max(np.abs(point.state)) > 0.9
 
 
+@pytest.mark.parametrize("n_cells", [100, 200, 400])
+def test_newton_from_exactly_odd_guess_stays_exactly_odd(n_cells):
+    """The residual and the band solve are reflection-equivariant bit for bit,
+    so every Newton iterate from an odd guess is odd, with no rounding drift."""
+    g = GridSpec(n_cells)
+    model = model_by_kind("ac", g)
+    for eps in (0.05, 0.08, 0.1, 0.15):
+        raw = 0.9 * np.tanh(g.nodes / (eps * math.sqrt(2.0)))
+        guess = 0.5 * (raw - raw[::-1])
+        assert np.array_equal(guess, -guess[::-1])
+        point = newton_correct(model, ModelParams(epsilon=eps), guess, default_settings("ac"))
+        assert point.residual_norm <= 1e-10
+        assert np.array_equal(point.state, -point.state[::-1]), f"eps={eps}"
+
+
 def test_newton_no_convergence_reason():
     g = GridSpec(20)
     model = model_by_kind("ac", g)

@@ -1,10 +1,14 @@
-"""Unit tests for the dense LU core: factorization, solves, det signs,
-inverse iteration.  Oracles are numpy.linalg and hand-built matrices."""
+"""Unit tests for the LU core: factorization, solves, det signs, inverse
+iteration.  Oracles are numpy.linalg, hand-built matrices and, for the
+tridiagonal band kernel, the dense kernel on the same matrix."""
+
+import weakref
 
 import numpy as np
 import pytest
 
 from phase_bifurcate import (
+    BandLuFactorization,
     ConvergenceError,
     GridSpec,
     ModelParams,
@@ -14,6 +18,7 @@ from phase_bifurcate import (
     eigenmode,
     laplacian_matrix,
     linalg,
+    LuFactorization,
     lu_factor,
     lu_solve,
     model_by_kind,
@@ -30,17 +35,65 @@ def reconstruct(fact):
     return lower @ upper
 
 
+def band_factors(fact):
+    """``(perm, L, U)`` with ``a[perm] == L @ U`` from a band factorization.
+
+    Replays the dense kernel's bookkeeping: an interchange at step k swaps
+    rows k and k+1 of the permutation and of the multipliers found so far.
+    """
+    n = len(fact.pivots)
+    perm = np.arange(n)
+    lower = np.eye(n)
+    upper = np.diag(fact.pivots)
+    for k, (mult, swap) in enumerate(zip(fact.lower, fact.swapped)):
+        if swap:
+            perm[[k, k + 1]] = perm[[k + 1, k]]
+            lower[[k, k + 1], :k] = lower[[k + 1, k], :k]
+        lower[k + 1, k] = mult
+        upper[k, k + 1] = fact.upper[k]
+    for k, fill in enumerate(fact.upper2):
+        upper[k, k + 2] = fill
+    return perm, lower, upper
+
+
+def dense_factor(a, pivot_rtol=linalg.DEFAULT_PIVOT_RTOL):
+    """The dense kernel on any matrix, band or not: the band kernel's reference."""
+    return linalg._dense_factor(np.array(a, dtype=float), pivot_rtol)
+
+
+def tridiagonal(sub, diag, sup):
+    return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+
+
 # ---------------------------------------------------------------------------
 # factorization and solve
 # ---------------------------------------------------------------------------
 
 
 def test_identity_factors_to_itself():
+    # The identity is tridiagonal, so lu_factor takes the band kernel.
     fact = lu_factor(np.eye(5))
+    assert isinstance(fact, BandLuFactorization)
     assert not fact.singular
     assert fact.perm_sign == 1
+    assert not any(fact.swapped)
+    perm, lower, upper = band_factors(fact)
+    assert np.array_equal(perm, np.arange(5))
+    assert np.array_equal(lower, np.eye(5))
+    assert np.array_equal(upper, np.eye(5))
+    # The dense kernel's packed layout, on the identity and on a dense
+    # upper-triangular input (no eliminations, no swaps).
+    dense = dense_factor(np.eye(5))
+    assert not dense.singular
+    assert dense.perm_sign == 1
+    assert np.array_equal(dense.perm, np.arange(5))
+    assert np.array_equal(dense.packed, np.eye(5))
+    tri = np.triu(np.ones((5, 5))) + 4.0 * np.eye(5)
+    fact = lu_factor(tri)
+    assert isinstance(fact, LuFactorization)
+    assert fact.perm_sign == 1
     assert np.array_equal(fact.perm, np.arange(5))
-    assert np.array_equal(fact.packed, np.eye(5))
+    assert np.array_equal(fact.packed, tri)
 
 
 def test_swap_matrix_has_negative_perm_sign():
@@ -63,7 +116,23 @@ def test_pa_equals_lu_on_random_matrices():
         a = rng.standard_normal((n, n))
         fact = lu_factor(a)
         assert not fact.singular
-        gap = np.max(np.abs(reconstruct(fact) - a[fact.perm]))
+        if n <= 2:
+            # Every 1x1 and 2x2 matrix is tridiagonal: band kernel.
+            assert isinstance(fact, BandLuFactorization)
+            perm, lower, upper = band_factors(fact)
+            assert fact.perm_sign == (-1) ** sum(fact.swapped)
+            assert fact.perm_sign == int(np.linalg.det(np.eye(n)[perm]))
+            product = lower @ upper
+            # The same facts from the dense kernel on the same input.
+            dense = dense_factor(a)
+            assert np.array_equal(perm, dense.perm)
+            assert fact.perm_sign == dense.perm_sign
+            gap = np.max(np.abs(reconstruct(dense) - a[dense.perm]))
+            assert gap <= 1e-12 * max(1.0, np.max(np.abs(a))), f"dense n={n}: {gap:.3e}"
+        else:
+            assert isinstance(fact, LuFactorization)
+            perm, product = fact.perm, reconstruct(fact)
+        gap = np.max(np.abs(product - a[perm]))
         assert gap <= 1e-12 * max(1.0, np.max(np.abs(a))), f"n={n}: {gap:.3e}"
 
 
@@ -154,6 +223,183 @@ def test_block_size_does_not_change_results(monkeypatch):
     scale = np.max(np.abs(f1.packed))
     assert np.max(np.abs(f1.packed - f2.packed)) <= 1e-13 * scale
     assert np.max(np.abs(f2.packed - f3.packed)) <= 1e-13 * scale
+
+
+# ---------------------------------------------------------------------------
+# tridiagonal band kernel (reference: the dense kernel on the same matrix)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("closure", ["symmetric", "onesided-right"])
+@pytest.mark.parametrize("kind", ["ac", "ch"])
+def test_band_kernel_matches_dense_on_model_jacobians(kind, closure):
+    rng = np.random.default_rng(17)
+    for n_cells in (4, 20, 100, 800):
+        grid = GridSpec(n_cells)
+        model = model_by_kind(kind, grid, closure=closure)
+        for eps in (0.05, 0.1, 0.3, 0.7):
+            states = (
+                np.zeros(grid.n_nodes),
+                0.9 * np.tanh(grid.nodes / eps),
+                rng.uniform(-1.2, 1.2, grid.n_nodes),
+            )
+            for state in states:
+                jac = model.jacobian(state, ModelParams(epsilon=eps))
+                for rtol in (0.0, linalg.DEFAULT_PIVOT_RTOL):
+                    band = lu_factor(jac, pivot_rtol=rtol)
+                    dense = dense_factor(jac, rtol)
+                    assert isinstance(band, BandLuFactorization)
+                    assert det_sign(band) == det_sign(dense), f"N={n_cells} eps={eps}"
+                    assert band.singular == dense.singular
+                    if band.singular:
+                        continue
+                    b = rng.standard_normal(grid.n_nodes)
+                    x_band, x_dense = lu_solve(band, b), lu_solve(dense, b)
+                    assert np.max(np.abs(x_band - x_dense)) <= 1e-9 * np.max(np.abs(x_dense))
+
+
+def test_band_pivoting_tie_break_and_swap_match_dense():
+    # |sub| == |diag|: like the dense argmax, keep the row (no swap).
+    tie = np.array([[1.0, 2.0], [-1.0, 3.0]])
+    fact = lu_factor(tie)
+    assert isinstance(fact, BandLuFactorization)
+    assert fact.swapped == [False] and fact.perm_sign == 1
+    assert np.array_equal(dense_factor(tie).perm, [0, 1])
+    # |sub| > |diag| at step 0: swap, leaving fill on the second superdiagonal.
+    a = tridiagonal([3.0, 0.5], [1.0, 4.0, 7.0], [2.0, 5.0])
+    fact = lu_factor(a)
+    dense = dense_factor(a)
+    assert fact.swapped == [True, False]
+    assert fact.perm_sign == dense.perm_sign == -1
+    assert fact.upper2 == [5.0]
+    perm, lower, upper = band_factors(fact)
+    assert np.array_equal(perm, dense.perm)
+    assert np.max(np.abs(lower @ upper - a[perm])) <= 1e-14 * np.max(np.abs(a))
+    assert det_sign(fact) == det_sign(dense) == int(np.linalg.slogdet(a)[0])
+
+
+def test_band_singular_flag_and_solve_raises():
+    rank_two = tridiagonal([1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0])
+    fact = lu_factor(rank_two)
+    assert isinstance(fact, BandLuFactorization)
+    assert fact.singular and dense_factor(rank_two).singular
+    assert det_sign(rank_two) == 0
+    with pytest.raises(SingularMatrixError):
+        lu_solve(fact, np.ones(3))
+    # A zero first column: zero pivot, no swap, no elimination.
+    zero_col = tridiagonal([0.0, 2.0], [0.0, 3.0, 4.0], [1.0, 5.0])
+    assert lu_factor(zero_col, pivot_rtol=0.0).singular
+    assert det_sign(zero_col, pivot_rtol=0.0) == 0
+
+
+def test_band_pivot_floor_matches_dense():
+    a = np.diag([1.0, 1e-300])
+    assert isinstance(lu_factor(a), BandLuFactorization)
+    assert lu_factor(a).singular and not lu_factor(a, pivot_rtol=0.0).singular
+    assert det_sign(a, pivot_rtol=0.0) == 1
+    # The floor is pivot_rtol times the max absolute row sum, as in the dense path.
+    # The last row is decoupled, so its pivot is exactly 1e-9.
+    b = tridiagonal([-2.0, 0.5, 0.0], [4.0, 3.0, -6.0, 1e-9], [1.0, -0.25, 0.0])
+    for rtol in (0.0, 1e-12, 1e-9):
+        band, dense = lu_factor(b, pivot_rtol=rtol), dense_factor(b, rtol)
+        assert band.pivot_floor == dense.pivot_floor == rtol * 6.5
+        assert band.singular == dense.singular
+    assert not lu_factor(b, pivot_rtol=1e-12).singular
+    assert lu_factor(b, pivot_rtol=1e-9).singular
+
+
+def test_band_rejects_nonfinite_entries():
+    for i, j, value in ((1, 1, np.nan), (2, 1, np.inf), (0, 1, -np.inf)):
+        a = tridiagonal([1.0, 1.0, 1.0], [4.0, 4.0, 4.0, 4.0], [1.0, 1.0, 1.0])
+        a[i, j] = value
+        with pytest.raises(ValueError):
+            lu_factor(a)
+    off_band = np.eye(4)
+    off_band[0, 3] = np.nan  # not on the band: the dense path rejects it
+    with pytest.raises(ValueError):
+        lu_factor(off_band)
+
+
+def test_band_solve_two_dimensional_rhs():
+    rng = np.random.default_rng(8)
+    a = tridiagonal(rng.standard_normal(9), rng.standard_normal(10), rng.standard_normal(9))
+    fact = lu_factor(a)
+    rhs = rng.standard_normal((10, 3))
+    x = lu_solve(fact, rhs)
+    assert x.shape == (10, 3)
+    for j in range(3):
+        assert np.array_equal(x[:, j], lu_solve(fact, rhs[:, j]))
+    assert np.max(np.abs(a @ x - rhs)) <= 1e-10 * np.max(np.abs(rhs)) * np.linalg.cond(a)
+    assert lu_solve(fact, np.zeros((10, 0))).shape == (10, 0)
+    with pytest.raises(ValueError):
+        lu_solve(fact, np.zeros(9))
+
+
+def test_band_solve_is_reflection_equivariant_bitwise():
+    """solve(P J P, P b) == P solve(J, b) exactly, P the order reversal."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for n in (1, 2, 3, 10, 101):
+        # Random bands pivot both ways and have no mirror symmetry of their own.
+        cases.append(tridiagonal(rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)))
+    grid = GridSpec(100)
+    model = model_by_kind("ac", grid, closure="onesided-right")
+    cases.append(model.jacobian(rng.uniform(-1.0, 1.0, grid.n_nodes), ModelParams(epsilon=0.08)))
+    for a in cases:
+        n = a.shape[0]
+        mirrored = a[::-1, ::-1].copy()
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+            x = lu_solve(lu_factor(a), b)
+            y = lu_solve(lu_factor(mirrored), b[::-1].copy())
+            assert np.array_equal(y, x[::-1]), f"n={n}"
+
+
+def test_band_mirror_is_factored_on_first_solve_only():
+    a = tridiagonal([1.0, -2.0, 0.5], [3.0, 1.0, 4.0, -1.0], [0.25, 2.0, 1.0])
+    fact = lu_factor(a)
+    assert weakref.ref(fact)() is fact
+    assert det_sign(fact) == int(np.linalg.slogdet(a)[0])
+    assert fact.mirror is None  # sign-only use pays for one elimination
+    x = lu_solve(fact, np.ones(4))
+    mirror = fact.mirror
+    assert isinstance(mirror, BandLuFactorization)
+    assert np.array_equal(lu_solve(fact, np.ones(4)), x)
+    assert fact.mirror is mirror
+    assert np.max(np.abs(a @ x - 1.0)) <= 1e-13
+
+
+def test_band_solve_falls_back_to_top_down_when_only_the_mirror_is_floored():
+    # No swaps either way and det = 1e-13: the last pivot is det/0.5
+    # top-down but det/1 mirrored, so a floor of 1.5e-13 flags only the
+    # mirrored elimination.
+    a = np.array([[0.5, 1.0], [0.5, 1.0 + 2e-13]])
+    fact = lu_factor(a, pivot_rtol=1e-13)
+    assert not fact.singular
+    x = lu_solve(fact, np.array([1.0, 2.0]))
+    assert fact.mirror.singular
+    assert np.array_equal(x, linalg._band_solve(fact, [1.0, 2.0]))
+
+
+def test_off_band_nonzero_takes_dense_path():
+    grid = GridSpec(20)
+    model = model_by_kind("ac", grid)
+    params = ModelParams(epsilon=0.2)
+    state = 0.5 * np.tanh(grid.nodes / 0.2)
+    jac = model.jacobian(state, params)
+    assert isinstance(lu_factor(jac), BandLuFactorization)
+    one_off = jac.copy()
+    one_off[0, -1] = 1e-3
+    assert isinstance(lu_factor(one_off), LuFactorization)
+    # A bordered pseudo-arclength matrix [[J, F_mu], [t/n, t_mu]].
+    n = grid.n_nodes
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = jac
+    bordered[:n, n] = model.param_derivative(state, params)
+    bordered[n, :n] = np.ones(n) / n
+    bordered[n, n] = 0.5
+    fact = lu_factor(bordered)
+    assert isinstance(fact, LuFactorization)
+    assert det_sign(fact) == int(np.linalg.slogdet(bordered)[0])
 
 
 # ---------------------------------------------------------------------------
