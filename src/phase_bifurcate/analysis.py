@@ -37,9 +37,6 @@ __all__ = [
     "implicit_step_threshold",
 ]
 
-FAMILIES = ("sine", "cosine")
-
-
 @dataclass(frozen=True)
 class AnalyticBifurcation:
     """One closed-form bifurcation point of a trivial branch."""
@@ -48,7 +45,6 @@ class AnalyticBifurcation:
     mode_family: str  # "sine" | "cosine"
     mode_index: int
     param_value: float
-    validity_note: str = "exact"
 
 
 def sine_wavenumber(n: int) -> float:
@@ -78,7 +74,7 @@ def ac_bifurcation(n: int, family: str) -> AnalyticBifurcation:
     so each mode crosses zero at eps = 1/k.
     """
     k = mode_wavenumber(n, family)
-    return AnalyticBifurcation("ac", family, n, 1.0 / k, "exact")
+    return AnalyticBifurcation("ac", family, n, 1.0 / k)
 
 
 def ch_bifurcation(n: int, family: str, mu0: float, epsilon_guess: Optional[float] = None) -> AnalyticBifurcation:
@@ -95,7 +91,7 @@ def ch_bifurcation(n: int, family: str, mu0: float, epsilon_guess: Optional[floa
     """
     k = mode_wavenumber(n, family)
     if mu0 == 0.0:
-        return AnalyticBifurcation("ch", family, n, 1.0 / k, "exact")
+        return AnalyticBifurcation("ch", family, n, 1.0 / k)
 
     def middle_root(eps: float) -> float:
         roots = ch_trivial_roots(ModelParams(epsilon=eps, mu0=mu0))
@@ -127,7 +123,7 @@ def ch_bifurcation(n: int, family: str, mu0: float, epsilon_guess: Optional[floa
             eps = 0.5 * last
             continue
         if abs(step) <= 1e-14 * abs(eps):
-            return AnalyticBifurcation("ch", family, n, eps, "exact")
+            return AnalyticBifurcation("ch", family, n, eps)
     raise RuntimeError(
         f"kernel-condition Newton failed for CH mode ({family}, n={n}) at mu0={mu0}; last iterate eps={eps}"
     )
@@ -143,7 +139,7 @@ def acok_bifurcation(n: int, family: str, epsilon: float) -> AnalyticBifurcation
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     k = mode_wavenumber(n, family)
     gamma = -epsilon * k**4 + (18.0 / epsilon) * k**2
-    return AnalyticBifurcation("acok", family, n, gamma, "exact")
+    return AnalyticBifurcation("acok", family, n, gamma)
 
 
 def ac_bifurcations_in_range(lo: float, hi: float) -> list[AnalyticBifurcation]:

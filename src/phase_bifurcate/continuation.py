@@ -32,6 +32,7 @@ from .linalg import (
     null_vector,
 )
 from . import analysis
+from .models import MODELS, ModelParams
 
 logger = logging.getLogger("phase_bifurcate")
 
@@ -170,13 +171,12 @@ class BifurcationPoint:
     null_mode: np.ndarray
     mode_family: str  # "sine" | "cosine" | "unknown"
     mode_index: Optional[int]
-    source: str = "detected"  # "detected" | "analytic"
 
 
 @dataclass
 class Diagram:
     model_kind: str
-    params: "ModelParamsLike"
+    params: ModelParams
     settings: ContinuationSettings
     branches: list[Branch]
     bifurcations: list[BifurcationPoint]
@@ -189,10 +189,6 @@ class Solution:
     residual_norm: float
     branch_id: str
     origin: str
-
-
-# Typing-only alias; avoids importing models at module import time for hints.
-ModelParamsLike = object
 
 
 def _sup(v: np.ndarray) -> float:
@@ -379,14 +375,23 @@ def _bordered_jacobian(model, params_at, x, frame, tx, tmu) -> np.ndarray:
 
 
 def _arclength_tangent(model, params_at, x, frame, prev_tx, prev_tmu):
-    """Unit tangent from the bordered system; orientation follows prev tangent."""
+    """Unit tangent ``(tx, tmu)`` at ``x`` (None if the bordered matrix is
+    singular), oriented by the previous tangent, and the sign of det(J).
+
+    By Cramer's rule the raw tangent's parameter component is
+    det(J) / det(bordered), so J itself is factored only when the bordered
+    matrix is singular.
+    """
     n = frame.n
+    fact = lu_factor(_bordered_jacobian(model, params_at, x, frame, prev_tx, prev_tmu))
+    if fact.singular:
+        return None, det_sign(lu_factor(model.jacobian(x, params_at)))
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
-    t = lu_solve(lu_factor(_bordered_jacobian(model, params_at, x, frame, prev_tx, prev_tmu)), rhs)
+    t = lu_solve(fact, rhs)
     tx, tmu = t[:n], float(t[n])
     nrm = frame.norm(tx, tmu)
-    return tx / nrm, tmu / nrm
+    return (tx / nrm, tmu / nrm), det_sign(fact) * int(np.sign(tmu))
 
 
 def _trace_arclength(model, params, settings, start, direction, origin, branch_id, prepend) -> Branch:
@@ -415,15 +420,14 @@ def _trace_arclength(model, params, settings, start, direction, origin, branch_i
             prev_tx, prev_tmu = np.zeros_like(x), float(direction)
     else:
         prev_tx, prev_tmu = np.zeros_like(x), float(direction)
+    tangent, _ = _arclength_tangent(model, model.with_param(params, mu), x, frame, prev_tx, prev_tmu)
 
     easy = 0
     while len(points) < settings.max_branch_points:
-        params_at = model.with_param(params, mu)
-        try:
-            tx, tmu = _arclength_tangent(model, params_at, x, frame, prev_tx, prev_tmu)
-        except SingularMatrixError:
+        if tangent is None:
             stop = "singular_tangent"
             break
+        tx, tmu = tangent
         accepted = None
         while True:
             xg = x + ds * tx
@@ -443,11 +447,9 @@ def _trace_arclength(model, params, settings, start, direction, origin, branch_i
             stop = "param_bound" if edge_gap <= settings.max_step else "min_step"
             break
         (x, mu, iters, res) = accepted
-        fact = lu_factor(model.jacobian(x, model.with_param(params, mu)))
-        points.append(
-            BranchPoint(param=mu, state=x.copy(), residual_norm=res, det_sign=det_sign(fact), newton_iters_used=iters)
-        )
-        prev_tx, prev_tmu = tx, tmu
+        # The next step's tangent, computed now: its solve gives this point's det sign.
+        tangent, sign = _arclength_tangent(model, model.with_param(params, mu), x, frame, tx, tmu)
+        points.append(BranchPoint(param=mu, state=x.copy(), residual_norm=res, det_sign=sign, newton_iters_used=iters))
         if mu < settings.param_min - 1e-12 * frame.pscale or mu > settings.param_max + 1e-12 * frame.pscale:
             stop = "param_bound"
             break
@@ -605,10 +607,10 @@ def detect_bifurcations_on_trivial(
             logger.warning("null-mode extraction failed at param=%r", loc)
             fallback = np.zeros(grid.n_nodes)
             fallback[0] = 1.0
-            out.append(BifurcationPoint(f"bp{i}", loc, base, fallback, "unknown", None, "detected"))
+            out.append(BifurcationPoint(f"bp{i}", loc, base, fallback, "unknown", None))
             continue
         family, index = _classify_mode(mode.vector, grid)
-        out.append(BifurcationPoint(f"bp{i}", loc, base, mode.vector, family, index, "detected"))
+        out.append(BifurcationPoint(f"bp{i}", loc, base, mode.vector, family, index))
     return out
 
 
@@ -850,25 +852,21 @@ def solutions_at(diagram: Diagram, param: float, model, settings: ContinuationSe
     return found
 
 
-def default_settings(model_kind: str, active_parameter: str = None, **overrides) -> ContinuationSettings:
+#: House continuation windows, keyed by the continued parameter.
+_DEFAULT_WINDOWS = {
+    "epsilon": dict(param_min=0.05, param_max=0.7, initial_step=2e-3, min_step=1e-7, max_step=4e-3),
+    "gamma": dict(param_min=0.0, param_max=2000.0, initial_step=10.0, min_step=1e-4, max_step=25.0),
+}
+
+
+def default_settings(model_kind: str, **overrides) -> ContinuationSettings:
     """House defaults per model: scan windows sized to the known mode spacing.
 
-    AC/CH in epsilon: [0.05, 0.7] at 2e-3 scan step (adjacent crossings are
-    never closer than ~4.8e-3 there); ACOK in gamma: [0, 2000] at step 10
-    (crossings separated by >= ~100); CH in mu0: [-0.3, 0.3], far inside the
-    three-real-root window at the default epsilon.
+    The window follows the model's continued parameter.  AC/CH in epsilon:
+    [0.05, 0.7] at 2e-3 scan step (adjacent crossings are never closer than
+    ~4.8e-3 there); ACOK in gamma: [0, 2000] at step 10 (crossings separated
+    by >= ~100).
     """
-    per_kind = {"ac": "epsilon", "ch": "epsilon", "acok": "gamma"}
-    if model_kind not in per_kind:
-        raise ValueError(f"unknown model kind {model_kind!r}; expected one of {sorted(per_kind)}")
-    active = active_parameter or per_kind[model_kind]
-    if active == "epsilon":
-        base = dict(param_min=0.05, param_max=0.7, initial_step=2e-3, min_step=1e-7, max_step=4e-3)
-    elif active == "mu0":
-        base = dict(param_min=-0.3, param_max=0.3, initial_step=2e-3, min_step=1e-7, max_step=4e-3)
-    elif active == "gamma":
-        base = dict(param_min=0.0, param_max=2000.0, initial_step=10.0, min_step=1e-4, max_step=25.0)
-    else:
-        raise ValueError(f"unknown active parameter {active!r}")
-    base.update(overrides)
-    return ContinuationSettings(**base)
+    if model_kind not in MODELS:
+        raise ValueError(f"unknown model kind {model_kind!r}; expected one of {sorted(MODELS)}")
+    return ContinuationSettings(**{**_DEFAULT_WINDOWS[MODELS[model_kind].active_parameter], **overrides})

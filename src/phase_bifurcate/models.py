@@ -30,7 +30,7 @@ The models:
     -A phi + B (phi^3 - phi)/eps^2, continued in the interface width eps.
 ``CahnHilliardSteady``
     The same operator shifted by a constant chemical potential mu0 (the
-    spatially reduced steady Cahn-Hilliard problem); continued in eps or mu0.
+    spatially reduced steady Cahn-Hilliard problem); continued in eps.
 ``OhtaKawasaki``
     eps*A phi - B W'(phi)/eps - gamma*(B G B) phi with the double well
     W = 18*(phi^2 - phi)^2 pinned between 0 and 1 and the nonlocal zero-mean
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -243,21 +243,15 @@ class TrivialBranch:
         return np.full(grid.n_nodes, self.value_of(params))
 
 
-class CubicRoots:
+class CubicRoots(NamedTuple):
     """Real roots of the constant-state cubic, sorted ascending.
 
     ``middle_index`` is the position of the middle root when three distinct
     real roots exist, else None (double/single root cases).
     """
 
-    __slots__ = ("values", "middle_index")
-
-    def __init__(self, values, middle_index):
-        self.values = tuple(float(v) for v in values)
-        self.middle_index: Optional[int] = middle_index
-
-    def __repr__(self):
-        return f"CubicRoots(values={self.values}, middle_index={self.middle_index})"
+    values: tuple[float, ...]
+    middle_index: Optional[int]
 
 
 def _polish_root(c: float, x: float) -> float:
@@ -293,7 +287,7 @@ def ch_trivial_roots(params: ModelParams) -> CubicRoots:
         theta = math.acos(0.5 * c * math.sqrt(27.0))
         r = 2.0 / math.sqrt(3.0)
         roots = sorted(_polish_root(c, r * math.cos(theta / 3.0 - 2.0 * math.pi * k / 3.0)) for k in range(3))
-        return CubicRoots(roots, 1)
+        return CubicRoots(tuple(roots), 1)
     if disc < -1e-12:
         # One real root (Cardano, numerically stable branch).
         s = math.copysign(1.0, c)
@@ -344,33 +338,29 @@ class _ModelBase:
         return phi
 
 
-# Shared by AllenCahn and CahnHilliardSteady as plain functions, so that one
-# model method never calls another (callers that wrap the methods see each
-# evaluation once).
-def _double_well_residual(model: _ModelBase, phi: np.ndarray, params: ModelParams) -> np.ndarray:
-    inv_e2 = 1.0 / (params.epsilon * params.epsilon)
-    return -laplacian_apply(phi, model.grid, model.closure) + _compact_apply(
-        inv_e2 * (_cube(phi) - phi), model.closure
-    )
-
-
-def _double_well_eps_derivative(model: _ModelBase, phi: np.ndarray, params: ModelParams) -> np.ndarray:
-    return _compact_apply((-2.0 / params.epsilon**3) * (_cube(phi) - phi), model.closure)
-
-
 class AllenCahn(_ModelBase):
     """Steady Allen-Cahn operator, continued in the interface width epsilon.
 
-    Residual: -A phi + B (phi^3 - phi)/eps^2 (the compact scheme, see the
-    module docstring); the Jacobian -A + B diag(3 phi^2 - 1)/eps^2 stays
-    tridiagonal.
+    Residual: -A phi + B (phi^3 - phi)/eps^2 - c (the compact scheme, see the
+    module docstring) with the constant offset ``c = _offset(params)``, 0 here
+    (so mu0 is ignored); ``B`` maps constants to themselves, so ``c`` needs
+    no ``B``.  The Jacobian -A + B diag(3 phi^2 - 1)/eps^2 stays tridiagonal.
     """
 
     kind = "ac"
     active_parameter = "epsilon"
 
+    def _offset(self, params: ModelParams) -> float:
+        return 0.0
+
     def residual(self, state, params: ModelParams) -> np.ndarray:
-        return _double_well_residual(self, self._require_state(state), params)
+        phi = self._require_state(state)
+        inv_e2 = 1.0 / (params.epsilon * params.epsilon)
+        out = -laplacian_apply(phi, self.grid, self.closure) + _compact_apply(inv_e2 * (_cube(phi) - phi), self.closure)
+        offset = self._offset(params)
+        if offset != 0.0:
+            out -= offset
+        return out
 
     def jacobian(self, state, params: ModelParams) -> np.ndarray:
         phi = self._require_state(state)
@@ -380,7 +370,8 @@ class AllenCahn(_ModelBase):
         return j
 
     def param_derivative(self, state, params: ModelParams) -> np.ndarray:
-        return _double_well_eps_derivative(self, self._require_state(state), params)
+        phi = self._require_state(state)
+        return _compact_apply((-2.0 / params.epsilon**3) * (_cube(phi) - phi), self.closure)
 
     def trivial_branches(self, params: ModelParams) -> list[TrivialBranch]:
         return [
@@ -390,37 +381,21 @@ class AllenCahn(_ModelBase):
         ]
 
 
-class CahnHilliardSteady(_ModelBase):
-    """Spatially reduced steady Cahn-Hilliard: Allen-Cahn shifted by mu0.
+class CahnHilliardSteady(AllenCahn):
+    """Spatially reduced steady Cahn-Hilliard: Allen-Cahn offset by mu0.
 
-    Residual: -A phi + B (phi^3 - phi)/eps^2 - mu0; since ``B`` maps
-    constants to themselves, the offset needs no ``B``.  The active
-    continuation parameter is selectable ("epsilon" or "mu0"); the Jacobian
-    does not depend on mu0, so the linearization (and therefore bifurcation
-    structure) matches Allen-Cahn around the corresponding constant state.
+    Residual: -A phi + B (phi^3 - phi)/eps^2 - mu0, continued in epsilon.
+    The Jacobian does not depend on mu0, so the bifurcation structure matches
+    Allen-Cahn's around the constant states, which move to the roots of
+    ``phi^3 - phi = mu0 * eps^2``.  The residual, Jacobian and parameter
+    derivative are inherited, not overridden, so code that wraps them on
+    each class defining them sees every evaluation once.
     """
 
     kind = "ch"
 
-    def __init__(self, grid: GridSpec, closure: str = "symmetric", active_parameter: str = "epsilon"):
-        super().__init__(grid, closure)
-        if active_parameter not in ("epsilon", "mu0"):
-            raise ValueError(f"active_parameter must be 'epsilon' or 'mu0', got {active_parameter!r}")
-        self.active_parameter = active_parameter
-
-    def residual(self, state, params: ModelParams) -> np.ndarray:
-        out = _double_well_residual(self, self._require_state(state), params)
-        if params.mu0 != 0.0:
-            out -= params.mu0
-        return out
-
-    jacobian = AllenCahn.jacobian
-
-    def param_derivative(self, state, params: ModelParams) -> np.ndarray:
-        phi = self._require_state(state)
-        if self.active_parameter == "epsilon":
-            return _double_well_eps_derivative(self, phi, params)
-        return np.full(self.grid.n_nodes, -1.0)
+    def _offset(self, params: ModelParams) -> float:
+        return params.mu0
 
     def trivial_branches(self, params: ModelParams) -> list[TrivialBranch]:
         roots = ch_trivial_roots(params)
@@ -592,9 +567,12 @@ class OhtaKawasaki(_ModelBase):
         ]
 
 
-def model_by_kind(kind: str, grid: GridSpec, closure: str = "symmetric", **kwargs):
+#: Model class by the short model name used throughout the CLI.
+MODELS = {cls.kind: cls for cls in (AllenCahn, CahnHilliardSteady, OhtaKawasaki)}
+
+
+def model_by_kind(kind: str, grid: GridSpec, closure: str = "symmetric"):
     """Factory keyed by the short model names used throughout the CLI."""
-    table = {"ac": AllenCahn, "ch": CahnHilliardSteady, "acok": OhtaKawasaki}
-    if kind not in table:
-        raise ValueError(f"unknown model kind {kind!r}; expected one of {sorted(table)}")
-    return table[kind](grid, closure=closure, **kwargs)
+    if kind not in MODELS:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of {sorted(MODELS)}")
+    return MODELS[kind](grid, closure=closure)

@@ -167,6 +167,16 @@ def test_trace_ch_mu0_zero_byte_identical_to_ac(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ac_solutions_ignore_mu0(tmp_path, capsys):
+    # mu0 is the Cahn-Hilliard offset; Allen-Cahn has none, whatever --mu0 says.
+    args = ["solutions", "--model", "ac", "--epsilon", "0.3", "--n-cells", "60", "--eps-range", "0.25:0.7"]
+    outs = [tmp_path / "mu0.csv", tmp_path / "mu03.csv"]
+    assert run_cli([*args, "--mu0", "0", "--out", str(outs[0])]) == 0
+    assert run_cli([*args, "--mu0", "0.3", "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    capsys.readouterr()
+
+
 def test_trace_json_validates_against_schema(tmp_path, capsys):
     out = tmp_path / "trace.json"
     code = run_cli(

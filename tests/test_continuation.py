@@ -22,9 +22,11 @@ from phase_bifurcate import (
     branch_switch,
     compute_diagram,
     default_settings,
+    det_sign,
     detect_bifurcations_on_trivial,
     eigenmode,
     euler_predict,
+    lu_factor,
     model_by_kind,
     newton_correct,
     solutions_at,
@@ -138,8 +140,6 @@ def test_default_settings_windows():
     assert (ac.param_min, ac.param_max) == (0.05, 0.7)
     ok = default_settings("acok")
     assert (ok.param_min, ok.param_max) == (0.0, 2000.0)
-    ch_mu = default_settings("ch", active_parameter="mu0")
-    assert (ch_mu.param_min, ch_mu.param_max) == (-0.3, 0.3)
     tweaked = default_settings("ac", param_max=0.5, initial_step=1e-3)
     assert tweaked.param_max == 0.5 and tweaked.initial_step == 1e-3
     with pytest.raises(ValueError):
@@ -318,9 +318,9 @@ def test_arclength_agrees_with_natural_on_fold_free_segment():
         assert x_nat == pytest.approx(math.sqrt(1.0 - mu_q), abs=5e-4)
 
 
-def test_arclength_points_record_the_residual_at_their_own_state(ac_detection):
-    # The corrector's accepted residual is recorded without re-evaluation; it
-    # must be the residual of the stored state at the stored parameter.
+@pytest.fixture(scope="module")
+def arclength_branches(ac_detection):
+    """(model, params, branch): the AC sine-0 offshoots and the fold toy's branch."""
     g, model, params, settings, bifs = ac_detection
     arc = replace(settings, use_pseudo_arclength=True)
     sine0 = [b for b in bifs if b.mode_family == "sine"][0]
@@ -330,11 +330,29 @@ def test_arclength_points_record_the_residual_at_their_own_state(ac_detection):
     start = newton_correct(fold_model, 0.0, np.array([1.0, 1.0]), fold_settings)
     cases = [(model, params, b) for b in branches]
     cases.append((fold_model, 0.0, trace_branch(fold_model, 0.0, fold_settings, start, +1)))
-    for m, p, branch in cases:
+    for _, _, branch in cases:
         assert len(branch.points) > 3
+    return cases
+
+
+def test_arclength_points_record_the_residual_at_their_own_state(arclength_branches):
+    # The corrector's accepted residual is recorded without re-evaluation; it
+    # must be the residual of the stored state at the stored parameter.
+    for m, p, branch in arclength_branches:
         for pt in branch.points:
             fresh = _sup(m.residual(pt.state, m.with_param(p, pt.param)))
             assert pt.residual_norm == fresh
+
+
+def test_arclength_points_record_the_det_sign_of_their_own_jacobian(arclength_branches):
+    # The det sign is read off the tangent solve of the bordered system; it
+    # must be the sign a factorization of the Jacobian itself gives.
+    for m, p, branch in arclength_branches:
+        for pt in branch.points:
+            assert pt.det_sign == det_sign(lu_factor(m.jacobian(pt.state, m.with_param(p, pt.param))))
+    # The fold toy's branch crosses its fold, where det(J) = 2*x1 changes sign.
+    _, _, fold_branch = arclength_branches[-1]
+    assert {pt.det_sign for pt in fold_branch.points} == {1, -1}
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +397,6 @@ def test_detection_null_modes_match_analytic(ac_detection):
 def test_detection_metadata(ac_detection):
     _, _, _, settings, bifs = ac_detection
     for b in bifs:
-        assert b.source == "detected"
         assert b.bif_id.startswith("bp")
         assert settings.param_min < b.param < settings.param_max
         assert np.max(np.abs(b.base_state)) == 0.0

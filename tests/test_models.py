@@ -425,18 +425,6 @@ def test_model_by_kind_dispatch():
         model_by_kind("kdv", g)
 
 
-def test_model_by_kind_ch_active_parameter():
-    g = GridSpec(10)
-    ch = model_by_kind("ch", g, active_parameter="mu0")
-    assert ch.active_parameter == "mu0"
-    params = ModelParams(epsilon=0.3, mu0=0.1)
-    assert ch.active_value(params) == 0.1
-    moved = ch.with_param(params, -0.2)
-    assert moved.mu0 == -0.2 and moved.epsilon == 0.3
-    with pytest.raises(ValueError):
-        model_by_kind("ch", g, active_parameter="gamma")
-
-
 def test_ac_ch_jacobians_are_tridiagonal():
     g = GridSpec(20)
     rng = np.random.default_rng(22)
