@@ -9,6 +9,11 @@ iteration and classified against the analytic eigenmode families.  New
 branches are seeded along the null mode on both sides (the +/- offshoots of a
 pitchfork) and traced over the parameter window.
 
+Every factorization goes through the model's ``linearize`` (a
+``linalg.BandBorder``, factored in O(N)); the pseudo-arclength systems add
+one border to it.  The dense ``jacobian`` is used only for the inverse
+iteration at a detected event.
+
 Everything is deterministic: fixed iteration orders and a fixed
 inverse-iteration seed, so identical inputs give bitwise-identical diagrams.
 """
@@ -214,7 +219,7 @@ def _newton(model, params, guess, settings) -> tuple[BranchPoint, Factorization]
     while rn > settings.newton_tol:
         if iters >= settings.max_newton_iters:
             raise NewtonFailure("no_convergence", iters, rn)
-        fact = lu_factor(model.jacobian(x, params))
+        fact = lu_factor(model.linearize(x, params))
         if fact.singular:
             raise NewtonFailure("singular", iters, rn)
         x = x + lu_solve(fact, -r)
@@ -230,7 +235,7 @@ def _newton(model, params, guess, settings) -> tuple[BranchPoint, Factorization]
         else:
             growths = 0
         prev = rn
-    fact = lu_factor(model.jacobian(x, params))
+    fact = lu_factor(model.linearize(x, params))
     point = BranchPoint(
         param=model.active_value(params),
         state=x,
@@ -255,7 +260,7 @@ def euler_predict(model, params, point: BranchPoint, step: float, fact: Optional
     Jacobians (caller shrinks the step).
     """
     if fact is None:
-        fact = lu_factor(model.jacobian(point.state, params))
+        fact = lu_factor(model.linearize(point.state, params))
     if fact.singular:
         raise SingularMatrixError("singular Jacobian in predictor")
     fmu = model.param_derivative(point.state, params)
@@ -317,7 +322,7 @@ def _trace_natural(model, params, settings, start, direction, origin, branch_id,
         target = _clip_target(cur.param, step, direction, settings)
         try:
             if cur_fact is None:
-                cur_fact = lu_factor(model.jacobian(cur.state, cur_params))
+                cur_fact = lu_factor(model.linearize(cur.state, cur_params))
             guess = euler_predict(model, cur_params, cur, target - cur.param, fact=cur_fact)
             nxt, nxt_fact = _newton(model, model.with_param(params, target), guess, settings)
         except (NewtonFailure, SingularMatrixError):
@@ -362,16 +367,11 @@ class _ArclengthFrame:
         return math.sqrt(self.dot(dx, dmu, dx, dmu))
 
 
-def _bordered_jacobian(model, params_at, x, frame, tx, tmu) -> np.ndarray:
-    """``[[J, F_mu], [tx/n, tmu/pscale^2]]``: the Jacobian bordered by the
-    derivative of the arclength constraint along ``(tx, tmu)``."""
-    n = frame.n
-    m = np.zeros((n + 1, n + 1))
-    m[:n, :n] = model.jacobian(x, params_at)
-    m[:n, n] = model.param_derivative(x, params_at)
-    m[n, :n] = tx / n
-    m[n, n] = tmu / frame.pscale**2
-    return m
+def _bordered_jacobian(model, params_at, x, frame, tx, tmu):
+    """``[[J, F_mu], [tx/n, tmu/pscale^2]]``: the model's linearization
+    bordered by the derivative of the arclength constraint along ``(tx, tmu)``."""
+    return model.linearize(x, params_at).bordered(
+        model.param_derivative(x, params_at), tx / frame.n, tmu / frame.pscale**2)
 
 
 def _arclength_tangent(model, params_at, x, frame, prev_tx, prev_tmu):
@@ -385,7 +385,7 @@ def _arclength_tangent(model, params_at, x, frame, prev_tx, prev_tmu):
     n = frame.n
     fact = lu_factor(_bordered_jacobian(model, params_at, x, frame, prev_tx, prev_tmu))
     if fact.singular:
-        return None, det_sign(lu_factor(model.jacobian(x, params_at)))
+        return None, det_sign(lu_factor(model.linearize(x, params_at)))
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
     t = lu_solve(fact, rhs)
@@ -518,7 +518,7 @@ def _arclength_correct(model, params, settings, frame, xg, mug, tx, tmu):
 def _raw_det_sign(model, params_at, state) -> int:
     """det sign with an unfloored pivot test (reliable arbitrarily close to
     a crossing, where the default relative floor would report 0)."""
-    return det_sign(lu_factor(model.jacobian(state, params_at), pivot_rtol=0.0))
+    return det_sign(lu_factor(model.linearize(state, params_at), pivot_rtol=0.0))
 
 
 def detect_bifurcations_on_trivial(
@@ -657,7 +657,7 @@ def branch_switch(model, params, settings: ContinuationSettings, bif: Bifurcatio
         param=p0,
         state=np.array(base, dtype=float),
         residual_norm=_sup(model.residual(base, anchor_params)),
-        det_sign=det_sign(lu_factor(model.jacobian(base, anchor_params))),
+        det_sign=det_sign(lu_factor(model.linearize(base, anchor_params))),
         newton_iters_used=0,
     )
 

@@ -6,38 +6,58 @@ explicit permutation sign, triangular solves, determinant signs, and an
 inverse-iteration null-vector routine.  The determinant *sign* is the event
 function for bifurcation detection, so the factorization tracks it exactly
 (permutation parity times pivot signs) instead of going through a value that
-would over/underflow for 200x200 Jacobians.
-
-``lu_factor`` picks its kernel from the matrix itself.  If every nonzero lies
-on the three central diagonals (the AC/CH Jacobians), it eliminates in O(N)
-on Python floats, in the manner of LAPACK ``dgttrf``: the same partial
-pivoting rule (swap only if the subdiagonal entry is strictly larger), the
-same pivot floor and the same singularity rules as the dense kernel, so det
-signs and singular flags agree with it.  ``lu_solve`` on such a factorization
-averages the top-down solve with the solve of the mirrored (order-reversed)
-system, which makes it exactly reflection-equivariant: with ``P`` the
-reversal, ``solve(P J P, P b) == P solve(J, b)`` bit for bit, so Newton
-iterates from odd guesses stay exactly odd.  The mirrored factorization is
-made on the first solve, so sign-only factorizations never pay for it.
-
-Every other matrix (the dense ACOK Jacobians, the bordered arclength
-systems) goes through a right-looking blocked LU whose Schur update runs
-through matrix-matrix products; for the ~200x200 systems the engine solves
-this is an order of magnitude faster than a scalar-loop elimination while
-staying bit-for-bit deterministic.  Neither kernel calls LAPACK, whose
+would over/underflow for 200x200 Jacobians.  No kernel calls LAPACK, whose
 results can depend on the BLAS thread count.
+
+``lu_factor`` takes either a dense square matrix or a ``BandBorder``: a band
+matrix ``A`` (``kl`` sub- and ``ku`` superdiagonals) plus ``k`` dense border
+rows and columns, which is how the models hand over their linearizations.
+
+* A ``BandBorder`` that is a plain tridiagonal matrix (no border), and a
+  dense matrix whose nonzeros all lie on the three central diagonals (the
+  AC/CH Jacobians), are eliminated in O(N) on Python floats in the manner of
+  LAPACK ``dgttrf``: the dense kernel's pivoting rule (swap only if the
+  subdiagonal entry is strictly larger), pivot floor and singularity rules,
+  so det signs and singular flags agree with it.  ``lu_solve`` on such a
+  factorization averages the top-down solve with the solve of the mirrored
+  (order-reversed) system, which makes it exactly reflection-equivariant:
+  with ``P`` the reversal, ``solve(P J P, P b) == P solve(J, b)`` bit for
+  bit, so Newton iterates from odd guesses stay exactly odd.  The mirrored
+  factorization is made on the first solve, so sign-only factorizations
+  never pay for it.
+* Every other ``BandBorder`` (the ACOK Jacobians in their augmented Poisson
+  form, the pseudo-arclength systems, the bordered Neumann problem) gets a
+  band LU with partial pivoting inside the band, O(N (kl + ku) kl), and its
+  borders are eliminated by mixed block elimination (Govaerts & Pryce,
+  *IMA J. Numer. Anal.* 13, 1993), which stays accurate when ``A`` itself
+  is singular, as it is at every fold and bifurcation point and, exactly,
+  in the Neumann problem.  A band pivot at rounding level (or on or below
+  the singularity floor) is boosted to the band's size, which factors a
+  rank-one change of ``A``; one more border takes that change back out
+  exactly.  The det sign is the band's permutation parity times its pivot
+  signs times the det sign of the borders' Schur block (times -1 per
+  boost).
+* Any other dense matrix goes through a right-looking blocked LU whose Schur
+  update runs through matrix-matrix products.  Of the engine's
+  factorizations only the inverse iteration at a detected ACOK event takes
+  this path; it also factors the bordered kernel's small Schur blocks, and
+  it is the general path and the tests' reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Union
 
 import numpy as np
 
 __all__ = [
+    "BandBorder",
     "LuFactorization",
     "BandLuFactorization",
+    "BorderedLuFactorization",
     "SingularMatrixError",
     "ConvergenceError",
     "NullVectorResult",
@@ -50,6 +70,11 @@ __all__ = [
 #: Default relative pivot floor: a pivot whose magnitude falls below
 #: ``DEFAULT_PIVOT_RTOL * max-row-sum-norm`` marks the matrix singular.
 DEFAULT_PIVOT_RTOL = 1e-12
+
+#: Band pivots of magnitude at most this times the band's max row sum
+#: (or at most the singularity floor, if higher) are boosted and corrected
+#: through a border; see ``_band_lu``.
+_BOOST_RTOL = 1e-14
 
 #: Panel width of ``lu_factor``'s blocked Schur update.  It sets only the
 #: speed; the factors agree to rounding for any positive width.
@@ -123,7 +148,154 @@ class BandLuFactorization:
     mirror: Optional["BandLuFactorization"] = None
 
 
-Factorization = Union[LuFactorization, BandLuFactorization]
+@dataclass(frozen=True, eq=False)
+class BandBorder:
+    """A band matrix ``A`` plus ``k`` dense border rows and columns.
+
+    The full matrix is ``[[A, cols], [rows, corner]]`` of order ``nb + k``.
+    ``A`` (order ``nb``) is held in row-wise band storage,
+    ``band[i, kl + j - i] = A[i, j]`` for ``-kl <= j - i <= ku``, where
+    ``ku = band.shape[1] - 1 - kl``; entries outside ``A`` are zero.
+
+    The system a caller factors and solves is the Schur complement of the
+    full matrix onto the unknowns ``outer`` (indices into the full matrix,
+    all of them by default): a right-hand side is placed on the ``outer`` rows,
+    zero elsewhere, and the solution is read off the ``outer`` unknowns.
+    ``hidden_sign`` is the det sign of the eliminated block, so the det
+    sign of the visible system is ``hidden_sign`` times the full matrix's.
+    """
+
+    band: np.ndarray
+    kl: int
+    cols: Optional[np.ndarray] = None  # (nb, k)
+    rows: Optional[np.ndarray] = None  # (k, nb)
+    corner: Optional[np.ndarray] = None  # (k, k)
+    outer: Optional[np.ndarray] = None
+    hidden_sign: int = 1
+
+    def __post_init__(self):
+        band = np.asarray(self.band, dtype=float)
+        if band.ndim != 2 or not 0 <= self.kl < band.shape[1]:
+            raise ValueError(f"band of shape {band.shape} does not hold kl={self.kl} subdiagonals")
+        nb = band.shape[0]
+        k = 0 if self.corner is None else np.shape(self.corner)[0]
+        shapes = {"cols": (nb, k), "rows": (k, nb), "corner": (k, k)}
+        for name, shape in shapes.items():
+            value = getattr(self, name)
+            value = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "band", band)
+        outer = np.arange(nb + k) if self.outer is None else np.asarray(self.outer)
+        object.__setattr__(self, "outer", outer)
+
+    @property
+    def ku(self) -> int:
+        return self.band.shape[1] - 1 - self.kl
+
+    @property
+    def k(self) -> int:
+        return self.corner.shape[0]
+
+    def __len__(self) -> int:
+        """Order of the visible system."""
+        return len(self.outer)
+
+    def bordered(self, col, row, corner: float) -> "BandBorder":
+        """The visible system ``S`` bordered to ``[[S, col], [row, corner]]``."""
+        nb, k = self.band.shape[0], self.k
+        outer = self.outer
+        full_col = np.zeros(nb + k)
+        full_col[outer] = col
+        full_row = np.zeros(nb + k)
+        full_row[outer] = row
+        new_corner = np.zeros((k + 1, k + 1))
+        new_corner[:k, :k] = self.corner
+        new_corner[:k, k] = full_col[nb:]
+        new_corner[k, :k] = full_row[nb:]
+        new_corner[k, k] = corner
+        return BandBorder(
+            band=self.band, kl=self.kl,
+            cols=np.column_stack([self.cols, full_col[:nb]]),
+            rows=np.vstack([self.rows, full_row[:nb]]),
+            corner=new_corner, outer=np.append(outer, nb + k), hidden_sign=self.hidden_sign,
+        )
+
+    def to_dense(self) -> np.ndarray:
+        """The full matrix ``[[A, cols], [rows, corner]]``."""
+        nb, k = self.band.shape[0], self.k
+        a = np.zeros((nb + k, nb + k))
+        for c in range(self.band.shape[1]):
+            d = c - self.kl
+            lo, hi = max(0, -d), min(nb, nb - d)
+            if lo < hi:
+                idx = np.arange(lo, hi)
+                a[idx, idx + d] = self.band[lo:hi, c]
+        a[:nb, nb:] = self.cols
+        a[nb:, :nb] = self.rows
+        a[nb:, nb:] = self.corner
+        return a
+
+    @classmethod
+    def from_dense(cls, matrix) -> "BandBorder":
+        """The band of a dense square matrix, as narrow as its nonzeros allow."""
+        a = _as_square_matrix(matrix)
+        n = a.shape[0]
+        i, j = np.nonzero(a)
+        kl = int(max(0, np.max(i - j, initial=0)))
+        ku = int(max(0, np.max(j - i, initial=0)))
+        band = np.zeros((n, kl + ku + 1))
+        for d in range(-kl, ku + 1):
+            lo = max(0, -d)
+            band[lo:lo + n - abs(d), kl + d] = np.diagonal(a, d)
+        return cls(band=band, kl=kl)
+
+
+@dataclass
+class BorderedLuFactorization:
+    """Result of ``lu_factor`` on a ``BandBorder`` (other than a plain tridiagonal).
+
+    Step ``j`` of the band elimination interchanges rows ``j`` and
+    ``swaps[j]``, then subtracts ``mults[j][i]`` times row ``j`` from row
+    ``j + 1 + i``.  ``U`` has ``pivots`` on its diagonal and ``tails[j]``
+    right of it in row ``j`` (at most ``kl + ku`` entries).  A boosted pivot
+    adds one border to ``cols``, ``rows`` and ``corner``, the borders mixed
+    block elimination works with (see ``_bordered_factor``).  ``right`` is
+    ``A^-1 cols`` and ``schur`` the dense LU of the Schur block
+    ``corner - rows A^-1 cols``; the transposed-side counterparts (``left``)
+    are made on the first solve.
+
+    Attributes
+    ----------
+    perm_sign:
+        Parity of the band's interchanges, times -1 per boosted pivot.
+    singular, pivot_floor:
+        The floor is ``pivot_rtol`` times the full matrix's max row sum, as
+        in ``LuFactorization``; every band pivot on or below it is boosted.
+        The matrix is flagged singular if a pivot of the Schur block is no
+        larger than ``pivot_rtol`` times the terms the block is computed
+        from (``|corner| + |rows| |A^-1 cols|``, max row sum): at 0.0 only
+        an exactly zero Schur pivot counts.
+    """
+
+    system: BandBorder
+    pivots: list
+    tails: list
+    mults: list
+    swaps: list
+    perm_sign: int
+    cols: list
+    rows: list
+    corner: list
+    right: list
+    schur: Optional[LuFactorization]
+    singular: bool
+    pivot_floor: float
+    left: Optional[tuple] = None
+
+
+Factorization = Union[LuFactorization, BandLuFactorization, BorderedLuFactorization]
 
 
 def _require_finite(a) -> None:
@@ -247,22 +419,246 @@ def _band_solve_equivariant(fact: BandLuFactorization, b: list) -> list:
     return [0.5 * (u + v) for u, v in zip(top, bottom)]
 
 
+def _dot(a: list, b: list) -> float:
+    return math.fsum(map(mul, a, b))
+
+
+def _band_lu(system: BandBorder, boost_floor: float, boost: float):
+    """Band LU with partial pivoting inside the band (``dgbtf2``-style).
+
+    Row ``i`` is held as a list over columns ``i - kl .. i + kl + ku``: the
+    band plus the fill the interchanges leave, so an interchange of rows
+    ``j`` and ``p`` shifts both lists by ``p - j``.  A pivot of magnitude
+    ``<= boost_floor`` is boosted by ``delta = +-boost`` (the pivot's sign,
+    + for zero): that factors ``A + delta e_r e_j^T`` exactly, with ``r``
+    the pivot row's original index, and ``_bordered_factor`` takes the
+    correction back out through one more border.  Returns ``(pivots, tails, mults, swaps, sign,
+    boosts)``: ``tails[j]`` is row ``j`` of ``U`` right of its pivot and
+    ``boosts`` a list of ``(r, j, delta)``.  The loops skip zero entries
+    explicitly: on lists this short that is faster than slicing.
+    """
+    kl, ku = system.kl, system.ku
+    nb = system.band.shape[0]
+    width = 2 * kl + ku + 1
+    padded = np.zeros((nb + kl, width))  # with zero rows below the matrix
+    padded[:nb, : kl + ku + 1] = system.band
+    work = padded.tolist()
+    origin = list(range(nb))
+    pivots, tails, mults, swaps = [0.0] * nb, [None] * nb, [None] * nb, list(range(nb))
+    boosts = []
+    sign = 1
+    below = [(t, kl - t) for t in range(1, kl + 1)]  # (row offset, index of column j)
+    for j in range(nb):
+        prow = work[j]
+        p, best = j, abs(prow[kl])
+        for t, at in below:
+            v = abs(work[j + t][at])
+            if v > best:
+                p, best = j + t, v
+        if p != j:
+            d = p - j
+            other = work[p]
+            work[p] = prow[d:] + [0.0] * d
+            prow = work[j] = [0.0] * d + other[: width - d]
+            origin[j], origin[p] = origin[p], origin[j]
+            sign = -sign
+            swaps[j] = p
+        piv = prow[kl]
+        if abs(piv) <= boost_floor:
+            delta = -boost if piv < 0.0 else boost
+            boosts.append((origin[j], j, delta))
+            piv = piv + delta
+        tail = prow[kl + 1 :]
+        ms = []
+        for t, at in below:
+            row = work[j + t]
+            a = row[at]
+            if a == 0.0:
+                ms.append(0.0)
+                continue
+            f = a / piv
+            ms.append(f)
+            c = at + 1
+            for y in tail:
+                if y != 0.0:
+                    row[c] -= f * y
+                c += 1
+        pivots[j], tails[j], mults[j] = piv, tail, ms
+        work[j] = None
+    # Drop what lies right of or below the matrix.
+    for j in range(max(0, nb - kl - ku), nb):
+        tails[j] = tails[j][: nb - 1 - j]
+    for j in range(max(0, nb - kl), nb):
+        mults[j] = mults[j][: nb - 1 - j]
+    return pivots, tails, mults, swaps, sign, boosts
+
+
+def _band_lu_solve(fact: BorderedLuFactorization, x: list) -> list:
+    """``A^-1 x`` through the band factors, in place."""
+    for j, p in enumerate(fact.swaps):
+        if p != j:
+            x[j], x[p] = x[p], x[j]
+        xj = x[j]
+        if xj != 0.0:
+            i = j + 1
+            for f in fact.mults[j]:
+                if f != 0.0:
+                    x[i] -= f * xj
+                i += 1
+    tails, pivots = fact.tails, fact.pivots
+    for j in range(len(x) - 1, -1, -1):
+        v = x[j]
+        c = j + 1
+        for y in tails[j]:
+            if y != 0.0:
+                v -= y * x[c]
+            c += 1
+        x[j] = v / pivots[j]
+    return x
+
+
+def _band_lu_solve_t(fact: BorderedLuFactorization, x: list) -> list:
+    """``A^-T x`` through the band factors, in place."""
+    for j, (piv, tail) in enumerate(zip(fact.pivots, fact.tails)):
+        xj = x[j] = x[j] / piv
+        if xj != 0.0:
+            c = j + 1
+            for y in tail:
+                if y != 0.0:
+                    x[c] -= y * xj
+                c += 1
+    for j in range(len(x) - 1, -1, -1):
+        v = x[j]
+        i = j + 1
+        for f in fact.mults[j]:
+            if f != 0.0:
+                v -= f * x[i]
+            i += 1
+        x[j] = v
+        p = fact.swaps[j]
+        if p != j:
+            x[j], x[p] = x[p], x[j]
+    return x
+
+
+def _bordered_factor(system: BandBorder, pivot_rtol: float) -> BorderedLuFactorization:
+    """Band LU of ``A``, then the borders' Schur block (module docstring).
+
+    Each boosted pivot ``(r, j, delta)`` becomes one more border: column
+    ``-delta e_r``, row ``e_j^T`` and corner -1, whose unknown is ``x_j``,
+    so the extended system is exact for ``A`` and its det is
+    ``(-1)^boosts`` times the user matrix's.
+    """
+    nb = system.band.shape[0]
+    band_sums = np.sum(np.abs(system.band), axis=1)
+    row_sums = np.concatenate([
+        band_sums + np.sum(np.abs(system.cols), axis=1),
+        np.sum(np.abs(system.rows), axis=1) + np.sum(np.abs(system.corner), axis=1),
+    ])
+    _require_finite(row_sums)  # a NaN or inf entry leaves its row sum non-finite
+    floor = float(pivot_rtol) * (float(np.max(row_sums)) if row_sums.size else 0.0)
+    scale = float(np.max(band_sums)) if nb else 0.0
+    pivots, tails, mults, swaps, sign, boosts = _band_lu(
+        system, max(floor, _BOOST_RTOL * scale), scale if scale > 0.0 else 1.0)
+    cols = system.cols.T.tolist()
+    rows = system.rows.tolist()
+    k = len(cols) + len(boosts)
+    corner = [r + [0.0] * len(boosts) for r in system.corner.tolist()]
+    for r, j, delta in boosts:
+        col = [0.0] * nb
+        col[r] = -delta
+        cols.append(col)
+        row = [0.0] * nb
+        row[j] = 1.0
+        rows.append(row)
+        corner.append([0.0] * k)
+        corner[-1][len(cols) - 1] = -1.0
+    fact = BorderedLuFactorization(
+        system=system, pivots=pivots, tails=tails, mults=mults, swaps=swaps,
+        perm_sign=sign * (-1 if len(boosts) % 2 else 1),
+        cols=cols, rows=rows, corner=corner, right=[], schur=None, singular=False, pivot_floor=floor,
+    )
+    fact.right = [_band_lu_solve(fact, list(c)) for c in cols]
+    fact.schur = _schur_factor(corner, rows, fact.right)
+    # A Schur pivot is zero to within pivot_rtol if it cancels that far
+    # below the terms the block is computed from.
+    schur_floor = 0.0
+    if pivot_rtol and k:
+        terms = np.sum(np.abs(corner), axis=1) + np.sum(
+            np.abs(rows) * np.sum(np.abs(fact.right), axis=0), axis=1)
+        schur_floor = float(pivot_rtol) * float(np.max(terms))
+    fact.singular = bool(np.any(np.abs(np.diagonal(fact.schur.packed)) <= schur_floor))
+    return fact
+
+
+def _schur_factor(corner: list, rows: list, right: list) -> LuFactorization:
+    """Dense LU of the k x k block ``corner[i][c] - rows[i] . right[c]``."""
+    k = len(corner)
+    block = np.array([[corner[i][c] - _dot(rows[i], right[c]) for c in range(k)] for i in range(k)])
+    return _dense_factor(block.reshape(k, k), 0.0)
+
+
+def _bordered_solve(fact: BorderedLuFactorization, b: list) -> list:
+    """Mixed block elimination for ``[[A, B], [C, D]] [x; y] = [f; g]``.
+
+    With ``V = A^-T C^T`` and the two Schur blocks ``D - V^T B`` and
+    ``D - C A^-1 B``: ``y1`` from the first, then ``xi = A^-1 (f - B y1)``,
+    and the second corrects ``y`` by ``y2`` and ``x = xi - (A^-1 B) y2``.
+    The borders here include the boosted pivots' (``_bordered_factor``),
+    whose right-hand sides are zero and whose unknowns are dropped.
+    """
+    nb, k = len(fact.pivots), len(fact.cols)
+    visible = len(b) - nb  # the caller's borders; the rest are boosted pivots'
+    f, g = b[:nb], b[nb:] + [0.0] * (k - visible)
+    if k == 0:
+        return _band_lu_solve(fact, f)
+    if fact.left is None:
+        left = [_band_lu_solve_t(fact, list(r)) for r in fact.rows]
+        fact.left = (left, _schur_factor(fact.corner, left, fact.cols))
+    left, schur_t = fact.left
+    if schur_t.singular:
+        raise SingularMatrixError("singular border block")
+    y1 = _dense_solve(schur_t, np.array([g[i] - _dot(left[i], f) for i in range(k)])).tolist()
+    for c, yc in zip(fact.cols, y1):
+        if yc != 0.0:
+            f = [a - yc * v for a, v in zip(f, c)]
+    g1 = [g[i] - _dot(fact.corner[i], y1) for i in range(k)]
+    xi = _band_lu_solve(fact, f)
+    y2 = _dense_solve(fact.schur, np.array([g1[i] - _dot(fact.rows[i], xi) for i in range(k)])).tolist()
+    for w, yc in zip(fact.right, y2):
+        if yc != 0.0:
+            xi = [a - yc * v for a, v in zip(xi, w)]
+    return xi + [u + v for u, v in zip(y1, y2)][:visible]
+
+
 def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
     """LU-factor a square matrix with partial (row) pivoting.
 
-    A matrix whose nonzeros all lie on the three central diagonals gets a
-    ``BandLuFactorization`` in O(n); any other a dense ``LuFactorization``.
+    ``matrix`` is a ``BandBorder`` or a dense square array-like.  A plain
+    tridiagonal ``BandBorder``, or a dense matrix whose nonzeros all lie on
+    the three central diagonals, gets a ``BandLuFactorization`` in O(n); any
+    other ``BandBorder`` a ``BorderedLuFactorization`` in O(n); any other
+    dense matrix a dense ``LuFactorization``.
 
     Parameters
     ----------
     matrix:
-        Square 2-D array-like.  A copy is taken; the input is not modified.
+        ``BandBorder`` or square 2-D array-like.  The input is not modified.
     pivot_rtol:
         Relative singularity threshold.  The absolute floor is
         ``pivot_rtol * max_i sum_j |a_ij|``.  Pass 0.0 to flag only exact
         zero pivots (used by the bifurcation detector, which needs pivot
         *signs* arbitrarily close to a singularity).
     """
+    if isinstance(matrix, BandBorder):
+        if matrix.kl == matrix.ku == 1 and matrix.k == 0 and len(matrix) == len(matrix.band):
+            cols = matrix.band.T
+            band = (cols[0, 1:], cols[1], cols[2, :-1])
+            for d in band:
+                _require_finite(d)
+            band = tuple(d.tolist() for d in band)
+            return _band_factor(band, _band_floor(band, pivot_rtol))
+        return _bordered_factor(matrix, pivot_rtol)
     a = _as_square_matrix(matrix)
     band = _tridiagonal_band(a)
     if band is not None:
@@ -315,17 +711,35 @@ def lu_solve(fact: Factorization, rhs) -> np.ndarray:
     """
     if fact.singular:
         raise SingularMatrixError("singular matrix")
-    band = isinstance(fact, BandLuFactorization)
-    n = len(fact.pivots) if band else fact.packed.shape[0]
+    if isinstance(fact, BorderedLuFactorization):
+        n = len(fact.system)
+    elif isinstance(fact, BandLuFactorization):
+        n = len(fact.pivots)
+    else:
+        n = fact.packed.shape[0]
     b = np.asarray(rhs, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"rhs of shape {b.shape} does not match matrix size {n}")
-    if band:
+    if isinstance(fact, BorderedLuFactorization):
+        outer = fact.system.outer
+        full = np.zeros((fact.system.band.shape[0] + fact.system.k,) + b.shape[1:])
+        full[outer] = b
+        if b.ndim == 1:
+            return np.array(_bordered_solve(fact, full.tolist()))[outer]
+        cols = [_bordered_solve(fact, col) for col in full.T.tolist()]
+        return np.array(cols, dtype=float).reshape(b.shape[1], len(full)).T[outer]
+    if isinstance(fact, BandLuFactorization):
         if b.ndim == 1:
             return np.array(_band_solve_equivariant(fact, b.tolist()))
         cols = [_band_solve_equivariant(fact, col) for col in b.T.tolist()]
         return np.array(cols, dtype=float).reshape(b.shape[1], n).T
+    return _dense_solve(fact, b)
+
+
+def _dense_solve(fact: LuFactorization, b: np.ndarray) -> np.ndarray:
+    """Forward and back substitution through the packed dense factors."""
     a = fact.packed
+    n = a.shape[0]
     squeeze = b.ndim == 1
     x = b[fact.perm].astype(float, copy=True)
     if squeeze:
@@ -342,12 +756,22 @@ def lu_solve(fact: Factorization, rhs) -> np.ndarray:
 
 
 def _sign_from_fact(fact: Factorization) -> int:
-    """Permutation parity times the product of pivot signs (0 if flagged)."""
+    """Permutation parity times the product of pivot signs (0 if flagged).
+
+    A bordered factorization also multiplies in its Schur block's det sign
+    and the det sign of the block its visible system eliminates.
+    """
     if fact.singular:
         return 0
-    pivots = fact.pivots if isinstance(fact, BandLuFactorization) else np.diagonal(fact.packed)
+    if isinstance(fact, LuFactorization):
+        pivots = np.diagonal(fact.packed)
+    else:
+        pivots = fact.pivots
     negatives = int(np.count_nonzero(np.less(pivots, 0.0)))
-    return fact.perm_sign * (-1 if negatives % 2 else 1)
+    sign = fact.perm_sign * (-1 if negatives % 2 else 1)
+    if isinstance(fact, BorderedLuFactorization):
+        sign *= _sign_from_fact(fact.schur) * fact.system.hidden_sign
+    return sign
 
 
 def det_sign(matrix_or_fact, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> int:
@@ -356,7 +780,7 @@ def det_sign(matrix_or_fact, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> int:
     A result of 0 means some pivot fell on or below the singularity floor,
     i.e. the matrix is singular *to within the configured threshold*.
     """
-    if isinstance(matrix_or_fact, (LuFactorization, BandLuFactorization)):
+    if isinstance(matrix_or_fact, (LuFactorization, BandLuFactorization, BorderedLuFactorization)):
         return _sign_from_fact(matrix_or_fact)
     return _sign_from_fact(lu_factor(matrix_or_fact, pivot_rtol=pivot_rtol))
 

@@ -7,7 +7,11 @@ of nodal values; each model exposes
 
 - ``residual(state, params)``  -- the nonlinear map whose zeros are steady
   states,
-- ``jacobian(state, params)``  -- its dense derivative,
+- ``linearize(state, params)`` -- its derivative as a ``linalg.BandBorder``,
+  the form the continuation factors in O(N): the tridiagonal Jacobian for
+  AC/CH, an augmented band-plus-border system for ACOK,
+- ``jacobian(state, params)``  -- the same derivative as a dense matrix,
+  kept as the oracle (tests, ``verify``, inverse iteration at an event),
 - ``param_derivative(state, params)`` -- derivative with respect to the
   model's active continuation parameter,
 - ``trivial_branches(params)`` -- the spatially constant solution families.
@@ -34,7 +38,9 @@ The models:
 ``OhtaKawasaki``
     eps*A phi - B W'(phi)/eps - gamma*(B G B) phi with the double well
     W = 18*(phi^2 - phi)^2 pinned between 0 and 1 and the nonlocal zero-mean
-    inverse Laplacian G; continued in the nonlocal strength gamma.
+    inverse Laplacian G; continued in the nonlocal strength gamma.  Its
+    Jacobian is dense, but ``linearize`` hands over an O(N) augmented form
+    that solves G's Poisson problem alongside (see the class).
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import lu_factor, lu_solve
+from .linalg import BandBorder, det_sign, lu_factor, lu_solve
 
 __all__ = [
     "GridSpec",
@@ -149,53 +155,56 @@ def _compact_apply(values: np.ndarray, closure: str) -> np.ndarray:
     return values + _second_difference(values, closure) / 12.0
 
 
-def _compact_diagonals(n_nodes: int, closure: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lower, main, upper) diagonals of ``B = I + (h^2/12) A``."""
-    lower = np.full(n_nodes - 1, 1.0 / 12.0)
-    main = np.full(n_nodes, 5.0 / 6.0)
-    upper = np.full(n_nodes - 1, 1.0 / 12.0)
-    upper[0] = 1.0 / 6.0  # folded left ghost doubles the neighbour
+def _compact_band(n_nodes: int, closure: str) -> np.ndarray:
+    """Row-wise band (sub, main, super) of ``B = I + (h^2/12) A``."""
+    band = np.empty((n_nodes, 3))
+    band[:, 0] = band[:, 2] = 1.0 / 12.0
+    band[:, 1] = 5.0 / 6.0
+    band[0, 0] = band[-1, 2] = 0.0
+    band[0, 2] = 1.0 / 6.0  # folded left ghost doubles the neighbour
     if closure == "symmetric":
-        lower[-1] = 1.0 / 6.0
+        band[-1, 0] = 1.0 / 6.0
     else:
-        main[-1] = 11.0 / 12.0
-    return lower, main, upper
+        band[-1, 1] = 11.0 / 12.0
+    return band
 
 
-def _tridiagonal_rows(matrix: np.ndarray, lower, main, upper) -> np.ndarray:
-    """``T @ matrix`` for the tridiagonal ``T``, as row operations (no BLAS)."""
-    out = main[:, None] * matrix
-    out[:-1] += upper[:, None] * matrix[1:]
-    out[1:] += lower[:, None] * matrix[:-1]
+def _laplacian_band(grid: GridSpec, closure: str) -> np.ndarray:
+    """Row-wise band (sub, main, super) of ``laplacian_matrix``."""
+    inv_h2 = 1.0 / (grid.h * grid.h)
+    band = np.empty((grid.n_nodes, 3))
+    band[:, 0] = band[:, 2] = inv_h2
+    band[:, 1] = -2.0 * inv_h2
+    band[0, 0] = band[-1, 2] = 0.0
+    band[0, 2] = 2.0 * inv_h2
+    if closure == "symmetric":
+        band[-1, 0] = 2.0 * inv_h2
+    else:
+        band[-1, 1] = -inv_h2
+    return band
+
+
+def _tridiagonal_rows(matrix: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """``T @ matrix`` for the tridiagonal ``T`` given by its row-wise band (no BLAS)."""
+    out = band[:, 1, None] * matrix
+    out[:-1] += band[:-1, 2, None] * matrix[1:]
+    out[1:] += band[1:, 0, None] * matrix[:-1]
     return out
 
 
-def _add_compact_diagonal(jac: np.ndarray, diagonals, scale: np.ndarray) -> None:
-    """``jac += B @ diag(scale)`` in place, touching only the three diagonals."""
-    lower, main, upper = diagonals
-    idx = np.arange(scale.size)
-    jac[idx, idx] += main * scale
-    jac[idx[:-1], idx[:-1] + 1] += upper * scale[1:]
-    jac[idx[1:], idx[1:] - 1] += lower * scale[:-1]
+def _transposed_band(band: np.ndarray) -> np.ndarray:
+    """Row-wise band of the transpose of the tridiagonal given by ``band``."""
+    out = np.zeros_like(band)
+    out[1:, 0] = band[:-1, 2]
+    out[:, 1] = band[:, 1]
+    out[:-1, 2] = band[1:, 0]
+    return out
 
 
 @lru_cache(maxsize=32)
 def laplacian_matrix(grid: GridSpec, closure: str = "symmetric") -> np.ndarray:
     """Dense matrix of ``laplacian_apply`` (n_nodes x n_nodes, read-only, cached)."""
-    _check_closure(closure)
-    n = grid.n_nodes
-    inv_h2 = 1.0 / (grid.h * grid.h)
-    m = np.zeros((n, n))
-    idx = np.arange(n)
-    m[idx, idx] = -2.0 * inv_h2
-    m[idx[:-1], idx[:-1] + 1] = inv_h2
-    m[idx[1:], idx[1:] - 1] = inv_h2
-    m[0, 1] = 2.0 * inv_h2
-    if closure == "symmetric":
-        m[-1, -2] = 2.0 * inv_h2
-    else:
-        m[-1, -2] = inv_h2
-        m[-1, -1] = -inv_h2
+    m = BandBorder(band=_laplacian_band(grid, _check_closure(closure)), kl=1).to_dense()
     m.setflags(write=False)
     return m
 
@@ -315,8 +324,8 @@ class _ModelBase:
     def __init__(self, grid: GridSpec, closure: str = "symmetric"):
         self.grid = grid
         self.closure = _check_closure(closure)
-        self._lap = laplacian_matrix(grid, closure)
-        self._compact = _compact_diagonals(grid.n_nodes, closure)
+        self._lap = _laplacian_band(grid, closure)
+        self._compact = _compact_band(grid.n_nodes, closure)
 
     def with_param(self, params: ModelParams, value: float) -> ModelParams:
         """Copy of ``params`` with the active continuation parameter replaced."""
@@ -330,6 +339,14 @@ class _ModelBase:
     def trivial_states(self, params: ModelParams) -> list[np.ndarray]:
         """Nodal vectors of every branch of ``trivial_branches(params)``."""
         return [b.state_of(params, self.grid) for b in self.trivial_branches(params)]
+
+    def _band(self, lap_scale: float, scale: np.ndarray) -> np.ndarray:
+        """Row-wise band of ``lap_scale * A + B diag(scale)``."""
+        shifted = np.zeros((scale.size, 3))
+        shifted[1:, 0] = scale[:-1]
+        shifted[:, 1] = scale
+        shifted[:-1, 2] = scale[1:]
+        return lap_scale * self._lap + self._compact * shifted
 
     def _require_state(self, state) -> np.ndarray:
         phi = np.asarray(state, dtype=float)
@@ -362,12 +379,14 @@ class AllenCahn(_ModelBase):
             out -= offset
         return out
 
-    def jacobian(self, state, params: ModelParams) -> np.ndarray:
+    def linearize(self, state, params: ModelParams) -> BandBorder:
+        """The tridiagonal Jacobian as a ``BandBorder`` without borders."""
         phi = self._require_state(state)
         inv_e2 = 1.0 / (params.epsilon * params.epsilon)
-        j = -self._lap
-        _add_compact_diagonal(j, self._compact, inv_e2 * (3.0 * phi * phi - 1.0))
-        return j
+        return BandBorder(band=self._band(-1.0, inv_e2 * (3.0 * phi * phi - 1.0)), kl=1)
+
+    def jacobian(self, state, params: ModelParams) -> np.ndarray:
+        return self.linearize(state, params).to_dense()
 
     def param_derivative(self, state, params: ModelParams) -> np.ndarray:
         phi = self._require_state(state)
@@ -479,6 +498,22 @@ def green_operator(grid: GridSpec) -> GreenOperator:
     return GreenOperator(matrix=matrix, h_profile=hp)
 
 
+@lru_cache(maxsize=8)
+def _neumann_system(grid: GridSpec):
+    """``K = [[A, 1], [w^T, 0]]`` with the symmetric-closure ``A``: ``(K, its
+    factorization, its det sign)``.
+
+    ``green_operator`` is ``K``'s inverse on zero-mean data: ``-A G = I - 1 w^T / 2``.
+    """
+    n = grid.n_nodes
+    system = BandBorder(
+        band=_laplacian_band(grid, "symmetric"), kl=1, cols=np.ones((n, 1)),
+        rows=grid.trapezoid_weights[None, :], corner=np.zeros((1, 1)),
+    )
+    fact = lu_factor(system)
+    return system, fact, det_sign(fact)
+
+
 def poisson_neumann_solve(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Solve the discrete Neumann problem ``u'' = f`` with zero-mean data.
 
@@ -496,15 +531,8 @@ def poisson_neumann_solve(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     mean = float(w @ rhs) / 2.0
     if abs(mean) > 1e-10:
         raise ValueError(f"Neumann problem unsolvable: right-hand side has mean {mean:.3e} (|mean| > 1e-10)")
-    n = grid.n_nodes
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = laplacian_matrix(grid)
-    bordered[:n, n] = 1.0
-    bordered[n, :n] = w
-    full_rhs = np.zeros(n + 1)
-    full_rhs[:n] = rhs
-    sol = lu_solve(lu_factor(bordered), full_rhs)
-    return sol[:n]
+    _, fact, _ = _neumann_system(grid)
+    return lu_solve(fact, np.append(rhs, 0.0))[:-1]
 
 
 class OhtaKawasaki(_ModelBase):
@@ -514,10 +542,20 @@ class OhtaKawasaki(_ModelBase):
     with the double well W(phi) = 18*(phi^2 - phi)^2 (wells at 0 and 1) and
     the zero-mean nonlocal operator G (``green``, from ``green_operator``).
     ``G`` inverts ``-A`` on zero-mean data, so ``G B`` inverts the compact
-    ``-B^-1 A`` and the premultiplied nonlocal term is ``B G B``.  The
-    Jacobian's dense ``B G B`` is built once per model by row and column
-    stencils.  Note the leading Laplacian enters with a +eps factor
-    (gradient-flow sign), unlike the eps^2-divided Allen-Cahn form.
+    ``-B^-1 A`` and the premultiplied nonlocal term is ``B G B``.  Note the
+    leading Laplacian enters with a +eps factor (gradient-flow sign), unlike
+    the eps^2-divided Allen-Cahn form.
+
+    The Jacobian ``J = T - gamma B G B`` with the tridiagonal
+    ``T = eps A - B diag(W''/eps)`` is dense, but ``linearize`` never forms
+    it: ``J v = r`` is the augmented O(N) system ``T v - gamma B u = r``,
+    ``B v + A_s u + s 1 = 0``, ``w^T u = 0`` in ``(v, u, s)``, where ``A_s``
+    is the *symmetric*-closure Laplacian under either closure (``G``
+    ignores the closure) and eliminating ``(u, s)`` through
+    ``K = [[A_s, 1], [w^T, 0]]`` gives back ``J``.  Interleaving
+    ``(v_i, u_i)`` makes it a band with three sub- and superdiagonals plus
+    one border, and ``det_sign(J) = det_sign(M) det_sign(K)`` for the
+    augmented matrix ``M``.  The dense ``jacobian`` stays as an oracle.
     """
 
     kind = "acok"
@@ -526,12 +564,7 @@ class OhtaKawasaki(_ModelBase):
     def __init__(self, grid: GridSpec, closure: str = "symmetric"):
         super().__init__(grid, closure)
         self.green = green_operator(grid)
-        lower, main, upper = self._compact
-        bg = _tridiagonal_rows(self.green.matrix, lower, main, upper)
-        # (B G) B = (B^T (B G)^T)^T, and B^T swaps B's off-diagonals.
-        bgb = _tridiagonal_rows(bg.T, upper, main, lower).T
-        bgb.setflags(write=False)
-        self._bgb = bgb
+        self._poisson, _, self._poisson_sign = _neumann_system(grid)
 
     def residual(self, state, params: ModelParams) -> np.ndarray:
         phi = self._require_state(state)
@@ -543,12 +576,37 @@ class OhtaKawasaki(_ModelBase):
             - params.gamma * self._nonlocal(phi)
         )
 
+    def _local_band(self, phi: np.ndarray, params: ModelParams) -> np.ndarray:
+        eps = params.epsilon
+        return self._band(eps, (-36.0 / eps) * (6.0 * phi * phi - 6.0 * phi + 1.0))
+
+    def linearize(self, state, params: ModelParams) -> BandBorder:
+        """The augmented band-plus-border form of the Jacobian (class docstring)."""
+        phi = self._require_state(state)
+        n = self.grid.n_nodes
+        band = np.zeros((2 * n, 7))
+        # Row 2i is (T v - gamma B u)_i, row 2i+1 is (B v + A_s u)_i + s;
+        # column c of the band holds the unknown at offset c - 3.
+        band[0::2, 1::2] = self._local_band(phi, params)
+        band[0::2, 2::2] = -params.gamma * self._compact
+        band[1::2, 0:5:2] = self._compact
+        band[1::2, 1:6:2] = self._poisson.band
+        cols = np.zeros((2 * n, 1))
+        cols[1::2, 0] = 1.0
+        rows = np.zeros((1, 2 * n))
+        rows[0, 1::2] = self._poisson.rows[0]
+        return BandBorder(
+            band=band, kl=3, cols=cols, rows=rows, corner=np.zeros((1, 1)),
+            outer=np.arange(0, 2 * n, 2), hidden_sign=self._poisson_sign,
+        )
+
     def jacobian(self, state, params: ModelParams) -> np.ndarray:
         phi = self._require_state(state)
-        eps = params.epsilon
-        j = eps * self._lap - params.gamma * self._bgb
-        _add_compact_diagonal(j, self._compact, (-36.0 / eps) * (6.0 * phi * phi - 6.0 * phi + 1.0))
-        return j
+        local = BandBorder(band=self._local_band(phi, params), kl=1).to_dense()
+        bg = _tridiagonal_rows(self.green.matrix, self._compact)
+        # (B G) B = (B^T (B G)^T)^T, and B^T's band is B's with sub and super swapped.
+        bgb = _tridiagonal_rows(bg.T, _transposed_band(self._compact)).T
+        return local - params.gamma * bgb
 
     def param_derivative(self, state, params: ModelParams) -> np.ndarray:
         return -self._nonlocal(self._require_state(state))

@@ -290,12 +290,17 @@ def test_verify_acok_variant_checks(tmp_path, capsys):
     "argv",
     [
         ["solutions", "--model", "ac", "--epsilon", "0.15", "--n-cells", "60", "--eps-range", "0.14:0.7"],
-        # 61x61 dense Jacobians: more than one panel of the blocked LU, so
-        # its matrix-matrix Schur update runs through BLAS.
+        # The residual applies the dense 61x61 Green operator through BLAS,
+        # and inverse iteration at each detected event factors the dense
+        # Jacobian with the blocked LU, whose Schur update runs through BLAS;
+        # every other ACOK factorization is the pure-Python band-plus-border one.
         ["solutions", "--model", "acok", "--gamma", "100", "--epsilon", "0.3", "--n-cells", "60",
          "--gamma-range", "0:700"],
+        # Pseudo-arclength on ACOK: the augmented Jacobian's border plus the
+        # arclength border, two borders in one factorization.
+        ["trace", "--model", "acok", "--arclength", "--n-cells", "60", "--gamma-range", "0:700"],
     ],
-    ids=["ac", "acok"],
+    ids=["ac", "acok", "acok-arclength"],
 )
 def test_output_is_byte_identical_for_one_and_two_blas_threads(argv):
     src = str(Path(phase_bifurcate.__file__).resolve().parents[1])
@@ -311,7 +316,11 @@ def test_output_is_byte_identical_for_one_and_two_blas_threads(argv):
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append((proc.stdout, proc.stderr))
     assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0][0])["count"] > 0
+    payload = json.loads(outputs[0][0])
+    if argv[0] == "trace":
+        assert len(payload["bifurcations"]) > 0 and len(payload["branches"]) > 3
+    else:
+        assert payload["count"] > 0
 
 
 # ---------------------------------------------------------------------------

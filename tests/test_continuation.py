@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from phase_bifurcate import (
+    BandBorder,
     BranchOrigin,
     ContinuationSettings,
     GridSpec,
@@ -35,7 +36,14 @@ from phase_bifurcate import (
 from phase_bifurcate.continuation import Branch, BranchPoint, _dedupe_branches, _sup
 
 
-class FoldModel:
+class DenseLinearization:
+    """Toy models hand their small dense Jacobians to the engine as a band."""
+
+    def linearize(self, state, mu):
+        return BandBorder.from_dense(self.jacobian(state, mu))
+
+
+class FoldModel(DenseLinearization):
     """x1^2 + mu - 1 = 0, x2 - x1 = 0: one fold at (x1, mu) = (0, 1)."""
 
     kind = "toy-fold"
@@ -59,7 +67,7 @@ class FoldModel:
         return np.array([1.0, 0.0])
 
 
-class RankDeficientModel:
+class RankDeficientModel(DenseLinearization):
     """Identically singular Jacobian: both equations are x1 - x2."""
 
     def with_param(self, params, value):
@@ -78,7 +86,7 @@ class RankDeficientModel:
         return np.array([-1.0, -1.0])
 
 
-class CubeRootModel:
+class CubeRootModel(DenseLinearization):
     """Newton on cbrt(x) doubles the iterate each sweep: guaranteed divergence."""
 
     def with_param(self, params, value):

@@ -1,6 +1,7 @@
 """Unit tests for the LU core: factorization, solves, det signs, inverse
 iteration.  Oracles are numpy.linalg, hand-built matrices and, for the
-tridiagonal band kernel, the dense kernel on the same matrix."""
+tridiagonal and band-plus-border kernels, the dense kernel on the same
+matrix."""
 
 import weakref
 
@@ -8,13 +9,17 @@ import numpy as np
 import pytest
 
 from phase_bifurcate import (
+    BandBorder,
     BandLuFactorization,
+    BorderedLuFactorization,
     ConvergenceError,
     GridSpec,
     ModelParams,
     SingularMatrixError,
     ac_bifurcation,
+    default_settings,
     det_sign,
+    detect_bifurcations_on_trivial,
     eigenmode,
     laplacian_matrix,
     linalg,
@@ -23,6 +28,7 @@ from phase_bifurcate import (
     lu_solve,
     model_by_kind,
     null_vector,
+    poisson_neumann_solve,
 )
 
 
@@ -400,6 +406,154 @@ def test_off_band_nonzero_takes_dense_path():
     fact = lu_factor(bordered)
     assert isinstance(fact, LuFactorization)
     assert det_sign(fact) == int(np.linalg.slogdet(bordered)[0])
+
+
+# ---------------------------------------------------------------------------
+# band-plus-border kernel (references: numpy.linalg and the dense kernel)
+# ---------------------------------------------------------------------------
+
+#: Relative solve tolerance against numpy.linalg.solve on the full bordered
+#: matrix, for the systems whose band block is (numerically) singular.
+BORDERED_RTOL = 1e-11
+
+
+def assert_bordered_matches_numpy(system, rng, pivot_rtol=linalg.DEFAULT_PIVOT_RTOL):
+    """Solve and det sign of a fully visible ``BandBorder`` against numpy."""
+    full = system.to_dense()
+    fact = lu_factor(system, pivot_rtol=pivot_rtol)
+    assert isinstance(fact, BorderedLuFactorization)
+    assert not fact.singular
+    assert det_sign(fact) == int(np.linalg.slogdet(full)[0])
+    b = rng.standard_normal(len(full))
+    x, ref = lu_solve(fact, b), np.linalg.solve(full, b)
+    gap = np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+    assert gap <= BORDERED_RTOL, f"relative gap {gap:.2e}"
+
+
+def neumann_system(grid, sign=1.0):
+    """``[[A, sign * 1], [w^T, 0]]``: the Neumann problem's bordered matrix."""
+    lap = BandBorder.from_dense(laplacian_matrix(grid))
+    return lap.bordered(sign * np.ones(grid.n_nodes), grid.trapezoid_weights, 0.0)
+
+
+def test_bordered_kernel_matches_numpy_on_random_band_and_borders():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        nb, kl, ku, k = (int(v) for v in rng.integers((1, 0, 0, 0), (25, 4, 4, 3)))
+        system = BandBorder(
+            band=rng.standard_normal((nb, kl + ku + 1)), kl=kl,
+            cols=rng.standard_normal((nb, k)), rows=rng.standard_normal((k, nb)),
+            corner=rng.standard_normal((k, k)),
+        )
+        full = system.to_dense()
+        fact = lu_factor(system)
+        assert det_sign(fact) == int(np.linalg.slogdet(full)[0])
+        b = rng.standard_normal((len(full), 2))
+        ref = np.linalg.solve(full, b)
+        assert np.max(np.abs(lu_solve(fact, b) - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert np.array_equal(lu_solve(fact, b[:, 0]), lu_solve(fact, b)[:, 0])
+    # The border row repeats the sum of the rows above it: det == 0 exactly.
+    system = BandBorder(band=np.array([[0.0, 2.0, 1.0], [1.0, 3.0, 0.0]]), kl=1,
+                        cols=np.array([[1.0], [1.0]]), rows=np.array([[3.0, 4.0]]), corner=np.array([[2.0]]))
+    assert np.linalg.matrix_rank(system.to_dense()) == 2
+    for rtol in (0.0, linalg.DEFAULT_PIVOT_RTOL):
+        fact = lu_factor(system, pivot_rtol=rtol)
+        assert fact.singular and det_sign(fact) == 0
+        with pytest.raises(SingularMatrixError):
+            lu_solve(fact, np.ones(3))
+
+
+def test_bordered_kernel_on_the_neumann_system():
+    rng = np.random.default_rng(11)
+    for n_cells in (4, 50, 200, 800):
+        grid = GridSpec(n_cells)
+        # The band block, the Neumann Laplacian, is exactly singular.
+        assert det_sign(laplacian_matrix(grid), pivot_rtol=0.0) == 0
+        for sign in (1.0, -1.0):
+            assert_bordered_matches_numpy(neumann_system(grid, sign), rng)
+        f = np.cos(np.pi * grid.nodes)
+        ref = np.linalg.solve(neumann_system(grid).to_dense(), np.append(f, 0.0))[:-1]
+        u = poisson_neumann_solve(f, grid)
+        assert np.max(np.abs(u - ref)) <= BORDERED_RTOL * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("closure", ["symmetric", "onesided-right"])
+def test_bordered_kernel_on_acok_at_zero_gamma(closure):
+    rng = np.random.default_rng(13)
+    grid = GridSpec(100)
+    model = model_by_kind("acok", grid, closure=closure)
+    params = ModelParams(epsilon=0.3, gamma=0.0)
+    for state in (np.full(grid.n_nodes, 0.5), 0.5 + 0.3 * np.tanh(grid.nodes / 0.1)):
+        lin = model.linearize(state, params)
+        # Without the nonlocal term the band block holds the Neumann
+        # Laplacian uncoupled: an exactly zero pivot.
+        band_only = BandBorder(band=lin.band, kl=lin.kl)
+        assert det_sign(band_only, pivot_rtol=0.0) == 0
+        for orientation in (1.0, -1.0):  # the border column either way round
+            full = BandBorder(band=lin.band, kl=lin.kl, cols=orientation * lin.cols, rows=lin.rows,
+                              corner=lin.corner)
+            assert_bordered_matches_numpy(full, rng)
+        # The visible system is the Jacobian itself.
+        jac = model.jacobian(state, params)
+        assert det_sign(lin) == int(np.linalg.slogdet(jac)[0])
+        r = rng.standard_normal(grid.n_nodes)
+        ref = np.linalg.solve(jac, r)
+        assert np.max(np.abs(lu_solve(lu_factor(lin), r) - ref)) <= BORDERED_RTOL * np.max(np.abs(ref))
+
+
+def test_bordered_kernel_at_a_detected_ac_bifurcation_point():
+    rng = np.random.default_rng(17)
+    grid = GridSpec(100)
+    model = model_by_kind("ac", grid)
+    target = ac_bifurcation(1, "sine").param_value
+    settings = default_settings("ac", param_min=0.99 * target, param_max=1.01 * target,
+                                initial_step=0.004 * target, max_step=0.01 * target)
+    zero = np.zeros(grid.n_nodes)
+    (bif,) = detect_bifurcations_on_trivial(model, ModelParams(epsilon=0.2), settings, lambda eps: zero)
+    jac = model.linearize(zero, ModelParams(epsilon=bif.param))
+    assert lu_factor(jac).singular
+    # Bordered by its null mode, the Jacobian is well conditioned again.
+    system = jac.bordered(bif.null_mode, bif.null_mode, 0.0)
+    for rtol in (0.0, linalg.DEFAULT_PIVOT_RTOL):
+        assert_bordered_matches_numpy(system, rng, pivot_rtol=rtol)
+
+
+def test_bordered_kernel_on_the_fold_toy_at_its_fold():
+    # x1^2 + mu - 1 = 0, x2 - x1 = 0 at the fold (x1, mu) = (0, 1), bordered
+    # by F_mu and the arclength row along either orientation of the tangent.
+    rng = np.random.default_rng(19)
+    jac = np.array([[0.0, 0.0], [-1.0, 1.0]])
+    assert det_sign(jac, pivot_rtol=0.0) == 0
+    tangent = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    for orientation in (1.0, -1.0):
+        system = BandBorder.from_dense(jac).bordered(np.array([1.0, 0.0]), orientation * tangent / 2.0, 0.0)
+        for rtol in (0.0, linalg.DEFAULT_PIVOT_RTOL):
+            assert_bordered_matches_numpy(system, rng, pivot_rtol=rtol)
+
+
+@pytest.mark.parametrize("closure", ["symmetric", "onesided-right"])
+def test_bordered_kernel_matches_dense_on_acok_jacobians(closure):
+    rng = np.random.default_rng(23)
+    for n_cells in (4, 20, 100, 800):
+        grid = GridSpec(n_cells)
+        model = model_by_kind("acok", grid, closure=closure)
+        x = grid.nodes
+        states = (np.full(grid.n_nodes, 0.5), 0.5 + 0.3 * np.tanh(x / 0.1), 0.5 + 0.2 * np.cos(np.pi * x))
+        for gamma in (0.0, 100.0, 3000.0):
+            params = ModelParams(epsilon=0.3, gamma=gamma)
+            for state in states:
+                lin, jac = model.linearize(state, params), model.jacobian(state, params)
+                for rtol in (0.0, linalg.DEFAULT_PIVOT_RTOL):
+                    fact = lu_factor(lin, pivot_rtol=rtol)
+                    dense = dense_factor(jac, rtol)
+                    where = f"N={n_cells} gamma={gamma} rtol={rtol}"
+                    assert det_sign(fact) == det_sign(dense), where
+                    assert fact.singular == dense.singular, where
+                    if fact.singular:
+                        continue
+                    b = rng.standard_normal(grid.n_nodes)
+                    x_new, x_dense = lu_solve(fact, b), lu_solve(dense, b)
+                    assert np.max(np.abs(x_new - x_dense)) <= 1e-9 * np.max(np.abs(x_dense)), where
 
 
 # ---------------------------------------------------------------------------
