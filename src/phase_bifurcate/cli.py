@@ -390,7 +390,7 @@ def cmd_trace(cfg: RunConfig, model, params, settings) -> int:
 
 
 def cmd_solutions(cfg: RunConfig, model, params, settings) -> int:
-    diagram = compute_diagram(model, params, settings)
+    diagram = compute_diagram(model, params, settings, at=cfg.at_param)
     sols = solutions_at(diagram, cfg.at_param, model, settings)
     if cfg.format == "json":
         payload = {

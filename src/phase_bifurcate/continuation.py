@@ -7,7 +7,9 @@ constant ("trivial") branches are located by bisecting sign changes of
 det(Jacobian) between scan samples, then resolved into a null mode by inverse
 iteration and classified against the analytic eigenmode families.  New
 branches are seeded along the null mode on both sides (the +/- offshoots of a
-pitchfork) and traced over the parameter window.
+pitchfork) and traced over the parameter window.  A diagram computed for one
+slice (``compute_diagram(..., at=p)``) traces only what ``solutions_at`` reads
+at ``p``: no constant branches, and natural-mode offshoots stop at ``p``.
 
 Every factorization goes through the model's ``linearize`` (a
 ``linalg.BandBorder``, factored in O(N)); the pseudo-arclength systems add
@@ -180,11 +182,19 @@ class BifurcationPoint:
 
 @dataclass
 class Diagram:
+    """Branches and bifurcations over the settings window.
+
+    ``at`` is None for a full diagram.  A diagram computed for one slice
+    carries that parameter value: it holds no trivial branches, its natural
+    offshoots end at the slice, and ``solutions_at`` slices it nowhere else.
+    """
+
     model_kind: str
     params: ModelParams
     settings: ContinuationSettings
     branches: list[Branch]
     bifurcations: list[BifurcationPoint]
+    at: Optional[float] = None
 
 
 @dataclass
@@ -283,6 +293,7 @@ def trace_branch(
     origin: Optional[BranchOrigin] = None,
     branch_id: str = "branch",
     prepend: Iterable[BranchPoint] = (),
+    at: Optional[float] = None,
 ) -> Branch:
     """Trace a branch from an accepted point until a stop condition.
 
@@ -295,16 +306,22 @@ def trace_branch(
 
     ``prepend`` points (e.g. the bifurcation anchor) are copied to the front
     of the branch unmodified.
+
+    With ``at`` set, natural tracing stops (reason "slice") once the last
+    point is at or past ``at`` in ``direction``: the points kept are exactly
+    the full trace's up to its first point at or past ``at``, and a start
+    already there is not stepped from.  Pseudo-arclength tracing ignores
+    ``at``, since a fold can bring the branch back across it.
     """
     if direction not in (-1, 1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
     origin = origin or BranchOrigin("trivial", "unlabeled")
     if settings.use_pseudo_arclength:
         return _trace_arclength(model, params, settings, start, direction, origin, branch_id, prepend)
-    return _trace_natural(model, params, settings, start, direction, origin, branch_id, prepend)
+    return _trace_natural(model, params, settings, start, direction, origin, branch_id, prepend, at)
 
 
-def _trace_natural(model, params, settings, start, direction, origin, branch_id, prepend) -> Branch:
+def _trace_natural(model, params, settings, start, direction, origin, branch_id, prepend, at) -> Branch:
     points: list[BranchPoint] = list(prepend) + [start]
     bound = settings.param_max if direction > 0 else settings.param_min
     edge_tol = 1e-12 * settings.range_width
@@ -316,6 +333,9 @@ def _trace_natural(model, params, settings, start, direction, origin, branch_id,
     cur_fact: Optional[Factorization] = None
 
     while len(points) < settings.max_branch_points:
+        if at is not None and direction * (cur.param - at) >= 0.0:
+            stop = "slice"
+            break
         if abs(cur.param - bound) <= edge_tol:
             stop = "param_bound"
             break
@@ -631,7 +651,9 @@ def _near_any_trivial(model, params_at, state, tol: float) -> bool:
     return any(_sup(state - t) <= tol for t in model.trivial_states(params_at))
 
 
-def branch_switch(model, params, settings: ContinuationSettings, bif: BifurcationPoint) -> list[Branch]:
+def branch_switch(
+    model, params, settings: ContinuationSettings, bif: BifurcationPoint, *, at: Optional[float] = None
+) -> list[Branch]:
     """Seed and trace the +/- offshoots emerging at a bifurcation point.
 
     For each sign the seed is base_state + sigma*s0*(null mode, sup-normalized
@@ -639,7 +661,9 @@ def branch_switch(model, params, settings: ContinuationSettings, bif: Bifurcatio
     ladder of parameter offsets (-dmu, +dmu, then 10x and 100x those) from
     the bifurcation; the first offset whose correction converges to a state
     distinct from every trivial state wins.  A side with no surviving offset
-    yields no branch, which is legitimate for one-sided directions.
+    yields no branch, which is legitimate for one-sided directions; when
+    neither side yields one, a WARNING names each side's last failure.
+    ``at`` is passed on to ``trace_branch`` (the seeding does not depend on it).
     Defaults: s0 = 0.05*(sup|base|+1), dmu = 2x bisection width + 1e-4*|param|.
     """
     base = bif.base_state
@@ -662,20 +686,28 @@ def branch_switch(model, params, settings: ContinuationSettings, bif: Bifurcatio
     )
 
     branches: list[Branch] = []
+    failures: list[str] = []
     offsets = [s * dmu for scale in (1.0, 10.0, 100.0) for s in (-scale, +scale)]
     for sigma, tag in ((1, "+"), (-1, "-")):
         traced = None
+        newton_reason, tried, on_trivial = "none", 0, 0
         for off in offsets:
             p1 = p0 + off
             if not (settings.param_min <= p1 <= settings.param_max):
                 continue
+            tried += 1
             params_at = model.with_param(params, p1)
             guess = base + (sigma * s0) * mode_sup
             try:
                 seed, _ = _newton(model, params_at, guess, settings)
-            except (NewtonFailure, SingularMatrixError):
+            except NewtonFailure as exc:
+                newton_reason = exc.reason
+                continue
+            except SingularMatrixError:
+                newton_reason = "singular"
                 continue
             if _near_any_trivial(model, params_at, seed.state, settings.dedupe_tol):
+                on_trivial += 1
                 continue
             direction = 1 if off > 0 else -1
             traced = trace_branch(
@@ -687,12 +719,17 @@ def branch_switch(model, params, settings: ContinuationSettings, bif: Bifurcatio
                 origin=BranchOrigin("switched", bif.bif_id, sigma),
                 branch_id=f"{bif.bif_id}{tag}",
                 prepend=(anchor,),
+                at=at,
             )
             break
         if traced is None:
             logger.info("branch switch at %s produced no %s-side branch", bif.bif_id, tag)
+            failures.append(
+                f"{tag} side: last Newton failure {newton_reason}, {on_trivial} of {tried} seeds on a trivial state")
         else:
             branches.append(traced)
+    if not branches:
+        logger.warning("branch switch at %s (param=%r) produced no branch: %s", bif.bif_id, p0, "; ".join(failures))
     return branches
 
 
@@ -754,15 +791,26 @@ def _dedupe_branches(branches: list[Branch], settings: ContinuationSettings) -> 
     return kept
 
 
-def compute_diagram(model, params, settings: ContinuationSettings) -> Diagram:
-    """Full bifurcation diagram over the settings window.
+def compute_diagram(model, params, settings: ContinuationSettings, *, at: Optional[float] = None) -> Diagram:
+    """Bifurcation diagram over the settings window.
 
-    Traces every trivial branch, detects det-sign events on each, switches
-    onto the emerging branches at every bifurcation and traces them, then
-    dedupes.
+    Corrects every trivial branch at param_max and traces it, detects
+    det-sign events on each, switches onto the emerging branches at every
+    bifurcation and traces them, then dedupes.
+
+    With ``at`` set, only what ``solutions_at(diagram, at, ...)`` reads is
+    traced: the trivial branches are still corrected at param_max and
+    scanned for bifurcations (so ``bifurcations`` is complete) but not
+    traced, and natural-mode offshoots stop at their first point at or past
+    ``at`` (pseudo-arclength offshoots are traced in full).  Every segment
+    that straddles ``at`` is kept bit for bit, so the slice's answer is the
+    full diagram's as long as dedupe, which then compares the shortened
+    offshoots, drops the same ones.  The diagram records ``at``.
     """
     if model.active_parameter == "epsilon" and settings.param_min <= 0.0:
         raise ValueError("epsilon continuation requires a strictly positive parameter range")
+    if at is not None and not (settings.param_min <= at <= settings.param_max):
+        raise ValueError(f"slice {at} outside the window [{settings.param_min}, {settings.param_max}]")
 
     branches: list[Branch] = []
     bifurcations: list[BifurcationPoint] = []
@@ -775,17 +823,18 @@ def compute_diagram(model, params, settings: ContinuationSettings) -> Diagram:
         except NewtonFailure as exc:
             logger.warning("trivial branch %s failed at param_max: %s", tb.label, exc)
             continue
-        branches.append(
-            trace_branch(
-                model,
-                params,
-                settings,
-                start,
-                -1,
-                origin=BranchOrigin("trivial", tb.label),
-                branch_id=f"trivial:{tb.label}",
+        if at is None:
+            branches.append(
+                trace_branch(
+                    model,
+                    params,
+                    settings,
+                    start,
+                    -1,
+                    origin=BranchOrigin("trivial", tb.label),
+                    branch_id=f"trivial:{tb.label}",
+                )
             )
-        )
         found = detect_bifurcations_on_trivial(
             model, params, settings, lambda pv, _tb=tb: _tb.state_of(model.with_param(params, pv), model.grid)
         )
@@ -794,7 +843,7 @@ def compute_diagram(model, params, settings: ContinuationSettings) -> Diagram:
             bifurcations.append(bif)
 
     for bif in bifurcations:
-        branches.extend(branch_switch(model, params, settings, bif))
+        branches.extend(branch_switch(model, params, settings, bif, at=at))
 
     return Diagram(
         model_kind=model.kind,
@@ -802,6 +851,7 @@ def compute_diagram(model, params, settings: ContinuationSettings) -> Diagram:
         settings=settings,
         branches=_dedupe_branches(branches, settings),
         bifurcations=bifurcations,
+        at=at,
     )
 
 
@@ -810,10 +860,14 @@ def solutions_at(diagram: Diagram, param: float, model, settings: ContinuationSe
 
     Walks every offshoot branch, Newton-corrects the linear interpolant of
     each segment straddling ``param``, drops anything that lands on a trivial
-    state, and dedupes by state sup-norm <= dedupe_tol.
+    state, and dedupes by state sup-norm <= dedupe_tol.  A diagram computed
+    for one slice (``diagram.at`` set) can be sliced only there: any other
+    ``param`` raises ValueError.
     """
     if not (settings.param_min <= param <= settings.param_max):
         raise ValueError(f"param {param} outside diagram range [{settings.param_min}, {settings.param_max}]")
+    if diagram.at is not None and param != diagram.at:
+        raise ValueError(f"diagram was computed for the slice at {diagram.at}, not at {param}")
     params_at = model.with_param(diagram.params, param)
     found: list[Solution] = []
     for br in diagram.branches:

@@ -62,10 +62,21 @@ def test_usage_errors_exit_1(argv, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_ch_leaving_three_root_window_exits_2(capsys):
-    # mu0=1.0 has three constant roots only for small eps: the scan leaves
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["points", "--model", "ch", "--mu0", "1.0", "--eps-range", "0.3:0.7", "--n", "40"],
+        # solutions fails at the window's top, where each constant branch
+        # is set up and corrected before any scan.
+        ["solutions", "--model", "ch", "--mu0", "1.0", "--epsilon", "0.35", "--eps-range", "0.3:0.7",
+         "--n-cells", "40"],
+    ],
+    ids=["points", "solutions"],
+)
+def test_ch_leaving_three_root_window_exits_2(argv, capsys):
+    # mu0=1.0 has three constant roots only for small eps: the run leaves
     # the window inside [0.3, 0.7].
-    assert run_cli(["points", "--model", "ch", "--mu0", "1.0", "--eps-range", "0.3:0.7", "--n", "40"]) == 2
+    assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
     assert "three-real-root window" in err

@@ -1,6 +1,6 @@
 """Tests for the continuation engine: Newton corrector, predictor, natural
 and pseudo-arclength tracing, det-sign event detection, branch switching,
-dedupe, and parameter slicing.
+dedupe, parameter slicing, and diagrams computed for one slice.
 
 Heavy machinery is exercised on small grids (N=80..100); fold handling uses
 a two-unknown toy system with known geometry (x1^2 + mu = 1, x2 = x1: a fold
@@ -450,6 +450,33 @@ def test_branch_switch_offshoot_grows_from_zero(ac_detection):
     assert branch.origin.describe() == f"switched_from({sine0.bif_id}+)"
 
 
+def test_branch_switch_warns_once_when_neither_side_yields_a_branch(caplog):
+    # An unreachable Newton tolerance fails every seed or pulls it back onto
+    # the trivial state, on both sides of every crossing.
+    g = GridSpec(40)
+    model = model_by_kind("ac", g)
+    params = ModelParams(epsilon=0.2)
+    settings = default_settings("ac", param_min=0.15, param_max=0.5, newton_tol=1e-30)
+    bifs = detect_bifurcations_on_trivial(model, params, settings, lambda p: np.zeros(g.n_nodes))
+    bif = bifs[0]
+    with caplog.at_level("INFO", logger="phase_bifurcate"):
+        assert branch_switch(model, params, settings, bif) == []
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    message = warnings[0].getMessage()
+    assert f"branch switch at {bif.bif_id} (param={bif.param!r}) produced no branch" in message
+    assert "+ side: last Newton failure no_convergence" in message
+    assert "- side: last Newton failure no_convergence" in message
+
+
+def test_branch_switch_with_surviving_sides_does_not_warn(ac_detection, caplog):
+    g, model, params, settings, bifs = ac_detection
+    with caplog.at_level("WARNING", logger="phase_bifurcate"):
+        for bif in bifs:
+            assert len(branch_switch(model, params, settings, bif)) == 2
+    assert caplog.records == []
+
+
 # ---------------------------------------------------------------------------
 # dedupe
 # ---------------------------------------------------------------------------
@@ -563,6 +590,111 @@ def test_solutions_at_rejects_out_of_window(small_diagram):
     _, model, params, settings, diagram = small_diagram
     with pytest.raises(ValueError):
         solutions_at(diagram, 0.75, model, settings)
+
+
+# ---------------------------------------------------------------------------
+# slice diagrams: compute_diagram(..., at=p) traces only what a slice at p reads
+# ---------------------------------------------------------------------------
+
+
+def _slice_case(kind, n_cells, params, at, **window):
+    model = model_by_kind(kind, GridSpec(n_cells))
+    settings = default_settings(kind, **window)
+    full = compute_diagram(model, params, settings)
+    sliced = compute_diagram(model, params, settings, at=at)
+    return model, params, settings, at, full, sliced
+
+
+@pytest.fixture(
+    scope="module",
+    params=["ac", "ac-arclength", "ch-mu0-0.05", "acok"],
+)
+def slice_case(request):
+    """(model, params, settings, at, full diagram, diagram computed for the slice at ``at``)."""
+    ac_window = dict(param_min=0.3, param_max=0.7)
+    return {
+        "ac": lambda: _slice_case("ac", 80, ModelParams(epsilon=0.5), 0.55, **ac_window),
+        "ac-arclength": lambda: _slice_case(
+            "ac", 80, ModelParams(epsilon=0.5), 0.55, use_pseudo_arclength=True, **ac_window),
+        "ch-mu0-0.05": lambda: _slice_case(
+            "ch", 60, ModelParams(epsilon=0.3, mu0=0.05), 0.3, param_min=0.2, param_max=0.7),
+        "acok": lambda: _slice_case(
+            "acok", 60, ModelParams(epsilon=0.3), 300.0, param_min=0.0, param_max=700.0),
+    }[request.param]()
+
+
+def test_slice_diagram_gives_the_full_diagrams_solutions_bitwise(slice_case):
+    model, params, settings, at, full, sliced = slice_case
+    expected = solutions_at(full, at, model, settings)
+    got = solutions_at(sliced, at, model, settings)
+    assert len(expected) >= 2
+    assert [(s.branch_id, s.origin, s.param) for s in got] == [(s.branch_id, s.origin, s.param) for s in expected]
+    for g_sol, e_sol in zip(got, expected):
+        assert np.array_equal(g_sol.state, e_sol.state)
+        assert g_sol.residual_norm == e_sol.residual_norm
+    assert len(sliced.bifurcations) == len(full.bifurcations)
+    for f_s, f_e in zip(sliced.bifurcations, full.bifurcations):
+        assert (f_s.bif_id, f_s.param, f_s.mode_family, f_s.mode_index) == (
+            f_e.bif_id, f_e.param, f_e.mode_family, f_e.mode_index)
+        assert np.array_equal(f_s.base_state, f_e.base_state)
+        assert np.array_equal(f_s.null_mode, f_e.null_mode)
+
+
+def test_slice_diagram_holds_no_trivial_branch(slice_case):
+    _, _, _, at, full, sliced = slice_case
+    assert full.at is None and sliced.at == at
+    assert any(b.origin.kind == "trivial" for b in full.branches)
+    assert sliced.branches
+    assert all(b.origin.kind == "switched" for b in sliced.branches)
+
+
+def test_slice_diagram_offshoots_stop_at_the_slice(slice_case):
+    _, _, settings, at, full, sliced = slice_case
+    full_by_id = {b.id: b for b in full.branches}
+    assert [b.id for b in sliced.branches] == [b.id for b in full.branches if b.origin.kind == "switched"]
+    for br in sliced.branches:
+        whole = full_by_id[br.id]
+        if settings.use_pseudo_arclength:
+            # A fold can cross the slice again: traced in full.
+            kept = len(whole.points)
+            assert br.stop_reason == whole.stop_reason
+        else:
+            anchor, seed = br.points[:2]
+            direction = 1 if seed.param > anchor.param else -1
+            past = [i for i, p in enumerate(whole.points) if i >= 1 and direction * (p.param - at) >= 0.0]
+            # Only anchor and seed when the seed is already at or past the
+            # slice (or the offshoot leads away from it); else up to the first
+            # point at or past it.
+            kept = past[0] + 1 if past else len(whole.points)
+            assert br.stop_reason == ("slice" if past else whole.stop_reason)
+        assert len(br.points) == kept
+        for p_s, p_f in zip(br.points, whole.points):
+            assert p_s.param == p_f.param and np.array_equal(p_s.state, p_f.state)
+
+
+def test_slice_diagram_cuts_offshoots_that_lead_away():
+    # Natural AC offshoots run from their crossing towards smaller eps, so a
+    # slice above both crossings keeps only anchor and seed of each.
+    model, params, settings, at, full, sliced = _slice_case(
+        "ac", 60, ModelParams(epsilon=0.5), 0.68, param_min=0.3, param_max=0.7)
+    assert [len(b.points) for b in sliced.branches] == [2, 2, 2, 2]
+    assert {b.stop_reason for b in sliced.branches} == {"slice"}
+    assert all(len(b.points) > 2 for b in full.branches if b.origin.kind == "switched")
+    assert solutions_at(sliced, at, model, settings) == solutions_at(full, at, model, settings) == []
+
+
+def test_solutions_at_rejects_another_param_on_a_slice_diagram(slice_case):
+    model, _, settings, at, full, sliced = slice_case
+    other = 0.5 * (at + settings.param_max)
+    solutions_at(full, other, model, settings)
+    with pytest.raises(ValueError, match="slice"):
+        solutions_at(sliced, other, model, settings)
+
+
+def test_slice_outside_the_window_is_rejected(small_diagram):
+    _, model, params, settings, _ = small_diagram
+    with pytest.raises(ValueError):
+        compute_diagram(model, params, settings, at=0.75)
 
 
 if __name__ == "__main__":
