@@ -13,8 +13,11 @@ at ``p``: no constant branches, and natural-mode offshoots stop at ``p``.
 
 Every factorization goes through the model's ``linearize`` (a
 ``linalg.BandBorder``, factored in O(N)); the pseudo-arclength systems add
-one border to it.  The dense ``jacobian`` is used only for the inverse
-iteration at a detected event.
+one border to it.  The detection scan signs its first-level samples and
+midpoints up front through ``linalg.det_signs``, which factors the ACOK
+linearizations of a branch together in batched passes; its bisection
+probes are factored one at a time.  The dense ``jacobian`` is used only for
+the inverse iteration at a detected event.
 
 Everything is deterministic: fixed iteration orders and a fixed
 inverse-iteration seed, so identical inputs give bitwise-identical diagrams.
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -34,6 +37,7 @@ from .linalg import (
     Factorization,
     SingularMatrixError,
     det_sign,
+    det_signs,
     lu_factor,
     lu_solve,
     null_vector,
@@ -94,7 +98,8 @@ class ContinuationSettings:
     Steps are in units of the active parameter (also in pseudo-arclength
     mode, where they are converted to the internal scaled arclength).
     ``seed_amplitude`` / ``switch_offset`` override the branch-switch
-    defaults when set.
+    defaults when set.  Every float setting must be finite; the tolerances,
+    and the switch overrides when set, must be positive.
     """
 
     param_min: float
@@ -111,6 +116,10 @@ class ContinuationSettings:
     switch_offset: Optional[float] = None
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
         if not (self.param_min < self.param_max):
             raise ValueError(f"need param_min < param_max, got [{self.param_min}, {self.param_max}]")
         if not (0.0 < self.min_step <= self.initial_step <= self.max_step):
@@ -122,6 +131,9 @@ class ContinuationSettings:
             raise ValueError("newton_tol must be positive")
         if self.dedupe_tol <= 0.0:
             raise ValueError("dedupe_tol must be positive")
+        for name in ("seed_amplitude", "switch_offset"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive when set")
         if self.max_newton_iters < 1 or self.max_branch_points < 2:
             raise ValueError("iteration/point caps must be positive")
 
@@ -535,10 +547,16 @@ def _arclength_correct(model, params, settings, frame, xg, mug, tx, tmu):
     raise NewtonFailure("no_convergence", settings.max_newton_iters, prev)
 
 
-def _raw_det_sign(model, params_at, state) -> int:
-    """det sign with an unfloored pivot test (reliable arbitrarily close to
-    a crossing, where the default relative floor would report 0)."""
-    return det_sign(lu_factor(model.linearize(state, params_at), pivot_rtol=0.0))
+def _scan_grid(a: float, b: float, step: float, tol: float) -> tuple[list[float], list[float]]:
+    """Samples ``a, a + step, ...`` up to ``b`` (a last step shorter than
+    ``tol`` is merged away) and the midpoint of each interval between them."""
+    samples = [a]
+    p = a + step
+    while p < b - tol:
+        samples.append(p)
+        p += step
+    samples.append(b)
+    return samples, [0.5 * (left + right) for left, right in zip(samples[:-1], samples[1:])]
 
 
 def detect_bifurcations_on_trivial(
@@ -556,16 +574,32 @@ def detect_bifurcations_on_trivial(
     step/10 up to 3 levels deep.  At each localized event the null mode is
     extracted by inverse iteration and classified against the analytic
     sine/cosine families (index <= 25, |correlation| >= 0.9, else "unknown").
+
+    The signs of the first-level samples and midpoints, which the scan
+    always needs (a bisection starts at the midpoint), are computed up front
+    by ``linalg.det_signs``, which factors ACOK linearizations in batches;
+    bisection and rescan probes are made one at a time.  Signs are taken
+    with an unfloored pivot test (``pivot_rtol=0``), reliable arbitrarily
+    close to a crossing, where the default relative floor would report 0.
     """
     lo, hi = settings.param_min, settings.param_max
     width_target = settings.bisection_width
+    grid_tol = 1e-12 * settings.range_width
 
-    sign_cache: dict[float, int] = {}
+    def linearization(pv: float):
+        return model.linearize(trivial_state_fn(pv), model.with_param(params, pv))
+
+    # Listed in the order the scan first asks for them, so a trivial state
+    # that cannot be built fails at the sample the scan would reach first.
+    samples, mids = _scan_grid(lo, hi, settings.initial_step, grid_tol)
+    first_level = samples[:1] + [p for pair in zip(samples[1:], mids) for p in pair]
+    signs = det_signs(map(linearization, first_level), pivot_rtol=0.0)
+    sign_cache: dict[float, int] = dict(zip(first_level, signs))
 
     def sgn(pv: float) -> int:
         s = sign_cache.get(pv)
         if s is None:
-            s = _raw_det_sign(model, model.with_param(params, pv), trivial_state_fn(pv))
+            s = det_sign(lu_factor(linearization(pv), pivot_rtol=0.0))
             sign_cache[pv] = s
         return s
 
@@ -585,13 +619,8 @@ def detect_bifurcations_on_trivial(
         return 0.5 * (a + b), b - a
 
     def scan(a: float, b: float, step: float, depth: int):
-        samples = [a]
-        p = a + step
-        while p < b - 1e-12 * settings.range_width:
-            samples.append(p)
-            p += step
-        samples.append(b)
-        for left, right in zip(samples[:-1], samples[1:]):
+        samples, mids = _scan_grid(a, b, step, grid_tol)
+        for left, right, mid in zip(samples[:-1], samples[1:], mids):
             sl, sr = sgn(left), sgn(right)
             if sl == 0:
                 events.append((left, 0.0))
@@ -599,7 +628,6 @@ def detect_bifurcations_on_trivial(
             if sr != 0 and sl * sr < 0:
                 events.append(bisect(left, right))
             elif sr != 0 and depth < 3:
-                mid = 0.5 * (left + right)
                 if sgn(mid) != sl:
                     # Hidden even number of crossings: rescan finer.
                     scan(left, right, (right - left) / 10.0, depth + 1)

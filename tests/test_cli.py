@@ -16,6 +16,7 @@ import pytest
 
 import phase_bifurcate
 from phase_bifurcate import cli
+from phase_bifurcate.continuation import NewtonFailure
 
 
 def run_cli(args):
@@ -57,6 +58,26 @@ def test_usage_errors_exit_1(argv, capsys):
     capsys.readouterr()  # swallow the argparse noise
 
 
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        (["--newton-tol", "nan"], "newton_tol"),
+        (["--newton-tol", "inf"], "newton_tol"),
+        (["--dedupe-tol", "nan"], "dedupe_tol"),
+        (["--seed-amplitude", "nan"], "seed_amplitude"),
+        (["--eps-range", "0.095:inf"], "param_max"),
+    ],
+    ids=["newton-tol-nan", "newton-tol-inf", "dedupe-tol-nan", "seed-amplitude-nan", "eps-range-inf"],
+)
+def test_non_finite_continuation_settings_exit_1(extra, field, capsys):
+    # Each of these once ran on: NaN or inf tolerances made Newton "converge"
+    # at once or dedupe keep nothing, and an infinite window failed mid-run.
+    argv = ["solutions", "--model", "ac", "--epsilon", "0.1", "--n-cells", "40", "--eps-range", "0.095:0.4"]
+    assert run_cli(argv + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
 # ---------------------------------------------------------------------------
 # numerical and I/O failures (exit code 2)
 # ---------------------------------------------------------------------------
@@ -80,6 +101,22 @@ def test_ch_leaving_three_root_window_exits_2(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
     assert "three-real-root window" in err
+
+
+def test_newton_collapse_exits_2(monkeypatch, capsys):
+    # No known input makes the engine's Newton corrector escape as an
+    # exception, so the failure is forced at the diagram call.
+    def collapse(*args, **kwargs):
+        raise NewtonFailure("no_convergence", 14, 1.0)
+
+    monkeypatch.setattr(cli, "compute_diagram", collapse)
+    argv = ["solutions", "--model", "ac", "--epsilon", "0.1", "--n-cells", "40", "--eps-range", "0.095:0.4"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("numerical failure: Newton corrector failed (no_convergence)")
 
 
 def test_unwritable_output_path_exits_2(tmp_path, capsys):

@@ -33,6 +33,7 @@ from phase_bifurcate import (
     solutions_at,
     trace_branch,
 )
+from phase_bifurcate import continuation
 from phase_bifurcate.continuation import Branch, BranchPoint, _dedupe_branches, _sup
 
 
@@ -417,6 +418,32 @@ def test_detection_empty_on_stable_branch():
     settings = default_settings("ac", param_min=0.3, param_max=0.7)
     bifs = detect_bifurcations_on_trivial(model, params, settings, lambda p: np.ones(g.n_nodes))
     assert bifs == []
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.37], ids=["from-zero", "shifted"])
+@pytest.mark.parametrize("closure", ["symmetric", "onesided-right"])
+@pytest.mark.parametrize("n_cells", [60, 100, 200])
+def test_batched_scan_signs_give_the_scalar_detection_bitwise(n_cells, closure, shift, monkeypatch):
+    # The scan's first-level signs come from linalg.det_signs; signing them
+    # one at a time instead must not change a bit of any event.  A window
+    # from gamma = 0 starts on a sample det_signs hands to lu_factor; the
+    # shifted one starts a fraction of a step in, as the benchmark's seeds do.
+    g = GridSpec(n_cells)
+    model = model_by_kind("acok", g, closure=closure)
+    params = ModelParams(epsilon=0.3, gamma=100.0)
+    settings = default_settings("acok", param_min=shift * 10.0, param_max=700.0)
+    state = np.full(g.n_nodes, 0.5)
+    batched = detect_bifurcations_on_trivial(model, params, settings, lambda p: state)
+    monkeypatch.setattr(
+        continuation, "det_signs",
+        lambda systems, pivot_rtol: [det_sign(lu_factor(s, pivot_rtol=pivot_rtol)) for s in systems])
+    scalar = detect_bifurcations_on_trivial(model, params, settings, lambda p: state)
+    assert len(batched) == len(scalar) >= 2
+    for a, b in zip(batched, scalar):
+        assert (a.bif_id, a.param.hex(), a.mode_family, a.mode_index) == (b.bif_id, b.param.hex(), b.mode_family,
+                                                                         b.mode_index)
+        assert a.base_state.tobytes() == b.base_state.tobytes()
+        assert a.null_mode.tobytes() == b.null_mode.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ iteration.  Oracles are numpy.linalg, hand-built matrices and, for the
 tridiagonal and band-plus-border kernels, the dense kernel on the same
 matrix."""
 
+import warnings
 import weakref
 
 import numpy as np
@@ -554,6 +555,203 @@ def test_bordered_kernel_matches_dense_on_acok_jacobians(closure):
                     b = rng.standard_normal(grid.n_nodes)
                     x_new, x_dense = lu_solve(fact, b), lu_solve(dense, b)
                     assert np.max(np.abs(x_new - x_dense)) <= 1e-9 * np.max(np.abs(x_dense)), where
+
+
+# ---------------------------------------------------------------------------
+# batched det signs (reference: the scalar map det_sign(lu_factor(s)))
+# ---------------------------------------------------------------------------
+
+RTOLS = (0.0, linalg.DEFAULT_PIVOT_RTOL)
+
+
+def scalar_signs(systems, pivot_rtol):
+    return [det_sign(lu_factor(s, pivot_rtol=pivot_rtol)) for s in systems]
+
+
+def assert_signs_match_scalar_map(systems, monkeypatch, pivot_rtol):
+    """``det_signs`` equals the scalar map, and every border solve that
+    reaches the Schur step is the scalar kernel's bit for bit.  Returns how
+    many systems the batched pass signed without ``lu_factor``."""
+    rights, redone = [], []
+    schur_factor, bordered_factor = linalg._schur_factor, linalg._bordered_factor
+
+    def schur_spy(corner, rows, right):
+        rights.append(right)
+        return schur_factor(corner, rows, right)
+
+    def bordered_spy(system, rtol):
+        redone.append(system)
+        return bordered_factor(system, rtol)
+
+    monkeypatch.setattr(linalg, "_schur_factor", schur_spy)
+    monkeypatch.setattr(linalg, "_bordered_factor", bordered_spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        signs = linalg.det_signs(iter(systems), pivot_rtol=pivot_rtol)
+    monkeypatch.setattr(linalg, "_schur_factor", schur_factor)
+    monkeypatch.setattr(linalg, "_bordered_factor", bordered_factor)
+    assert signs == scalar_signs(systems, pivot_rtol)
+    assert all(type(s) is int for s in signs)
+    scalar_rights = [bordered_factor(s, pivot_rtol).right for s in systems if isinstance(s, BandBorder)]
+    for right in rights:
+        assert any(np.array_equal(np.array(right), np.array(r)) for r in scalar_rights), \
+            "a border solve differs from every scalar one"
+    # lu_factor signs exactly the systems whose band pivots it would boost.
+    bordered = [s for s in systems if isinstance(s, BandBorder) and not linalg._plain_tridiagonal(s)]
+    boosted = [s for s in bordered if len(bordered_factor(s, pivot_rtol).cols) > s.k]
+    assert [id(s) for s in redone] == [id(s) for s in boosted]
+    return len(bordered) - len(redone)
+
+
+def isolate_pivot(system, r, value):
+    """Decouple unknown ``r`` of the band block: row and column ``r`` hold
+    only ``value`` on the diagonal, which makes it the pivot of step ``r``."""
+    kl, ku = system.kl, system.ku
+    system.band[r, :] = 0.0
+    for i in range(max(0, r - ku), min(len(system.band), r + kl + 1)):
+        system.band[i, kl + r - i] = 0.0
+    system.band[r, kl] = value
+
+
+def random_stack(rng, count, nb, kl, ku, k, swap_heavy=False):
+    """Systems of one structure; ``swap_heavy`` shrinks the main diagonal
+    so that most elimination steps interchange rows."""
+    out = []
+    for _ in range(count):
+        band = rng.standard_normal((nb, kl + ku + 1))
+        if swap_heavy:
+            band[:, kl] *= 1e-3
+        out.append(BandBorder(band=band, kl=kl, cols=rng.standard_normal((nb, k)),
+                              rows=rng.standard_normal((k, nb)), corner=rng.standard_normal((k, k)),
+                              hidden_sign=int(rng.choice([-1, 1]))))
+    return out
+
+
+@pytest.mark.parametrize("closure", ["symmetric", "onesided-right"])
+@pytest.mark.parametrize("pass_bytes", [1, 100_000, None], ids=["one-per-pass", "small-passes", "default"])
+def test_det_signs_match_scalar_map_on_acok_linearizations(closure, pass_bytes, monkeypatch):
+    if pass_bytes is not None:
+        monkeypatch.setattr(linalg, "_SIGN_PASS_BYTES", pass_bytes)
+    for n_cells in (20, 100):
+        grid = GridSpec(n_cells)
+        model = model_by_kind("acok", grid, closure=closure)
+        x = grid.nodes
+        states = (np.full(grid.n_nodes, 0.5), np.zeros(grid.n_nodes), 0.5 + 0.3 * np.tanh(x / 0.1),
+                  0.5 + 0.2 * np.cos(np.pi * x))
+        gammas = np.linspace(0.0, 3000.0, 25) + 3.7
+        seen = set()
+        for state in states:
+            systems = [model.linearize(state, ModelParams(epsilon=0.3, gamma=g)) for g in gammas]
+            for rtol in RTOLS:
+                assert assert_signs_match_scalar_map(systems, monkeypatch, rtol) == len(systems)
+                seen.update(scalar_signs(systems, rtol))
+        assert seen == {-1, 1}
+
+
+@pytest.mark.parametrize("kl", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_det_signs_match_scalar_map_on_random_stacks(kl, k, monkeypatch):
+    rng = np.random.default_rng(100 * kl + k)
+    swapped = 0
+    for trial in range(6):
+        nb, ku = int(rng.integers(kl + 1, 30)), int(rng.integers(0, 4))
+        systems = random_stack(rng, 9, nb, kl, ku, k, swap_heavy=trial % 2 == 1)
+        for rtol in RTOLS:
+            assert_signs_match_scalar_map(systems, monkeypatch, rtol)
+        swapped += sum(sum(p != j for j, p in enumerate(linalg._bordered_factor(s, 0.0).swaps)) for s in systems)
+    assert swapped > 100  # the interchanges really were exercised
+
+
+def test_det_signs_hand_boosted_pivots_to_lu_factor(monkeypatch):
+    rng = np.random.default_rng(29)
+    systems = random_stack(rng, 8, 12, 2, 1, 1)
+    # Step 3's pivot: exactly zero, at rounding level (both boosted), or
+    # well above the boost floor (kept).
+    for s, rel in zip(systems[1:5], (0.0, 1e-16, -3e-15, 1e-10)):
+        isolate_pivot(s, 3, 0.0)
+        s.band[3, s.kl] = rel * np.max(np.sum(np.abs(s.band), axis=1))
+    for rtol in RTOLS:
+        boosted = [len(linalg._bordered_factor(s, rtol).cols) > s.k for s in systems]
+        assert boosted == [False, True, True, True, False, False, False, False]
+        assert assert_signs_match_scalar_map(systems, monkeypatch, rtol) == len(systems) - 3
+    # Under the ACOK model at gamma = 0 the Poisson block decouples and
+    # leaves an exactly zero pivot.
+    model = model_by_kind("acok", GridSpec(40))
+    state = np.full(41, 0.5)
+    systems = [model.linearize(state, ModelParams(epsilon=0.3, gamma=g)) for g in (0.0, 10.0, 0.0, 20.0)]
+    for rtol in RTOLS:
+        assert assert_signs_match_scalar_map(systems, monkeypatch, rtol) == 2
+
+
+def test_det_signs_of_an_exactly_singular_schur_block(monkeypatch):
+    # The border row repeats the sum of the rows above it: the Schur block is 0.
+    singular = BandBorder(band=np.array([[0.0, 2.0, 1.0], [1.0, 3.0, 0.0]]), kl=1,
+                          cols=np.array([[1.0], [1.0]]), rows=np.array([[3.0, 4.0]]), corner=np.array([[2.0]]))
+    regular = BandBorder(band=singular.band, kl=1, cols=singular.cols, rows=singular.rows,
+                         corner=np.array([[2.5]]))
+    for rtol in RTOLS:
+        systems = [regular, singular, regular]
+        assert linalg.det_signs(systems, pivot_rtol=rtol)[1] == 0
+        assert assert_signs_match_scalar_map(systems, monkeypatch, rtol) == 3
+
+
+def test_det_signs_sign_tridiagonal_and_dense_systems_one_at_a_time(monkeypatch):
+    grid = GridSpec(60)
+    model = model_by_kind("ac", grid)
+    systems = [model.linearize(np.zeros(grid.n_nodes), ModelParams(epsilon=e)) for e in np.linspace(0.05, 0.7, 40)]
+    systems.insert(7, systems[7].to_dense())
+    rng = np.random.default_rng(31)
+    systems[20:20] = random_stack(rng, 3, 10, 2, 2, 1)  # a different structure in between
+    passes = []
+    sign_pass = linalg._sign_pass
+
+    def spy(batch, rtol):
+        passes.append(len(batch))
+        return sign_pass(batch, rtol)
+
+    monkeypatch.setattr(linalg, "_sign_pass", spy)
+    for rtol in RTOLS:
+        assert linalg.det_signs(systems, pivot_rtol=rtol) == scalar_signs(systems, rtol)
+    assert sorted(set(passes)) == [0, 3]
+
+
+def test_det_signs_consume_one_pass_at_a_time(monkeypatch):
+    rng = np.random.default_rng(37)
+    systems = random_stack(rng, 50, 40, 3, 3, 1)
+    monkeypatch.setattr(linalg, "_SIGN_PASS_BYTES", 200_000)
+    size = linalg._pass_size(systems[0])
+    assert 1 < size < 50
+    drawn, passes = [], []
+    sign_pass = linalg._sign_pass
+
+    def spy(batch, rtol):
+        passes.append((len(batch), len(drawn)))
+        return sign_pass(batch, rtol)
+
+    def lazily():
+        for s in systems:
+            drawn.append(s)
+            yield s
+
+    monkeypatch.setattr(linalg, "_sign_pass", spy)
+    assert linalg.det_signs(lazily()) == scalar_signs(systems, linalg.DEFAULT_PIVOT_RTOL)
+    assert [n for n, _ in passes] == [size] * (50 // size) + [50 % size]
+    # Each pass runs before more than one further system has been drawn.
+    assert all(d <= size * (i + 1) + 1 for i, (_, d) in enumerate(passes))
+
+
+def test_det_signs_reject_non_finite_entries():
+    rng = np.random.default_rng(41)
+    for where in ("band", "cols"):
+        systems = random_stack(rng, 5, 12, 2, 1, 1)
+        getattr(systems[3], where)[2, 0] = np.nan
+        with pytest.raises(ValueError):
+            linalg.det_signs(systems)
+    grid = GridSpec(20)
+    tri = model_by_kind("ac", grid).linearize(np.zeros(grid.n_nodes), ModelParams(epsilon=0.2))
+    tri.band[4, 1] = np.inf
+    with pytest.raises(ValueError):
+        linalg.det_signs([tri])
 
 
 # ---------------------------------------------------------------------------
