@@ -164,6 +164,8 @@ def resolve(args) -> tuple[RunConfig, object, ModelParams]:
     except ValueError as exc:
         raise UsageError(str(exc))
 
+    if args.command == "points" and args.phi0 is not None and not math.isfinite(args.phi0):
+        raise UsageError(f"--phi0 must be a finite number, got {args.phi0!r}")
     if args.eps_range is not None and kind == "acok":
         raise UsageError("--eps-range applies to ac/ch (acok is continued in gamma)")
     if args.gamma_range is not None and kind != "acok":

@@ -13,11 +13,9 @@ at ``p``: no constant branches, and natural-mode offshoots stop at ``p``.
 
 Every factorization goes through the model's ``linearize`` (a
 ``linalg.BandBorder``, factored in O(N)); the pseudo-arclength systems add
-one border to it.  The detection scan signs its first-level samples and
-midpoints up front through ``linalg.det_signs``, which factors the ACOK
-linearizations of a branch together in batched passes; its bisection
-probes are factored one at a time.  The dense ``jacobian`` is used only for
-the inverse iteration at a detected event.
+one border to it, and each detection probe is one sign-only factorization.
+The dense ``jacobian`` is used only for the inverse iteration at a detected
+event.
 
 Everything is deterministic: fixed iteration orders and a fixed
 inverse-iteration seed, so identical inputs give bitwise-identical diagrams.
@@ -37,7 +35,6 @@ from .linalg import (
     Factorization,
     SingularMatrixError,
     det_sign,
-    det_signs,
     lu_factor,
     lu_solve,
     null_vector,
@@ -547,18 +544,6 @@ def _arclength_correct(model, params, settings, frame, xg, mug, tx, tmu):
     raise NewtonFailure("no_convergence", settings.max_newton_iters, prev)
 
 
-def _scan_grid(a: float, b: float, step: float, tol: float) -> tuple[list[float], list[float]]:
-    """Samples ``a, a + step, ...`` up to ``b`` (a last step shorter than
-    ``tol`` is merged away) and the midpoint of each interval between them."""
-    samples = [a]
-    p = a + step
-    while p < b - tol:
-        samples.append(p)
-        p += step
-    samples.append(b)
-    return samples, [0.5 * (left + right) for left, right in zip(samples[:-1], samples[1:])]
-
-
 def detect_bifurcations_on_trivial(
     model,
     params,
@@ -575,31 +560,23 @@ def detect_bifurcations_on_trivial(
     extracted by inverse iteration and classified against the analytic
     sine/cosine families (index <= 25, |correlation| >= 0.9, else "unknown").
 
-    The signs of the first-level samples and midpoints, which the scan
-    always needs (a bisection starts at the midpoint), are computed up front
-    by ``linalg.det_signs``, which factors ACOK linearizations in batches;
-    bisection and rescan probes are made one at a time.  Signs are taken
-    with an unfloored pivot test (``pivot_rtol=0``), reliable arbitrarily
-    close to a crossing, where the default relative floor would report 0.
+    Each probe factors the linearization at the constant state once, with
+    an unfloored pivot test (``pivot_rtol=0``): reliable arbitrarily close
+    to a crossing, where the default relative floor would report 0.
+    ``compute_diagram`` and ``verify`` call this only on the branch flagged
+    ``bifurcating`` (``models.TrivialBranch`` says why the others cannot
+    bifurcate), and so does ``points`` unless ``--phi0`` picks another.
     """
     lo, hi = settings.param_min, settings.param_max
     width_target = settings.bisection_width
-    grid_tol = 1e-12 * settings.range_width
 
-    def linearization(pv: float):
-        return model.linearize(trivial_state_fn(pv), model.with_param(params, pv))
-
-    # Listed in the order the scan first asks for them, so a trivial state
-    # that cannot be built fails at the sample the scan would reach first.
-    samples, mids = _scan_grid(lo, hi, settings.initial_step, grid_tol)
-    first_level = samples[:1] + [p for pair in zip(samples[1:], mids) for p in pair]
-    signs = det_signs(map(linearization, first_level), pivot_rtol=0.0)
-    sign_cache: dict[float, int] = dict(zip(first_level, signs))
+    sign_cache: dict[float, int] = {}
 
     def sgn(pv: float) -> int:
         s = sign_cache.get(pv)
         if s is None:
-            s = det_sign(lu_factor(linearization(pv), pivot_rtol=0.0))
+            linearization = model.linearize(trivial_state_fn(pv), model.with_param(params, pv))
+            s = det_sign(lu_factor(linearization, pivot_rtol=0.0))
             sign_cache[pv] = s
         return s
 
@@ -619,8 +596,13 @@ def detect_bifurcations_on_trivial(
         return 0.5 * (a + b), b - a
 
     def scan(a: float, b: float, step: float, depth: int):
-        samples, mids = _scan_grid(a, b, step, grid_tol)
-        for left, right, mid in zip(samples[:-1], samples[1:], mids):
+        samples = [a]
+        p = a + step
+        while p < b - 1e-12 * settings.range_width:
+            samples.append(p)
+            p += step
+        samples.append(b)
+        for left, right in zip(samples[:-1], samples[1:]):
             sl, sr = sgn(left), sgn(right)
             if sl == 0:
                 events.append((left, 0.0))
@@ -628,7 +610,7 @@ def detect_bifurcations_on_trivial(
             if sr != 0 and sl * sr < 0:
                 events.append(bisect(left, right))
             elif sr != 0 and depth < 3:
-                if sgn(mid) != sl:
+                if sgn(0.5 * (left + right)) != sl:
                     # Hidden even number of crossings: rescan finer.
                     scan(left, right, (right - left) / 10.0, depth + 1)
 
@@ -823,13 +805,15 @@ def compute_diagram(model, params, settings: ContinuationSettings, *, at: Option
     """Bifurcation diagram over the settings window.
 
     Corrects every trivial branch at param_max and traces it, detects
-    det-sign events on each, switches onto the emerging branches at every
-    bifurcation and traces them, then dedupes.
+    det-sign events on the one flagged ``bifurcating`` (the others are
+    linearly stable throughout; see ``models.TrivialBranch``), switches onto
+    the emerging branches at every bifurcation and traces them, then dedupes.
 
     With ``at`` set, only what ``solutions_at(diagram, at, ...)`` reads is
-    traced: the trivial branches are still corrected at param_max and
-    scanned for bifurcations (so ``bifurcations`` is complete) but not
-    traced, and natural-mode offshoots stop at their first point at or past
+    traced: the trivial branches are still corrected at param_max (where a
+    CH cubic outside its three-root window fails) and the bifurcating one
+    scanned (so ``bifurcations`` is complete), but none is traced, and
+    natural-mode offshoots stop at their first point at or past
     ``at`` (pseudo-arclength offshoots are traced in full).  Every segment
     that straddles ``at`` is kept bit for bit, so the slice's answer is the
     full diagram's as long as dedupe, which then compares the shortened
@@ -863,6 +847,8 @@ def compute_diagram(model, params, settings: ContinuationSettings, *, at: Option
                     branch_id=f"trivial:{tb.label}",
                 )
             )
+        if not tb.bifurcating:
+            continue
         found = detect_bifurcations_on_trivial(
             model, params, settings, lambda pv, _tb=tb: _tb.state_of(model.with_param(params, pv), model.grid)
         )

@@ -37,14 +37,6 @@ rows and columns, which is how the models hand over their linearizations.
   exactly.  The det sign is the band's permutation parity times its pivot
   signs times the det sign of the borders' Schur block (times -1 per
   boost).
-* ``det_signs`` signs many such band-plus-border systems of one structure
-  at once (the detection scan's samples): one elimination runs over a pass
-  of them with every numpy operation vectorized over the systems, in the
-  scalar kernel's order, so each sign is ``det_sign(lu_factor(s))``'s.  A
-  pass holds about 1 MiB.  A system whose band pivot the scalar kernel
-  would boost is signed by ``lu_factor`` itself.  Tridiagonal and dense
-  systems are signed one at a time: a tridiagonal elimination is cheaper
-  than a pass's fixed cost of a dozen numpy calls per column.
 * Any other dense matrix goes through a right-looking blocked LU whose Schur
   update runs through matrix-matrix products.  Of the engine's
   factorizations only the inverse iteration at a detected ACOK event takes
@@ -57,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -72,7 +64,6 @@ __all__ = [
     "lu_factor",
     "lu_solve",
     "det_sign",
-    "det_signs",
     "null_vector",
 ]
 
@@ -88,11 +79,6 @@ _BOOST_RTOL = 1e-14
 #: Panel width of ``lu_factor``'s blocked Schur update.  It sets only the
 #: speed; the factors agree to rounding for any positive width.
 _LU_BLOCK = 48
-
-#: Bytes one ``det_signs`` pass holds (its systems and work arrays), which
-#: sets how many systems it factors together.  It sets only the speed and
-#: memory; the signs do not depend on it.
-_SIGN_PASS_BYTES = 1 << 20
 
 
 class SingularMatrixError(RuntimeError):
@@ -555,32 +541,6 @@ def _band_lu_solve_t(fact: BorderedLuFactorization, x: list) -> list:
     return x
 
 
-def _pivot_floors(system: BandBorder, pivot_rtol: float) -> tuple:
-    """``(floor, boost_floor, boost)``: ``floor`` is ``pivot_rtol`` times the
-    full matrix's max row sum; band pivots on or below ``boost_floor`` are
-    boosted by ``+-boost`` (``_band_lu``)."""
-    band_sums = np.sum(np.abs(system.band), axis=1)
-    row_sums = np.concatenate([
-        band_sums + np.sum(np.abs(system.cols), axis=1),
-        np.sum(np.abs(system.rows), axis=1) + np.sum(np.abs(system.corner), axis=1),
-    ])
-    _require_finite(row_sums)  # a NaN or inf entry leaves its row sum non-finite
-    floor = float(pivot_rtol) * (float(np.max(row_sums)) if row_sums.size else 0.0)
-    scale = float(np.max(band_sums)) if len(band_sums) else 0.0
-    return floor, max(floor, _BOOST_RTOL * scale), scale if scale > 0.0 else 1.0
-
-
-def _schur_singular(schur: LuFactorization, corner: list, rows: list, right: list, pivot_rtol: float) -> bool:
-    """A Schur pivot is zero to within ``pivot_rtol`` if it cancels that far
-    below the terms the block is computed from (at 0.0 only an exact zero)."""
-    schur_floor = 0.0
-    if pivot_rtol and len(corner):
-        terms = np.sum(np.abs(corner), axis=1) + np.sum(
-            np.abs(rows) * np.sum(np.abs(right), axis=0), axis=1)
-        schur_floor = float(pivot_rtol) * float(np.max(terms))
-    return bool(np.any(np.abs(np.diagonal(schur.packed)) <= schur_floor))
-
-
 def _bordered_factor(system: BandBorder, pivot_rtol: float) -> BorderedLuFactorization:
     """Band LU of ``A``, then the borders' Schur block (module docstring).
 
@@ -590,8 +550,16 @@ def _bordered_factor(system: BandBorder, pivot_rtol: float) -> BorderedLuFactori
     ``(-1)^boosts`` times the user matrix's.
     """
     nb = system.band.shape[0]
-    floor, boost_floor, boost = _pivot_floors(system, pivot_rtol)
-    pivots, tails, mults, swaps, sign, boosts = _band_lu(system, boost_floor, boost)
+    band_sums = np.sum(np.abs(system.band), axis=1)
+    row_sums = np.concatenate([
+        band_sums + np.sum(np.abs(system.cols), axis=1),
+        np.sum(np.abs(system.rows), axis=1) + np.sum(np.abs(system.corner), axis=1),
+    ])
+    _require_finite(row_sums)  # a NaN or inf entry leaves its row sum non-finite
+    floor = float(pivot_rtol) * (float(np.max(row_sums)) if row_sums.size else 0.0)
+    scale = float(np.max(band_sums)) if nb else 0.0
+    pivots, tails, mults, swaps, sign, boosts = _band_lu(
+        system, max(floor, _BOOST_RTOL * scale), scale if scale > 0.0 else 1.0)
     cols = system.cols.T.tolist()
     rows = system.rows.tolist()
     k = len(cols) + len(boosts)
@@ -612,7 +580,14 @@ def _bordered_factor(system: BandBorder, pivot_rtol: float) -> BorderedLuFactori
     )
     fact.right = [_band_lu_solve(fact, list(c)) for c in cols]
     fact.schur = _schur_factor(corner, rows, fact.right)
-    fact.singular = _schur_singular(fact.schur, corner, rows, fact.right, pivot_rtol)
+    # A Schur pivot is zero to within pivot_rtol if it cancels that far
+    # below the terms the block is computed from.
+    schur_floor = 0.0
+    if pivot_rtol and k:
+        terms = np.sum(np.abs(corner), axis=1) + np.sum(
+            np.abs(rows) * np.sum(np.abs(fact.right), axis=0), axis=1)
+        schur_floor = float(pivot_rtol) * float(np.max(terms))
+    fact.singular = bool(np.any(np.abs(np.diagonal(fact.schur.packed)) <= schur_floor))
     return fact
 
 
@@ -676,7 +651,7 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
         *signs* arbitrarily close to a singularity).
     """
     if isinstance(matrix, BandBorder):
-        if _plain_tridiagonal(matrix):
+        if matrix.kl == matrix.ku == 1 and matrix.k == 0 and len(matrix) == len(matrix.band):
             cols = matrix.band.T
             band = (cols[0, 1:], cols[1], cols[2, :-1])
             for d in band:
@@ -808,120 +783,6 @@ def det_sign(matrix_or_fact, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> int:
     if isinstance(matrix_or_fact, (LuFactorization, BandLuFactorization, BorderedLuFactorization)):
         return _sign_from_fact(matrix_or_fact)
     return _sign_from_fact(lu_factor(matrix_or_fact, pivot_rtol=pivot_rtol))
-
-
-def _plain_tridiagonal(system: BandBorder) -> bool:
-    """Whether ``lu_factor`` hands ``system`` to the tridiagonal kernel."""
-    return system.kl == system.ku == 1 and system.k == 0 and len(system) == len(system.band)
-
-
-def det_signs(systems: Iterable, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> list:
-    """``[det_sign(lu_factor(s, pivot_rtol)) for s in systems]``, element for element.
-
-    Consecutive ``BandBorder``s of one structure that ``lu_factor`` would
-    hand to ``_bordered_factor`` are signed together by ``_sign_pass``, in
-    passes that hold about ``_SIGN_PASS_BYTES``; the iterable is consumed
-    one pass at a time.  Every other system is signed alone.
-    """
-    signs: list = []
-    batch: list = []
-    for system in systems:
-        if not isinstance(system, BandBorder) or _plain_tridiagonal(system):
-            signs += _sign_pass(batch, pivot_rtol)
-            batch = []
-            signs.append(_sign_from_fact(lu_factor(system, pivot_rtol)))
-            continue
-        if batch and (_structure(system) != _structure(batch[0]) or len(batch) >= _pass_size(system)):
-            signs += _sign_pass(batch, pivot_rtol)
-            batch = []
-        batch.append(system)
-    return signs + _sign_pass(batch, pivot_rtol)
-
-
-def _structure(system: BandBorder) -> tuple:
-    return system.band.shape, system.kl, system.k
-
-
-def _pass_size(system: BandBorder) -> int:
-    """Systems per ``_sign_pass``: the systems and its work arrays take about ``_SIGN_PASS_BYTES``."""
-    nb, w = system.band.shape
-    kl, k = system.kl, system.k
-    held = sum(a.nbytes for a in (system.band, system.cols, system.rows, system.corner, system.outer))
-    return max(1, _SIGN_PASS_BYTES // (held + 8 * ((nb + kl) * (w + kl) + (nb + w) * k)))
-
-
-def _sign_pass(systems: list, pivot_rtol: float) -> list:
-    """det signs of band-plus-border systems of one structure, factored together.
-
-    One ``dgbtf2``-style elimination runs over all of them, each numpy
-    operation vectorized over the systems, so every system gets
-    ``_band_lu``'s operations in its order: the same pivots, interchanges
-    and multipliers bit for bit (up to the sign of zeros), where ``_band_lu``
-    skips a zero entry this subtracts an exact zero.  The border columns are
-    eliminated alongside the band and back-substituted through ``U``, which
-    stays in the work array, giving ``_band_lu_solve``'s ``A^-1 cols``.
-    Each system's Schur block is then factored and signed by the scalar
-    helpers.  A system with a pivot ``_band_lu`` would boost (or a
-    non-finite one) is signed by ``lu_factor`` instead: its pass results,
-    which divided by that pivot, are discarded.
-
-    The work array holds row ``i`` over columns ``i - kl .. i + kl + ku``,
-    as in ``_band_lu``; step ``j`` sees rows ``j .. j + kl`` over columns
-    ``j .. j + kl + ku`` through one strided view, in which an interchange
-    of two rows is a plain swap.
-    """
-    if not systems:
-        return []
-    first = systems[0]
-    m, nb, kl, k = len(systems), first.band.shape[0], first.kl, first.k
-    w = first.band.shape[1]  # kl + ku + 1: the columns step j touches
-    work = np.zeros((m, nb + kl, w + kl))
-    x = np.zeros((nb + w, m, k))  # border columns; zero rows below the matrix
-    boost_floor = np.empty(m)
-    for i, system in enumerate(systems):
-        work[i, :nb, :w] = system.band
-        x[:nb, i] = system.cols
-        boost_floor[i] = _pivot_floors(system, pivot_rtol)[1]
-    s0, s1, s2 = work.strides
-    windows = np.lib.stride_tricks.as_strided(
-        work.reshape(-1)[kl:], shape=(m, nb, kl + 1, w), strides=(s0, s1, s1 - s2, s2))
-    at = np.arange(m)
-    swaps = np.zeros((m, nb), dtype=int)  # row offset of each step's pivot
-    with np.errstate(all="ignore"):  # the systems left to lu_factor divide by their zero pivots
-        for j in range(nb):
-            win, xw = windows[:, j], x[j : j + kl + 1]
-            t = np.argmax(np.abs(win[:, :, 0]), axis=1)  # the first largest, as in _band_lu
-            prow, xrow = win[at, t], xw[t, at]
-            win[at, t], xw[t, at] = win[:, 0], xw[0]
-            win[:, 0], xw[0] = prow, xrow
-            f = win[:, 1:, 0] / prow[:, :1]
-            win[:, 1:, 1:] -= f[:, :, None] * prow[:, None, 1:]
-            xw[1:] -= f.T[:, :, None] * xrow
-            swaps[:, j] = t
-        pivots = work[:, :nb, kl]
-        if k:
-            # x[j] = (((x[j] - u_1 x[j+1]) - u_2 x[j+2]) - ...) / u_0, as in _band_lu_solve.
-            tails = work[:, :nb, kl + 1 :].transpose(1, 2, 0)[..., None]
-            terms = np.empty((w, m, k))
-            for j in range(nb - 1, -1, -1):
-                terms[0] = x[j]
-                np.multiply(tails[j], x[j + 1 : j + w], out=terms[1:])
-                np.divide(np.subtract.accumulate(terms)[-1], pivots[:, j, None], out=x[j])
-        redo = (np.any(np.abs(pivots) <= boost_floor[:, None], axis=1)
-                | ~np.all(np.isfinite(pivots), axis=1) | ~np.all(np.isfinite(x), axis=(0, 2)))
-    flips = np.count_nonzero(swaps, axis=1) + np.count_nonzero(pivots < 0.0, axis=1)
-    signs = []
-    for i, system in enumerate(systems):
-        if redo[i]:
-            signs.append(_sign_from_fact(lu_factor(system, pivot_rtol)))
-            continue
-        corner_i, rows_i, right = system.corner.tolist(), system.rows.tolist(), x[:nb, i].T.tolist()
-        schur = _schur_factor(corner_i, rows_i, right)
-        if _schur_singular(schur, corner_i, rows_i, right, pivot_rtol):
-            signs.append(0)
-        else:
-            signs.append((-1 if flips[i] % 2 else 1) * _sign_from_fact(schur) * system.hidden_sign)
-    return signs
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:

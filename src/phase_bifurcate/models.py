@@ -238,10 +238,20 @@ class TrivialBranch:
     """A spatially constant solution family, parameterized by the active parameter.
 
     ``value_of(params)`` returns the constant; ``state_of(params)`` the nodal
-    vector.  ``bifurcating`` records whether linearization around the branch
-    can lose definiteness inside the standard parameter windows (used for
-    reporting; the detector itself scans every branch and trusts only
-    determinant signs).
+    vector.  ``bifurcating`` marks the one branch whose linearization can
+    turn singular, and so the only one the detection scan runs on.  The
+    others are the wells, linearly stable at every parameter:
+
+    * AC at phi = +-1 and the CH outer roots: ``J = -A + c B`` with
+      ``c = (3 phi^2 - 1)/eps^2 > 0``.  Under either closure ``A`` is
+      self-adjoint in a diagonal weight with eigenvalues
+      ``-alpha in [-4/h^2, 0]``, and ``B = I + h^2 A/12`` commutes with it,
+      so every eigenvalue ``alpha + c (1 - h^2 alpha/12)`` is positive.
+    * ACOK at phi = 0, 1 under the symmetric closure: each cosine mode of
+      ``A`` (eigenvalue ``-alpha``), ``B`` (``b``) and ``G`` (``g``) gives
+      ``J`` the eigenvalue ``-(eps alpha + 36 b/eps + gamma b^2 g) < 0``.
+      The one-sided closure has no such proof; the tests check that its
+      scans find nothing over the house windows.
     """
 
     label: str

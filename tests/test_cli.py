@@ -51,6 +51,8 @@ def load_schema(name):
         ["trace", "--eps-range", "0.5"],  # malformed range
         ["trace", "--eps-range", "0.7:0.3"],  # empty window
         ["points", "--model", "ac", "--format", "yaml"],
+        ["points", "--model", "ac", "--phi0", "nan"],  # would match no branch
+        ["points", "--model", "ac", "--phi0", "inf"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):

@@ -411,39 +411,33 @@ def test_detection_metadata(ac_detection):
         assert np.max(np.abs(b.base_state)) == 0.0
 
 
-def test_detection_empty_on_stable_branch():
-    g = GridSpec(80)
-    model = model_by_kind("ac", g)
-    params = ModelParams(epsilon=0.5)
-    settings = default_settings("ac", param_min=0.3, param_max=0.7)
-    bifs = detect_bifurcations_on_trivial(model, params, settings, lambda p: np.ones(g.n_nodes))
-    assert bifs == []
-
-
-@pytest.mark.parametrize("shift", [0.0, 0.37], ids=["from-zero", "shifted"])
 @pytest.mark.parametrize("closure", ["symmetric", "onesided-right"])
-@pytest.mark.parametrize("n_cells", [60, 100, 200])
-def test_batched_scan_signs_give_the_scalar_detection_bitwise(n_cells, closure, shift, monkeypatch):
-    # The scan's first-level signs come from linalg.det_signs; signing them
-    # one at a time instead must not change a bit of any event.  A window
-    # from gamma = 0 starts on a sample det_signs hands to lu_factor; the
-    # shifted one starts a fraction of a step in, as the benchmark's seeds do.
-    g = GridSpec(n_cells)
-    model = model_by_kind("acok", g, closure=closure)
-    params = ModelParams(epsilon=0.3, gamma=100.0)
-    settings = default_settings("acok", param_min=shift * 10.0, param_max=700.0)
-    state = np.full(g.n_nodes, 0.5)
-    batched = detect_bifurcations_on_trivial(model, params, settings, lambda p: state)
-    monkeypatch.setattr(
-        continuation, "det_signs",
-        lambda systems, pivot_rtol: [det_sign(lu_factor(s, pivot_rtol=pivot_rtol)) for s in systems])
-    scalar = detect_bifurcations_on_trivial(model, params, settings, lambda p: state)
-    assert len(batched) == len(scalar) >= 2
-    for a, b in zip(batched, scalar):
-        assert (a.bif_id, a.param.hex(), a.mode_family, a.mode_index) == (b.bif_id, b.param.hex(), b.mode_family,
-                                                                         b.mode_index)
-        assert a.base_state.tobytes() == b.base_state.tobytes()
-        assert a.null_mode.tobytes() == b.null_mode.tobytes()
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("ac", ModelParams(epsilon=0.5)),
+        ("ch", ModelParams(epsilon=0.5)),
+        ("ch", ModelParams(epsilon=0.5, mu0=0.05)),
+        ("acok", ModelParams(epsilon=0.1)),
+        ("acok", ModelParams(epsilon=0.3)),
+    ],
+    ids=["ac", "ch-mu0-0", "ch-mu0-0.05", "acok-eps-0.1", "acok-eps-0.3"],
+)
+def test_detection_empty_on_stable_branch(kind, params, closure):
+    # The engine scans only the branch flagged bifurcating; the wells must
+    # have no det-sign event over the house windows.  Under the one-sided
+    # closure the ACOK wells have no proof (models.TrivialBranch), so this
+    # scan is their only guard.
+    g = GridSpec(200)
+    model = model_by_kind(kind, g, closure=closure)
+    window = dict(param_min=0.0, param_max=3000.0) if kind == "acok" else {}
+    settings = default_settings(kind, **window)
+    stable = [tb for tb in model.trivial_branches(params) if not tb.bifurcating]
+    assert len(stable) == 2
+    for tb in stable:
+        bifs = detect_bifurcations_on_trivial(
+            model, params, settings, lambda pv: tb.state_of(model.with_param(params, pv), g))
+        assert bifs == [], tb.label
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +571,44 @@ def test_diagram_rerun_is_bitwise_identical(small_diagram):
             assert np.array_equal(p1.state, p2.state)
     for f1, f2 in zip(first.bifurcations, second.bifurcations):
         assert f1.param == f2.param and f1.bif_id == f2.bif_id
+
+
+@pytest.mark.parametrize("at", [None, "slice"])
+@pytest.mark.parametrize(
+    "kind, params, window, at_value",
+    [
+        ("ac", ModelParams(epsilon=0.5), dict(param_min=0.3, param_max=0.7), 0.55),
+        ("ch", ModelParams(epsilon=0.3, mu0=0.05), dict(param_min=0.2, param_max=0.7), 0.3),
+        ("acok", ModelParams(epsilon=0.3), dict(param_min=0.0, param_max=700.0), 300.0),
+    ],
+    ids=["ac", "ch-mu0-0.05", "acok"],
+)
+def test_diagram_scans_only_the_bifurcating_branch(kind, params, window, at_value, at, monkeypatch):
+    model = model_by_kind(kind, GridSpec(60))
+    settings = default_settings(kind, **window)
+    detect = continuation.detect_bifurcations_on_trivial
+    scanned = []
+
+    def spy(model_, params_, settings_, trivial_state_fn):
+        scanned.append(trivial_state_fn(settings.param_max))
+        return detect(model_, params_, settings_, trivial_state_fn)
+
+    monkeypatch.setattr(continuation, "detect_bifurcations_on_trivial", spy)
+    diagram = compute_diagram(model, params, settings, at=at_value if at else None)
+    top = model.with_param(params, settings.param_max)
+    bifurcating = [tb.state_of(top, model.grid) for tb in model.trivial_branches(params) if tb.bifurcating]
+    assert len(scanned) == len(bifurcating) == 1
+    assert np.array_equal(scanned[0], bifurcating[0])
+    # Scanning every constant branch finds the same events: the stable ones
+    # have none.
+    every = [
+        bif for tb in model.trivial_branches(params)
+        for bif in detect(model, params, settings, lambda pv, tb=tb: tb.state_of(model.with_param(params, pv),
+                                                                                 model.grid))
+    ]
+    assert len(every) >= 2
+    assert [(b.bif_id, b.param.hex(), b.mode_family, b.mode_index) for b in diagram.bifurcations] == [
+        (f"bp{i}", b.param.hex(), b.mode_family, b.mode_index) for i, b in enumerate(every)]
 
 
 def test_diagram_requires_positive_window_for_epsilon_models():
