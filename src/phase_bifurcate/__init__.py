@@ -5,25 +5,21 @@ models on [-1, 1] with Neumann closures (Allen-Cahn, the spatially reduced
 steady Cahn-Hilliard, and a nonlocal Ohta-Kawasaki variant), plus the
 numerical machinery to map out their solution structure: O(N) band and
 band-plus-border LU (and a blocked dense LU) with determinant-sign
-tracking, inverse-iteration null modes, predictor-corrector continuation
-in a model parameter,
-determinant-sign bifurcation detection on the constant branches, branch
-switching along null modes, and closed-form crossing values to verify
-everything against.
+tracking, predictor-corrector continuation in a model parameter,
+determinant-sign bifurcation detection on the constant branches with null
+modes read off the same factorizations, branch switching along those null
+modes, and closed-form crossing values to verify everything against.
 """
 
 from .linalg import (
     BandBorder,
     BandLuFactorization,
     BorderedLuFactorization,
-    ConvergenceError,
     LuFactorization,
-    NullVectorResult,
     SingularMatrixError,
     det_sign,
     lu_factor,
     lu_solve,
-    null_vector,
 )
 from .models import (
     AllenCahn,
@@ -78,17 +74,14 @@ from .continuation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError",
     "BandBorder",
     "LuFactorization",
     "BandLuFactorization",
     "BorderedLuFactorization",
-    "NullVectorResult",
     "SingularMatrixError",
     "det_sign",
     "lu_factor",
     "lu_solve",
-    "null_vector",
     "AllenCahn",
     "CahnHilliardSteady",
     "CubicRoots",

@@ -33,7 +33,7 @@ from .continuation import (
     detect_bifurcations_on_trivial,
     solutions_at,
 )
-from .linalg import ConvergenceError, SingularMatrixError
+from .linalg import SingularMatrixError
 from .models import GhostClosure, GridSpec, ModelParams, model_by_kind
 
 EXIT_OK = 0
@@ -43,7 +43,7 @@ EXIT_VERIFY = 3
 
 MAX_N_CELLS = 4096
 
-_NUMERICAL_ERRORS = (ContinuationError, SingularMatrixError, ConvergenceError, FloatingPointError)
+_NUMERICAL_ERRORS = (ContinuationError, SingularMatrixError, FloatingPointError)
 
 
 class UsageError(Exception):

@@ -4,21 +4,21 @@ The engine walks solution branches x(mu) of a parametric model with an Euler
 predictor and Newton corrector (natural parameterization by default,
 pseudo-arclength opt-in for branches that fold in mu).  Bifurcations on the
 constant ("trivial") branches are located by bisecting sign changes of
-det(Jacobian) between scan samples, then resolved into a null mode by inverse
-iteration and classified against the analytic eigenmode families.  New
-branches are seeded along the null mode on both sides (the +/- offshoots of a
-pitchfork) and traced over the parameter window.  A diagram computed for one
-slice (``compute_diagram(..., at=p)``) traces only what ``solutions_at`` reads
-at ``p``: no constant branches, and natural-mode offshoots stop at ``p``.
+det(Jacobian) between scan samples, then resolved into a null mode by one
+solve with the event's factorization and classified against the analytic
+eigenmode families.  New branches are seeded along the null mode on both
+sides (the +/- offshoots of a pitchfork) and traced over the parameter
+window.  A diagram computed for one slice (``compute_diagram(..., at=p)``)
+traces only what ``solutions_at`` reads at ``p``: no constant branches, and
+natural-mode offshoots stop at ``p``.
 
 Every factorization goes through the model's ``linearize`` (a
 ``linalg.BandBorder``, factored in O(N)); the pseudo-arclength systems add
 one border to it, and each detection probe is one sign-only factorization.
-The dense ``jacobian`` is used only for the inverse iteration at a detected
-event.
+The dense ``jacobian`` is never built here.
 
-Everything is deterministic: fixed iteration orders and a fixed
-inverse-iteration seed, so identical inputs give bitwise-identical diagrams.
+Everything is deterministic: fixed iteration orders and a fixed seed for the
+null-mode start vector, so identical inputs give bitwise-identical diagrams.
 """
 
 from __future__ import annotations
@@ -30,15 +30,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .linalg import (
-    ConvergenceError,
-    Factorization,
-    SingularMatrixError,
-    det_sign,
-    lu_factor,
-    lu_solve,
-    null_vector,
-)
+from .linalg import Factorization, SingularMatrixError, det_sign, lu_factor, lu_solve
 from . import analysis
 from .models import MODELS, ModelParams
 
@@ -557,8 +549,13 @@ def detect_bifurcations_on_trivial(
     sign change is bisected to a bracket <= 1e-10x the range width.  Suspect
     intervals (midpoint sign differs but endpoints agree) are rescanned at
     step/10 up to 3 levels deep.  At each localized event the null mode is
-    extracted by inverse iteration and classified against the analytic
-    sine/cosine families (index <= 25, |correlation| >= 0.9, else "unknown").
+    one solve with the linearization's factorization there, from a fixed
+    seeded start vector (one step of inverse iteration, which the isolated
+    near-zero eigenvalue makes enough), and is classified against the
+    analytic sine/cosine families (index <= 25, |correlation| >= 0.9, else
+    "unknown").  If that factorization is exactly singular (a scan probe hit
+    det = 0, so the event sits on it), it is made again one bisection width
+    further into the window; singular there too raises SingularMatrixError.
 
     Each probe factors the linearization at the constant state once, with
     an unfloored pivot test (``pivot_rtol=0``): reliable arbitrarily close
@@ -572,11 +569,13 @@ def detect_bifurcations_on_trivial(
 
     sign_cache: dict[float, int] = {}
 
+    def factor(pv: float) -> Factorization:
+        return lu_factor(model.linearize(trivial_state_fn(pv), model.with_param(params, pv)), pivot_rtol=0.0)
+
     def sgn(pv: float) -> int:
         s = sign_cache.get(pv)
         if s is None:
-            linearization = model.linearize(trivial_state_fn(pv), model.with_param(params, pv))
-            s = det_sign(lu_factor(linearization, pivot_rtol=0.0))
+            s = det_sign(factor(pv))
             sign_cache[pv] = s
         return s
 
@@ -620,28 +619,29 @@ def detect_bifurcations_on_trivial(
 
     events.sort(key=lambda e: e[0])
     grid = model.grid
+    start = np.random.default_rng(1790).standard_normal(grid.n_nodes)
+    start /= float(np.linalg.norm(start))
     out: list[BifurcationPoint] = []
     for i, (loc, _width) in enumerate(events):
-        base = trivial_state_fn(loc)
-        jac = model.jacobian(base, model.with_param(params, loc))
-        mode = None
-        for tol_scale in (1e-7, 1e-4, 1e-2):
-            try:
-                mode = null_vector(jac, shift=0.0, tol=tol_scale * (1.0 + float(np.max(np.abs(jac)))), max_iters=80)
-                break
-            except ConvergenceError:
-                continue
-        if mode is None:
-            # Exceedingly unlikely at a simple crossing; keep the event with
-            # no directional information rather than dropping it.
-            logger.warning("null-mode extraction failed at param=%r", loc)
-            fallback = np.zeros(grid.n_nodes)
-            fallback[0] = 1.0
-            out.append(BifurcationPoint(f"bp{i}", loc, base, fallback, "unknown", None))
-            continue
-        family, index = _classify_mode(mode.vector, grid)
-        out.append(BifurcationPoint(f"bp{i}", loc, base, mode.vector, family, index))
+        fact = factor(loc)
+        if fact.singular:
+            fact = factor(loc + width_target if loc < 0.5 * (lo + hi) else loc - width_target)
+            if fact.singular:
+                raise SingularMatrixError(f"singular linearization at and next to the event at param={loc!r}")
+        w = lu_solve(fact, start)
+        mode = _fix_sign(w / float(np.linalg.norm(w)))
+        family, index = _classify_mode(mode, grid)
+        out.append(BifurcationPoint(f"bp{i}", loc, trivial_state_fn(loc), mode, family, index))
     return out
+
+
+def _fix_sign(v: np.ndarray) -> np.ndarray:
+    """Flip ``v`` so its first significant entry is positive (deterministic)."""
+    thresh = 1e-8 * float(np.max(np.abs(v)))
+    for vi in v:
+        if abs(vi) > thresh:
+            return -v if vi < 0.0 else v
+    return v
 
 
 def _classify_mode(vector: np.ndarray, grid) -> tuple[str, Optional[int]]:

@@ -2,12 +2,12 @@
 
 Everything here is written against plain ``numpy.ndarray`` (float64) and is
 deliberately self-contained: LU factorization with partial pivoting and an
-explicit permutation sign, triangular solves, determinant signs, and an
-inverse-iteration null-vector routine.  The determinant *sign* is the event
-function for bifurcation detection, so the factorization tracks it exactly
-(permutation parity times pivot signs) instead of going through a value that
-would over/underflow for 200x200 Jacobians.  No kernel calls LAPACK, whose
-results can depend on the BLAS thread count.
+explicit permutation sign, triangular solves and determinant signs.  The
+determinant *sign* is the event function for bifurcation detection, so the
+factorization tracks it exactly (permutation parity times pivot signs)
+instead of going through a value that would over/underflow for 200x200
+Jacobians.  No kernel calls LAPACK, whose results can depend on the BLAS
+thread count.
 
 ``lu_factor`` takes either a dense square matrix or a ``BandBorder``: a band
 matrix ``A`` (``kl`` sub- and ``ku`` superdiagonals) plus ``k`` dense border
@@ -38,10 +38,9 @@ rows and columns, which is how the models hand over their linearizations.
   signs times the det sign of the borders' Schur block (times -1 per
   boost).
 * Any other dense matrix goes through a right-looking blocked LU whose Schur
-  update runs through matrix-matrix products.  Of the engine's
-  factorizations only the inverse iteration at a detected ACOK event takes
-  this path; it also factors the bordered kernel's small Schur blocks, and
-  it is the general path and the tests' reference.
+  update runs through matrix-matrix products.  The engine sends it only the
+  bordered kernel's small Schur blocks; it is the general path and the
+  tests' reference.
 """
 
 from __future__ import annotations
@@ -59,12 +58,9 @@ __all__ = [
     "BandLuFactorization",
     "BorderedLuFactorization",
     "SingularMatrixError",
-    "ConvergenceError",
-    "NullVectorResult",
     "lu_factor",
     "lu_solve",
     "det_sign",
-    "null_vector",
 ]
 
 #: Default relative pivot floor: a pivot whose magnitude falls below
@@ -83,10 +79,6 @@ _LU_BLOCK = 48
 
 class SingularMatrixError(RuntimeError):
     """Raised when a solve is attempted with a factorization flagged singular."""
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when an iterative routine exhausts its iteration budget."""
 
 
 @dataclass
@@ -783,81 +775,3 @@ def det_sign(matrix_or_fact, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> int:
     if isinstance(matrix_or_fact, (LuFactorization, BandLuFactorization, BorderedLuFactorization)):
         return _sign_from_fact(matrix_or_fact)
     return _sign_from_fact(lu_factor(matrix_or_fact, pivot_rtol=pivot_rtol))
-
-
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    """Flip ``v`` so its first significant entry is positive (deterministic)."""
-    thresh = 1e-8 * float(np.max(np.abs(v)))
-    for vi in v:
-        if abs(vi) > thresh:
-            return -v if vi < 0.0 else v
-    return v
-
-
-@dataclass
-class NullVectorResult:
-    """Inverse-iteration output: eigenvalue estimate first, then the vector."""
-
-    eigenvalue: float
-    vector: np.ndarray
-    iterations: int
-    residual: float
-
-    def __iter__(self):  # allow ``lam, vec = null_vector(...)``
-        return iter((self.eigenvalue, self.vector))
-
-
-def null_vector(matrix, shift: float = 0.0, tol: float | None = None, max_iters: int = 50) -> NullVectorResult:
-    """Eigenpair of smallest ``|lambda - shift|`` by shifted inverse iteration.
-
-    Intended for (near-)singular Jacobians at bifurcation points, where the
-    target eigenvalue is well separated from the rest of the spectrum and
-    plain inverse iteration converges in a handful of sweeps.
-
-    The start vector is a fixed seeded draw, so repeated calls are
-    bit-for-bit reproducible.  The returned vector has unit 2-norm with its
-    first significant component positive.  If ``A - shift I`` is *exactly*
-    singular the shift is nudged by ``1e-14 * max|a_ij|`` (escalating by 10x,
-    a few attempts) so the factorization exists.
-
-    Raises ``ConvergenceError`` (with the iteration count) if the eigenpair
-    residual ``||A v - lambda v||_2`` has not dropped below ``tol`` within
-    ``max_iters`` sweeps.
-    """
-    a = _as_square_matrix(matrix)
-    n = a.shape[0]
-    scale = float(np.max(np.abs(a))) if n else 0.0
-    if tol is None:
-        tol = 1e-8 * (1.0 + scale)
-
-    fact = None
-    nudge = 1e-14 * (scale if scale > 0.0 else 1.0)
-    shift_used = float(shift)
-    for _ in range(5):
-        m = a.copy()
-        idx = np.arange(n)
-        m[idx, idx] -= shift_used
-        fact = lu_factor(m, pivot_rtol=0.0)
-        if not fact.singular:
-            break
-        shift_used += nudge
-        nudge *= 10.0
-    if fact is None or fact.singular:
-        raise SingularMatrixError("could not regularize exactly singular shifted matrix")
-
-    rng = np.random.default_rng(1790)
-    v = rng.standard_normal(n)
-    v /= float(np.linalg.norm(v))
-    lam = 0.0
-    res = np.inf
-    for it in range(1, max_iters + 1):
-        w = lu_solve(fact, v)
-        v = _fix_sign(w / float(np.linalg.norm(w)))
-        av = a @ v
-        lam = float(v @ av)
-        res = float(np.linalg.norm(av - lam * v))
-        if res <= tol:
-            return NullVectorResult(eigenvalue=lam, vector=v, iterations=it, residual=res)
-    raise ConvergenceError(
-        f"inverse iteration did not converge in {max_iters} iterations (residual {res:.3e}, tol {tol:.3e})"
-    )

@@ -11,7 +11,7 @@ of nodal values; each model exposes
   the form the continuation factors in O(N): the tridiagonal Jacobian for
   AC/CH, an augmented band-plus-border system for ACOK,
 - ``jacobian(state, params)``  -- the same derivative as a dense matrix,
-  kept as the oracle (tests, ``verify``, inverse iteration at an event),
+  kept as the oracle for the tests and ``verify``; the engine never builds it,
 - ``param_derivative(state, params)`` -- derivative with respect to the
   model's active continuation parameter,
 - ``trivial_branches(params)`` -- the spatially constant solution families.

@@ -290,9 +290,9 @@ def test_solutions_json_validates_against_schema(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_verify_clean_build_passes(tmp_path, capsys):
+def _assert_verify_passes(model_args, tmp_path, capsys):
     out = tmp_path / "verify.json"
-    code = run_cli(["verify", "--model", "ac", "--n", "100", "--out", str(out)])
+    code = run_cli(["verify", *model_args, "--n", "100", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
     jsonschema.validate(payload, load_schema("verify.schema.json"))
@@ -300,6 +300,17 @@ def test_verify_clean_build_passes(tmp_path, capsys):
     assert len(payload["checks"]) == 8
     assert all(c["pass"] for c in payload["checks"])
     assert "verify: pass (8/8 checks)" in capsys.readouterr().err
+    return {c["name"]: c for c in payload["checks"]}
+
+
+def test_verify_clean_build_passes(tmp_path, capsys):
+    _assert_verify_passes(["--model", "ac"], tmp_path, capsys)
+
+
+def test_verify_clean_build_passes_for_ch_with_offset(tmp_path, capsys):
+    """CH off mu0 = 0: the middle root's crossings and their null modes."""
+    checks = _assert_verify_passes(["--model", "ch", "--mu0", "0.05"], tmp_path, capsys)
+    assert checks["null_mode_correlation_min"]["measured"] >= 0.99
 
 
 def test_verify_flags_broken_boundary_closure(tmp_path, capsys):
@@ -340,10 +351,9 @@ def test_verify_acok_variant_checks(tmp_path, capsys):
     "argv",
     [
         ["solutions", "--model", "ac", "--epsilon", "0.15", "--n-cells", "60", "--eps-range", "0.14:0.7"],
-        # The residual applies the dense 61x61 Green operator through BLAS,
-        # and inverse iteration at each detected event factors the dense
-        # Jacobian with the blocked LU, whose Schur update runs through BLAS;
-        # every other ACOK factorization is the pure-Python band-plus-border one.
+        # The residual applies the dense 61x61 Green operator through BLAS.
+        # Every ACOK factorization, the null mode at each detected event
+        # included, is the pure-Python band-plus-border one.
         ["solutions", "--model", "acok", "--gamma", "100", "--epsilon", "0.3", "--n-cells", "60",
          "--gamma-range", "0:700"],
         # Pseudo-arclength on ACOK: the augmented Jacobian's border plus the

@@ -708,6 +708,36 @@ def test_diagram_scans_only_the_bifurcating_branch(kind, params, window, at_valu
         (f"bp{i}", b.param.hex(), b.mode_family, b.mode_index) for i, b in enumerate(every)]
 
 
+@pytest.mark.parametrize(
+    "kind, params, window, at_value",
+    [
+        ("ac", ModelParams(epsilon=0.5), dict(param_min=0.3, param_max=0.7), 0.55),
+        ("ch", ModelParams(epsilon=0.3, mu0=0.05), dict(param_min=0.2, param_max=0.7), 0.3),
+        ("acok", ModelParams(epsilon=0.3), dict(param_min=0.0, param_max=700.0), 300.0),
+    ],
+    ids=["ac", "ch-mu0-0.05", "acok"],
+)
+def test_engine_never_builds_the_dense_jacobian(kind, params, window, at_value, monkeypatch):
+    """Detection, null modes, switching, tracing and slicing all factor
+    ``linearize``; the dense ``jacobian`` is only the tests' and verify's
+    oracle."""
+    model = model_by_kind(kind, GridSpec(40))
+    settings = default_settings(kind, **window)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine built the dense Jacobian")
+
+    monkeypatch.setattr(type(model), "jacobian", refuse)
+    full = compute_diagram(model, params, settings)
+    sliced = compute_diagram(model, params, settings, at=at_value)
+    assert full.bifurcations and sliced.bifurcations
+    assert solutions_at(sliced, at_value, model, settings)
+    tb = next(tb for tb in model.trivial_branches(params) if tb.bifurcating)
+    bifs = detect_bifurcations_on_trivial(
+        model, params, settings, lambda pv: tb.state_of(model.with_param(params, pv), model.grid))
+    assert [b.param for b in bifs] == [b.param for b in full.bifurcations]
+
+
 def test_diagram_requires_positive_window_for_epsilon_models():
     g = GridSpec(40)
     model = model_by_kind("ac", g)

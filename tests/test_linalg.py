@@ -1,7 +1,7 @@
-"""Unit tests for the LU core: factorization, solves, det signs, inverse
-iteration.  Oracles are numpy.linalg, hand-built matrices and, for the
-tridiagonal and band-plus-border kernels, the dense kernel on the same
-matrix."""
+"""Unit tests for the LU core: factorization, solves, det signs, and the
+null modes the detector reads off its factorizations.  Oracles are
+numpy.linalg, hand-built matrices and, for the tridiagonal and
+band-plus-border kernels, the dense kernel on the same matrix."""
 
 import weakref
 
@@ -12,7 +12,6 @@ from phase_bifurcate import (
     BandBorder,
     BandLuFactorization,
     BorderedLuFactorization,
-    ConvergenceError,
     GridSpec,
     ModelParams,
     SingularMatrixError,
@@ -27,7 +26,6 @@ from phase_bifurcate import (
     lu_factor,
     lu_solve,
     model_by_kind,
-    null_vector,
     poisson_neumann_solve,
 )
 
@@ -586,74 +584,136 @@ def test_jacobian_det_sign_matches_eigenvalue_parity():
 
 
 # ---------------------------------------------------------------------------
-# inverse iteration
+# null modes at detected events
 # ---------------------------------------------------------------------------
 
 
-def test_null_vector_picks_smallest_eigenvalue_of_diagonal():
-    res = null_vector(np.diag([3.0, 0.001, 5.0]))
-    assert res.eigenvalue == pytest.approx(0.001, rel=1e-8)
-    assert np.max(np.abs(res.vector - np.array([0.0, 1.0, 0.0]))) <= 1e-8
-    assert np.linalg.norm(res.vector) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_null_vector_supports_tuple_unpacking():
-    lam, vec = null_vector(np.diag([2.0, 0.5]))
-    assert lam == pytest.approx(0.5, rel=1e-8)
-    assert vec.shape == (2,)
-
-
-def test_null_vector_shift_targets_interior_eigenvalue():
-    res = null_vector(np.diag([1.0, 4.0, 9.0]), shift=4.2)
-    assert res.eigenvalue == pytest.approx(4.0, rel=1e-8)
-
-
 def test_neumann_laplacian_kernel_is_constant():
+    """numpy's SVD finds a one-dimensional kernel, and it is the constant."""
     grid = GridSpec(60)
-    lap = laplacian_matrix(grid)
-    res = null_vector(lap)
-    assert abs(res.eigenvalue) <= 1e-10
-    # kernel vector is the constant, unit 2-norm, first entry positive
+    _, sigma, vt = np.linalg.svd(laplacian_matrix(grid))
+    assert sigma[-1] <= 1e-10 * sigma[0] < sigma[-2]
+    kernel = vt[-1] * np.sign(vt[-1][0])
     expected = np.full(grid.n_nodes, 1.0 / np.sqrt(grid.n_nodes))
-    assert np.max(np.abs(res.vector - expected)) <= 1e-8
-
-
-def test_null_vector_is_bitwise_repeatable():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((30, 30))
-    a = a + a.T
-    r1 = null_vector(a)
-    r2 = null_vector(a)
-    assert r1.eigenvalue == r2.eigenvalue
-    assert np.array_equal(r1.vector, r2.vector)
-
-
-def test_null_vector_handles_exactly_singular_matrix():
-    a = np.diag([1.0, 0.0, 2.0])
-    res = null_vector(a)
-    assert abs(res.eigenvalue) <= 1e-12
-    assert np.max(np.abs(res.vector - np.array([0.0, 1.0, 0.0]))) <= 1e-10
-
-
-def test_null_vector_convergence_error_carries_iteration_count():
-    # Two equal eigenvalues straddling the shift make plain inverse iteration
-    # oscillate; with a tight budget the failure mode is the documented one.
-    a = np.diag([1.0, -1.0])
-    with pytest.raises(ConvergenceError):
-        null_vector(a, shift=0.0, tol=1e-14, max_iters=3)
+    assert np.max(np.abs(kernel - expected)) <= 1e-8
 
 
 def test_null_mode_near_crossing_matches_analytic_eigenmode():
-    """Just off an exact crossing, the smallest mode is the analytic one."""
+    """The mode detected at an AC crossing is the analytic eigenmode."""
     grid = GridSpec(100)
     model = model_by_kind("ac", grid)
-    target = ac_bifurcation(1, "sine")  # eps = 2/(3 pi)
-    eps = target.param_value * (1.0 + 1e-6)
-    jac = model.jacobian(np.zeros(grid.n_nodes), ModelParams(epsilon=eps))
-    res = null_vector(jac)
+    target = ac_bifurcation(1, "sine")  # eps = 2/(3 pi), alone in the window
+    settings = default_settings("ac", param_min=0.19, param_max=0.25)
+    (bif,) = detect_bifurcations_on_trivial(
+        model, ModelParams(epsilon=0.5), settings, lambda p: np.zeros(grid.n_nodes))
+    assert abs(bif.param - target.param_value) <= 1e-3 * target.param_value
     mode = eigenmode(1, "sine", grid)
-    corr = abs(float(res.vector @ mode)) / (np.linalg.norm(res.vector) * np.linalg.norm(mode))
+    corr = abs(float(bif.null_mode @ mode)) / (np.linalg.norm(bif.null_mode) * np.linalg.norm(mode))
     assert corr >= 0.999
+
+
+def _detect(kind, closure="symmetric", n_cells=60):
+    grid = GridSpec(n_cells)
+    model = model_by_kind(kind, grid, closure=closure)
+    if kind == "acok":
+        params = ModelParams(epsilon=0.3)
+        settings = default_settings("acok", param_min=0.0, param_max=3000.0)
+        state = np.full(grid.n_nodes, 0.5)
+    else:
+        params = ModelParams(epsilon=0.5)
+        settings = default_settings("ac", param_min=0.1, param_max=0.7)
+        state = np.zeros(grid.n_nodes)
+    return model, params, detect_bifurcations_on_trivial(model, params, settings, lambda p: state)
+
+
+@pytest.mark.parametrize("kind", ["ac", "acok"])
+def test_event_null_mode_is_bitwise_repeatable(kind):
+    _, _, first = _detect(kind)
+    _, _, second = _detect(kind)
+    assert len(first) == len(second) >= 2
+    for a, b in zip(first, second):
+        assert a.param == b.param
+        assert np.array_equal(a.null_mode, b.null_mode)
+
+
+@pytest.mark.parametrize("kind", ["ac", "acok"])
+def test_event_null_mode_has_unit_norm_and_positive_leading_entry(kind):
+    _, _, bifs = _detect(kind)
+    assert bifs
+    for bif in bifs:
+        v = bif.null_mode
+        assert abs(float(np.linalg.norm(v)) - 1.0) <= 1e-14
+        leading = v[np.abs(v) > 1e-8 * np.max(np.abs(v))][0]
+        assert leading > 0.0
+
+
+@pytest.mark.parametrize("closure", ["symmetric", "onesided-right"])
+def test_acok_event_modes_match_numpy_eigenvector_nearest_zero(closure):
+    """Each ACOK mode is numpy's eigenvector of the dense Jacobian for its
+    eigenvalue nearest zero."""
+    model, params, bifs = _detect("acok", closure=closure)
+    assert len(bifs) >= 3
+    for bif in bifs:
+        w, vecs = np.linalg.eig(model.jacobian(bif.base_state, model.with_param(params, bif.param)))
+        k = int(np.argmin(np.abs(w)))
+        assert abs(w[k].imag) == 0.0
+        ref = vecs[:, k].real
+        corr = abs(float(bif.null_mode @ ref)) / (np.linalg.norm(bif.null_mode) * np.linalg.norm(ref))
+        assert corr >= 1.0 - 1e-9, f"{bif.bif_id} at gamma={bif.param}: correlation {corr}"
+
+
+class ShiftedDiagonal:
+    """Toy model on a real grid: J(mu) = diag(mu + diagonal), held as a
+    tridiagonal band, so it is exactly singular at each mu = -diagonal[i]."""
+
+    def __init__(self, diagonal):
+        self.grid = GridSpec(len(diagonal) - 1)
+        self.diagonal = np.asarray(diagonal, dtype=float)
+        self.factored_at = []
+
+    def with_param(self, params, value):
+        return float(value)
+
+    def linearize(self, state, mu):
+        self.factored_at.append(mu)
+        band = np.zeros((len(self.diagonal), 3))
+        band[:, 1] = mu + self.diagonal
+        return BandBorder(band=band, kl=1)
+
+
+def test_exactly_singular_event_is_factored_one_bisection_width_into_the_window():
+    """A scan probe that hits det = 0 exactly makes an event at that probe;
+    its null mode comes from the factorization one bisection width further
+    into the window, which is regular."""
+    model = ShiftedDiagonal([0.0, 1.0, 2.0, 3.0, 4.0])
+    settings = default_settings("ac", param_min=0.0, param_max=1.0)
+    (bif,) = detect_bifurcations_on_trivial(model, None, settings, lambda p: np.zeros(5))
+    assert bif.param == 0.0
+    assert model.factored_at[-2:] == [0.0, settings.bisection_width]
+    assert np.max(np.abs(bif.null_mode - np.eye(5)[0])) <= 1e-8
+    # At the window's upper end the step goes down instead.
+    model = ShiftedDiagonal([-1.0, 1.0, 2.0, 3.0, 4.0])
+    (bif,) = detect_bifurcations_on_trivial(model, None, settings, lambda p: np.zeros(5))
+    assert bif.param == 1.0
+    assert model.factored_at[-2:] == [1.0, 1.0 - settings.bisection_width]
+    assert np.max(np.abs(bif.null_mode - np.eye(5)[0])) <= 1e-8
+
+
+class SingularEverywhere(ShiftedDiagonal):
+    """The toy with its second unknown's diagonal entry pinned at zero."""
+
+    def linearize(self, state, mu):
+        system = super().linearize(state, mu)
+        system.band[1, 1] = 0.0
+        return system
+
+
+def test_event_singular_at_and_next_to_its_probe_raises():
+    model = SingularEverywhere([0.0, 1.0, 2.0, 3.0, 4.0])
+    settings = default_settings("ac", param_min=0.0, param_max=1.0)
+    with pytest.raises(SingularMatrixError):
+        detect_bifurcations_on_trivial(model, None, settings, lambda p: np.zeros(5))
+    assert model.factored_at[-2:] == [0.0, settings.bisection_width]
 
 
 if __name__ == "__main__":
