@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .linalg import Factorization, SingularMatrixError, det_sign, lu_factor, lu_solve
+from .linalg import Factorization, SingularMatrixError, det_sign, lu_factor, lu_solve, null_vector
 from . import analysis
 from .models import MODELS, ModelParams
 
@@ -549,10 +549,10 @@ def detect_bifurcations_on_trivial(
     sign change is bisected to a bracket <= 1e-10x the range width.  Suspect
     intervals (midpoint sign differs but endpoints agree) are rescanned at
     step/10 up to 3 levels deep.  At each localized event the null mode is
-    one solve with the linearization's factorization there, from a fixed
-    seeded start vector (one step of inverse iteration, which the isolated
-    near-zero eigenvalue makes enough), and is classified against the
-    analytic sine/cosine families (index <= 25, |correlation| >= 0.9, else
+    read off the linearization's factorization there by ``null_vector``
+    (one solve from a fixed seeded start vector, which the isolated
+    near-zero eigenvalue makes enough) and classified against the analytic
+    sine/cosine families (index <= 25, |correlation| >= 0.9, else
     "unknown").  If that factorization is exactly singular (a scan probe hit
     det = 0, so the event sits on it), it is made again one bisection width
     further into the window; singular there too raises SingularMatrixError.
@@ -619,8 +619,6 @@ def detect_bifurcations_on_trivial(
 
     events.sort(key=lambda e: e[0])
     grid = model.grid
-    start = np.random.default_rng(1790).standard_normal(grid.n_nodes)
-    start /= float(np.linalg.norm(start))
     out: list[BifurcationPoint] = []
     for i, (loc, _width) in enumerate(events):
         fact = factor(loc)
@@ -628,20 +626,10 @@ def detect_bifurcations_on_trivial(
             fact = factor(loc + width_target if loc < 0.5 * (lo + hi) else loc - width_target)
             if fact.singular:
                 raise SingularMatrixError(f"singular linearization at and next to the event at param={loc!r}")
-        w = lu_solve(fact, start)
-        mode = _fix_sign(w / float(np.linalg.norm(w)))
+        mode = null_vector(fact)
         family, index = _classify_mode(mode, grid)
         out.append(BifurcationPoint(f"bp{i}", loc, trivial_state_fn(loc), mode, family, index))
     return out
-
-
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    """Flip ``v`` so its first significant entry is positive (deterministic)."""
-    thresh = 1e-8 * float(np.max(np.abs(v)))
-    for vi in v:
-        if abs(vi) > thresh:
-            return -v if vi < 0.0 else v
-    return v
 
 
 def _classify_mode(vector: np.ndarray, grid) -> tuple[str, Optional[int]]:

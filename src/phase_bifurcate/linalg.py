@@ -2,11 +2,12 @@
 
 Everything here is written against plain ``numpy.ndarray`` (float64) and is
 deliberately self-contained: LU factorization with partial pivoting and an
-explicit permutation sign, triangular solves and determinant signs.  The
-determinant *sign* is the event function for bifurcation detection, so the
-factorization tracks it exactly (permutation parity times pivot signs)
-instead of going through a value that would over/underflow for 200x200
-Jacobians.  No kernel calls LAPACK, whose results can depend on the BLAS
+explicit permutation sign, triangular solves, determinant signs, and the
+null mode of a nearly singular matrix read off its factorization by one
+solve.  The determinant *sign* is the event function for bifurcation
+detection, so the factorization tracks it exactly (permutation parity times
+pivot signs) instead of going through a value that would over/underflow for
+200x200 Jacobians.  No kernel calls LAPACK, whose results can depend on the BLAS
 thread count.
 
 ``lu_factor`` takes either a dense square matrix or a ``BandBorder``: a band
@@ -61,6 +62,7 @@ __all__ = [
     "lu_factor",
     "lu_solve",
     "det_sign",
+    "null_vector",
 ]
 
 #: Default relative pivot floor: a pivot whose magnitude falls below
@@ -703,12 +705,7 @@ def lu_solve(fact: Factorization, rhs) -> np.ndarray:
     """
     if fact.singular:
         raise SingularMatrixError("singular matrix")
-    if isinstance(fact, BorderedLuFactorization):
-        n = len(fact.system)
-    elif isinstance(fact, BandLuFactorization):
-        n = len(fact.pivots)
-    else:
-        n = fact.packed.shape[0]
+    n = _order(fact)
     b = np.asarray(rhs, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"rhs of shape {b.shape} does not match matrix size {n}")
@@ -726,6 +723,15 @@ def lu_solve(fact: Factorization, rhs) -> np.ndarray:
         cols = [_band_solve_equivariant(fact, col) for col in b.T.tolist()]
         return np.array(cols, dtype=float).reshape(b.shape[1], n).T
     return _dense_solve(fact, b)
+
+
+def _order(fact: Factorization) -> int:
+    """Size of the (visible) system a factorization solves."""
+    if isinstance(fact, BorderedLuFactorization):
+        return len(fact.system)
+    if isinstance(fact, BandLuFactorization):
+        return len(fact.pivots)
+    return fact.packed.shape[0]
 
 
 def _dense_solve(fact: LuFactorization, b: np.ndarray) -> np.ndarray:
@@ -775,3 +781,28 @@ def det_sign(matrix_or_fact, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> int:
     if isinstance(matrix_or_fact, (LuFactorization, BandLuFactorization, BorderedLuFactorization)):
         return _sign_from_fact(matrix_or_fact)
     return _sign_from_fact(lu_factor(matrix_or_fact, pivot_rtol=pivot_rtol))
+
+
+def _fix_sign(v: np.ndarray) -> np.ndarray:
+    """Flip ``v`` so its first significant entry is positive (deterministic)."""
+    thresh = 1e-8 * float(np.max(np.abs(v)))
+    for vi in v:
+        if abs(vi) > thresh:
+            return -v if vi < 0.0 else v
+    return v
+
+
+def null_vector(fact: Factorization) -> np.ndarray:
+    """Null mode of a nearly singular matrix, read off its factorization.
+
+    One step of inverse iteration: solve ``A w = v0`` for a fixed seeded unit
+    start vector ``v0`` (``default_rng(1790)``), scale ``w`` to unit 2-norm
+    and flip it so its first significant entry is positive.  Where ``A`` has
+    one eigenvalue far closer to zero than the rest (a simple crossing), that
+    step already lands on its eigenvector to rounding.  The start vector is
+    the same on every call, so the result is bitwise reproducible.  Raises
+    ``SingularMatrixError`` if the factorization was flagged singular.
+    """
+    start = np.random.default_rng(1790).standard_normal(_order(fact))
+    w = lu_solve(fact, start / float(np.linalg.norm(start)))
+    return _fix_sign(w / float(np.linalg.norm(w)))

@@ -26,6 +26,7 @@ from phase_bifurcate import (
     lu_factor,
     lu_solve,
     model_by_kind,
+    null_vector,
     poisson_neumann_solve,
 )
 
@@ -586,6 +587,30 @@ def test_jacobian_det_sign_matches_eigenvalue_parity():
 # ---------------------------------------------------------------------------
 # null modes at detected events
 # ---------------------------------------------------------------------------
+
+
+def test_null_vector_picks_smallest_eigenvalue_of_diagonal():
+    band = np.array([[0.0, 3.0, 0.0], [0.0, 1e-12, 0.0], [0.0, 5.0, 0.0]])
+    for matrix in (np.diag(band[:, 1]), BandBorder(band=band, kl=1)):
+        v = null_vector(lu_factor(matrix, pivot_rtol=0.0))
+        assert np.max(np.abs(v - np.array([0.0, 1.0, 0.0]))) <= 1e-10
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_null_vector_is_bitwise_repeatable():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((30, 30))
+    a = a + a.T
+    assert np.array_equal(null_vector(lu_factor(a)), null_vector(lu_factor(a)))
+
+
+def test_null_vector_handles_exactly_singular_matrix():
+    """An exactly singular factorization has no solve; the detector moves off
+    it instead (see the offset-rule tests below)."""
+    fact = lu_factor(np.diag([1.0, 0.0, 2.0]), pivot_rtol=0.0)
+    assert fact.singular
+    with pytest.raises(SingularMatrixError):
+        null_vector(fact)
 
 
 def test_neumann_laplacian_kernel_is_constant():
