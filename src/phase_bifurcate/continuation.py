@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .linalg import Factorization, SingularMatrixError, det_sign, lu_factor, lu_solve, null_vector
+from .linalg import Factorization, SingularMatrixError, det_sign, log_abs_det, lu_factor, lu_solve, null_vector
 from . import analysis
 from .models import MODELS, ModelParams
 
@@ -58,6 +58,18 @@ __all__ = [
 
 #: Bisection brackets are shrunk to this fraction of the parameter range.
 BISECTION_WIDTH_FACTOR = 1e-10
+
+#: Cap on the regula falsi (Illinois) steps that place each event's first
+#: bisection probes; the bisection itself always runs to the end.
+REGULA_FALSI_STEPS = 8
+
+#: A regula falsi probe stays at least this many bisection widths inside its
+#: bracket (Dekker's minimum step), so once one end is next to the crossing
+#: the next probe lands just across it and the bracket closes from both sides.
+REGULA_FALSI_MARGIN = 0.125
+
+_EXP_CAP = 700.0  # math.exp overflows above ~709.8
+_LOG2 = math.log(2.0)
 
 #: Null modes are classified against analytic modes with index <= this cap.
 MAX_MODE_INDEX = 25
@@ -548,14 +560,27 @@ def detect_bifurcations_on_trivial(
     midpoints as well (so a double flip inside one step is still seen); each
     sign change is bisected to a bracket <= 1e-10x the range width.  Suspect
     intervals (midpoint sign differs but endpoints agree) are rescanned at
-    step/10 up to 3 levels deep.  At each localized event the null mode is
-    read off the linearization's factorization there by ``null_vector``
-    (one solve from a fixed seeded start vector, which the isolated
-    near-zero eigenvalue makes enough) and classified against the analytic
-    sine/cosine families (index <= 25, |correlation| >= 0.9, else
-    "unknown").  If that factorization is exactly singular (a scan probe hit
-    det = 0, so the event sits on it), it is made again one bisection width
-    further into the window; singular there too raises SingularMatrixError.
+    step/10 up to 3 levels deep.
+
+    The bisection's probes are placed first: up to ``REGULA_FALSI_STEPS``
+    Illinois (regula falsi) steps on the signed det, its log magnitude read
+    off the same factorization (``linalg.log_abs_det``), leave probed points
+    close to both sides of the crossing.  Then the plain bisection runs
+    midpoint for midpoint, but a midpoint at or beyond the probed point
+    nearest the crossing on its side takes that point's sign without a
+    factorization.  With one crossing in the bracket, which bisection
+    assumes anyway, each such sign is what probing would give, so the event
+    is plain bisection's bit for bit at 5-8 probes instead of 25-31 (with
+    several crossings the final bracket still holds a probed sign change).
+
+    At each localized event the null mode is read off the linearization's
+    factorization there by ``null_vector`` (one solve from a fixed seeded
+    start vector, which the isolated near-zero eigenvalue makes enough) and
+    classified against the analytic sine/cosine families (index <= 25,
+    |correlation| >= 0.9, else "unknown").  If that factorization is
+    exactly singular (a scan probe hit det = 0, so the event sits on it),
+    it is made again one bisection width further into the window; singular
+    there too raises SingularMatrixError.
 
     Each probe factors the linearization at the constant state once, with
     an unfloored pivot test (``pivot_rtol=0``): reliable arbitrarily close
@@ -567,27 +592,69 @@ def detect_bifurcations_on_trivial(
     lo, hi = settings.param_min, settings.param_max
     width_target = settings.bisection_width
 
-    sign_cache: dict[float, int] = {}
+    probes: dict[float, tuple[int, float]] = {}  # param -> (det sign, log|det|)
 
     def factor(pv: float) -> Factorization:
         return lu_factor(model.linearize(trivial_state_fn(pv), model.with_param(params, pv)), pivot_rtol=0.0)
 
+    def probe(pv: float) -> tuple[int, float]:
+        hit = probes.get(pv)
+        if hit is None:
+            fact = factor(pv)
+            hit = probes[pv] = (det_sign(fact), log_abs_det(fact))
+        return hit
+
     def sgn(pv: float) -> int:
-        s = sign_cache.get(pv)
-        if s is None:
-            s = det_sign(factor(pv))
-            sign_cache[pv] = s
-        return s
+        return probe(pv)[0]
 
     events: list[tuple[float, float]] = []  # (location, bracket width)
 
     def bisect(a: float, b: float) -> tuple[float, float]:
-        sa = sgn(a)
+        # Illinois steps on det's signed value (sign times exp(log|det|))
+        # only choose where to probe: the secant root of the bracket, with
+        # the det at an end halved each further step that end survives.
+        # near_a and near_b are the probed points nearest the crossing with
+        # a's sign and with b's.
+        sa, log_a = probe(a)
+        log_b = probe(b)[1]
+        near_a, near_b = a, b
+        kept = 0  # +1 after a step that kept near_b, -1 after one that kept near_a
+        margin = REGULA_FALSI_MARGIN * width_target
+        for _ in range(REGULA_FALSI_STEPS):
+            if near_b - near_a <= width_target:
+                break
+            x = near_a + (near_b - near_a) / (1.0 + math.exp(min(log_b - log_a, _EXP_CAP)))
+            x = min(max(x, near_a + margin), near_b - margin)
+            if not near_a < x < near_b:
+                break
+            sx, log_x = probe(x)
+            if sx == 0:
+                break
+            if sx == sa:
+                near_a, log_a = x, log_x
+                if kept == 1:
+                    log_b -= _LOG2
+                kept = 1
+            else:
+                near_b, log_b = x, log_x
+                if kept == -1:
+                    log_a -= _LOG2
+                kept = -1
+        # Plain bisection, replayed.  With one crossing in [a, b] a midpoint
+        # at or left of near_a has sign sa and one at or right of near_b the
+        # other sign, as probing it would give; only the rest are probed.
+        # (A probed midpoint becomes a or b, so near_a and near_b need no
+        # update: the bracket has passed the one on that side.)
         while b - a > width_target:
             mid = 0.5 * (a + b)
-            sm = sgn(mid)
-            if sm == 0:
-                return mid, b - a
+            if mid <= near_a:
+                sm = sa
+            elif mid >= near_b:
+                sm = -sa
+            else:
+                sm = sgn(mid)
+                if sm == 0:
+                    return mid, b - a
             if sm == sa:
                 a = mid
             else:

@@ -7,7 +7,8 @@ null mode of a nearly singular matrix read off its factorization by one
 solve.  The determinant *sign* is the event function for bifurcation
 detection, so the factorization tracks it exactly (permutation parity times
 pivot signs) instead of going through a value that would over/underflow for
-200x200 Jacobians.  No kernel calls LAPACK, whose results can depend on the BLAS
+200x200 Jacobians; its magnitude is read as ``log|det|``, a sum over the
+pivots.  No kernel calls LAPACK, whose results can depend on the BLAS
 thread count.
 
 ``lu_factor`` takes either a dense square matrix or a ``BandBorder``: a band
@@ -62,6 +63,7 @@ __all__ = [
     "lu_factor",
     "lu_solve",
     "det_sign",
+    "log_abs_det",
     "null_vector",
 ]
 
@@ -753,6 +755,11 @@ def _dense_solve(fact: LuFactorization, b: np.ndarray) -> np.ndarray:
     return x[:, 0] if squeeze else x
 
 
+def _pivots(fact: Factorization):
+    """The diagonal of ``U`` (the band's, for a bordered factorization)."""
+    return np.diagonal(fact.packed) if isinstance(fact, LuFactorization) else fact.pivots
+
+
 def _sign_from_fact(fact: Factorization) -> int:
     """Permutation parity times the product of pivot signs (0 if flagged).
 
@@ -761,11 +768,7 @@ def _sign_from_fact(fact: Factorization) -> int:
     """
     if fact.singular:
         return 0
-    if isinstance(fact, LuFactorization):
-        pivots = np.diagonal(fact.packed)
-    else:
-        pivots = fact.pivots
-    negatives = int(np.count_nonzero(np.less(pivots, 0.0)))
+    negatives = int(np.count_nonzero(np.less(_pivots(fact), 0.0)))
     sign = fact.perm_sign * (-1 if negatives % 2 else 1)
     if isinstance(fact, BorderedLuFactorization):
         sign *= _sign_from_fact(fact.schur) * fact.system.hidden_sign
@@ -781,6 +784,24 @@ def det_sign(matrix_or_fact, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> int:
     if isinstance(matrix_or_fact, (LuFactorization, BandLuFactorization, BorderedLuFactorization)):
         return _sign_from_fact(matrix_or_fact)
     return _sign_from_fact(lu_factor(matrix_or_fact, pivot_rtol=pivot_rtol))
+
+
+def log_abs_det(fact: Factorization) -> float:
+    """``log|det|`` of the factored system, read off ``fact``'s pivots.
+
+    The sum of ``log|pivot|`` over the pivots; a bordered factorization
+    adds its Schur block's (a boosted band pivot enters as boosted, and the
+    boost's border takes it back out there).  For a ``BandBorder`` that
+    hides a block (``outer``), this is ``log|det|`` of the full matrix: the
+    hidden block's ``log|det|`` more than the visible system's.  ``-inf``
+    where ``det_sign`` gives 0.
+    """
+    if fact.singular:
+        return -math.inf
+    total = float(np.sum(np.log(np.abs(_pivots(fact)))))
+    if isinstance(fact, BorderedLuFactorization):
+        total += log_abs_det(fact.schur)
+    return total
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:

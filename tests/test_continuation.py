@@ -537,6 +537,145 @@ def test_batched_scan_signs_give_the_scalar_detection_bitwise(n_cells, closure, 
         assert b.base_state.tobytes() == state.tobytes()
 
 
+# AC and CH events of plain det-sign bisection (every midpoint probed), on
+# the benchmark's CH N=800 scan and AC slice configurations: the reference
+# window and one seeded shift of its lower end.
+_CH_SCAN = dict(kind="ch", n_cells=800, params=ModelParams(epsilon=0.3, mu0=0.05), step=0.05, hi=0.7)
+_AC_SLICE = dict(kind="ac", n_cells=100, params=ModelParams(epsilon=0.1), step=0.005, hi=0.4)
+_PLAIN_BISECTION_EVENTS = {
+    ("ch", 0.25): (
+        ("0x1.45efd09233334p-2", "cosine", 1),
+        ("0x1.45bfb2a480000p-1", "sine", 0),
+    ),
+    ("ch", 0.2553968817924836): (
+        ("0x1.45efd09232460p-2", "cosine", 1),
+        ("0x1.45bfb2a47f896p-1", "sine", 0),
+    ),
+    ("ac", 0.095): (
+        ("0x1.b299a97f5c290p-4", "cosine", 3),
+        ("0x1.04c28196147aep-3", "sine", 2),
+        ("0x1.45f311f75c290p-3", "cosine", 2),
+        ("0x1.b299632a8f5c8p-3", "sine", 1),
+        ("0x1.45f3078e3d70cp-2", "cosine", 1),
+    ),
+    ("ac", 0.09640280981587059): (
+        ("0x1.b299a97ebf2b0p-4", "cosine", 3),
+        ("0x1.04c28195c5fc0p-3", "sine", 2),
+        ("0x1.45f311f70daa2p-3", "cosine", 2),
+        ("0x1.b299632a40dd6p-3", "sine", 1),
+        ("0x1.45f3078e16314p-2", "cosine", 1),
+    ),
+}
+
+
+def _detect_on_bifurcating_branch(kind, n_cells, params, step, lo, hi):
+    g = GridSpec(n_cells)
+    model = model_by_kind(kind, g)
+    settings = default_settings(kind, param_min=lo, param_max=hi, initial_step=step, max_step=max(step, 4e-3))
+    (tb,) = [t for t in model.trivial_branches(params) if t.bifurcating]
+    return detect_bifurcations_on_trivial(
+        model, params, settings, lambda pv: tb.state_of(model.with_param(params, pv), g))
+
+
+@pytest.mark.parametrize("config, lo", [
+    (_CH_SCAN, 0.25), (_CH_SCAN, 0.2553968817924836), (_AC_SLICE, 0.095), (_AC_SLICE, 0.09640280981587059),
+], ids=["ch-n800", "ch-n800-shifted", "ac-slice", "ac-slice-shifted"])
+def test_detection_gives_the_plain_bisection_events_bitwise(config, lo):
+    # Regula falsi only places the probes; the bisection it replays must
+    # land on the very bits that probing every midpoint gave.
+    bifs = _detect_on_bifurcating_branch(lo=lo, **config)
+    got = [(b.param.hex(), b.mode_family, b.mode_index) for b in bifs]
+    assert got == list(_PLAIN_BISECTION_EVENTS[config["kind"], lo])
+
+
+def _count_factorizations(monkeypatch) -> list:
+    """Log every ``lu_factor`` call the engine makes; returns the log."""
+    factored = []
+
+    def counting_lu_factor(*args, **kwargs):
+        factored.append(None)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "lu_factor", counting_lu_factor)
+    return factored
+
+
+def test_detection_on_the_ch_n800_scan_makes_at_most_37_factorizations(monkeypatch):
+    # 17 scan probes, the two events' bisections and one factorization per
+    # event for its null mode.  Probing every bisection midpoint took 81.
+    factored = _count_factorizations(monkeypatch)
+    bifs = _detect_on_bifurcating_branch(lo=0.25, **_CH_SCAN)
+    assert len(factored) <= 37
+    got = [(b.param.hex(), b.mode_family, b.mode_index) for b in bifs]
+    assert got == list(_PLAIN_BISECTION_EVENTS["ch", 0.25])
+
+
+class DiagonalToy:
+    """Toy model on a real grid: J(mu) = diag(entries(mu)), held as a
+    tridiagonal band, so det(J) is the product of the entries."""
+
+    def __init__(self, entries):
+        self.grid = GridSpec(4)
+        self.entries = entries
+
+    def with_param(self, params, value):
+        return float(value)
+
+    def linearize(self, state, mu):
+        band = np.zeros((self.grid.n_nodes, 3))
+        band[:, 1] = 1.0
+        values = self.entries(mu)
+        band[: len(values), 1] = values
+        return BandBorder(band=band, kl=1)
+
+
+def _toy_detection(model, monkeypatch, plain=False):
+    """Events and factorization count; ``plain`` probes every bisection midpoint."""
+    factored = _count_factorizations(monkeypatch)
+    if plain:
+        monkeypatch.setattr(continuation, "REGULA_FALSI_STEPS", 0)
+    settings = default_settings("ac", param_min=0.0, param_max=1.0, initial_step=0.25, max_step=0.25)
+    bifs = detect_bifurcations_on_trivial(model, None, settings, lambda p: np.zeros(model.grid.n_nodes))
+    return [b.param for b in bifs], len(factored), settings
+
+
+def test_crossing_on_a_bisection_midpoint_is_returned_as_plain_bisection_does(monkeypatch):
+    # 0.40625 is the third midpoint of the scan step [0.25, 0.5]: the det is
+    # exactly 0 there, so bisection stops on it.
+    model = DiagonalToy(lambda mu: [mu - 0.40625])
+    got, _, _ = _toy_detection(model, monkeypatch)
+    plain, _, _ = _toy_detection(model, monkeypatch, plain=True)
+    assert got == plain == [0.40625]
+
+
+def test_three_crossings_in_one_scan_step_give_an_event_with_a_sign_change(monkeypatch):
+    # Plain bisection of the scan step [0.25, 0.5] ends at 0.46, regula
+    # falsi heads for 0.27 and the replay stays there.  Either event must
+    # sit on a sign change of det.
+    crossings = (0.27, 0.28, 0.46)
+    model = DiagonalToy(lambda mu: [mu - c for c in crossings])
+    got, _, settings = _toy_detection(model, monkeypatch)
+    plain, _, _ = _toy_detection(model, monkeypatch, plain=True)
+    assert len(got) == len(plain) == 1 and got != plain
+    width = settings.bisection_width
+    for loc in got + plain:
+        below = det_sign(lu_factor(model.linearize(None, loc - width), pivot_rtol=0.0))
+        above = det_sign(lu_factor(model.linearize(None, loc + width), pivot_rtol=0.0))
+        assert below * above == -1
+        assert min(abs(loc - c) for c in crossings) <= width
+
+
+def test_slow_regula_falsi_still_gives_the_plain_bisection_event(monkeypatch):
+    # A triple root: regula falsi creeps towards it from one side, the cap
+    # stops it, and the replayed bisection finishes the job.
+    cap = continuation.REGULA_FALSI_STEPS
+    model = DiagonalToy(lambda mu: [(mu - 0.3141592653589793) ** 3])
+    got, count, _ = _toy_detection(model, monkeypatch)
+    plain, plain_count, _ = _toy_detection(model, monkeypatch, plain=True)
+    assert got == plain and len(got) == 1
+    assert count <= plain_count + cap
+
+
 # ---------------------------------------------------------------------------
 # branch switching
 # ---------------------------------------------------------------------------

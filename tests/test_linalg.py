@@ -22,6 +22,7 @@ from phase_bifurcate import (
     eigenmode,
     laplacian_matrix,
     linalg,
+    log_abs_det,
     LuFactorization,
     lu_factor,
     lu_solve,
@@ -565,6 +566,82 @@ def test_bordered_kernel_matches_dense_on_acok_jacobians(closure):
                     b = rng.standard_normal(grid.n_nodes)
                     x_new, x_dense = lu_solve(fact, b), lu_solve(dense, b)
                     assert np.max(np.abs(x_new - x_dense)) <= 1e-9 * np.max(np.abs(x_dense)), where
+
+
+# ---------------------------------------------------------------------------
+# log|det| read off the factorization
+# ---------------------------------------------------------------------------
+
+
+def assert_log_abs_det_matches_slogdet(matrix, full, pivot_rtol=0.0):
+    """``matrix`` factored as given against numpy's slogdet of ``full``."""
+    fact = lu_factor(matrix, pivot_rtol=pivot_rtol)
+    ref = np.linalg.slogdet(full)[1]
+    assert abs(log_abs_det(fact) - ref) <= 1e-10 * max(1.0, abs(ref))
+    return fact
+
+
+def test_log_abs_det_matches_slogdet_on_tridiagonal_band_and_dense():
+    rng = np.random.default_rng(29)
+    for n in (3, 10, 200, 800):
+        dense = tridiagonal(rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1))
+        for matrix in (BandBorder.from_dense(dense), dense):
+            fact = assert_log_abs_det_matches_slogdet(matrix, dense)
+            assert isinstance(fact, BandLuFactorization)
+
+
+def test_log_abs_det_matches_slogdet_on_random_band_with_borders_and_dense():
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        nb, kl, ku, k = (int(v) for v in rng.integers((1, 0, 0, 0), (25, 4, 4, 3)))
+        system = BandBorder(
+            band=rng.standard_normal((nb, kl + ku + 1)), kl=kl,
+            cols=rng.standard_normal((nb, k)), rows=rng.standard_normal((k, nb)),
+            corner=rng.standard_normal((k, k)),
+        )
+        full = system.to_dense()
+        for matrix in (system, full):
+            assert_log_abs_det_matches_slogdet(matrix, full, pivot_rtol=linalg.DEFAULT_PIVOT_RTOL)
+
+
+def test_log_abs_det_counts_a_boosted_zero_band_pivot_once():
+    # A = diag(0, 2, 3) has an exactly zero first pivot; the border makes
+    # the full matrix regular (det = -6).  The boost enters the band pivots
+    # and its border's Schur pivot takes it back out.
+    system = BandBorder(band=np.array([[0.0], [2.0], [3.0]]), kl=0,
+                        cols=np.array([[1.0], [0.0], [0.0]]), rows=np.array([[1.0, 0.0, 0.0]]),
+                        corner=np.array([[0.0]]))
+    fact = assert_log_abs_det_matches_slogdet(system, system.to_dense())
+    assert len(fact.cols) == system.k + 1  # one border per boost
+    assert log_abs_det(fact) == pytest.approx(np.log(6.0), rel=1e-15)
+
+
+def test_log_abs_det_of_a_singular_factorization_is_minus_infinity():
+    fact = lu_factor(tridiagonal([1.0], [1.0, 1.0], [1.0]), pivot_rtol=0.0)
+    assert fact.singular and det_sign(fact) == 0
+    assert log_abs_det(fact) == -np.inf
+
+
+@pytest.mark.parametrize("closure", ["symmetric", "onesided-right"])
+def test_log_abs_det_on_acok_linearizations_is_the_jacobian_s_up_to_a_constant(closure):
+    # The visible system is the Jacobian; the factorization also holds the
+    # hidden Poisson block, whose log|det| is the same at every gamma and
+    # state.  Detection compares log|det| only along one branch, so that
+    # constant drops out.
+    for n_cells in (20, 100):
+        grid = GridSpec(n_cells)
+        model = model_by_kind("acok", grid, closure=closure)
+        x = grid.nodes
+        offsets = []
+        for gamma in (0.0, 100.0, 3000.0):
+            params = ModelParams(epsilon=0.3, gamma=gamma)
+            for state in (np.full(grid.n_nodes, 0.5), 0.5 + 0.3 * np.tanh(x / 0.1)):
+                lin = model.linearize(state, params)
+                fact = assert_log_abs_det_matches_slogdet(lin, lin.to_dense())
+                sign, log_jac = np.linalg.slogdet(model.jacobian(state, params))
+                assert det_sign(fact) == int(sign)
+                offsets.append(log_abs_det(fact) - log_jac)
+        assert max(offsets) - min(offsets) <= 1e-9 * max(1.0, abs(offsets[0]))
 
 
 # ---------------------------------------------------------------------------
