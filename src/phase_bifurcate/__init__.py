@@ -11,123 +11,12 @@ modes read off the same factorizations, branch switching along those null
 modes, and closed-form crossing values to verify everything against.
 """
 
-from .linalg import (
-    BandBorder,
-    BandLuFactorization,
-    BorderedLuFactorization,
-    LuFactorization,
-    SingularMatrixError,
-    det_sign,
-    log_abs_det,
-    lu_factor,
-    lu_solve,
-    null_vector,
-)
-from .models import (
-    AllenCahn,
-    CahnHilliardSteady,
-    CubicRoots,
-    GhostClosure,
-    GreenOperator,
-    GridSpec,
-    ModelParams,
-    OhtaKawasaki,
-    TrivialBranch,
-    ch_trivial_roots,
-    green_operator,
-    laplacian_apply,
-    laplacian_matrix,
-    model_by_kind,
-    poisson_neumann_solve,
-)
-from .analysis import (
-    AnalyticBifurcation,
-    ac_bifurcation,
-    ac_bifurcations_in_range,
-    acok_bifurcation,
-    acok_bifurcations_in_range,
-    ch_bifurcation,
-    cosine_wavenumber,
-    eigenmode,
-    implicit_step_threshold,
-    mode_wavenumber,
-    sine_wavenumber,
-)
-from .continuation import (
-    BifurcationPoint,
-    Branch,
-    BranchOrigin,
-    BranchPoint,
-    ContinuationError,
-    ContinuationSettings,
-    Diagram,
-    NewtonFailure,
-    Solution,
-    branch_switch,
-    compute_diagram,
-    default_settings,
-    detect_bifurcations_on_trivial,
-    euler_predict,
-    newton_correct,
-    solutions_at,
-    trace_branch,
-)
+from . import linalg, models, analysis, continuation
+from .linalg import *
+from .models import *
+from .analysis import *
+from .continuation import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandBorder",
-    "LuFactorization",
-    "BandLuFactorization",
-    "BorderedLuFactorization",
-    "SingularMatrixError",
-    "det_sign",
-    "log_abs_det",
-    "lu_factor",
-    "lu_solve",
-    "null_vector",
-    "AllenCahn",
-    "CahnHilliardSteady",
-    "CubicRoots",
-    "GhostClosure",
-    "GreenOperator",
-    "GridSpec",
-    "ModelParams",
-    "OhtaKawasaki",
-    "TrivialBranch",
-    "ch_trivial_roots",
-    "green_operator",
-    "laplacian_apply",
-    "laplacian_matrix",
-    "model_by_kind",
-    "poisson_neumann_solve",
-    "AnalyticBifurcation",
-    "ac_bifurcation",
-    "ac_bifurcations_in_range",
-    "acok_bifurcation",
-    "acok_bifurcations_in_range",
-    "ch_bifurcation",
-    "cosine_wavenumber",
-    "eigenmode",
-    "implicit_step_threshold",
-    "mode_wavenumber",
-    "sine_wavenumber",
-    "BifurcationPoint",
-    "Branch",
-    "BranchOrigin",
-    "BranchPoint",
-    "ContinuationError",
-    "ContinuationSettings",
-    "Diagram",
-    "NewtonFailure",
-    "Solution",
-    "branch_switch",
-    "compute_diagram",
-    "default_settings",
-    "detect_bifurcations_on_trivial",
-    "euler_predict",
-    "newton_correct",
-    "solutions_at",
-    "trace_branch",
-    "__version__",
-]
+__all__ = [*linalg.__all__, *models.__all__, *analysis.__all__, *continuation.__all__, "__version__"]

@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .linalg import _fix_sign
 from .models import GridSpec, ModelParams, ch_trivial_roots
 
 __all__ = [
@@ -189,14 +190,7 @@ def eigenmode(n: int, family: str, grid: GridSpec) -> np.ndarray:
     k = mode_wavenumber(n, family)
     x = grid.nodes
     v = np.sin(k * x) if family == "sine" else np.cos(k * x)
-    v = v / float(np.linalg.norm(v))
-    thresh = 1e-8 * float(np.max(np.abs(v)))
-    for vi in v:
-        if abs(vi) > thresh:
-            if vi < 0.0:
-                v = -v
-            break
-    return v
+    return _fix_sign(v / float(np.linalg.norm(v)))
 
 
 def implicit_step_threshold(epsilon: float) -> float:

@@ -241,20 +241,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _validate_payload(payload: dict, schema_name: str) -> None:
-    """Check a JSON payload against the shipped schema when jsonschema is present."""
-    try:
-        import jsonschema
-    except ImportError:
-        return
-    from importlib.resources import files
-
-    schema = json.loads(files("phase_bifurcate").joinpath(f"schemas/{schema_name}").read_text())
-    jsonschema.validate(payload, schema)
-
-
-def _emit_json(cfg: RunConfig, payload: dict, schema_name: str) -> None:
-    _validate_payload(payload, schema_name)
+def _emit_json(cfg: RunConfig, payload: dict) -> None:
     _emit(cfg, json.dumps(payload, indent=2) + "\n")
 
 
@@ -318,7 +305,7 @@ def cmd_points(cfg: RunConfig, model, params, settings, phi0: Optional[float]) -
         print(note, file=sys.stderr)
 
     if cfg.format == "json":
-        _emit_json(cfg, {"config": cfg.to_dict(), "note": note, "rows": ordered}, "points.schema.json")
+        _emit_json(cfg, {"config": cfg.to_dict(), "note": note, "rows": ordered})
     else:
         lines = ["family,n,analytic_value,detected_value,relative_gap"]
         for r in ordered:
@@ -374,7 +361,7 @@ def cmd_trace(cfg: RunConfig, model, params, settings) -> int:
                 for bf in diagram.bifurcations
             ],
         }
-        _emit_json(cfg, payload, "diagram.schema.json")
+        _emit_json(cfg, payload)
     else:
         lines = ["branch_id,param,phi_at_minus1,sup_norm,det_sign"]
         for b in diagram.branches:
@@ -410,7 +397,7 @@ def cmd_solutions(cfg: RunConfig, model, params, settings) -> int:
                 for s in sols
             ],
         }
-        _emit_json(cfg, payload, "solutions.schema.json")
+        _emit_json(cfg, payload)
     else:
         n_nodes = model.grid.n_nodes
         header = "branch_id,origin,param,residual_norm," + ",".join(f"phi_{i}" for i in range(n_nodes))
@@ -544,7 +531,7 @@ def cmd_verify(cfg: RunConfig, model, params, settings) -> int:
 
     ok = all(c["pass"] for c in checks)
     payload = {"config": cfg.to_dict(), "pass": ok, "checks": checks}
-    _emit_json(cfg, payload, "verify.schema.json")
+    _emit_json(cfg, payload)
     print(f"verify: {'pass' if ok else 'FAIL'} "
           f"({sum(c['pass'] for c in checks)}/{len(checks)} checks)", file=sys.stderr)
     return EXIT_OK if ok else EXIT_VERIFY

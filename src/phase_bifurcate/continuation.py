@@ -562,6 +562,14 @@ def detect_bifurcations_on_trivial(
     intervals (midpoint sign differs but endpoints agree) are rescanned at
     step/10 up to 3 levels deep.
 
+    A scan step whose end signs differ yields one event, however many
+    crossings it holds, and the others raise no warning.  The house steps of
+    ``default_settings`` are below the closest crossing spacing of their
+    windows; a coarser ``initial_step`` (the CLI's ``--step``) is not checked
+    against it.  ``points --model ac --n-cells 60 --eps-range 0.0588:0.461
+    --step 0.05`` reports 5 of the 9 crossings in its window: its first step
+    holds five, and only one of them is found.
+
     The bisection's probes are placed first: up to ``REGULA_FALSI_STEPS``
     Illinois (regula falsi) steps on the signed det, its log magnitude read
     off the same factorization (``linalg.log_abs_det``), leave probed points
@@ -607,9 +615,9 @@ def detect_bifurcations_on_trivial(
     def sgn(pv: float) -> int:
         return probe(pv)[0]
 
-    events: list[tuple[float, float]] = []  # (location, bracket width)
+    events: list[float] = []
 
-    def bisect(a: float, b: float) -> tuple[float, float]:
+    def bisect(a: float, b: float) -> float:
         # Illinois steps on det's signed value (sign times exp(log|det|))
         # only choose where to probe: the secant root of the bracket, with
         # the det at an end halved each further step that end survives.
@@ -654,12 +662,12 @@ def detect_bifurcations_on_trivial(
             else:
                 sm = sgn(mid)
                 if sm == 0:
-                    return mid, b - a
+                    return mid
             if sm == sa:
                 a = mid
             else:
                 b = mid
-        return 0.5 * (a + b), b - a
+        return 0.5 * (a + b)
 
     def scan(a: float, b: float, step: float, depth: int):
         samples = [a]
@@ -671,7 +679,7 @@ def detect_bifurcations_on_trivial(
         for left, right in zip(samples[:-1], samples[1:]):
             sl, sr = sgn(left), sgn(right)
             if sl == 0:
-                events.append((left, 0.0))
+                events.append(left)
                 continue
             if sr != 0 and sl * sr < 0:
                 events.append(bisect(left, right))
@@ -682,12 +690,12 @@ def detect_bifurcations_on_trivial(
 
     scan(lo, hi, settings.initial_step, 0)
     if sgn(hi) == 0:
-        events.append((hi, 0.0))
+        events.append(hi)
 
-    events.sort(key=lambda e: e[0])
+    events.sort()
     grid = model.grid
     out: list[BifurcationPoint] = []
-    for i, (loc, _width) in enumerate(events):
+    for i, loc in enumerate(events):
         fact = factor(loc)
         if fact.singular:
             fact = factor(loc + width_target if loc < 0.5 * (lo + hi) else loc - width_target)
@@ -988,7 +996,7 @@ def default_settings(model_kind: str, **overrides) -> ContinuationSettings:
     The window follows the model's continued parameter.  AC/CH in epsilon:
     [0.05, 0.7] at 2e-3 scan step (adjacent crossings are never closer than
     ~4.8e-3 there); ACOK in gamma: [0, 2000] at step 10 (crossings separated
-    by >= ~100).
+    by >= ~93 at epsilon = 0.3).
     """
     if model_kind not in MODELS:
         raise ValueError(f"unknown model kind {model_kind!r}; expected one of {sorted(MODELS)}")

@@ -181,6 +181,41 @@ def test_points_json_validates_against_schema(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_schema_fixture_rejects_a_payload_that_breaks_its_schema(monkeypatch, capsys):
+    # conftest validates every payload the CLI emits; an extra config key
+    # must fail the run before anything is written.
+    to_dict = cli.RunConfig.to_dict
+    monkeypatch.setattr(cli.RunConfig, "to_dict", lambda self: {**to_dict(self), "extra": 1})
+    with pytest.raises(jsonschema.ValidationError, match="extra"):
+        run_cli(["points", "--model", "ac", "--n", "20", "--eps-range", "0.3:0.7", "--format", "json"])
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_never_imports_jsonschema():
+    """The program only writes JSON; the schemas are checked by the tests and the benchmark."""
+    commands = [
+        ["points", "--eps-range", "0.3:0.7"],
+        ["trace", "--eps-range", "0.3:0.7"],
+        ["solutions", "--epsilon", "0.5", "--eps-range", "0.3:0.7"],
+        ["verify"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from phase_bifurcate import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert cli.main([*argv, '--model', 'ac', '--n-cells', '40', '--format', 'json']) == 0, argv\n"
+        "    json.loads(out.getvalue())\n"
+        "print('jsonschema' in sys.modules)\n"
+    )
+    src = str(Path(phase_bifurcate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 # ---------------------------------------------------------------------------
 # trace
 # ---------------------------------------------------------------------------
@@ -377,6 +412,9 @@ def test_output_is_byte_identical_for_one_and_two_blas_threads(argv):
         outputs.append((proc.stdout, proc.stderr))
     assert outputs[0] == outputs[1]
     payload = json.loads(outputs[0][0])
+    # Run in a subprocess, these payloads bypass conftest's schema check.
+    jsonschema.validate(payload, load_schema("diagram.schema.json" if argv[0] == "trace"
+                                             else "solutions.schema.json"))
     if argv[0] == "trace":
         assert len(payload["bifurcations"]) > 0 and len(payload["branches"]) > 3
     else:

@@ -20,6 +20,8 @@ from phase_bifurcate import (
     ModelParams,
     NewtonFailure,
     ac_bifurcation,
+    ac_bifurcations_in_range,
+    acok_bifurcations_in_range,
     branch_switch,
     compute_diagram,
     default_settings,
@@ -153,6 +155,27 @@ def test_default_settings_windows():
     assert tweaked.param_max == 0.5 and tweaked.initial_step == 1e-3
     with pytest.raises(ValueError):
         default_settings("gray-scott")
+
+
+@pytest.mark.parametrize(
+    "kind, closest",
+    [("ac", 4.82e-3), ("acok", 92.7)],
+)
+def test_house_windows_hold_at_most_one_crossing_per_scan_step(kind, closest):
+    # Detection reports one event per scan step, so the house step must stay
+    # below the closest spacing of the closed-form crossings in its window
+    # (ch at mu0 = 0 is ac; acok at the CLI's default epsilon, 0.3).
+    s = default_settings(kind)
+    if kind == "acok":
+        found = acok_bifurcations_in_range(0.3, s.param_min, s.param_max)
+    else:
+        found = ac_bifurcations_in_range(s.param_min, s.param_max)
+    crossings = sorted(b.param_value for b in found)
+    steps = [math.floor((c - s.param_min) / s.initial_step) for c in crossings]
+    assert len(set(steps)) == len(steps) > 1
+    spacing = float(np.min(np.diff(crossings)))
+    assert spacing == pytest.approx(closest, rel=1e-3)
+    assert spacing > s.initial_step  # whatever the alignment of the scan grid
 
 
 # ---------------------------------------------------------------------------

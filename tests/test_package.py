@@ -1,8 +1,9 @@
 """Tests of the package's public surface: every exported name resolves.
 
-The re-export lists are edited by hand; a stale entry in a submodule's
-``__all__`` breaks star imports and silently hides the name from tools that
-enumerate ``__all__``."""
+Each submodule's ``__all__`` is the one hand-kept list; the package
+star-imports the submodules and builds its ``__all__`` from theirs.  A stale
+entry in a submodule's ``__all__`` breaks star imports and silently hides the
+name from tools that enumerate ``__all__``."""
 
 import importlib
 
