@@ -1,7 +1,7 @@
 """Steady states and bifurcation diagrams of 1-D phase-field models.
 
 Compact fourth-order finite-difference discretizations of three scalar
-models on [-1, 1] with Neumann closures (Allen-Cahn, the spatially reduced
+models on [-1, 1] with zero-flux boundaries (Allen-Cahn, the spatially reduced
 steady Cahn-Hilliard, and a nonlocal Ohta-Kawasaki variant), plus the
 numerical machinery to map out their solution structure: O(N) band and
 band-plus-border LU (and a blocked dense LU) with determinant-sign

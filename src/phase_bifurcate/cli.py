@@ -34,7 +34,7 @@ from .continuation import (
     solutions_at,
 )
 from .linalg import SingularMatrixError
-from .models import GhostClosure, GridSpec, ModelParams, model_by_kind
+from .models import GridSpec, ModelParams, model_by_kind
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,7 +64,6 @@ class RunConfig:
     command: str
     model: str
     n_cells: int
-    ghost_closure: str
     epsilon: float
     mu0: float
     gamma: float
@@ -131,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--dedupe-tol", type=float, default=None)
     common.add_argument("--format", choices=["csv", "json"], default="csv")
     common.add_argument("--out", type=str, default=None, metavar="PATH")
-    common.add_argument("--ghost-closure", choices=list(GhostClosure), default="symmetric",
-                        help="right-boundary Neumann closure (onesided-right is a "
-                             "deliberately first-order test hook)")
 
     p_points = sub.add_parser("points", parents=[common],
                               help="analytic vs detected bifurcation points")
@@ -160,7 +156,7 @@ def resolve(args) -> tuple[RunConfig, object, ModelParams]:
     gamma = args.gamma if args.gamma is not None else 0.0
     try:
         params = ModelParams(epsilon=epsilon, mu0=args.mu0, gamma=gamma)
-        model = model_by_kind(kind, grid, closure=args.ghost_closure)
+        model = model_by_kind(kind, grid)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -221,7 +217,6 @@ def resolve(args) -> tuple[RunConfig, object, ModelParams]:
         command=args.command,
         model=kind,
         n_cells=args.n_cells,
-        ghost_closure=args.ghost_closure,
         epsilon=float(epsilon),
         mu0=float(args.mu0),
         gamma=float(gamma),
@@ -495,37 +490,39 @@ def cmd_verify(cfg: RunConfig, model, params, settings) -> int:
             mean_worst = max(mean_worst, abs(float(w @ m)))
     checks.append(_check("eigenmode_zero_mean", mean_worst, 1e-12, "<="))
 
-    # Detection against the closed forms on the bifurcating branch.
+    # Detection against the closed forms on the bifurcating branch.  A window
+    # without a closed-form crossing owes no detection.
     tb = next(b for b in model.trivial_branches(params) if b.bifurcating)
     bifs = detect_bifurcations_on_trivial(
         model, params, settings,
         lambda pv: tb.state_of(model.with_param(params, pv), grid),
     )
-    corr_min = 1.0
+    analytic = _analytic_points(cfg.model, params, settings)
+    corr_min = 1.0 if bifs or not analytic else 0.0
     for bf in bifs:
         if bf.mode_family == "unknown":
             corr_min = 0.0
             continue
         m = analysis.eigenmode(bf.mode_index, bf.mode_family, grid)
         corr_min = min(corr_min, abs(float(bf.null_mode @ m)))
-    checks.append(_check("null_mode_correlation_min", corr_min if bifs else 0.0, 0.99, ">="))
+    checks.append(_check("null_mode_correlation_min", corr_min, 0.99, ">="))
 
     if model.kind == "acok":
         spot = analysis.acok_bifurcation(0, "sine", params.epsilon).param_value
-        hit = min((abs(bf.param - spot) for bf in bifs), default=math.inf)
-        checks.append(_check("acok_sine0_spot_abs_gap", hit, 0.7, "<="))
+        if settings.param_min <= spot <= settings.param_max:
+            hit = min((abs(bf.param - spot) for bf in bifs), default=math.inf)
+            checks.append(_check("acok_sine0_spot_abs_gap", hit, 0.7, "<="))
     else:
-        analytic = {(a.mode_family, a.mode_index): a.param_value
-                    for a in _analytic_points(cfg.model, params, settings)}
+        by_mode = {(a.mode_family, a.mode_index): a.param_value for a in analytic}
         gap_abs = 0.0
         matched = 0
         for bf in bifs:
-            a = analytic.get((bf.mode_family, bf.mode_index))
+            a = by_mode.get((bf.mode_family, bf.mode_index))
             if a is None:
                 continue
             matched += 1
             gap_abs = max(gap_abs, abs(bf.param - a))
-        if matched < len(analytic):
+        if matched < len(by_mode):
             gap_abs = math.inf
         checks.append(_check("bifurcation_gap_abs_max", gap_abs, 1e-3, "<="))
 

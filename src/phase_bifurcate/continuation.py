@@ -98,9 +98,9 @@ class ContinuationSettings:
 
     Steps are in units of the active parameter (also in pseudo-arclength
     mode, where they are converted to the internal scaled arclength).
-    ``seed_amplitude`` / ``switch_offset`` override the branch-switch
-    defaults when set.  Every float setting must be finite; the tolerances,
-    and the switch overrides when set, must be positive.
+    ``seed_amplitude`` overrides the branch-switch seed default when set.
+    Every float setting must be finite; the tolerances, and the seed
+    amplitude when set, must be positive.
     """
 
     param_min: float
@@ -114,7 +114,6 @@ class ContinuationSettings:
     use_pseudo_arclength: bool = False
     dedupe_tol: float = 1e-4
     seed_amplitude: Optional[float] = None
-    switch_offset: Optional[float] = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -132,9 +131,8 @@ class ContinuationSettings:
             raise ValueError("newton_tol must be positive")
         if self.dedupe_tol <= 0.0:
             raise ValueError("dedupe_tol must be positive")
-        for name in ("seed_amplitude", "switch_offset"):
-            if getattr(self, name) is not None and getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive when set")
+        if self.seed_amplitude is not None and self.seed_amplitude <= 0.0:
+            raise ValueError("seed_amplitude must be positive when set")
         if self.max_newton_iters < 1 or self.max_branch_points < 2:
             raise ValueError("iteration/point caps must be positive")
 
@@ -742,11 +740,7 @@ def branch_switch(
     base = bif.base_state
     p0 = bif.param
     s0 = settings.seed_amplitude if settings.seed_amplitude is not None else 0.05 * (_sup(base) + 1.0)
-    dmu = (
-        settings.switch_offset
-        if settings.switch_offset is not None
-        else 2.0 * settings.bisection_width + 1e-4 * abs(p0)
-    )
+    dmu = 2.0 * settings.bisection_width + 1e-4 * abs(p0)
     mode_sup = bif.null_mode / _sup(bif.null_mode)
 
     anchor_params = model.with_param(params, p0)

@@ -2,7 +2,8 @@
 
 All models live on the interval [-1, 1], discretized with ``n_cells`` equal
 cells (so ``n_cells + 1`` vertex unknowns) and homogeneous Neumann boundary
-conditions imposed through ghost values.  A steady state is a vector ``phi``
+conditions imposed through ghost values reflected across each end node
+(second order, folded into the end rows).  A steady state is a vector ``phi``
 of nodal values; each model exposes
 
 - ``residual(state, params)``  -- the nonlinear map whose zeros are steady
@@ -19,7 +20,7 @@ of nodal values; each model exposes
 The second derivative is discretized with the compact fourth-order (Numerov)
 scheme ``L = B^-1 A``: ``A`` is the folded second-difference matrix
 (``laplacian_matrix``) and ``B = I + (h^2/12) A`` is built from the same
-ghost closure.  ``A`` alone lags the continuum eigenvalue ``k^2`` by a
+folded rows.  ``A`` alone lags the continuum eigenvalue ``k^2`` by a
 relative ``(kh)^2/12``; ``B^-1 A`` is exact to ``O((kh)^4)``, so the
 detected crossings converge to the closed forms at fourth order.  The
 models never invert ``B``: every residual is premultiplied by it, which
@@ -57,7 +58,6 @@ from .linalg import BandBorder, det_sign, lu_factor, lu_solve
 __all__ = [
     "GridSpec",
     "ModelParams",
-    "GhostClosure",
     "laplacian_matrix",
     "laplacian_apply",
     "AllenCahn",
@@ -71,13 +71,6 @@ __all__ = [
     "poisson_neumann_solve",
     "model_by_kind",
 ]
-
-#: Valid ghost-value closures for the Neumann boundary.  "symmetric" reflects
-#: across both end nodes (second-order); "onesided-right" copies the last
-#: interior value on the right (first-order) and exists as a deliberate
-#: consistency-degradation hook for the verification command.
-GhostClosure = ("symmetric", "onesided-right")
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -119,13 +112,7 @@ class GridSpec:
         return w
 
 
-def _check_closure(closure: str) -> str:
-    if closure not in GhostClosure:
-        raise ValueError(f"unknown ghost closure {closure!r}; expected one of {GhostClosure}")
-    return closure
-
-
-def _second_difference(values: np.ndarray, closure: str) -> np.ndarray:
+def _second_difference(values: np.ndarray) -> np.ndarray:
     """``h^2 * A`` applied along axis 0: the unscaled folded second difference.
 
     ``phi[i+1] + phi[i-1] - 2 phi[i]`` is bitwise reflection-symmetric and
@@ -134,53 +121,41 @@ def _second_difference(values: np.ndarray, closure: str) -> np.ndarray:
     out = np.empty_like(values)
     out[1:-1] = values[2:] + values[:-2] - 2.0 * values[1:-1]
     out[0] = 2.0 * (values[1] - values[0])
-    if closure == "symmetric":
-        out[-1] = 2.0 * (values[-2] - values[-1])
-    else:  # onesided-right: ghost phi_{N+1} = phi_N
-        out[-1] = values[-2] - values[-1]
+    out[-1] = 2.0 * (values[-2] - values[-1])
     return out
 
 
-def laplacian_apply(state: np.ndarray, grid: GridSpec, closure: str = "symmetric") -> np.ndarray:
-    """Second-difference Laplacian with Neumann ghost closure, applied to a vector."""
-    _check_closure(closure)
+def laplacian_apply(state: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Second-difference Laplacian with folded Neumann ghosts, applied to a vector."""
     phi = np.asarray(state, dtype=float)
     if phi.shape != (grid.n_nodes,):
         raise ValueError(f"state must have shape ({grid.n_nodes},), got {phi.shape}")
-    return _second_difference(phi, closure) / (grid.h * grid.h)
+    return _second_difference(phi) / (grid.h * grid.h)
 
 
-def _compact_apply(values: np.ndarray, closure: str) -> np.ndarray:
+def _compact_apply(values: np.ndarray) -> np.ndarray:
     """``B @ values`` for the compact-scheme mass matrix ``B = I + (h^2/12) A``."""
-    return values + _second_difference(values, closure) / 12.0
+    return values + _second_difference(values) / 12.0
 
 
-def _compact_band(n_nodes: int, closure: str) -> np.ndarray:
+def _compact_band(n_nodes: int) -> np.ndarray:
     """Row-wise band (sub, main, super) of ``B = I + (h^2/12) A``."""
     band = np.empty((n_nodes, 3))
     band[:, 0] = band[:, 2] = 1.0 / 12.0
     band[:, 1] = 5.0 / 6.0
     band[0, 0] = band[-1, 2] = 0.0
-    band[0, 2] = 1.0 / 6.0  # folded left ghost doubles the neighbour
-    if closure == "symmetric":
-        band[-1, 0] = 1.0 / 6.0
-    else:
-        band[-1, 1] = 11.0 / 12.0
+    band[0, 2] = band[-1, 0] = 1.0 / 6.0  # folded ghosts double the neighbour
     return band
 
 
-def _laplacian_band(grid: GridSpec, closure: str) -> np.ndarray:
+def _laplacian_band(grid: GridSpec) -> np.ndarray:
     """Row-wise band (sub, main, super) of ``laplacian_matrix``."""
     inv_h2 = 1.0 / (grid.h * grid.h)
     band = np.empty((grid.n_nodes, 3))
     band[:, 0] = band[:, 2] = inv_h2
     band[:, 1] = -2.0 * inv_h2
     band[0, 0] = band[-1, 2] = 0.0
-    band[0, 2] = 2.0 * inv_h2
-    if closure == "symmetric":
-        band[-1, 0] = 2.0 * inv_h2
-    else:
-        band[-1, 1] = -inv_h2
+    band[0, 2] = band[-1, 0] = 2.0 * inv_h2
     return band
 
 
@@ -202,9 +177,9 @@ def _transposed_band(band: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def laplacian_matrix(grid: GridSpec, closure: str = "symmetric") -> np.ndarray:
+def laplacian_matrix(grid: GridSpec) -> np.ndarray:
     """Dense matrix of ``laplacian_apply`` (n_nodes x n_nodes, read-only, cached)."""
-    m = BandBorder(band=_laplacian_band(grid, _check_closure(closure)), kl=1).to_dense()
+    m = BandBorder(band=_laplacian_band(grid), kl=1).to_dense()
     m.setflags(write=False)
     return m
 
@@ -243,15 +218,13 @@ class TrivialBranch:
     others are the wells, linearly stable at every parameter:
 
     * AC at phi = +-1 and the CH outer roots: ``J = -A + c B`` with
-      ``c = (3 phi^2 - 1)/eps^2 > 0``.  Under either closure ``A`` is
-      self-adjoint in a diagonal weight with eigenvalues
-      ``-alpha in [-4/h^2, 0]``, and ``B = I + h^2 A/12`` commutes with it,
-      so every eigenvalue ``alpha + c (1 - h^2 alpha/12)`` is positive.
-    * ACOK at phi = 0, 1 under the symmetric closure: each cosine mode of
-      ``A`` (eigenvalue ``-alpha``), ``B`` (``b``) and ``G`` (``g``) gives
-      ``J`` the eigenvalue ``-(eps alpha + 36 b/eps + gamma b^2 g) < 0``.
-      The one-sided closure has no such proof; the tests check that its
-      scans find nothing over the house windows.
+      ``c = (3 phi^2 - 1)/eps^2 > 0``.  ``A`` is self-adjoint in a
+      diagonal weight with eigenvalues ``-alpha in [-4/h^2, 0]``, and
+      ``B = I + h^2 A/12`` commutes with it, so every eigenvalue
+      ``alpha + c (1 - h^2 alpha/12)`` is positive.
+    * ACOK at phi = 0, 1: each cosine mode of ``A`` (eigenvalue
+      ``-alpha``), ``B`` (``b``) and ``G`` (``g``) gives ``J`` the
+      eigenvalue ``-(eps alpha + 36 b/eps + gamma b^2 g) < 0``.
     """
 
     label: str
@@ -331,11 +304,10 @@ class _ModelBase:
     kind = "?"
     active_parameter = "?"
 
-    def __init__(self, grid: GridSpec, closure: str = "symmetric"):
+    def __init__(self, grid: GridSpec):
         self.grid = grid
-        self.closure = _check_closure(closure)
-        self._lap = _laplacian_band(grid, closure)
-        self._compact = _compact_band(grid.n_nodes, closure)
+        self._lap = _laplacian_band(grid)
+        self._compact = _compact_band(grid.n_nodes)
 
     def with_param(self, params: ModelParams, value: float) -> ModelParams:
         """Copy of ``params`` with the active continuation parameter replaced."""
@@ -383,7 +355,7 @@ class AllenCahn(_ModelBase):
     def residual(self, state, params: ModelParams) -> np.ndarray:
         phi = self._require_state(state)
         inv_e2 = 1.0 / (params.epsilon * params.epsilon)
-        out = -laplacian_apply(phi, self.grid, self.closure) + _compact_apply(inv_e2 * (_cube(phi) - phi), self.closure)
+        out = -laplacian_apply(phi, self.grid) + _compact_apply(inv_e2 * (_cube(phi) - phi))
         offset = self._offset(params)
         if offset != 0.0:
             out -= offset
@@ -400,7 +372,7 @@ class AllenCahn(_ModelBase):
 
     def param_derivative(self, state, params: ModelParams) -> np.ndarray:
         phi = self._require_state(state)
-        return _compact_apply((-2.0 / params.epsilon**3) * (_cube(phi) - phi), self.closure)
+        return _compact_apply((-2.0 / params.epsilon**3) * (_cube(phi) - phi))
 
     def trivial_branches(self, params: ModelParams) -> list[TrivialBranch]:
         return [
@@ -510,14 +482,13 @@ def green_operator(grid: GridSpec) -> GreenOperator:
 
 @lru_cache(maxsize=8)
 def _neumann_system(grid: GridSpec):
-    """``K = [[A, 1], [w^T, 0]]`` with the symmetric-closure ``A``: ``(K, its
-    factorization, its det sign)``.
+    """``K = [[A, 1], [w^T, 0]]``: ``(K, its factorization, its det sign)``.
 
     ``green_operator`` is ``K``'s inverse on zero-mean data: ``-A G = I - 1 w^T / 2``.
     """
     n = grid.n_nodes
     system = BandBorder(
-        band=_laplacian_band(grid, "symmetric"), kl=1, cols=np.ones((n, 1)),
+        band=_laplacian_band(grid), kl=1, cols=np.ones((n, 1)),
         rows=grid.trapezoid_weights[None, :], corner=np.zeros((1, 1)),
     )
     fact = lu_factor(system)
@@ -559,20 +530,18 @@ class OhtaKawasaki(_ModelBase):
     The Jacobian ``J = T - gamma B G B`` with the tridiagonal
     ``T = eps A - B diag(W''/eps)`` is dense, but ``linearize`` never forms
     it: ``J v = r`` is the augmented O(N) system ``T v - gamma B u = r``,
-    ``B v + A_s u + s 1 = 0``, ``w^T u = 0`` in ``(v, u, s)``, where ``A_s``
-    is the *symmetric*-closure Laplacian under either closure (``G``
-    ignores the closure) and eliminating ``(u, s)`` through
-    ``K = [[A_s, 1], [w^T, 0]]`` gives back ``J``.  Interleaving
-    ``(v_i, u_i)`` makes it a band with three sub- and superdiagonals plus
-    one border, and ``det_sign(J) = det_sign(M) det_sign(K)`` for the
+    ``B v + A u + s 1 = 0``, ``w^T u = 0`` in ``(v, u, s)``; eliminating
+    ``(u, s)`` through ``K = [[A, 1], [w^T, 0]]`` gives back ``J``.
+    Interleaving ``(v_i, u_i)`` makes it a band with three sub- and
+    superdiagonals plus one border, and ``det_sign(J) = det_sign(M) det_sign(K)`` for the
     augmented matrix ``M``.  The dense ``jacobian`` stays as an oracle.
     """
 
     kind = "acok"
     active_parameter = "gamma"
 
-    def __init__(self, grid: GridSpec, closure: str = "symmetric"):
-        super().__init__(grid, closure)
+    def __init__(self, grid: GridSpec):
+        super().__init__(grid)
         self.green = green_operator(grid)
         self._poisson, _, self._poisson_sign = _neumann_system(grid)
 
@@ -581,8 +550,8 @@ class OhtaKawasaki(_ModelBase):
         eps = params.epsilon
         well = 36.0 * (2.0 * _cube(phi) - 3.0 * (phi * phi) + phi)
         return (
-            eps * laplacian_apply(phi, self.grid, self.closure)
-            - _compact_apply(well / eps, self.closure)
+            eps * laplacian_apply(phi, self.grid)
+            - _compact_apply(well / eps)
             - params.gamma * self._nonlocal(phi)
         )
 
@@ -595,7 +564,7 @@ class OhtaKawasaki(_ModelBase):
         phi = self._require_state(state)
         n = self.grid.n_nodes
         band = np.zeros((2 * n, 7))
-        # Row 2i is (T v - gamma B u)_i, row 2i+1 is (B v + A_s u)_i + s;
+        # Row 2i is (T v - gamma B u)_i, row 2i+1 is (B v + A u)_i + s;
         # column c of the band holds the unknown at offset c - 3.
         band[0::2, 1::2] = self._local_band(phi, params)
         band[0::2, 2::2] = -params.gamma * self._compact
@@ -625,7 +594,7 @@ class OhtaKawasaki(_ModelBase):
         # (B G B) phi through the stencils: B maps constants to themselves
         # exactly, so constants meet G itself and stay annihilated to the
         # same rounding as G's own.
-        return _compact_apply(self.green.matrix @ _compact_apply(phi, self.closure), self.closure)
+        return _compact_apply(self.green.matrix @ _compact_apply(phi))
 
     def trivial_branches(self, params: ModelParams) -> list[TrivialBranch]:
         return [
@@ -639,8 +608,8 @@ class OhtaKawasaki(_ModelBase):
 MODELS = {cls.kind: cls for cls in (AllenCahn, CahnHilliardSteady, OhtaKawasaki)}
 
 
-def model_by_kind(kind: str, grid: GridSpec, closure: str = "symmetric"):
+def model_by_kind(kind: str, grid: GridSpec):
     """Factory keyed by the short model names used throughout the CLI."""
     if kind not in MODELS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {sorted(MODELS)}")
-    return MODELS[kind](grid, closure=closure)
+    return MODELS[kind](grid)

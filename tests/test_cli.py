@@ -12,11 +12,14 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import phase_bifurcate
 from phase_bifurcate import cli
 from phase_bifurcate.continuation import NewtonFailure
+from phase_bifurcate.linalg import BandBorder
+from phase_bifurcate.models import AllenCahn
 
 
 def run_cli(args):
@@ -53,6 +56,7 @@ def load_schema(name):
         ["points", "--model", "ac", "--format", "yaml"],
         ["points", "--model", "ac", "--phi0", "nan"],  # would match no branch
         ["points", "--model", "ac", "--phi0", "inf"],
+        ["trace", "--ghost-closure", "symmetric"],  # the models have one Neumann closure
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
@@ -348,12 +352,33 @@ def test_verify_clean_build_passes_for_ch_with_offset(tmp_path, capsys):
     assert checks["null_mode_correlation_min"]["measured"] >= 0.99
 
 
-def test_verify_flags_broken_boundary_closure(tmp_path, capsys):
+class OneSidedRightAllenCahn(AllenCahn):
+    """Allen-Cahn with a first-order right boundary: the ghost value
+    phi_{N+1} = phi_N instead of the reflected phi_{N-1}.  Only the last row
+    of A (phi_{N-1} - phi_N over h^2) and of B (main diagonal 11/12, sub
+    diagonal 1/12) change, consistently in the residual and its Jacobian."""
+
+    def residual(self, state, params):
+        phi = np.asarray(state, dtype=float)
+        out = super().residual(phi, params)
+        f = (phi * phi * phi - phi) / (params.epsilon * params.epsilon)
+        out[-1] = -(phi[-2] - phi[-1]) / (self.grid.h * self.grid.h) + f[-1] + (f[-2] - f[-1]) / 12.0
+        return out
+
+    def linearize(self, state, params):
+        phi = np.asarray(state, dtype=float)
+        band = super().linearize(phi, params).band.copy()
+        s = (3.0 * phi * phi - 1.0) / (params.epsilon * params.epsilon)
+        inv_h2 = 1.0 / (self.grid.h * self.grid.h)
+        band[-1, 0] = -inv_h2 + s[-2] / 12.0
+        band[-1, 1] = inv_h2 + 11.0 * s[-1] / 12.0
+        return BandBorder(band=band, kl=1)
+
+
+def test_verify_flags_broken_boundary_closure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "model_by_kind", lambda kind, grid: OneSidedRightAllenCahn(grid))
     out = tmp_path / "verify.json"
-    code = run_cli(
-        ["verify", "--model", "ac", "--n", "100", "--ghost-closure", "onesided-right",
-         "--out", str(out)]
-    )
+    code = run_cli(["verify", "--model", "ac", "--n", "100", "--out", str(out)])
     assert code == 3
     payload = json.loads(out.read_text())
     checks = {c["name"]: c for c in payload["checks"]}
@@ -364,6 +389,24 @@ def test_verify_flags_broken_boundary_closure(tmp_path, capsys):
     assert checks["bifurcation_gap_abs_max"]["pass"] is False
     assert checks["bifurcation_gap_abs_max"]["measured"] > 1e-3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        ["--model", "ac", "--eps-range", "0.65:0.7"],
+        ["--model", "acok", "--gamma-range", "0:100"],
+        ["--model", "acok", "--gamma-range", "200:700"],
+    ],
+    ids=["ac-no-crossing", "acok-below-sine0", "acok-above-sine0"],
+)
+def test_verify_passes_on_windows_without_its_reference_crossing(window, capsys):
+    # No closed-form crossing in the window owes no detection, and the ACOK
+    # spot check applies only to windows that hold the sine-0 crossing.
+    assert run_cli(["verify", *window, "--n-cells", "40"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is True
+    assert all(c["pass"] for c in payload["checks"])
 
 
 def test_verify_acok_variant_checks(tmp_path, capsys):

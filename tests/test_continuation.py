@@ -443,7 +443,6 @@ def test_detection_empty_on_stable_branch():
     assert bifs == []
 
 
-@pytest.mark.parametrize("closure", ["symmetric", "onesided-right"])
 @pytest.mark.parametrize(
     "kind, params",
     [
@@ -455,13 +454,12 @@ def test_detection_empty_on_stable_branch():
     ],
     ids=["ac", "ch-mu0-0", "ch-mu0-0.05", "acok-eps-0.1", "acok-eps-0.3"],
 )
-def test_detection_empty_on_every_stable_branch(kind, params, closure):
+def test_detection_empty_on_every_stable_branch(kind, params):
     # The engine scans only the branch flagged bifurcating; the wells must
-    # have no det-sign event over the house windows.  Under the one-sided
-    # closure the ACOK wells have no proof (models.TrivialBranch), so this
-    # scan is their only guard.
+    # have no det-sign event over the house windows (models.TrivialBranch
+    # proves it for the constant states themselves).
     g = GridSpec(200)
-    model = model_by_kind(kind, g, closure=closure)
+    model = model_by_kind(kind, g)
     window = dict(param_min=0.0, param_max=3000.0) if kind == "acok" else {}
     settings = default_settings(kind, **window)
     stable = [tb for tb in model.trivial_branches(params) if not tb.bifurcating]
@@ -475,86 +473,55 @@ def test_detection_empty_on_every_stable_branch(kind, params, closure):
 # Events the scan found when a batched sign pass signed its first-level
 # samples, before every probe went through det_sign(lu_factor(...)).
 _BATCHED_SCAN_EVENTS = {
-    (60, "symmetric", 0.0): (
+    (60, 0.0): (
         ("0x1.5cfe293e00000p+3", "sine", 4),
         ("0x1.246f6ea520000p+7", "sine", 0),
         ("0x1.197a04b9a8000p+9", "cosine", 1),
     ),
-    (60, "symmetric", 0.37): (
+    (60, 0.37): (
         ("0x1.5cfe293866666p+3", "sine", 4),
         ("0x1.246f6ea4c6666p+7", "sine", 0),
         ("0x1.197a04b99199ap+9", "cosine", 1),
     ),
-    (60, "onesided-right", 0.0): (
-        ("0x1.244f5b5260000p+7", "sine", 0),
-        ("0x1.9ff098d0a0000p+7", "sine", 4),
-        ("0x1.19d144fd68000p+9", "cosine", 1),
-    ),
-    (60, "onesided-right", 0.37): (
-        ("0x1.244f5b5206666p+7", "sine", 0),
-        ("0x1.9ff098d046666p+7", "sine", 4),
-        ("0x1.19d144fd5199ap+9", "cosine", 1),
-    ),
-    (100, "symmetric", 0.0): (
+    (100, 0.0): (
         ("0x1.17d3cc7e00000p+3", "sine", 4),
         ("0x1.246f6f29a0000p+7", "sine", 0),
         ("0x1.197a0c5b68000p+9", "cosine", 1),
     ),
-    (100, "symmetric", 0.37): (
+    (100, 0.37): (
         ("0x1.17d3cc8c66666p+3", "sine", 4),
         ("0x1.246f6f2946666p+7", "sine", 0),
         ("0x1.197a0c5b5199ap+9", "cosine", 1),
     ),
-    (100, "onesided-right", 0.0): (
-        ("0x1.fe3e98b140000p+6", "sine", 4),
-        ("0x1.24b267a660000p+7", "sine", 0),
-        ("0x1.19a728e698000p+9", "cosine", 1),
-    ),
-    (100, "onesided-right", 0.37): (
-        ("0x1.fe3e98b30ccccp+6", "sine", 4),
-        ("0x1.24b267a606666p+7", "sine", 0),
-        ("0x1.19a728e68199ap+9", "cosine", 1),
-    ),
-    (200, "symmetric", 0.0): (
+    (200, 0.0): (
         ("0x1.0e3ac79e00000p+3", "sine", 4),
         ("0x1.246f6f3c60000p+7", "sine", 0),
         ("0x1.197a0d6be8000p+9", "cosine", 1),
     ),
-    (200, "symmetric", 0.37): (
+    (200, 0.37): (
         ("0x1.0e3ac79866666p+3", "sine", 4),
         ("0x1.246f6f3c06666p+7", "sine", 0),
         ("0x1.197a0d6bd199ap+9", "cosine", 1),
-    ),
-    (200, "onesided-right", 0.0): (
-        ("0x1.1088d83bc0000p+6", "sine", 4),
-        ("0x1.2477985ca0000p+7", "sine", 0),
-        ("0x1.198e847648000p+9", "cosine", 1),
-    ),
-    (200, "onesided-right", 0.37): (
-        ("0x1.1088d83b0cccdp+6", "sine", 4),
-        ("0x1.2477985c46666p+7", "sine", 0),
-        ("0x1.198e84763199ap+9", "cosine", 1),
     ),
 }
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.37], ids=["from-zero", "shifted"])
-@pytest.mark.parametrize("closure", ["symmetric", "onesided-right"])
 @pytest.mark.parametrize("n_cells", [60, 100, 200])
-def test_batched_scan_signs_give_the_scalar_detection_bitwise(n_cells, closure, shift):
+def test_batched_scan_signs_give_the_scalar_detection_bitwise(n_cells, shift):
     # Signing the scan's samples one at a time must find, bit for bit, the
     # events the batched pass found.  Only the signs could differ, and they
     # decide every bisection, so the params pin the whole detection.  A window
     # from gamma = 0 starts on a sample; the shifted one starts a fraction of
     # a step in, as the benchmark's seeds do.
     g = GridSpec(n_cells)
-    model = model_by_kind("acok", g, closure=closure)
+    model = model_by_kind("acok", g)
     params = ModelParams(epsilon=0.3, gamma=100.0)
     settings = default_settings("acok", param_min=shift * 10.0, param_max=700.0)
     state = np.full(g.n_nodes, 0.5)
     bifs = detect_bifurcations_on_trivial(model, params, settings, lambda p: state)
     got = [(b.param.hex(), b.mode_family, b.mode_index) for b in bifs]
-    assert got == list(_BATCHED_SCAN_EVENTS[n_cells, closure, shift])
+    assert got == list(_BATCHED_SCAN_EVENTS[n_cells, shift])
     assert [b.bif_id for b in bifs] == [f"bp{i}" for i in range(len(bifs))]
     for b in bifs:
         assert b.base_state.tobytes() == state.tobytes()

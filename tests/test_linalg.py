@@ -248,13 +248,12 @@ def test_block_size_does_not_change_results(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("closure", ["symmetric", "onesided-right"])
 @pytest.mark.parametrize("kind", ["ac", "ch"])
-def test_band_kernel_matches_dense_on_model_jacobians(kind, closure):
+def test_band_kernel_matches_dense_on_model_jacobians(kind):
     rng = np.random.default_rng(17)
     for n_cells in (4, 20, 100, 800):
         grid = GridSpec(n_cells)
-        model = model_by_kind(kind, grid, closure=closure)
+        model = model_by_kind(kind, grid)
         for eps in (0.05, 0.1, 0.3, 0.7):
             states = (
                 np.zeros(grid.n_nodes),
@@ -361,7 +360,7 @@ def test_band_solve_is_reflection_equivariant_bitwise():
         # Random bands pivot both ways and have no mirror symmetry of their own.
         cases.append(tridiagonal(rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)))
     grid = GridSpec(100)
-    model = model_by_kind("ac", grid, closure="onesided-right")
+    model = model_by_kind("ac", grid)
     cases.append(model.jacobian(rng.uniform(-1.0, 1.0, grid.n_nodes), ModelParams(epsilon=0.08)))
     for a in cases:
         n = a.shape[0]
@@ -489,11 +488,10 @@ def test_bordered_kernel_on_the_neumann_system():
         assert np.max(np.abs(u - ref)) <= BORDERED_RTOL * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("closure", ["symmetric", "onesided-right"])
-def test_bordered_kernel_on_acok_at_zero_gamma(closure):
+def test_bordered_kernel_on_acok_at_zero_gamma():
     rng = np.random.default_rng(13)
     grid = GridSpec(100)
-    model = model_by_kind("acok", grid, closure=closure)
+    model = model_by_kind("acok", grid)
     params = ModelParams(epsilon=0.3, gamma=0.0)
     for state in (np.full(grid.n_nodes, 0.5), 0.5 + 0.3 * np.tanh(grid.nodes / 0.1)):
         lin = model.linearize(state, params)
@@ -543,12 +541,11 @@ def test_bordered_kernel_on_the_fold_toy_at_its_fold():
             assert_bordered_matches_numpy(system, rng, pivot_rtol=rtol)
 
 
-@pytest.mark.parametrize("closure", ["symmetric", "onesided-right"])
-def test_bordered_kernel_matches_dense_on_acok_jacobians(closure):
+def test_bordered_kernel_matches_dense_on_acok_jacobians():
     rng = np.random.default_rng(23)
     for n_cells in (4, 20, 100, 800):
         grid = GridSpec(n_cells)
-        model = model_by_kind("acok", grid, closure=closure)
+        model = model_by_kind("acok", grid)
         x = grid.nodes
         states = (np.full(grid.n_nodes, 0.5), 0.5 + 0.3 * np.tanh(x / 0.1), 0.5 + 0.2 * np.cos(np.pi * x))
         for gamma in (0.0, 100.0, 3000.0):
@@ -622,15 +619,14 @@ def test_log_abs_det_of_a_singular_factorization_is_minus_infinity():
     assert log_abs_det(fact) == -np.inf
 
 
-@pytest.mark.parametrize("closure", ["symmetric", "onesided-right"])
-def test_log_abs_det_on_acok_linearizations_is_the_jacobian_s_up_to_a_constant(closure):
+def test_log_abs_det_on_acok_linearizations_is_the_jacobian_s_up_to_a_constant():
     # The visible system is the Jacobian; the factorization also holds the
     # hidden Poisson block, whose log|det| is the same at every gamma and
     # state.  Detection compares log|det| only along one branch, so that
     # constant drops out.
     for n_cells in (20, 100):
         grid = GridSpec(n_cells)
-        model = model_by_kind("acok", grid, closure=closure)
+        model = model_by_kind("acok", grid)
         x = grid.nodes
         offsets = []
         for gamma in (0.0, 100.0, 3000.0):
@@ -714,9 +710,9 @@ def test_null_mode_near_crossing_matches_analytic_eigenmode():
     assert corr >= 0.999
 
 
-def _detect(kind, closure="symmetric", n_cells=60):
+def _detect(kind, n_cells=60):
     grid = GridSpec(n_cells)
-    model = model_by_kind(kind, grid, closure=closure)
+    model = model_by_kind(kind, grid)
     if kind == "acok":
         params = ModelParams(epsilon=0.3)
         settings = default_settings("acok", param_min=0.0, param_max=3000.0)
@@ -749,11 +745,10 @@ def test_event_null_mode_has_unit_norm_and_positive_leading_entry(kind):
         assert leading > 0.0
 
 
-@pytest.mark.parametrize("closure", ["symmetric", "onesided-right"])
-def test_acok_event_modes_match_numpy_eigenvector_nearest_zero(closure):
+def test_acok_event_modes_match_numpy_eigenvector_nearest_zero():
     """Each ACOK mode is numpy's eigenvector of the dense Jacobian for its
     eigenvalue nearest zero."""
-    model, params, bifs = _detect("acok", closure=closure)
+    model, params, bifs = _detect("acok")
     assert len(bifs) >= 3
     for bif in bifs:
         w, vecs = np.linalg.eig(model.jacobian(bif.base_state, model.with_param(params, bif.param)))

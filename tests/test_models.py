@@ -78,9 +78,7 @@ def test_laplacian_apply_matches_matrix():
     g = GridSpec(30)
     rng = np.random.default_rng(8)
     v = rng.standard_normal(g.n_nodes)
-    for closure in ("symmetric", "onesided-right"):
-        lap = laplacian_matrix(g, closure)
-        assert np.max(np.abs(laplacian_apply(v, g, closure) - lap @ v)) <= 1e-12
+    assert np.max(np.abs(laplacian_apply(v, g) - laplacian_matrix(g) @ v)) <= 1e-12
 
 
 def test_laplacian_is_second_order_on_smooth_data():
@@ -96,22 +94,7 @@ def test_laplacian_is_second_order_on_smooth_data():
 
 def test_laplacian_annihilates_constants():
     g = GridSpec(24)
-    for closure in ("symmetric", "onesided-right"):
-        assert np.max(np.abs(laplacian_apply(np.full(g.n_nodes, 3.7), g, closure))) == 0.0
-
-
-def test_closures_differ_only_in_last_row():
-    g = GridSpec(40)
-    sym = laplacian_matrix(g, "symmetric")
-    one = laplacian_matrix(g, "onesided-right")
-    diff_rows = sorted(set(np.argwhere(sym != one)[:, 0].tolist()))
-    assert diff_rows == [g.n_nodes - 1]
-
-
-def test_unknown_closure_rejected():
-    g = GridSpec(10)
-    with pytest.raises(ValueError):
-        laplacian_apply(np.zeros(g.n_nodes), g, "upwind")
+    assert np.max(np.abs(laplacian_apply(np.full(g.n_nodes, 3.7), g))) == 0.0
 
 
 def test_discrete_eigenmode_identity():
