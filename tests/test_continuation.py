@@ -452,7 +452,14 @@ def test_detection_empty_on_stable_branch():
         ("acok", ModelParams(epsilon=0.1)),
         ("acok", ModelParams(epsilon=0.3)),
     ],
-    ids=["ac", "ch-mu0-0", "ch-mu0-0.05", "acok-eps-0.1", "acok-eps-0.3"],
+    # Each id ends in the boundary closure, the symmetric folded Neumann one.
+    ids=[
+        "ac-symmetric",
+        "ch-mu0-0-symmetric",
+        "ch-mu0-0.05-symmetric",
+        "acok-eps-0.1-symmetric",
+        "acok-eps-0.3-symmetric",
+    ],
 )
 def test_detection_empty_on_every_stable_branch(kind, params):
     # The engine scans only the branch flagged bifurcating; the wells must
@@ -506,7 +513,8 @@ _BATCHED_SCAN_EVENTS = {
 }
 
 
-@pytest.mark.parametrize("shift", [0.0, 0.37], ids=["from-zero", "shifted"])
+# The ids name the boundary closure, the symmetric folded Neumann one.
+@pytest.mark.parametrize("shift", [0.0, 0.37], ids=["symmetric-from-zero", "symmetric-shifted"])
 @pytest.mark.parametrize("n_cells", [60, 100, 200])
 def test_batched_scan_signs_give_the_scalar_detection_bitwise(n_cells, shift):
     # Signing the scan's samples one at a time must find, bit for bit, the

@@ -248,7 +248,8 @@ def test_block_size_does_not_change_results(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["ac", "ch"])
+# The ids name the boundary closure, the symmetric folded Neumann one.
+@pytest.mark.parametrize("kind", ["ac", "ch"], ids=["ac-symmetric", "ch-symmetric"])
 def test_band_kernel_matches_dense_on_model_jacobians(kind):
     rng = np.random.default_rng(17)
     for n_cells in (4, 20, 100, 800):
