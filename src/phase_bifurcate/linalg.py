@@ -15,34 +15,36 @@ thread count.
 matrix ``A`` (``kl`` sub- and ``ku`` superdiagonals) plus ``k`` dense border
 rows and columns, which is how the models hand over their linearizations.
 
-* A ``BandBorder`` that is a plain tridiagonal matrix (no border), and a
-  dense matrix whose nonzeros all lie on the three central diagonals (the
-  AC/CH Jacobians), are eliminated in O(N) on Python floats in the manner of
-  LAPACK ``dgttrf``: the dense kernel's pivoting rule (swap only if the
-  subdiagonal entry is strictly larger), pivot floor and singularity rules,
-  so det signs and singular flags agree with it.  ``lu_solve`` on such a
+* A tridiagonal band, bordered or not, and a dense matrix whose nonzeros
+  all lie on the three central diagonals (the AC/CH Jacobians), are
+  eliminated in O(N) on Python floats in the manner of LAPACK ``dgttrf``:
+  the dense kernel's pivoting rule (swap only if the subdiagonal entry is
+  strictly larger), pivot floor and singularity rules, so det signs and
+  singular flags agree with it.  ``lu_solve`` on an unbordered tridiagonal
   factorization averages the top-down solve with the solve of the mirrored
   (order-reversed) system, which makes it exactly reflection-equivariant:
   with ``P`` the reversal, ``solve(P J P, P b) == P solve(J, b)`` bit for
   bit, so Newton iterates from odd guesses stay exactly odd.  The mirrored
   factorization is made on the first solve, so sign-only factorizations
   never pay for it.
-* Every other ``BandBorder`` (the ACOK Jacobians in their augmented Poisson
-  form, the pseudo-arclength systems, the bordered Neumann problem) gets a
-  band LU with partial pivoting inside the band, O(N (kl + ku) kl), and its
-  borders are eliminated by mixed block elimination (Govaerts & Pryce,
-  *IMA J. Numer. Anal.* 13, 1993), which stays accurate when ``A`` itself
-  is singular, as it is at every fold and bifurcation point and, exactly,
-  in the Neumann problem.  A band pivot at rounding level (or on or below
-  the singularity floor) is boosted to the band's size, which factors a
-  rank-one change of ``A``; one more border takes that change back out
-  exactly.  The det sign is the band's permutation parity times its pivot
-  signs times the det sign of the borders' Schur block (times -1 per
-  boost).
+* Any other band (the ACOK Jacobians in their augmented Poisson form,
+  ``kl = ku = 3``) gets a ``dgbtf2``-style band LU with partial pivoting
+  inside the band, O(N (kl + ku) kl).  LAPACK makes the same split between
+  ``gttrf`` and ``gbtrf``.
+* Borders (the ACOK Jacobians' border, the pseudo-arclength systems, the
+  bordered Neumann problem) are eliminated by mixed block elimination
+  (Govaerts & Pryce, *IMA J. Numer. Anal.* 13, 1993), which stays accurate
+  when ``A`` itself is singular, as it is at every fold and bifurcation
+  point and, exactly, in the Neumann problem.  Either band kernel then
+  boosts a band pivot at rounding level (or on or below the singularity
+  floor) to the band's size, which factors a rank-one change of ``A``; one
+  more border takes that change back out exactly.  The borders' k x k Schur
+  block (k <= 3 in the engine) is factored on Python floats by the dense
+  kernel's rules.  The det sign is the band's permutation parity times its
+  pivot signs times the det sign of the Schur block (times -1 per boost).
 * Any other dense matrix goes through a right-looking blocked LU whose Schur
-  update runs through matrix-matrix products.  The engine sends it only the
-  bordered kernel's small Schur blocks; it is the general path and the
-  tests' reference.
+  update runs through matrix-matrix products.  The engine never sends it
+  one; it is the general path and the tests' reference.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -73,7 +75,7 @@ DEFAULT_PIVOT_RTOL = 1e-12
 
 #: Band pivots of magnitude at most this times the band's max row sum
 #: (or at most the singularity floor, if higher) are boosted and corrected
-#: through a border; see ``_band_lu``.
+#: through a border; see ``_band_lu`` and ``_band_factor``.
 _BOOST_RTOL = 1e-14
 
 #: Panel width of ``lu_factor``'s blocked Schur update.  It sets only the
@@ -113,7 +115,7 @@ class LuFactorization:
 
 @dataclass
 class BandLuFactorization:
-    """Result of ``lu_factor`` on a tridiagonal matrix.
+    """Result of ``lu_factor`` on a tridiagonal matrix (the band of a bordered one too).
 
     Step ``k`` of the elimination works on rows ``k`` and ``k + 1`` only:
     it interchanges them if ``swapped[k]``, then subtracts ``lower[k]``
@@ -130,6 +132,10 @@ class BandLuFactorization:
         mirrored factorization that ``lu_solve`` makes on its first call.
     perm_sign, singular, pivot_floor:
         As in ``LuFactorization``.
+    boosts:
+        The band of a bordered matrix is factored with its small pivots
+        boosted instead of flagged (``_band_factor``); each boost is listed
+        as ``(original row, step, delta)``.  Empty otherwise.
     """
 
     lower: list
@@ -141,6 +147,7 @@ class BandLuFactorization:
     perm_sign: int
     singular: bool
     pivot_floor: float
+    boosts: list
     mirror: Optional["BandLuFactorization"] = None
 
 
@@ -249,18 +256,37 @@ class BandBorder:
 
 
 @dataclass
+class _GeneralBandLu:
+    """Factors of ``_band_lu``: a band other than tridiagonal.
+
+    Step ``j`` of the elimination interchanges rows ``j`` and ``swaps[j]``,
+    then subtracts ``mults[j][i]`` times row ``j`` from row ``j + 1 + i``.
+    ``U`` has ``pivots`` on its diagonal and ``tails[j]`` right of it in
+    row ``j`` (at most ``kl + ku`` entries).  ``perm_sign`` is the parity of
+    the interchanges and ``boosts`` lists the boosted pivots.
+    """
+
+    pivots: list
+    tails: list
+    mults: list
+    swaps: list
+    perm_sign: int
+    boosts: list
+
+
+@dataclass
 class BorderedLuFactorization:
     """Result of ``lu_factor`` on a ``BandBorder`` (other than a plain tridiagonal).
 
-    Step ``j`` of the band elimination interchanges rows ``j`` and
-    ``swaps[j]``, then subtracts ``mults[j][i]`` times row ``j`` from row
-    ``j + 1 + i``.  ``U`` has ``pivots`` on its diagonal and ``tails[j]``
-    right of it in row ``j`` (at most ``kl + ku`` entries).  A boosted pivot
-    adds one border to ``cols``, ``rows`` and ``corner``, the borders mixed
-    block elimination works with (see ``_bordered_factor``).  ``right`` is
-    ``A^-1 cols`` and ``schur`` the dense LU of the Schur block
-    ``corner - rows A^-1 cols``; the transposed-side counterparts (``left``)
-    are made on the first solve.
+    ``band`` holds the factors of the band ``A``: a tridiagonal band's come
+    from the ``dgttrf``-style kernel, any other band's from the
+    ``dgbtf2``-style one, and ``solve`` and ``solve_t`` (``A^-1 x`` and
+    ``A^-T x``) are that kernel's solves, chosen at factor time.  A boosted
+    pivot adds one border to ``cols``, ``rows`` and ``corner``, the borders
+    mixed block elimination works with (see ``_bordered_factor``).
+    ``right`` is ``A^-1 cols`` and ``schur`` the LU of the Schur block
+    ``corner - rows A^-1 cols`` (``_schur_factor``); the transposed-side
+    counterparts (``left``) are made on the first solve.
 
     Attributes
     ----------
@@ -276,10 +302,9 @@ class BorderedLuFactorization:
     """
 
     system: BandBorder
-    pivots: list
-    tails: list
-    mults: list
-    swaps: list
+    band: Union[BandLuFactorization, _GeneralBandLu]
+    solve: Callable
+    solve_t: Callable
     perm_sign: int
     cols: list
     rows: list
@@ -289,6 +314,11 @@ class BorderedLuFactorization:
     singular: bool
     pivot_floor: float
     left: Optional[tuple] = None
+
+    @property
+    def pivots(self) -> list:
+        """The band's pivots (boosted ones as boosted)."""
+        return self.band.pivots
 
 
 Factorization = Union[LuFactorization, BandLuFactorization, BorderedLuFactorization]
@@ -320,6 +350,15 @@ def _tridiagonal_band(a: np.ndarray) -> Optional[tuple]:
     return tuple(d.tolist() for d in diagonals)
 
 
+def _diagonals(band: np.ndarray) -> tuple:
+    """``(sub, diag, super)`` as lists, of a tridiagonal band in row-wise storage."""
+    cols = band.T
+    diagonals = (cols[0, 1:], cols[1], cols[2, :-1])
+    for d in diagonals:
+        _require_finite(d)
+    return tuple(d.tolist() for d in diagonals)
+
+
 def _band_floor(band: tuple, pivot_rtol: float) -> float:
     """``pivot_rtol`` times the max row sum of ``|a|``, as in the dense path.
 
@@ -336,10 +375,13 @@ def _band_floor(band: tuple, pivot_rtol: float) -> float:
     return float(pivot_rtol) * float(np.max(off + diag))
 
 
-def _band_factor(band: tuple, floor: float) -> BandLuFactorization:
+def _band_factor(band: tuple, floor: float, boost: Optional[float] = None) -> BandLuFactorization:
     """gttrf-style elimination of a tridiagonal matrix given by its diagonals.
 
     The pivot rule, floor test and zero-pivot skip are the dense kernel's.
+    With ``boost``, a pivot on or below ``floor`` is boosted by ``+-boost``
+    instead of flagging the matrix singular, and recorded in ``boosts``
+    exactly as ``_band_lu`` does; the factors are then ``_band_lu``'s.
     """
     sub, diag, sup = band
     n = len(diag)
@@ -348,13 +390,20 @@ def _band_factor(band: tuple, floor: float) -> BandLuFactorization:
     lower = [0.0] * max(n - 1, 0)
     upper2 = [0.0] * max(n - 2, 0)
     swapped = [False] * max(n - 1, 0)
+    boosts = []
     sign = 1
     singular = False
     for k in range(n - 1):
         piv = d[k]
         below = sub[k]
-        if abs(below) > abs(piv):
+        mag, mag_below = abs(piv), abs(below)
+        if mag_below > mag:
             # Row k+1 becomes the pivot row; row k is eliminated below it.
+            if mag_below <= floor:
+                if boost is None:
+                    singular = True
+                else:
+                    below += _boosted(boosts, k + 1, k, below, boost)
             swapped[k] = True
             sign = -sign
             mult = piv / below
@@ -363,19 +412,46 @@ def _band_factor(band: tuple, floor: float) -> BandLuFactorization:
                 upper2[k] = du[k + 1]
                 du[k + 1] = 0.0 - mult * upper2[k]
             lower[k] = mult
-            piv = below
-        elif piv != 0.0:
+        else:
+            # Row k stays the pivot row.  In both branches a small pivot is
+            # boosted before its multipliers are formed.
+            if mag <= floor:
+                if boost is None:
+                    singular = True
+                    if piv == 0.0:
+                        continue
+                else:
+                    piv = d[k] = piv + _boosted(boosts, _origin(swapped, k), k, piv, boost)
             mult = below / piv
             d[k + 1] -= mult * du[k]
             lower[k] = mult
-        if abs(piv) <= floor:
-            singular = True
     if n and abs(d[n - 1]) <= floor:
-        singular = True
+        if boost is None:
+            singular = True
+        else:
+            d[n - 1] += _boosted(boosts, _origin(swapped, n - 1), n - 1, d[n - 1], boost)
     return BandLuFactorization(
         lower=lower, pivots=d, upper=du, upper2=upper2, swapped=swapped, band=band,
-        perm_sign=sign, singular=singular, pivot_floor=floor,
+        perm_sign=sign, singular=singular, pivot_floor=floor, boosts=boosts,
     )
+
+
+def _boosted(boosts: list, row: int, step: int, piv: float, boost: float) -> float:
+    """Record the boost of pivot ``piv`` (original row ``row``) and return its delta."""
+    delta = -boost if piv < 0.0 else boost
+    boosts.append((row, step, delta))
+    return delta
+
+
+def _origin(swapped: list, k: int) -> int:
+    """Original index of the row at position ``k`` before step ``k``.
+
+    Step ``k - 1`` moves the row at position ``k - 1`` down to ``k`` exactly
+    when it interchanges; otherwise row ``k`` has not moved.
+    """
+    while k and swapped[k - 1]:
+        k -= 1
+    return k
 
 
 def _band_solve(fact: BandLuFactorization, b: list) -> list:
@@ -393,6 +469,24 @@ def _band_solve(fact: BandLuFactorization, b: list) -> list:
         x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
     for k in range(n - 3, -1, -1):
         x[k] = (x[k] - du[k] * x[k + 1] - du2[k] * x[k + 2]) / d[k]
+    return x
+
+
+def _band_solve_t(fact: BandLuFactorization, b: list) -> list:
+    """``A^-T b`` through ``fact``: ``U^T`` forward, then the steps transposed, last first."""
+    x = list(b)
+    n = len(x)
+    d, du, du2 = fact.pivots, fact.upper, fact.upper2
+    if n:
+        x[0] /= d[0]
+    if n > 1:
+        x[1] = (x[1] - du[0] * x[0]) / d[1]
+    for k in range(2, n):
+        x[k] = (x[k] - du2[k - 2] * x[k - 2] - du[k - 1] * x[k - 1]) / d[k]
+    for k in range(n - 2, -1, -1):
+        x[k] -= fact.lower[k] * x[k + 1]
+        if fact.swapped[k]:
+            x[k], x[k + 1] = x[k + 1], x[k]
     return x
 
 
@@ -419,7 +513,7 @@ def _dot(a: list, b: list) -> float:
     return math.fsum(map(mul, a, b))
 
 
-def _band_lu(system: BandBorder, boost_floor: float, boost: float):
+def _band_lu(system: BandBorder, boost_floor: float, boost: float) -> _GeneralBandLu:
     """Band LU with partial pivoting inside the band (``dgbtf2``-style).
 
     Row ``i`` is held as a list over columns ``i - kl .. i + kl + ku``: the
@@ -428,10 +522,9 @@ def _band_lu(system: BandBorder, boost_floor: float, boost: float):
     ``<= boost_floor`` is boosted by ``delta = +-boost`` (the pivot's sign,
     + for zero): that factors ``A + delta e_r e_j^T`` exactly, with ``r``
     the pivot row's original index, and ``_bordered_factor`` takes the
-    correction back out through one more border.  Returns ``(pivots, tails, mults, swaps, sign,
-    boosts)``: ``tails[j]`` is row ``j`` of ``U`` right of its pivot and
-    ``boosts`` a list of ``(r, j, delta)``.  The loops skip zero entries
-    explicitly: on lists this short that is faster than slicing.
+    correction back out through one more border; ``boosts`` lists
+    ``(r, j, delta)``.  The loops skip zero entries explicitly: on lists
+    this short that is faster than slicing.
     """
     kl, ku = system.kl, system.ku
     nb = system.band.shape[0]
@@ -486,10 +579,10 @@ def _band_lu(system: BandBorder, boost_floor: float, boost: float):
         tails[j] = tails[j][: nb - 1 - j]
     for j in range(max(0, nb - kl), nb):
         mults[j] = mults[j][: nb - 1 - j]
-    return pivots, tails, mults, swaps, sign, boosts
+    return _GeneralBandLu(pivots=pivots, tails=tails, mults=mults, swaps=swaps, perm_sign=sign, boosts=boosts)
 
 
-def _band_lu_solve(fact: BorderedLuFactorization, x: list) -> list:
+def _band_lu_solve(fact: _GeneralBandLu, x: list) -> list:
     """``A^-1 x`` through the band factors, in place."""
     for j, p in enumerate(fact.swaps):
         if p != j:
@@ -513,7 +606,7 @@ def _band_lu_solve(fact: BorderedLuFactorization, x: list) -> list:
     return x
 
 
-def _band_lu_solve_t(fact: BorderedLuFactorization, x: list) -> list:
+def _band_lu_solve_t(fact: _GeneralBandLu, x: list) -> list:
     """``A^-T x`` through the band factors, in place."""
     for j, (piv, tail) in enumerate(zip(fact.pivots, fact.tails)):
         xj = x[j] = x[j] / piv
@@ -540,9 +633,11 @@ def _band_lu_solve_t(fact: BorderedLuFactorization, x: list) -> list:
 def _bordered_factor(system: BandBorder, pivot_rtol: float) -> BorderedLuFactorization:
     """Band LU of ``A``, then the borders' Schur block (module docstring).
 
-    Each boosted pivot ``(r, j, delta)`` becomes one more border: column
-    ``-delta e_r``, row ``e_j^T`` and corner -1, whose unknown is ``x_j``,
-    so the extended system is exact for ``A`` and its det is
+    A tridiagonal ``A`` goes through ``_band_factor``, any other through
+    ``_band_lu``; on a tridiagonal band both give the same factors and
+    boosts.  Each boosted pivot ``(r, j, delta)`` becomes one more border:
+    column ``-delta e_r``, row ``e_j^T`` and corner -1, whose unknown is
+    ``x_j``, so the extended system is exact for ``A`` and its det is
     ``(-1)^boosts`` times the user matrix's.
     """
     nb = system.band.shape[0]
@@ -554,8 +649,14 @@ def _bordered_factor(system: BandBorder, pivot_rtol: float) -> BorderedLuFactori
     _require_finite(row_sums)  # a NaN or inf entry leaves its row sum non-finite
     floor = float(pivot_rtol) * (float(np.max(row_sums)) if row_sums.size else 0.0)
     scale = float(np.max(band_sums)) if nb else 0.0
-    pivots, tails, mults, swaps, sign, boosts = _band_lu(
-        system, max(floor, _BOOST_RTOL * scale), scale if scale > 0.0 else 1.0)
+    boost_floor, boost = max(floor, _BOOST_RTOL * scale), scale if scale > 0.0 else 1.0
+    if system.kl == system.ku == 1:
+        band = _band_factor(_diagonals(system.band), boost_floor, boost)
+        solve, solve_t = _band_solve, _band_solve_t
+    else:
+        band = _band_lu(system, boost_floor, boost)
+        solve, solve_t = _band_lu_solve, _band_lu_solve_t
+    boosts = band.boosts
     cols = system.cols.T.tolist()
     rows = system.rows.tolist()
     k = len(cols) + len(boosts)
@@ -570,11 +671,11 @@ def _bordered_factor(system: BandBorder, pivot_rtol: float) -> BorderedLuFactori
         corner.append([0.0] * k)
         corner[-1][len(cols) - 1] = -1.0
     fact = BorderedLuFactorization(
-        system=system, pivots=pivots, tails=tails, mults=mults, swaps=swaps,
-        perm_sign=sign * (-1 if len(boosts) % 2 else 1),
+        system=system, band=band, solve=solve, solve_t=solve_t,
+        perm_sign=band.perm_sign * (-1 if len(boosts) % 2 else 1),
         cols=cols, rows=rows, corner=corner, right=[], schur=None, singular=False, pivot_floor=floor,
     )
-    fact.right = [_band_lu_solve(fact, list(c)) for c in cols]
+    fact.right = [solve(band, list(c)) for c in cols]
     fact.schur = _schur_factor(corner, rows, fact.right)
     # A Schur pivot is zero to within pivot_rtol if it cancels that far
     # below the terms the block is computed from.
@@ -588,10 +689,33 @@ def _bordered_factor(system: BandBorder, pivot_rtol: float) -> BorderedLuFactori
 
 
 def _schur_factor(corner: list, rows: list, right: list) -> LuFactorization:
-    """Dense LU of the k x k block ``corner[i][c] - rows[i] . right[c]``."""
+    """LU of the k x k block ``corner[i][c] - rows[i] . right[c]``, on Python floats.
+
+    Step for step ``_dense_factor(block, 0.0)``: the first largest entry of
+    the column pivots, and an exactly zero pivot flags the block singular
+    and eliminates nothing.
+    """
     k = len(corner)
-    block = np.array([[corner[i][c] - _dot(rows[i], right[c]) for c in range(k)] for i in range(k)])
-    return _dense_factor(block.reshape(k, k), 0.0)
+    a = [[corner[i][c] - _dot(rows[i], right[c]) for c in range(k)] for i in range(k)]
+    perm = list(range(k))
+    sign = 1
+    singular = False
+    for j in range(k):
+        p = max(range(j, k), key=lambda i: abs(a[i][j]))
+        if p != j:
+            a[j], a[p] = a[p], a[j]
+            perm[j], perm[p] = perm[p], perm[j]
+            sign = -sign
+        piv = a[j][j]
+        if piv == 0.0:
+            singular = True
+            continue
+        for i in range(j + 1, k):
+            f = a[i][j] = a[i][j] / piv
+            for c in range(j + 1, k):
+                a[i][c] -= f * a[j][c]
+    return LuFactorization(packed=np.array(a).reshape(k, k), perm=np.array(perm, dtype=int), perm_sign=sign,
+                           singular=singular, pivot_floor=0.0)
 
 
 def _bordered_solve(fact: BorderedLuFactorization, b: list) -> list:
@@ -607,9 +731,9 @@ def _bordered_solve(fact: BorderedLuFactorization, b: list) -> list:
     visible = len(b) - nb  # the caller's borders; the rest are boosted pivots'
     f, g = b[:nb], b[nb:] + [0.0] * (k - visible)
     if k == 0:
-        return _band_lu_solve(fact, f)
+        return fact.solve(fact.band, f)
     if fact.left is None:
-        left = [_band_lu_solve_t(fact, list(r)) for r in fact.rows]
+        left = [fact.solve_t(fact.band, list(r)) for r in fact.rows]
         fact.left = (left, _schur_factor(fact.corner, left, fact.cols))
     left, schur_t = fact.left
     if schur_t.singular:
@@ -619,7 +743,7 @@ def _bordered_solve(fact: BorderedLuFactorization, b: list) -> list:
         if yc != 0.0:
             f = [a - yc * v for a, v in zip(f, c)]
     g1 = [g[i] - _dot(fact.corner[i], y1) for i in range(k)]
-    xi = _band_lu_solve(fact, f)
+    xi = fact.solve(fact.band, f)
     y2 = _dense_solve(fact.schur, np.array([g1[i] - _dot(fact.rows[i], xi) for i in range(k)])).tolist()
     for w, yc in zip(fact.right, y2):
         if yc != 0.0:
@@ -633,8 +757,9 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
     ``matrix`` is a ``BandBorder`` or a dense square array-like.  A plain
     tridiagonal ``BandBorder``, or a dense matrix whose nonzeros all lie on
     the three central diagonals, gets a ``BandLuFactorization`` in O(n); any
-    other ``BandBorder`` a ``BorderedLuFactorization`` in O(n); any other
-    dense matrix a dense ``LuFactorization``.
+    other ``BandBorder`` a ``BorderedLuFactorization`` in O(n), whose band
+    is factored by the same tridiagonal kernel if it is tridiagonal; any
+    other dense matrix a dense ``LuFactorization``.
 
     Parameters
     ----------
@@ -648,11 +773,7 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
     """
     if isinstance(matrix, BandBorder):
         if matrix.kl == matrix.ku == 1 and matrix.k == 0 and len(matrix) == len(matrix.band):
-            cols = matrix.band.T
-            band = (cols[0, 1:], cols[1], cols[2, :-1])
-            for d in band:
-                _require_finite(d)
-            band = tuple(d.tolist() for d in band)
+            band = _diagonals(matrix.band)
             return _band_factor(band, _band_floor(band, pivot_rtol))
         return _bordered_factor(matrix, pivot_rtol)
     a = _as_square_matrix(matrix)
@@ -703,7 +824,9 @@ def lu_solve(fact: Factorization, rhs) -> np.ndarray:
 
     Accepts a vector or a matrix of stacked right-hand sides (columns).
     Raises ``SingularMatrixError`` if the factorization was flagged singular.
-    A band factorization solves reflection-equivariantly (module docstring).
+    A ``BandLuFactorization`` (an unbordered tridiagonal matrix) solves
+    reflection-equivariantly (module docstring); a bordered one does not,
+    whatever its band.
     """
     if fact.singular:
         raise SingularMatrixError("singular matrix")

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import phase_bifurcate
-from phase_bifurcate import cli
+from phase_bifurcate import cli, linalg
 from phase_bifurcate.continuation import NewtonFailure
 from phase_bifurcate.linalg import BandBorder
 from phase_bifurcate.models import AllenCahn
@@ -418,6 +418,36 @@ def test_verify_acok_variant_checks(tmp_path, capsys):
     assert "half_symmetry_residual" in names
     assert "acok_sine0_spot_abs_gap" in names
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# kernels the engine uses
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solutions", "--model", "ac", "--epsilon", "0.2", "--eps-range", "0.15:0.7"],
+        ["solutions", "--model", "acok", "--gamma", "300", "--gamma-range", "0:700"],
+        ["trace", "--model", "ac", "--arclength", "--eps-range", "0.25:0.7"],
+        ["trace", "--model", "acok", "--arclength", "--gamma-range", "0:700"],
+    ],
+    ids=["ac-solutions", "acok-solutions", "ac-arclength", "acok-arclength"],
+)
+def test_engine_never_calls_the_dense_lu(argv, monkeypatch, capsys):
+    """Every engine factorization is a band or band-plus-border one, and
+    every tridiagonal band, bordered or not, takes the tridiagonal kernel."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine called a kernel it must not")
+
+    monkeypatch.setattr(linalg, "_dense_factor", refuse)
+    if argv[2] == "ac":
+        monkeypatch.setattr(linalg, "_band_lu", refuse)
+    assert run_cli([*argv, "--n-cells", "40", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] > 0 if argv[0] == "solutions" else len(payload["branches"]) > 3
 
 
 # ---------------------------------------------------------------------------

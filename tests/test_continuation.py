@@ -6,6 +6,7 @@ Heavy machinery is exercised on small grids (N=80..100); fold handling uses
 a two-unknown toy system with known geometry (x1^2 + mu = 1, x2 = x1: a fold
 at mu=1 that natural stepping cannot round but arclength must)."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -365,6 +366,40 @@ def arclength_branches(ac_detection):
     for _, _, branch in cases:
         assert len(branch.points) > 3
     return cases
+
+
+# The AC pseudo-arclength diagram at N=40 over eps in [0.25, 0.7], recorded
+# before bordered tridiagonal bands left the general band kernel: per branch,
+# its point count, last parameter and the sha256 of its stacked states.
+_ARCLENGTH_DIAGRAM_N40 = (
+    ("trivial:phi=-1", 116, "0x1.f7ced916872a0p-3", "9931a985c9640bbd11c51f98e9ec7e7e2ced32d9e920fd6b768e74504afd5b15"),
+    ("trivial:phi=0", 116, "0x1.f7ced916872a0p-3", "af1ef4eeead6c483a4d000c0b8863d1e4cc2cc43e4b1e800183ab3c375cf260e"),
+    ("trivial:phi=+1", 116, "0x1.f7ced916872a0p-3", "557ede7b2ba866388ec2f612d4e084f41e3b5f0288d22b17eca77b21a0f336d4"),
+    ("bp0+", 64, "0x1.fe94290bcaedfp-3", "382182ad1bdc05cfced65cb6dcd0f9a4a7bb5fe7cd7f955210c23898c9b822dd"),
+    ("bp0-", 64, "0x1.fe94290bcaedfp-3", "6144809d3c46482bf32632175bad70aac4ead4363a01c4f222d45a4cf1b05807"),
+    ("bp1+", 144, "0x1.fe504bc1f3bd4p-3", "54e31645a824c289b41aabeb4c85e9f6a07ad0f16dfecacf468bd27eea596209"),
+    ("bp1-", 144, "0x1.fe504bc1f3bd4p-3", "50d82b83571230ed64dd6e663814668a5f7657860eade29b20a1b675626a153e"),
+)
+
+
+def test_arclength_diagram_is_pinned_bitwise(monkeypatch):
+    # OpenBLAS picks its dot kernel by CPU, and the kernels round
+    # differently.  The diagram's two BLAS reductions, the arclength
+    # frame's dot and the null mode's 2-norm, are replaced by exactly
+    # rounded sums, so the pin holds on every CPU.
+    def exact_dot(self, dx_a, dmu_a, dx_b, dmu_b):
+        return math.fsum(dx_a * dx_b) / self.n + (dmu_a * dmu_b) / self.pscale**2
+
+    monkeypatch.setattr(continuation._ArclengthFrame, "dot", exact_dot)
+    monkeypatch.setattr(np.linalg, "norm", lambda v: math.sqrt(math.fsum(np.ravel(v) ** 2)))
+    settings = default_settings("ac", param_min=0.25, param_max=0.7, use_pseudo_arclength=True)
+    diagram = compute_diagram(model_by_kind("ac", GridSpec(40)), ModelParams(epsilon=0.5), settings)
+    got = tuple(
+        (b.id, len(b.points), b.points[-1].param.hex(),
+         hashlib.sha256(np.stack([p.state for p in b.points]).tobytes()).hexdigest())
+        for b in diagram.branches
+    )
+    assert got == _ARCLENGTH_DIAGRAM_N40
 
 
 def test_arclength_points_record_the_residual_at_their_own_state(arclength_branches):

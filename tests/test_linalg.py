@@ -1,8 +1,11 @@
 """Unit tests for the LU core: factorization, solves, det signs, and the
 null modes the detector reads off its factorizations.  Oracles are
 numpy.linalg, hand-built matrices and, for the tridiagonal and
-band-plus-border kernels, the dense kernel on the same matrix."""
+band-plus-border kernels, the dense kernel on the same matrix; the
+tridiagonal kernel in bordered use is checked against the general band
+kernel, and the scalar Schur factorization against the dense kernel."""
 
+import hashlib
 import weakref
 
 import numpy as np
@@ -30,6 +33,7 @@ from phase_bifurcate import (
     null_vector,
     poisson_neumann_solve,
 )
+from phase_bifurcate.models import _laplacian_band
 
 
 def reconstruct(fact):
@@ -564,6 +568,111 @@ def test_bordered_kernel_matches_dense_on_acok_jacobians():
                     b = rng.standard_normal(grid.n_nodes)
                     x_new, x_dense = lu_solve(fact, b), lu_solve(dense, b)
                     assert np.max(np.abs(x_new - x_dense)) <= 1e-9 * np.max(np.abs(x_dense)), where
+
+
+def test_bordered_tridiagonal_band_takes_the_tridiagonal_kernel(monkeypatch):
+    monkeypatch.setattr(linalg, "_band_lu", None)  # any call would fail
+    grid = GridSpec(40)
+    fact = lu_factor(neumann_system(grid))
+    assert isinstance(fact.band, BandLuFactorization) and fact.band.boosts
+    assert (fact.solve, fact.solve_t) == (linalg._band_solve, linalg._band_solve_t)
+    assert_bordered_matches_numpy(neumann_system(grid), np.random.default_rng(41))
+
+
+# The Neumann problem's solve at N=100, recorded before bordered tridiagonal
+# bands left the general band kernel.  Its one BLAS call, the mean check's
+# dot product, only gates, so the bytes depend on no BLAS kernel.
+_NEUMANN_SOLVE_N100_SHA256 = "58c4fd10bc1fe046ecf78f23450bd641719f852fdd9fbf7acd23b309f7061bfb"
+
+
+def test_neumann_solve_is_pinned_bitwise():
+    grid = GridSpec(100)
+    f = np.cos(np.pi * grid.nodes) + 0.3 * np.sin(3.0 * grid.nodes)
+    u = poisson_neumann_solve(f, grid)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == _NEUMANN_SOLVE_N100_SHA256
+
+
+# ---------------------------------------------------------------------------
+# one tridiagonal elimination (reference: the general band kernel, which it
+# must reproduce value for value wherever a border takes boosts back out)
+# ---------------------------------------------------------------------------
+
+
+def random_tridiagonal_band(rng, n):
+    """Row-wise band with 25 % exact zeros and magnitudes from 1e-3 to 1e3."""
+    band = rng.choice([-1.0, 1.0], (n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 3))
+    band[rng.random((n, 3)) < 0.25] = 0.0
+    band[0, 0] = band[-1, 2] = 0.0
+    return band
+
+
+def assert_tridiagonal_kernel_is_the_general_one(band, boost_floor, boost, rng):
+    """Factors and both solves of ``_band_factor`` in boost mode against ``_band_lu``'s.
+
+    Returns the numbers of boosts and interchanges.
+    """
+    n = len(band)
+    general = linalg._band_lu(BandBorder(band=band, kl=1), boost_floor, boost)
+    tri = linalg._band_factor(linalg._diagonals(band), boost_floor, boost)
+    assert not tri.singular
+    assert tri.pivots == general.pivots
+    assert [[m] for m in tri.lower] + [[]] == general.mults
+    u_rows = [tri.upper[j:j + 1] + tri.upper2[j:j + 1] for j in range(n)]
+    assert u_rows == general.tails
+    assert [j + 1 if s else j for j, s in enumerate(tri.swapped)] + [n - 1] == general.swaps
+    assert tri.perm_sign == general.perm_sign
+    assert tri.boosts == general.boosts
+    for b in (rng.standard_normal(n).tolist(), np.eye(n)[rng.integers(n)].tolist()):
+        assert linalg._band_solve(tri, b) == linalg._band_lu_solve(general, list(b))
+        assert linalg._band_solve_t(tri, b) == linalg._band_lu_solve_t(general, list(b))
+    return len(tri.boosts), sum(tri.swapped)
+
+
+def boost_scale(band):
+    """``_bordered_factor``'s boost: the band's max row sum (1.0 for a zero band)."""
+    return float(np.max(np.sum(np.abs(band), axis=1))) or 1.0
+
+
+def test_tridiagonal_kernel_in_boost_mode_is_the_general_band_kernel():
+    rng = np.random.default_rng(43)
+    bands = [random_tridiagonal_band(rng, n) for n in range(1, 13) for _ in range(60)]
+    # Exact zero pivots: a zero band, and a zero main diagonal.
+    bands += [np.zeros((n, 3)) for n in (1, 2, 5)]
+    bands += [np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0]])]
+    boosts = swaps = 0
+    for band in bands:
+        scale = boost_scale(band)
+        for boost_floor in (linalg._BOOST_RTOL * scale, 1e-2 * scale):
+            b, s = assert_tridiagonal_kernel_is_the_general_one(band, boost_floor, scale, rng)
+            boosts, swaps = boosts + b, swaps + s
+    assert boosts >= 1000 and swaps >= 2000
+    # The Neumann Laplacian is exactly singular: its last pivot is boosted.
+    for n_cells in (4, 10, 100):
+        band = _laplacian_band(GridSpec(n_cells))
+        scale = boost_scale(band)
+        b, _ = assert_tridiagonal_kernel_is_the_general_one(band, linalg.DEFAULT_PIVOT_RTOL * scale, scale, rng)
+        assert b == 1
+
+
+def test_scalar_schur_factor_is_the_dense_kernel_step_for_step():
+    rng = np.random.default_rng(47)
+    blocks = []
+    for k in (1, 2, 3):
+        for _ in range(600):
+            blocks.append(rng.standard_normal((k, k)) * 10.0 ** rng.uniform(-8.0, 8.0, (k, k)))
+            # Small integers: ties for the pivot, and exactly singular blocks.
+            blocks.append(rng.integers(-2, 3, (k, k)).astype(float))
+            blocks.append(np.outer(rng.integers(-3, 4, k), rng.integers(-3, 4, k)).astype(float))
+    singular = 0
+    for block in blocks:
+        k = len(block)
+        got = linalg._schur_factor(block.tolist(), [[]] * k, [[]] * k)
+        want = linalg._dense_factor(block.copy(), 0.0)
+        assert np.array_equal(got.packed, want.packed), block
+        assert np.array_equal(got.perm, want.perm), block
+        assert (got.perm_sign, got.singular) == (want.perm_sign, want.singular), block
+        singular += got.singular
+    assert singular >= 500
 
 
 # ---------------------------------------------------------------------------
