@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -78,7 +77,7 @@ def ac_bifurcation(n: int, family: str) -> AnalyticBifurcation:
     return AnalyticBifurcation("ac", family, n, 1.0 / k)
 
 
-def ch_bifurcation(n: int, family: str, mu0: float, epsilon_guess: Optional[float] = None) -> AnalyticBifurcation:
+def ch_bifurcation(n: int, family: str, mu0: float) -> AnalyticBifurcation:
     """Critical eps for the constant-potential model on its middle trivial root.
 
     Solves the exact kernel condition
@@ -86,9 +85,9 @@ def ch_bifurcation(n: int, family: str, mu0: float, epsilon_guess: Optional[floa
         k^2 - 1/eps^2 + 3*phi0(mu0, eps)^2/eps^2 = 0
 
     by scalar Newton in eps, where phi0 is the exact middle root of
-    phi^3 - phi = mu0*eps^2.  Seeded at the mu0=0 value 1/k (or at
-    ``epsilon_guess``); for mu0=0 this returns exactly 1/k.  The mu0
-    dependence is O(mu0^2), which tests use as a bound, not as the value.
+    phi^3 - phi = mu0*eps^2.  Seeded at the mu0=0 value 1/k; for mu0=0
+    this returns exactly 1/k.  The mu0 dependence is O(mu0^2), which tests
+    use as a bound, not as the value.
     """
     k = mode_wavenumber(n, family)
     if mu0 == 0.0:
@@ -106,7 +105,7 @@ def ch_bifurcation(n: int, family: str, mu0: float, epsilon_guess: Optional[floa
         phi0 = middle_root(eps)
         return k * k - 1.0 / eps**2 + 3.0 * phi0 * phi0 / eps**2
 
-    eps = float(epsilon_guess) if epsilon_guess is not None else 1.0 / k
+    eps = 1.0 / k
     last = eps
     for _ in range(60):
         f = kernel(eps)

@@ -194,6 +194,9 @@ def resolve(args) -> tuple[RunConfig, object, ModelParams]:
             overrides.setdefault("max_step", max(args.step, base.max_step))
             overrides.setdefault("min_step", min(args.step, base.min_step))
         settings = default_settings(kind, **overrides)
+        # Both window ends must lie in the model's domain.
+        for end in (settings.param_min, settings.param_max):
+            model.with_param(params, end)
     except ValueError as exc:
         raise UsageError(str(exc))
 

@@ -176,10 +176,6 @@ class Branch:
     points: list[BranchPoint]
     stop_reason: str = "param_bound"
 
-    @property
-    def params(self) -> np.ndarray:
-        return np.array([p.param for p in self.points])
-
 
 @dataclass
 class BifurcationPoint:
@@ -273,17 +269,14 @@ def newton_correct(model, params, guess, settings) -> BranchPoint:
     return point
 
 
-def euler_predict(model, params, point: BranchPoint, step: float, fact: Optional[Factorization] = None) -> np.ndarray:
+def euler_predict(model, params, point: BranchPoint, step: float, fact: Factorization) -> np.ndarray:
     """First-order predictor: solve J dx = -F_mu * dmu at ``point``.
 
-    ``fact`` may pass in the Jacobian factorization from the point's
-    correction to avoid refactoring.  Raises SingularMatrixError at singular
-    Jacobians (caller shrinks the step).
+    ``fact`` is the factorization of ``model.linearize`` at ``point`` (the
+    tracer reuses the one from the point's correction).  Raises
+    SingularMatrixError, through ``lu_solve``, if it is flagged singular
+    (caller shrinks the step).
     """
-    if fact is None:
-        fact = lu_factor(model.linearize(point.state, params))
-    if fact.singular:
-        raise SingularMatrixError("singular Jacobian in predictor")
     fmu = model.param_derivative(point.state, params)
     dx = lu_solve(fact, -fmu * step)
     return point.state + dx

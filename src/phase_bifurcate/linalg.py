@@ -337,7 +337,7 @@ def _as_square_matrix(matrix) -> np.ndarray:
 
 
 def _tridiagonal_band(a: np.ndarray) -> Optional[tuple]:
-    """``(sub, diag, super)`` as lists if every nonzero of ``a`` is on them.
+    """``(sub, diag, super)`` arrays if every nonzero of ``a`` is on them.
 
     ``count_nonzero`` counts NaN and inf, so equal counts also prove every
     off-band entry an exact, finite zero; only the band is checked further.
@@ -347,20 +347,20 @@ def _tridiagonal_band(a: np.ndarray) -> Optional[tuple]:
         return None
     for d in diagonals:
         _require_finite(d)
-    return tuple(d.tolist() for d in diagonals)
+    return diagonals
 
 
 def _diagonals(band: np.ndarray) -> tuple:
-    """``(sub, diag, super)`` as lists, of a tridiagonal band in row-wise storage."""
+    """``(sub, diag, super)`` arrays of a tridiagonal band in row-wise storage."""
     cols = band.T
     diagonals = (cols[0, 1:], cols[1], cols[2, :-1])
     for d in diagonals:
         _require_finite(d)
-    return tuple(d.tolist() for d in diagonals)
+    return diagonals
 
 
 def _band_floor(band: tuple, pivot_rtol: float) -> float:
-    """``pivot_rtol`` times the max row sum of ``|a|``, as in the dense path.
+    """``pivot_rtol`` times the max row sum of ``|a|``, as in the dense path, from ``a``'s diagonal arrays.
 
     Each row sums its two off-diagonal entries first, so the mirrored
     matrix gets the same floor bit for bit.
@@ -651,7 +651,7 @@ def _bordered_factor(system: BandBorder, pivot_rtol: float) -> BorderedLuFactori
     scale = float(np.max(band_sums)) if nb else 0.0
     boost_floor, boost = max(floor, _BOOST_RTOL * scale), scale if scale > 0.0 else 1.0
     if system.kl == system.ku == 1:
-        band = _band_factor(_diagonals(system.band), boost_floor, boost)
+        band = _band_factor(tuple(d.tolist() for d in _diagonals(system.band)), boost_floor, boost)
         solve, solve_t = _band_solve, _band_solve_t
     else:
         band = _band_lu(system, boost_floor, boost)
@@ -730,8 +730,6 @@ def _bordered_solve(fact: BorderedLuFactorization, b: list) -> list:
     nb, k = len(fact.pivots), len(fact.cols)
     visible = len(b) - nb  # the caller's borders; the rest are boosted pivots'
     f, g = b[:nb], b[nb:] + [0.0] * (k - visible)
-    if k == 0:
-        return fact.solve(fact.band, f)
     if fact.left is None:
         left = [fact.solve_t(fact.band, list(r)) for r in fact.rows]
         fact.left = (left, _schur_factor(fact.corner, left, fact.cols))
@@ -772,16 +770,16 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
         *signs* arbitrarily close to a singularity).
     """
     if isinstance(matrix, BandBorder):
-        if matrix.kl == matrix.ku == 1 and matrix.k == 0 and len(matrix) == len(matrix.band):
-            band = _diagonals(matrix.band)
-            return _band_factor(band, _band_floor(band, pivot_rtol))
-        return _bordered_factor(matrix, pivot_rtol)
-    a = _as_square_matrix(matrix)
-    band = _tridiagonal_band(a)
-    if band is not None:
-        return _band_factor(band, _band_floor(band, pivot_rtol))
-    _require_finite(a)
-    return _dense_factor(a.copy(), pivot_rtol)
+        if not (matrix.kl == matrix.ku == 1 and matrix.k == 0 and len(matrix) == len(matrix.band)):
+            return _bordered_factor(matrix, pivot_rtol)
+        band = _diagonals(matrix.band)
+    else:
+        a = _as_square_matrix(matrix)
+        band = _tridiagonal_band(a)
+        if band is None:
+            _require_finite(a)
+            return _dense_factor(a.copy(), pivot_rtol)
+    return _band_factor(tuple(d.tolist() for d in band), _band_floor(band, pivot_rtol))
 
 
 def _dense_factor(a: np.ndarray, pivot_rtol: float) -> LuFactorization:
@@ -820,11 +818,12 @@ def _dense_factor(a: np.ndarray, pivot_rtol: float) -> LuFactorization:
 
 
 def lu_solve(fact: Factorization, rhs) -> np.ndarray:
-    """Solve ``A x = rhs`` given ``fact = lu_factor(A)``.
+    """Solve ``A x = rhs`` for one right-hand side, given ``fact = lu_factor(A)``.
 
-    Accepts a vector or a matrix of stacked right-hand sides (columns).
-    Raises ``SingularMatrixError`` if the factorization was flagged singular.
-    A ``BandLuFactorization`` (an unbordered tridiagonal matrix) solves
+    ``rhs`` is a vector of the system's order; anything else (a matrix of
+    stacked right-hand sides included) raises ``ValueError``.  Raises
+    ``SingularMatrixError`` if the factorization was flagged singular.  A
+    ``BandLuFactorization`` (an unbordered tridiagonal matrix) solves
     reflection-equivariantly (module docstring); a bordered one does not,
     whatever its band.
     """
@@ -832,21 +831,15 @@ def lu_solve(fact: Factorization, rhs) -> np.ndarray:
         raise SingularMatrixError("singular matrix")
     n = _order(fact)
     b = np.asarray(rhs, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[0] != n:
+    if b.shape != (n,):
         raise ValueError(f"rhs of shape {b.shape} does not match matrix size {n}")
     if isinstance(fact, BorderedLuFactorization):
         outer = fact.system.outer
-        full = np.zeros((fact.system.band.shape[0] + fact.system.k,) + b.shape[1:])
+        full = np.zeros(fact.system.band.shape[0] + fact.system.k)
         full[outer] = b
-        if b.ndim == 1:
-            return np.array(_bordered_solve(fact, full.tolist()))[outer]
-        cols = [_bordered_solve(fact, col) for col in full.T.tolist()]
-        return np.array(cols, dtype=float).reshape(b.shape[1], len(full)).T[outer]
+        return np.array(_bordered_solve(fact, full.tolist()))[outer]
     if isinstance(fact, BandLuFactorization):
-        if b.ndim == 1:
-            return np.array(_band_solve_equivariant(fact, b.tolist()))
-        cols = [_band_solve_equivariant(fact, col) for col in b.T.tolist()]
-        return np.array(cols, dtype=float).reshape(b.shape[1], n).T
+        return np.array(_band_solve_equivariant(fact, b.tolist()))
     return _dense_solve(fact, b)
 
 
@@ -860,13 +853,14 @@ def _order(fact: Factorization) -> int:
 
 
 def _dense_solve(fact: LuFactorization, b: np.ndarray) -> np.ndarray:
-    """Forward and back substitution through the packed dense factors."""
+    """Forward and back substitution through the packed dense factors.
+
+    ``x`` is a column, so each ``@`` is a matrix-vector product: a 1-D ``@``
+    can take another BLAS kernel, which moves the last bits.
+    """
     a = fact.packed
     n = a.shape[0]
-    squeeze = b.ndim == 1
-    x = b[fact.perm].astype(float, copy=True)
-    if squeeze:
-        x = x.reshape(n, 1)
+    x = b[fact.perm].reshape(n, 1)
     # Forward substitution (unit lower triangle).
     for i in range(1, n):
         x[i] -= a[i, :i] @ x[:i]
@@ -875,7 +869,7 @@ def _dense_solve(fact: LuFactorization, b: np.ndarray) -> np.ndarray:
         if i + 1 < n:
             x[i] -= a[i, i + 1 :] @ x[i + 1 :]
         x[i] /= a[i, i]
-    return x[:, 0] if squeeze else x
+    return x[:, 0]
 
 
 def _pivots(fact: Factorization):
@@ -898,15 +892,14 @@ def _sign_from_fact(fact: Factorization) -> int:
     return sign
 
 
-def det_sign(matrix_or_fact, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> int:
-    """Sign of det(A) as -1, 0 or +1.
+def det_sign(fact: Factorization) -> int:
+    """Sign of det(A) as -1, 0 or +1, given ``fact = lu_factor(A, pivot_rtol)``.
 
-    A result of 0 means some pivot fell on or below the singularity floor,
-    i.e. the matrix is singular *to within the configured threshold*.
+    A result of 0 means ``fact`` is flagged singular: some pivot fell on or
+    below the floor ``pivot_rtol`` set, i.e. the matrix is singular *to
+    within that threshold*.
     """
-    if isinstance(matrix_or_fact, (LuFactorization, BandLuFactorization, BorderedLuFactorization)):
-        return _sign_from_fact(matrix_or_fact)
-    return _sign_from_fact(lu_factor(matrix_or_fact, pivot_rtol=pivot_rtol))
+    return _sign_from_fact(fact)
 
 
 def log_abs_det(fact: Factorization) -> float:

@@ -84,6 +84,26 @@ def test_non_finite_continuation_settings_exit_1(extra, field, capsys):
     assert err.startswith("error:") and field in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["points", "--model", "ac", "--n-cells", "20", "--eps-range", "0:0.5"], 1,
+         "error: epsilon must be positive, got 0.0\n"),
+        (["trace", "--model", "ac", "--n-cells", "20", "--eps-range", "0:0.5"], 1,
+         "error: epsilon must be positive, got 0.0\n"),
+        (["points", "--model", "acok", "--n-cells", "20", "--gamma-range=-50:100"], 1,
+         "error: gamma must be >= 0, got -50.0\n"),
+        # gamma = 0 is in ACOK's domain, so a window may start there.
+        (["points", "--model", "acok", "--n-cells", "40", "--gamma-range", "0:700", "--format", "json"], 0, ""),
+    ],
+    ids=["points-ac-eps-from-0", "trace-ac-eps-from-0", "points-acok-negative-gamma", "points-acok-gamma-from-0"],
+)
+def test_window_outside_the_model_domain_exits_1(argv, code, err, capsys):
+    # The three windows used to fail inside the run, as "numerical failure" (exit 2).
+    assert run_cli(argv) == code
+    assert capsys.readouterr().err == err
+
+
 # ---------------------------------------------------------------------------
 # numerical and I/O failures (exit code 2)
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from phase_bifurcate import (
     GridSpec,
     ModelParams,
     NewtonFailure,
+    SingularMatrixError,
     ac_bifurcation,
     ac_bifurcations_in_range,
     acok_bifurcations_in_range,
@@ -255,12 +256,22 @@ def test_newton_det_sign_zero_at_exact_fold():
 def test_euler_predict_is_second_order():
     model = FoldModel()
     start = newton_correct(model, 0.0, np.array([1.0, 1.0]), toy_settings())
+    fact = lu_factor(model.linearize(start.state, 0.0))
     errs = []
     for step in (0.1, 0.05):
-        pred = euler_predict(model, 0.0, start, step)
+        pred = euler_predict(model, 0.0, start, step, fact)
         exact = math.sqrt(1.0 - step)
         errs.append(abs(pred[0] - exact))
     assert 3.2 <= errs[0] / errs[1] <= 4.8
+
+
+def test_euler_predict_raises_on_a_singular_factorization():
+    model = FoldModel()
+    fold = newton_correct(model, 1.0, np.array([0.0, 0.0]), toy_settings())
+    fact = lu_factor(model.linearize(fold.state, 1.0))
+    assert fact.singular
+    with pytest.raises(SingularMatrixError):
+        euler_predict(model, 1.0, fold, -0.1, fact)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +297,7 @@ def test_natural_trace_stops_at_min_step_before_fold():
     assert branch.stop_reason == "min_step"
     assert branch.points[-1].param < 1.0
     assert branch.points[-1].param > 0.99  # got close to the fold, never past it
-    params = branch.params
+    params = np.array([p.param for p in branch.points])
     assert np.all(np.diff(params) > 0.0)  # natural mode is monotone
 
 
@@ -325,7 +336,7 @@ def test_arclength_trace_rounds_the_fold():
     settings = toy_settings(use_pseudo_arclength=True)
     start = newton_correct(model, 0.0, np.array([1.0, 1.0]), settings)
     branch = trace_branch(model, 0.0, settings, start, +1, branch_id="toy")
-    params = branch.params
+    params = np.array([p.param for p in branch.points])
     assert params.max() == pytest.approx(1.0, abs=1e-3)  # reached the fold
     assert branch.points[-1].state[0] < -0.9  # and came down the lower sheet
     assert branch.points[-1].param < 0.2
@@ -345,8 +356,8 @@ def test_arclength_agrees_with_natural_on_fold_free_segment():
     # compare x1 at a common parameter by interpolation; the tolerance is
     # dominated by linear interpolation between coarse points, not the solver
     for mu_q in (-0.2, -0.45):
-        x_nat = np.interp(mu_q, b_nat.params[::-1], [p.state[0] for p in b_nat.points][::-1])
-        x_arc = np.interp(mu_q, b_arc.params[::-1], [p.state[0] for p in b_arc.points][::-1])
+        x_nat = np.interp(mu_q, [p.param for p in b_nat.points][::-1], [p.state[0] for p in b_nat.points][::-1])
+        x_arc = np.interp(mu_q, [p.param for p in b_arc.points][::-1], [p.state[0] for p in b_arc.points][::-1])
         assert x_nat == pytest.approx(x_arc, abs=5e-4)
         assert x_nat == pytest.approx(math.sqrt(1.0 - mu_q), abs=5e-4)
 

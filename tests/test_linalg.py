@@ -110,14 +110,14 @@ def test_swap_matrix_has_negative_perm_sign():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     fact = lu_factor(a)
     assert fact.perm_sign == -1
-    assert det_sign(a) == -1
+    assert det_sign(fact) == -1
 
 
 def test_diagonal_matrix_det_sign_counts_negative_entries():
-    assert det_sign(np.diag([2.0, 3.0, 4.0])) == 1
-    assert det_sign(np.diag([2.0, -3.0, 4.0])) == -1
-    assert det_sign(np.diag([-2.0, -3.0, 4.0])) == 1
-    assert det_sign(np.diag([2.0, 0.0, 4.0])) == 0
+    assert det_sign(lu_factor(np.diag([2.0, 3.0, 4.0]))) == 1
+    assert det_sign(lu_factor(np.diag([2.0, -3.0, 4.0]))) == -1
+    assert det_sign(lu_factor(np.diag([-2.0, -3.0, 4.0]))) == 1
+    assert det_sign(lu_factor(np.diag([2.0, 0.0, 4.0]))) == 0
 
 
 def test_pa_equals_lu_on_random_matrices():
@@ -201,7 +201,7 @@ def test_singular_matrix_is_flagged_and_solve_raises():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
     fact = lu_factor(a)
     assert fact.singular
-    assert det_sign(a) == 0
+    assert det_sign(fact) == 0
     with pytest.raises(SingularMatrixError):
         lu_solve(fact, np.ones(2))
 
@@ -211,10 +211,10 @@ def test_pivot_floor_scales_with_matrix():
     # but a genuine nonzero, so pivot_rtol=0 keeps the factorization regular.
     a = np.diag([1.0, 1e-300])
     assert lu_factor(a).singular
-    assert det_sign(a) == 0
+    assert det_sign(lu_factor(a)) == 0
     loose = lu_factor(a, pivot_rtol=0.0)
     assert not loose.singular
-    assert det_sign(a, pivot_rtol=0.0) == 1
+    assert det_sign(loose) == 1
 
 
 def test_det_sign_matches_slogdet_on_random_matrices():
@@ -223,14 +223,14 @@ def test_det_sign_matches_slogdet_on_random_matrices():
         for _ in range(6):
             a = rng.standard_normal((n, n))
             expected = int(np.linalg.slogdet(a)[0])
-            assert det_sign(a) == expected, f"n={n}"
+            assert det_sign(lu_factor(a)) == expected, f"n={n}"
 
 
 def test_det_sign_accepts_existing_factorization():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((12, 12))
     fact = lu_factor(a)
-    assert det_sign(fact) == det_sign(a)
+    assert det_sign(fact) == det_sign(fact) == int(np.linalg.slogdet(a)[0])
 
 
 def test_block_size_does_not_change_results(monkeypatch):
@@ -305,20 +305,20 @@ def test_band_singular_flag_and_solve_raises():
     fact = lu_factor(rank_two)
     assert isinstance(fact, BandLuFactorization)
     assert fact.singular and dense_factor(rank_two).singular
-    assert det_sign(rank_two) == 0
+    assert det_sign(fact) == 0
     with pytest.raises(SingularMatrixError):
         lu_solve(fact, np.ones(3))
     # A zero first column: zero pivot, no swap, no elimination.
     zero_col = tridiagonal([0.0, 2.0], [0.0, 3.0, 4.0], [1.0, 5.0])
     assert lu_factor(zero_col, pivot_rtol=0.0).singular
-    assert det_sign(zero_col, pivot_rtol=0.0) == 0
+    assert det_sign(lu_factor(zero_col, pivot_rtol=0.0)) == 0
 
 
 def test_band_pivot_floor_matches_dense():
     a = np.diag([1.0, 1e-300])
     assert isinstance(lu_factor(a), BandLuFactorization)
     assert lu_factor(a).singular and not lu_factor(a, pivot_rtol=0.0).singular
-    assert det_sign(a, pivot_rtol=0.0) == 1
+    assert det_sign(lu_factor(a, pivot_rtol=0.0)) == 1
     # The floor is pivot_rtol times the max absolute row sum, as in the dense path.
     # The last row is decoupled, so its pivot is exactly 1e-9.
     b = tridiagonal([-2.0, 0.5, 0.0], [4.0, 3.0, -6.0, 1e-9], [1.0, -0.25, 0.0])
@@ -342,19 +342,51 @@ def test_band_rejects_nonfinite_entries():
         lu_factor(off_band)
 
 
-def test_band_solve_two_dimensional_rhs():
+def test_lu_solve_takes_one_right_hand_side():
+    """A matrix of stacked right-hand sides, or a vector of the wrong length, raises."""
     rng = np.random.default_rng(8)
-    a = tridiagonal(rng.standard_normal(9), rng.standard_normal(10), rng.standard_normal(9))
-    fact = lu_factor(a)
-    rhs = rng.standard_normal((10, 3))
-    x = lu_solve(fact, rhs)
-    assert x.shape == (10, 3)
-    for j in range(3):
-        assert np.array_equal(x[:, j], lu_solve(fact, rhs[:, j]))
-    assert np.max(np.abs(a @ x - rhs)) <= 1e-10 * np.max(np.abs(rhs)) * np.linalg.cond(a)
-    assert lu_solve(fact, np.zeros((10, 0))).shape == (10, 0)
-    with pytest.raises(ValueError):
-        lu_solve(fact, np.zeros(9))
+    n = 10
+    tri = tridiagonal(rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1))
+    system = BandBorder.from_dense(tri).bordered(rng.standard_normal(n), rng.standard_normal(n), 1.0)
+    facts = [
+        (lu_factor(rng.standard_normal((n, n))), LuFactorization, n),
+        (lu_factor(tri), BandLuFactorization, n),
+        (lu_factor(system), BorderedLuFactorization, n + 1),
+    ]
+    for fact, kind, m in facts:
+        assert isinstance(fact, kind) and not fact.singular
+        assert lu_solve(fact, np.ones(m)).shape == (m,)
+        for rhs in (np.ones((m, 1)), np.ones((m, 3)), np.ones((m, 0)), np.ones(m - 1), np.ones(m + 1), 1.0):
+            with pytest.raises(ValueError):
+                lu_solve(fact, rhs)
+
+
+def test_band_floor_is_the_max_row_sum_and_mirror_invariant():
+    """The floor of an unbordered tridiagonal band, dense or in band storage.
+
+    Each row sums ``|sub| + |sup|`` first and then ``|diag|``, so ``J`` and
+    its mirror ``P J P`` get the same floor bit for bit.
+    """
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 7, 40):
+        for _ in range(40):
+            sub, diag, sup = (rng.standard_normal(m) * 10.0 ** rng.integers(-8, 9, m) for m in (n - 1, n, n - 1))
+            a = tridiagonal(sub, diag, sup)
+            rows = [
+                ((abs(sub[i - 1]) if i else 0.0) + (abs(sup[i]) if i < n - 1 else 0.0)) + abs(diag[i])
+                for i in range(n)
+            ]
+            for rtol in (linalg.DEFAULT_PIVOT_RTOL, 1e-3):
+                expected = rtol * max(rows)
+                for matrix in (a, a[::-1, ::-1]):
+                    band = np.zeros((n, 3))
+                    band[1:, 0] = np.diagonal(matrix, -1)
+                    band[:, 1] = np.diagonal(matrix)
+                    band[:-1, 2] = np.diagonal(matrix, 1)
+                    for given in (matrix, BandBorder(band=band, kl=1)):
+                        fact = lu_factor(given, pivot_rtol=rtol)
+                        assert isinstance(fact, BandLuFactorization)
+                        assert fact.pivot_floor == expected, f"n={n}"
 
 
 def test_band_solve_is_reflection_equivariant_bitwise():
@@ -370,7 +402,7 @@ def test_band_solve_is_reflection_equivariant_bitwise():
     for a in cases:
         n = a.shape[0]
         mirrored = a[::-1, ::-1].copy()
-        for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+        for b in (rng.standard_normal(n), *rng.standard_normal((n, 2)).T):
             x = lu_solve(lu_factor(a), b)
             y = lu_solve(lu_factor(mirrored), b[::-1].copy())
             assert np.array_equal(y, x[::-1]), f"n={n}"
@@ -466,8 +498,8 @@ def test_bordered_kernel_matches_numpy_on_random_band_and_borders():
         assert det_sign(fact) == int(np.linalg.slogdet(full)[0])
         b = rng.standard_normal((len(full), 2))
         ref = np.linalg.solve(full, b)
-        assert np.max(np.abs(lu_solve(fact, b) - ref)) <= 1e-9 * np.max(np.abs(ref))
-        assert np.array_equal(lu_solve(fact, b[:, 0]), lu_solve(fact, b)[:, 0])
+        x = np.column_stack([lu_solve(fact, col) for col in b.T])
+        assert np.max(np.abs(x - ref)) <= 1e-9 * np.max(np.abs(ref))
     # The border row repeats the sum of the rows above it: det == 0 exactly.
     system = BandBorder(band=np.array([[0.0, 2.0, 1.0], [1.0, 3.0, 0.0]]), kl=1,
                         cols=np.array([[1.0], [1.0]]), rows=np.array([[3.0, 4.0]]), corner=np.array([[2.0]]))
@@ -484,7 +516,7 @@ def test_bordered_kernel_on_the_neumann_system():
     for n_cells in (4, 50, 200, 800):
         grid = GridSpec(n_cells)
         # The band block, the Neumann Laplacian, is exactly singular.
-        assert det_sign(laplacian_matrix(grid), pivot_rtol=0.0) == 0
+        assert det_sign(lu_factor(laplacian_matrix(grid), pivot_rtol=0.0)) == 0
         for sign in (1.0, -1.0):
             assert_bordered_matches_numpy(neumann_system(grid, sign), rng)
         f = np.cos(np.pi * grid.nodes)
@@ -503,14 +535,14 @@ def test_bordered_kernel_on_acok_at_zero_gamma():
         # Without the nonlocal term the band block holds the Neumann
         # Laplacian uncoupled: an exactly zero pivot.
         band_only = BandBorder(band=lin.band, kl=lin.kl)
-        assert det_sign(band_only, pivot_rtol=0.0) == 0
+        assert det_sign(lu_factor(band_only, pivot_rtol=0.0)) == 0
         for orientation in (1.0, -1.0):  # the border column either way round
             full = BandBorder(band=lin.band, kl=lin.kl, cols=orientation * lin.cols, rows=lin.rows,
                               corner=lin.corner)
             assert_bordered_matches_numpy(full, rng)
         # The visible system is the Jacobian itself.
         jac = model.jacobian(state, params)
-        assert det_sign(lin) == int(np.linalg.slogdet(jac)[0])
+        assert det_sign(lu_factor(lin)) == int(np.linalg.slogdet(jac)[0])
         r = rng.standard_normal(grid.n_nodes)
         ref = np.linalg.solve(jac, r)
         assert np.max(np.abs(lu_solve(lu_factor(lin), r) - ref)) <= BORDERED_RTOL * np.max(np.abs(ref))
@@ -538,7 +570,7 @@ def test_bordered_kernel_on_the_fold_toy_at_its_fold():
     # by F_mu and the arclength row along either orientation of the tangent.
     rng = np.random.default_rng(19)
     jac = np.array([[0.0, 0.0], [-1.0, 1.0]])
-    assert det_sign(jac, pivot_rtol=0.0) == 0
+    assert det_sign(lu_factor(jac, pivot_rtol=0.0)) == 0
     tangent = np.array([1.0, 1.0]) / np.sqrt(2.0)
     for orientation in (1.0, -1.0):
         system = BandBorder.from_dense(jac).bordered(np.array([1.0, 0.0]), orientation * tangent / 2.0, 0.0)
@@ -764,7 +796,7 @@ def test_jacobian_det_sign_matches_eigenvalue_parity():
         jac = model.jacobian(zero, ModelParams(epsilon=eps))
         eigs = np.linalg.eigvals(jac)
         negatives = int(np.sum(eigs.real < 0.0))
-        assert det_sign(jac) == (-1) ** negatives, f"eps={eps}"
+        assert det_sign(lu_factor(jac)) == (-1) ** negatives, f"eps={eps}"
 
 
 # ---------------------------------------------------------------------------
