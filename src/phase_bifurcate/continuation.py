@@ -298,6 +298,7 @@ def trace_branch(
     branch_id: str = "branch",
     prepend: Iterable[BranchPoint] = (),
     at: Optional[float] = None,
+    _fact: Optional[Factorization] = None,
 ) -> Branch:
     """Trace a branch from an accepted point until a stop condition.
 
@@ -315,17 +316,18 @@ def trace_branch(
     point is at or past ``at`` in ``direction``: the points kept are exactly
     the full trace's up to its first point at or past ``at``, and a start
     already there is not stepped from.  Pseudo-arclength tracing ignores
-    ``at``, since a fold can bring the branch back across it.
+    ``at``, since a fold can bring the branch back across it.  ``_fact``
+    (``_newton``'s factorization at ``start``) spares natural tracing a refactor.
     """
     if direction not in (-1, 1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
     origin = origin or BranchOrigin("trivial", "unlabeled")
     if settings.use_pseudo_arclength:
         return _trace_arclength(model, params, settings, start, direction, origin, branch_id, prepend)
-    return _trace_natural(model, params, settings, start, direction, origin, branch_id, prepend, at)
+    return _trace_natural(model, params, settings, start, direction, origin, branch_id, prepend, at, _fact)
 
 
-def _trace_natural(model, params, settings, start, direction, origin, branch_id, prepend, at) -> Branch:
+def _trace_natural(model, params, settings, start, direction, origin, branch_id, prepend, at, fact) -> Branch:
     points: list[BranchPoint] = list(prepend) + [start]
     bound = settings.param_max if direction > 0 else settings.param_min
     edge_tol = 1e-12 * settings.range_width
@@ -334,7 +336,7 @@ def _trace_natural(model, params, settings, start, direction, origin, branch_id,
     stop = "max_points"
     cur = start
     cur_params = model.with_param(params, cur.param)
-    cur_fact: Optional[Factorization] = None
+    cur_fact: Optional[Factorization] = fact
 
     while len(points) < settings.max_branch_points:
         if at is not None and direction * (cur.param - at) >= 0.0:
@@ -759,7 +761,7 @@ def branch_switch(
             params_at = model.with_param(params, p1)
             guess = base + (sigma * s0) * mode_sup
             try:
-                seed, _ = _newton(model, params_at, guess, settings)
+                seed, seed_fact = _newton(model, params_at, guess, settings)
             except NewtonFailure as exc:
                 newton_reason = exc.reason
                 continue
@@ -780,6 +782,7 @@ def branch_switch(
                 branch_id=f"{bif.bif_id}{tag}",
                 prepend=(anchor,),
                 at=at,
+                _fact=seed_fact,
             )
             break
         if traced is None:

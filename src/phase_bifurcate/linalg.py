@@ -1,57 +1,60 @@
 """Linear-algebra kernels for the continuation engine.
 
-Everything here is written against plain ``numpy.ndarray`` (float64) and is
-deliberately self-contained: LU factorization with partial pivoting and an
-explicit permutation sign, triangular solves, determinant signs, and the
-null mode of a nearly singular matrix read off its factorization by one
-solve.  The determinant *sign* is the event function for bifurcation
-detection, so the factorization tracks it exactly (permutation parity times
-pivot signs) instead of going through a value that would over/underflow for
-200x200 Jacobians; its magnitude is read as ``log|det|``, a sum over the
-pivots.  No kernel calls LAPACK, whose results can depend on the BLAS
-thread count.
+LU factorization with partial pivoting and an explicit permutation sign,
+triangular solves, det signs and ``log|det|``, and the null mode of a nearly
+singular matrix read off its factorization by one solve.  The det *sign* is
+the event function for bifurcation detection, so it is tracked exactly
+(permutation parity times pivot signs), not through a det that would
+over/underflow.  No kernel calls LAPACK, whose results can depend on the
+BLAS thread count.
 
-``lu_factor`` takes either a dense square matrix or a ``BandBorder``: a band
-matrix ``A`` (``kl`` sub- and ``ku`` superdiagonals) plus ``k`` dense border
-rows and columns, which is how the models hand over their linearizations.
+``lu_factor`` takes a dense square matrix or a ``BandBorder``: a band matrix
+``A`` (``kl`` sub- and ``ku`` superdiagonals) plus ``k`` dense border rows
+and columns, which is how the models hand over their linearizations.
 
 * A tridiagonal band, bordered or not, and a dense matrix whose nonzeros
   all lie on the three central diagonals (the AC/CH Jacobians), are
-  eliminated in O(N) on Python floats in the manner of LAPACK ``dgttrf``:
-  the dense kernel's pivoting rule (swap only if the subdiagonal entry is
-  strictly larger), pivot floor and singularity rules, so det signs and
-  singular flags agree with it.  ``lu_solve`` on an unbordered tridiagonal
-  factorization averages the top-down solve with the solve of the mirrored
-  (order-reversed) system, which makes it exactly reflection-equivariant:
-  with ``P`` the reversal, ``solve(P J P, P b) == P solve(J, b)`` bit for
-  bit, so Newton iterates from odd guesses stay exactly odd.  The mirrored
-  factorization is made on the first solve, so sign-only factorizations
-  never pay for it.
-* Any other band (the ACOK Jacobians in their augmented Poisson form,
-  ``kl = ku = 3``) gets a ``dgbtf2``-style band LU with partial pivoting
-  inside the band, O(N (kl + ku) kl).  LAPACK makes the same split between
-  ``gttrf`` and ``gbtrf``.
-* Borders (the ACOK Jacobians' border, the pseudo-arclength systems, the
-  bordered Neumann problem) are eliminated by mixed block elimination
-  (Govaerts & Pryce, *IMA J. Numer. Anal.* 13, 1993), which stays accurate
-  when ``A`` itself is singular, as it is at every fold and bifurcation
-  point and, exactly, in the Neumann problem.  Either band kernel then
-  boosts a band pivot at rounding level (or on or below the singularity
-  floor) to the band's size, which factors a rank-one change of ``A``; one
-  more border takes that change back out exactly.  The borders' k x k Schur
-  block (k <= 3 in the engine) is factored on Python floats by the dense
-  kernel's rules.  The det sign is the band's permutation parity times its
-  pivot signs times the det sign of the Schur block (times -1 per boost).
-* Any other dense matrix goes through a right-looking blocked LU whose Schur
-  update runs through matrix-matrix products.  The engine never sends it
-  one; it is the general path and the tests' reference.
+  eliminated in O(N) in the manner of LAPACK ``dgttrf``, with the dense
+  kernel's pivoting rule (swap only if the subdiagonal entry is strictly
+  larger), pivot floor and singularity rules.  ``lu_solve`` on an
+  unbordered tridiagonal factorization averages the top-down solve with the
+  mirrored (order-reversed) system's, which makes it exactly
+  reflection-equivariant: with ``P`` the reversal, ``solve(P J P, P b) ==
+  P solve(J, b)`` bit for bit, so Newton iterates from odd guesses stay
+  exactly odd.  Sign-only factorizations never make the mirrored one.
+* Any other band (ACOK's augmented Poisson form, ``kl = ku = 3``) gets a
+  ``dgbtf2``-style band LU with partial pivoting inside the band,
+  O(N (kl + ku) kl); LAPACK makes the same split.
+* Borders (ACOK's border, the pseudo-arclength systems, the bordered
+  Neumann problem) are eliminated by mixed block elimination (Govaerts &
+  Pryce, *IMA J. Numer. Anal.* 13, 1993), which stays accurate when ``A``
+  is singular, as at every fold and bifurcation point and, exactly, in the
+  Neumann problem.  Either band kernel boosts a band pivot at rounding
+  level (or on or below the singularity floor) to the band's size, which
+  factors a rank-one change of ``A``; one more border takes it back out
+  exactly.  The borders' k x k Schur block (k <= 3 in the engine) is
+  factored and solved on Python floats.  The det sign is the band's
+  permutation parity times its pivot signs times the Schur block's det
+  sign (times -1 per boost).
+* Any other dense matrix goes through a right-looking blocked LU whose
+  Schur update runs through matrix-matrix products: the tests' reference,
+  which the engine never calls.
+
+The band and Schur kernels run on Python lists, which beat numpy's per-call
+cost at these sizes.  ``lu_factor`` takes the row sums behind the pivot
+floors with numpy, then turns its input arrays into lists once (only the
+Schur floor turns the borders' band solves back into an array); ``lu_solve``
+turns the right-hand side into a list and the solution into an array once.
+A ``BandBorder`` whose ``outer`` lists every unknown needs no scatter or
+gather around that.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import mul
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, mul
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -89,21 +92,13 @@ class SingularMatrixError(RuntimeError):
 
 @dataclass
 class LuFactorization:
-    """Packed result of ``lu_factor``.
+    """Packed result of ``lu_factor`` on a dense matrix.
 
-    Attributes
-    ----------
-    packed:
-        n x n array holding U on and above the diagonal and the unit-lower
-        multipliers strictly below it.
-    perm:
-        Row permutation as an index array: ``packed`` factors ``a[perm]``.
-    perm_sign:
-        Parity of ``perm`` (+1 or -1).
-    singular:
-        True if any pivot magnitude fell on or below ``pivot_floor``.
-    pivot_floor:
-        The absolute threshold that was applied.
+    ``packed`` holds U on and above the diagonal and the unit-lower
+    multipliers strictly below it, of ``a[perm]``; ``perm_sign`` is the
+    parity of ``perm``.  ``singular`` flags a pivot magnitude on or below
+    ``pivot_floor``.  A ``BorderedLuFactorization``'s Schur block is held
+    the same way, with ``packed`` and ``perm`` as Python lists.
     """
 
     packed: np.ndarray
@@ -175,6 +170,8 @@ class BandBorder:
     corner: Optional[np.ndarray] = None  # (k, k)
     outer: Optional[np.ndarray] = None
     hidden_sign: int = 1
+    # ``outer`` lists every unknown in order: solves need no scatter or gather.
+    _all_outer: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         band = np.asarray(self.band, dtype=float)
@@ -190,8 +187,10 @@ class BandBorder:
                 raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "band", band)
-        outer = np.arange(nb + k) if self.outer is None else np.asarray(self.outer)
+        every = np.arange(nb + k)
+        outer = every if self.outer is None else np.asarray(self.outer)
         object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "_all_outer", outer is every or np.array_equal(outer, every))
 
     @property
     def ku(self) -> int:
@@ -207,22 +206,25 @@ class BandBorder:
 
     def bordered(self, col, row, corner: float) -> "BandBorder":
         """The visible system ``S`` bordered to ``[[S, col], [row, corner]]``."""
-        nb, k = self.band.shape[0], self.k
-        outer = self.outer
-        full_col = np.zeros(nb + k)
-        full_col[outer] = col
-        full_row = np.zeros(nb + k)
-        full_row[outer] = row
-        new_corner = np.zeros((k + 1, k + 1))
+        nb, k, outer = self.band.shape[0], self.k, self.outer
+        col, row = np.asarray(col, dtype=float), np.asarray(row, dtype=float)
+        if col.shape != outer.shape or row.shape != outer.shape:
+            raise ValueError(f"col and row have shapes {col.shape} and {row.shape}, expected {outer.shape}")
+        if not self._all_outer:  # place them on the full matrix's unknowns
+            full = np.zeros((2, nb + k))
+            full[:, outer] = col, row
+            col, row = full
+        new_corner = np.empty((k + 1, k + 1))
         new_corner[:k, :k] = self.corner
-        new_corner[:k, k] = full_col[nb:]
-        new_corner[k, :k] = full_row[nb:]
+        new_corner[:k, k] = col[nb:]
+        new_corner[k, :k] = row[nb:]
         new_corner[k, k] = corner
         return BandBorder(
             band=self.band, kl=self.kl,
-            cols=np.column_stack([self.cols, full_col[:nb]]),
-            rows=np.vstack([self.rows, full_row[:nb]]),
-            corner=new_corner, outer=np.append(outer, nb + k), hidden_sign=self.hidden_sign,
+            cols=np.concatenate((self.cols, col[:nb, None]), axis=1),
+            rows=np.concatenate((self.rows, row[None, :nb])),
+            corner=new_corner, outer=None if self._all_outer else np.append(outer, nb + k),
+            hidden_sign=self.hidden_sign,
         )
 
     def to_dense(self) -> np.ndarray:
@@ -278,27 +280,20 @@ class _GeneralBandLu:
 class BorderedLuFactorization:
     """Result of ``lu_factor`` on a ``BandBorder`` (other than a plain tridiagonal).
 
-    ``band`` holds the factors of the band ``A``: a tridiagonal band's come
-    from the ``dgttrf``-style kernel, any other band's from the
-    ``dgbtf2``-style one, and ``solve`` and ``solve_t`` (``A^-1 x`` and
-    ``A^-T x``) are that kernel's solves, chosen at factor time.  A boosted
-    pivot adds one border to ``cols``, ``rows`` and ``corner``, the borders
-    mixed block elimination works with (see ``_bordered_factor``).
-    ``right`` is ``A^-1 cols`` and ``schur`` the LU of the Schur block
-    ``corner - rows A^-1 cols`` (``_schur_factor``); the transposed-side
-    counterparts (``left``) are made on the first solve.
+    ``band`` holds the factors of the band ``A``, from the ``dgttrf``-style
+    kernel if it is tridiagonal and the ``dgbtf2``-style one otherwise;
+    ``solve`` and ``solve_t`` (``A^-1 x``, ``A^-T x``) are that kernel's.
+    ``cols``, ``rows`` and ``corner`` are the borders as lists, one more
+    per boosted pivot (``_bordered_factor``); ``right`` is ``A^-1 cols`` and
+    ``schur`` the LU of the Schur block ``corner - rows A^-1 cols``.  The
+    transposed-side counterparts (``left``) are made on the first solve.
+    ``perm_sign`` is the band's interchange parity, times -1 per boost.
 
-    Attributes
-    ----------
-    perm_sign:
-        Parity of the band's interchanges, times -1 per boosted pivot.
-    singular, pivot_floor:
-        The floor is ``pivot_rtol`` times the full matrix's max row sum, as
-        in ``LuFactorization``; every band pivot on or below it is boosted.
-        The matrix is flagged singular if a pivot of the Schur block is no
-        larger than ``pivot_rtol`` times the terms the block is computed
-        from (``|corner| + |rows| |A^-1 cols|``, max row sum): at 0.0 only
-        an exactly zero Schur pivot counts.
+    ``pivot_floor`` is ``pivot_rtol`` times the full matrix's max row sum,
+    as in ``LuFactorization``; every band pivot on or below it is boosted.
+    ``singular`` flags a Schur pivot on or below ``schur_floor``, which is
+    ``pivot_rtol`` times the max row sum of ``|corner| + |rows| |A^-1 cols|``:
+    at 0.0 only an exactly zero Schur pivot counts.
     """
 
     system: BandBorder
@@ -313,6 +308,7 @@ class BorderedLuFactorization:
     schur: Optional[LuFactorization]
     singular: bool
     pivot_floor: float
+    schur_floor: float
     left: Optional[tuple] = None
 
     @property
@@ -322,11 +318,6 @@ class BorderedLuFactorization:
 
 
 Factorization = Union[LuFactorization, BandLuFactorization, BorderedLuFactorization]
-
-
-def _require_finite(a) -> None:
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
 
 
 def _as_square_matrix(matrix) -> np.ndarray:
@@ -340,23 +331,17 @@ def _tridiagonal_band(a: np.ndarray) -> Optional[tuple]:
     """``(sub, diag, super)`` arrays if every nonzero of ``a`` is on them.
 
     ``count_nonzero`` counts NaN and inf, so equal counts also prove every
-    off-band entry an exact, finite zero; only the band is checked further.
+    off-band entry an exact, finite zero; ``_band_floor`` checks the band.
     """
     diagonals = (np.diagonal(a, -1), np.diagonal(a), np.diagonal(a, 1))
     if np.count_nonzero(a) != sum(np.count_nonzero(d) for d in diagonals):
         return None
-    for d in diagonals:
-        _require_finite(d)
     return diagonals
 
 
 def _diagonals(band: np.ndarray) -> tuple:
     """``(sub, diag, super)`` arrays of a tridiagonal band in row-wise storage."""
-    cols = band.T
-    diagonals = (cols[0, 1:], cols[1], cols[2, :-1])
-    for d in diagonals:
-        _require_finite(d)
-    return diagonals
+    return band[1:, 0], band[:, 1], band[:-1, 2]
 
 
 def _band_floor(band: tuple, pivot_rtol: float) -> float:
@@ -366,13 +351,18 @@ def _band_floor(band: tuple, pivot_rtol: float) -> float:
     matrix gets the same floor bit for bit.
     """
     sub, diag, sup = (np.abs(d) for d in band)
-    n = len(diag)
-    if n == 0:
-        return 0.0
-    off = np.zeros(n)
+    off = np.zeros(len(diag))
     off[1:] += sub
     off[:-1] += sup
-    return float(pivot_rtol) * float(np.max(off + diag))
+    return float(pivot_rtol) * _finite_max(off + diag)
+
+
+def _finite_max(row_sums: np.ndarray) -> float:
+    """The largest row sum (0.0 if none); a NaN or inf entry leaves its sum non-finite: ValueError."""
+    top = float(row_sums.max(initial=0.0))
+    if not math.isfinite(top):
+        raise ValueError("matrix contains non-finite entries")
+    return top
 
 
 def _band_factor(band: tuple, floor: float, boost: Optional[float] = None) -> BandLuFactorization:
@@ -640,18 +630,16 @@ def _bordered_factor(system: BandBorder, pivot_rtol: float) -> BorderedLuFactori
     ``x_j``, so the extended system is exact for ``A`` and its det is
     ``(-1)^boosts`` times the user matrix's.
     """
-    nb = system.band.shape[0]
-    band_sums = np.sum(np.abs(system.band), axis=1)
-    row_sums = np.concatenate([
-        band_sums + np.sum(np.abs(system.cols), axis=1),
-        np.sum(np.abs(system.rows), axis=1) + np.sum(np.abs(system.corner), axis=1),
-    ])
-    _require_finite(row_sums)  # a NaN or inf entry leaves its row sum non-finite
-    floor = float(pivot_rtol) * (float(np.max(row_sums)) if row_sums.size else 0.0)
-    scale = float(np.max(band_sums)) if nb else 0.0
+    # Row sums of |full matrix| give the floor, the band's alone the boost.
+    band_sums, abs_rows = np.abs(system.band).sum(axis=1), np.abs(system.rows)
+    corner_sums = np.abs(system.corner).sum(axis=1)
+    floor = float(pivot_rtol) * max(_finite_max(band_sums + np.abs(system.cols).sum(axis=1)),
+                                    _finite_max(abs_rows.sum(axis=1) + corner_sums))
+    scale = float(band_sums.max(initial=0.0))
     boost_floor, boost = max(floor, _BOOST_RTOL * scale), scale if scale > 0.0 else 1.0
     if system.kl == system.ku == 1:
-        band = _band_factor(tuple(d.tolist() for d in _diagonals(system.band)), boost_floor, boost)
+        sub, diag, sup = system.band.T.tolist()
+        band = _band_factor((sub[1:], diag, sup[:-1]), boost_floor, boost)
         solve, solve_t = _band_solve, _band_solve_t
     else:
         band = _band_lu(system, boost_floor, boost)
@@ -659,33 +647,33 @@ def _bordered_factor(system: BandBorder, pivot_rtol: float) -> BorderedLuFactori
     boosts = band.boosts
     cols = system.cols.T.tolist()
     rows = system.rows.tolist()
-    k = len(cols) + len(boosts)
     corner = [r + [0.0] * len(boosts) for r in system.corner.tolist()]
-    for r, j, delta in boosts:
-        col = [0.0] * nb
-        col[r] = -delta
-        cols.append(col)
-        row = [0.0] * nb
-        row[j] = 1.0
-        rows.append(row)
+    k = len(cols) + len(boosts)
+    for i, (r, j, delta) in enumerate(boosts, len(cols)):
+        cols.append([0.0] * len(system.band))
+        cols[i][r] = -delta
+        rows.append([0.0] * len(system.band))
+        rows[i][j] = 1.0
         corner.append([0.0] * k)
-        corner[-1][len(cols) - 1] = -1.0
-    fact = BorderedLuFactorization(
-        system=system, band=band, solve=solve, solve_t=solve_t,
-        perm_sign=band.perm_sign * (-1 if len(boosts) % 2 else 1),
-        cols=cols, rows=rows, corner=corner, right=[], schur=None, singular=False, pivot_floor=floor,
-    )
-    fact.right = [solve(band, list(c)) for c in cols]
-    fact.schur = _schur_factor(corner, rows, fact.right)
-    # A Schur pivot is zero to within pivot_rtol if it cancels that far
-    # below the terms the block is computed from.
+        corner[i][i] = -1.0
+    right = [solve(band, list(c)) for c in cols]
+    schur = _schur_factor(corner, rows, right)
+    # A Schur pivot is zero to within pivot_rtol if it cancels that far below
+    # the max row sum of |corner| + |rows| |right|, which is 1 + the sum of
+    # |right| at j for a boost's border (row e_j^T, corner -1).
     schur_floor = 0.0
     if pivot_rtol and k:
-        terms = np.sum(np.abs(corner), axis=1) + np.sum(
-            np.abs(rows) * np.sum(np.abs(fact.right), axis=0), axis=1)
-        schur_floor = float(pivot_rtol) * float(np.max(terms))
-    fact.singular = bool(np.any(np.abs(np.diagonal(fact.schur.packed)) <= schur_floor))
-    return fact
+        right_sums = np.add.reduce(np.abs(right))
+        terms = corner_sums + (abs_rows * right_sums).sum(axis=1)
+        if boosts:
+            terms = np.append(terms, 1.0 + right_sums[[j for _, j, _ in boosts]])
+        schur_floor = float(pivot_rtol) * float(terms.max())
+    return BorderedLuFactorization(
+        system=system, band=band, solve=solve, solve_t=solve_t,
+        perm_sign=band.perm_sign * (-1 if len(boosts) % 2 else 1),
+        cols=cols, rows=rows, corner=corner, right=right, schur=schur, pivot_floor=floor, schur_floor=schur_floor,
+        singular=any(abs(r[j]) <= schur_floor for j, r in enumerate(schur.packed)),
+    )
 
 
 def _schur_factor(corner: list, rows: list, right: list) -> LuFactorization:
@@ -714,8 +702,21 @@ def _schur_factor(corner: list, rows: list, right: list) -> LuFactorization:
             f = a[i][j] = a[i][j] / piv
             for c in range(j + 1, k):
                 a[i][c] -= f * a[j][c]
-    return LuFactorization(packed=np.array(a).reshape(k, k), perm=np.array(perm, dtype=int), perm_sign=sign,
-                           singular=singular, pivot_floor=0.0)
+    return LuFactorization(packed=a, perm=perm, perm_sign=sign, singular=singular, pivot_floor=0.0)
+
+
+def _schur_solve(lu: LuFactorization, b: list) -> list:
+    """Forward and back substitution through the Schur block's ``lu``, on Python floats.
+
+    Dot products are summed left to right from 0.0: BLAS kernels sum those
+    of length 2 and up (k >= 3) differently on different CPUs.
+    """
+    a, x = lu.packed, [b[p] for p in lu.perm]
+    for i in range(len(x)):
+        x[i] -= reduce(add, map(mul, a[i][:i], x[:i]), 0.0)
+    for i in range(len(x) - 1, -1, -1):
+        x[i] = (x[i] - reduce(add, map(mul, a[i][i + 1:], x[i + 1:]), 0.0)) / a[i][i]
+    return x
 
 
 def _bordered_solve(fact: BorderedLuFactorization, b: list) -> list:
@@ -736,13 +737,13 @@ def _bordered_solve(fact: BorderedLuFactorization, b: list) -> list:
     left, schur_t = fact.left
     if schur_t.singular:
         raise SingularMatrixError("singular border block")
-    y1 = _dense_solve(schur_t, np.array([g[i] - _dot(left[i], f) for i in range(k)])).tolist()
+    y1 = _schur_solve(schur_t, [g[i] - _dot(left[i], f) for i in range(k)])
     for c, yc in zip(fact.cols, y1):
         if yc != 0.0:
             f = [a - yc * v for a, v in zip(f, c)]
     g1 = [g[i] - _dot(fact.corner[i], y1) for i in range(k)]
     xi = fact.solve(fact.band, f)
-    y2 = _dense_solve(fact.schur, np.array([g1[i] - _dot(fact.rows[i], xi) for i in range(k)])).tolist()
+    y2 = _schur_solve(fact.schur, [g1[i] - _dot(fact.rows[i], xi) for i in range(k)])
     for w, yc in zip(fact.right, y2):
         if yc != 0.0:
             xi = [a - yc * v for a, v in zip(xi, w)]
@@ -750,7 +751,7 @@ def _bordered_solve(fact: BorderedLuFactorization, b: list) -> list:
 
 
 def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
-    """LU-factor a square matrix with partial (row) pivoting.
+    """LU-factor a square matrix with partial (row) pivoting; the input is not modified.
 
     ``matrix`` is a ``BandBorder`` or a dense square array-like.  A plain
     tridiagonal ``BandBorder``, or a dense matrix whose nonzeros all lie on
@@ -759,25 +760,21 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
     is factored by the same tridiagonal kernel if it is tridiagonal; any
     other dense matrix a dense ``LuFactorization``.
 
-    Parameters
-    ----------
-    matrix:
-        ``BandBorder`` or square 2-D array-like.  The input is not modified.
-    pivot_rtol:
-        Relative singularity threshold.  The absolute floor is
-        ``pivot_rtol * max_i sum_j |a_ij|``.  Pass 0.0 to flag only exact
-        zero pivots (used by the bifurcation detector, which needs pivot
-        *signs* arbitrarily close to a singularity).
+    ``pivot_rtol`` is the relative singularity threshold: the absolute floor
+    is ``pivot_rtol * max_i sum_j |a_ij|``.  0.0 flags only exact zero
+    pivots (the bifurcation detector needs pivot *signs* arbitrarily close
+    to a singularity).
     """
     if isinstance(matrix, BandBorder):
-        if not (matrix.kl == matrix.ku == 1 and matrix.k == 0 and len(matrix) == len(matrix.band)):
+        if not (matrix.kl == matrix.ku == 1 and matrix.k == 0 and matrix._all_outer):
             return _bordered_factor(matrix, pivot_rtol)
         band = _diagonals(matrix.band)
     else:
         a = _as_square_matrix(matrix)
         band = _tridiagonal_band(a)
         if band is None:
-            _require_finite(a)
+            if not np.all(np.isfinite(a)):
+                raise ValueError("matrix contains non-finite entries")
             return _dense_factor(a.copy(), pivot_rtol)
     return _band_factor(tuple(d.tolist() for d in band), _band_floor(band, pivot_rtol))
 
@@ -834,10 +831,12 @@ def lu_solve(fact: Factorization, rhs) -> np.ndarray:
     if b.shape != (n,):
         raise ValueError(f"rhs of shape {b.shape} does not match matrix size {n}")
     if isinstance(fact, BorderedLuFactorization):
-        outer = fact.system.outer
-        full = np.zeros(fact.system.band.shape[0] + fact.system.k)
-        full[outer] = b
-        return np.array(_bordered_solve(fact, full.tolist()))[outer]
+        system = fact.system
+        if system._all_outer:
+            return np.array(_bordered_solve(fact, b.tolist()))
+        full = np.zeros(system.band.shape[0] + system.k)
+        full[system.outer] = b
+        return np.array(_bordered_solve(fact, full.tolist()))[system.outer]
     if isinstance(fact, BandLuFactorization):
         return np.array(_band_solve_equivariant(fact, b.tolist()))
     return _dense_solve(fact, b)
@@ -845,11 +844,7 @@ def lu_solve(fact: Factorization, rhs) -> np.ndarray:
 
 def _order(fact: Factorization) -> int:
     """Size of the (visible) system a factorization solves."""
-    if isinstance(fact, BorderedLuFactorization):
-        return len(fact.system)
-    if isinstance(fact, BandLuFactorization):
-        return len(fact.pivots)
-    return fact.packed.shape[0]
+    return len(fact.system) if isinstance(fact, BorderedLuFactorization) else len(_pivots(fact))
 
 
 def _dense_solve(fact: LuFactorization, b: np.ndarray) -> np.ndarray:
@@ -874,7 +869,9 @@ def _dense_solve(fact: LuFactorization, b: np.ndarray) -> np.ndarray:
 
 def _pivots(fact: Factorization):
     """The diagonal of ``U`` (the band's, for a bordered factorization)."""
-    return np.diagonal(fact.packed) if isinstance(fact, LuFactorization) else fact.pivots
+    if isinstance(fact, LuFactorization):  # the Schur block's may be a 0 x 0 list
+        return np.diagonal(np.reshape(fact.packed, (len(fact.packed),) * 2))
+    return fact.pivots
 
 
 def _sign_from_fact(fact: Factorization) -> int:

@@ -633,12 +633,12 @@ def test_detection_gives_the_plain_bisection_events_bitwise(config, lo):
 
 
 def _count_factorizations(monkeypatch) -> list:
-    """Log every ``lu_factor`` call the engine makes; returns the log."""
+    """Log the matrix of every ``lu_factor`` call the engine makes; returns the log."""
     factored = []
 
-    def counting_lu_factor(*args, **kwargs):
-        factored.append(None)
-        return lu_factor(*args, **kwargs)
+    def counting_lu_factor(matrix, *args, **kwargs):
+        factored.append(matrix)
+        return lu_factor(matrix, *args, **kwargs)
 
     monkeypatch.setattr(continuation, "lu_factor", counting_lu_factor)
     return factored
@@ -749,6 +749,27 @@ def test_branch_switch_offshoot_grows_from_zero(ac_detection):
     assert sups[-1] == sups.max()
     assert branch.points[-1].param == pytest.approx(0.3, abs=1e-9)
     assert branch.origin.describe() == f"switched_from({sine0.bif_id}+)"
+
+
+def test_branch_switch_traces_from_the_seed_s_own_factorization(ac_detection, monkeypatch):
+    # The seed's Newton correction ends by factoring the Jacobian at the
+    # seed; natural tracing predicts from that factorization instead of
+    # factoring the same matrix again, and traces the same bits.
+    g, model, params, settings, bifs = ac_detection
+    sine0 = [b for b in bifs if b.mode_family == "sine"][0]
+    factored = _count_factorizations(monkeypatch)
+    sides = branch_switch(model, params, settings, sine0)
+    digests = [hashlib.sha256(m.band.tobytes()).hexdigest() for m in factored]
+    assert len(sides) == 2 and all(a != b for a, b in zip(digests, digests[1:]))
+    reused = len(factored)
+    trace_branch = continuation.trace_branch
+    monkeypatch.setattr(continuation, "trace_branch", lambda *a, _fact=None, **kw: trace_branch(*a, **kw))
+    factored.clear()
+    again = branch_switch(model, params, settings, sine0)
+    assert len(factored) == reused + 2
+    for side, other in zip(sides, again):
+        assert [p.param for p in side.points] == [p.param for p in other.points]
+        assert all(np.array_equal(p.state, q.state) for p, q in zip(side.points, other.points))
 
 
 def test_branch_switch_warns_once_when_neither_side_yields_a_branch(caplog):

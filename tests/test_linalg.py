@@ -33,7 +33,7 @@ from phase_bifurcate import (
     null_vector,
     poisson_neumann_solve,
 )
-from phase_bifurcate.models import _laplacian_band
+from phase_bifurcate.models import _laplacian_band, _neumann_system
 
 
 def reconstruct(fact):
@@ -622,6 +622,145 @@ def test_neumann_solve_is_pinned_bitwise():
     f = np.cos(np.pi * grid.nodes) + 0.3 * np.sin(3.0 * grid.nodes)
     u = poisson_neumann_solve(f, grid)
     assert hashlib.sha256(u.tobytes()).hexdigest() == _NEUMANN_SOLVE_N100_SHA256
+
+
+def float_lu_solve(packed, perm, b):
+    """Forward and back substitution through packed LU factors on Python
+    floats, each dot product summed left to right from 0.0."""
+    x = [b[p] for p in perm]
+    k = len(x)
+    for i in range(k):
+        s = 0.0
+        for j in range(i):
+            s += packed[i][j] * x[j]
+        x[i] -= s
+    for i in range(k - 1, -1, -1):
+        s = 0.0
+        for j in range(i + 1, k):
+            s += packed[i][j] * x[j]
+        x[i] = (x[i] - s) / packed[i][i]
+    return x
+
+
+def bordered_pin_systems():
+    """One bordered system per use of the bordered path, built without
+    numpy's transcendental functions (their SIMD paths differ by CPU)."""
+    grid = GridSpec(100)
+    n, x = grid.n_nodes, grid.nodes
+    t = 1.0 - 2.0 * x * x
+    ac, ac_params = model_by_kind("ac", grid), ModelParams(epsilon=0.3)
+    phi = 0.8 * x / np.sqrt(x * x + 0.09)
+    acok = model_by_kind("acok", grid)
+    psi = 0.5 + 0.3 * x / np.sqrt(x * x + 0.01)
+    lin = acok.linearize(psi, ModelParams(epsilon=0.3, gamma=100.0))
+    # At gamma = 0 the band holds the Neumann Laplacian uncoupled: one boost.
+    lin0 = acok.linearize(psi, ModelParams(epsilon=0.3, gamma=0.0))
+    col = 0.01 * x * (1.0 - x * x)
+    rng = np.random.default_rng(53)
+    band = rng.standard_normal((30, 3))
+    band[:, 1] += 4.0 * np.sign(band[:, 1])
+    band[0, 0] = band[-1, 2] = 0.0
+    for i in (7, 19):  # a zero row and column each: A has nullity 2
+        band[i] = 0.0
+        band[i - 1, 2] = band[i + 1, 0] = 0.0
+    return {
+        "ac-arclength": ac.linearize(phi, ac_params).bordered(ac.param_derivative(phi, ac_params), t / n, 0.3),
+        "acok-linearize": lin,
+        "acok-arclength": lin.bordered(col, t / n, 0.3 / 700.0**2),
+        "acok-arclength-boosted": lin0.bordered(col, t / n, 0.3 / 700.0**2),
+        "boosted-twice": BandBorder(band=band, kl=1, cols=rng.standard_normal((30, 2)),
+                                    rows=rng.standard_normal((2, 30)), corner=rng.standard_normal((2, 2))),
+        "neumann": _neumann_system(grid)[0],
+    }
+
+
+# Per system: the Schur block's order k (boosts included), det_sign,
+# log_abs_det(...).hex(), pivot_floor.hex(), singular, and the sha256 of
+# one solve, recorded before the bordered path stopped converting between
+# numpy arrays and lists around its kernels.  A k >= 3 Schur solve then
+# went through BLAS dot products, whose bits depend on the CPU's kernel
+# (the k = 4 solve below read b9298c2c... under OpenBLAS's SkylakeX kernel
+# and 619e9d73... under Prescott), so those two hashes are float_lu_solve's.
+# Every other value held under the SkylakeX, Haswell, Sandybridge and
+# Prescott kernels and without numpy's AVX2 and AVX-512 paths.
+_BORDERED_PINS = {
+    "ac-arclength": (1, -1, "0x1.8aaa9ef15e7d4p+9", "0x1.58a0692f27f1dp-27", False,
+                     "da21f5b097b531cc149526c4a470a20d8c3b23eb07ce923dd627fc7f295e2ed2"),
+    "acok-linearize": (1, 1, "0x1.6e16cbba2eb36p+10", "0x1.57aa85bc89f18p-27", False,
+                       "403e62d1018fdbc8056ef54e5f2f23c7498ca816b15b970dba1a14dde16f77a6"),
+    "acok-arclength": (2, 1, "0x1.6a833409537f5p+10", "0x1.57aa85bc89f18p-27", False,
+                       "277b793b328bffa6dd5ea5bc88db1dde82f3a8034d2341092000accebf7c7849"),
+    "acok-arclength-boosted": (3, -1, "0x1.68c9ad75f9204p+10", "0x1.57aa85bc89f18p-27", False,
+                               "d1ca5d3c2bafd23edf9ec06b91a5695b5dc75037440960d2efb84273adbbd253"),
+    "boosted-twice": (4, -1, "0x1.5cf49882e0ef4p+5", "0x1.f96406e712141p-36", False,
+                      "f1dfaecf3f34380c46f6c2a0bb08639c54a2a1d50b6d8c530f3535aa0445e2f6"),
+    "neumann": (2, -1, "0x1.8a8b6b5351bf5p+9", "0x1.57a1b9efc95a9p-27", False,
+                "7cf7935b18a51629a62d84777815b9ba666edca3eabd27714d81566242e377db"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BORDERED_PINS))
+def test_bordered_path_is_pinned_bitwise(name):
+    system = bordered_pin_systems()[name]
+    k, sign, log_det, floor, singular, digest = _BORDERED_PINS[name]
+    fact = lu_factor(system)
+    assert len(fact.cols) == k
+    assert (det_sign(fact), log_abs_det(fact).hex(), fact.pivot_floor.hex(), fact.singular) == (
+        sign, log_det, floor, singular)
+    b = np.random.default_rng(59).standard_normal(len(system))
+    u = lu_solve(fact, b)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == digest
+    assert np.array_equal(lu_solve(fact, b), u)  # the second solve reuses the first's transposed side
+
+
+def test_schur_floor_is_the_max_row_sum_over_the_extended_borders():
+    # The floor comes from the caller's border arrays plus a closed form for
+    # each boost's unit row; it must be the formula over the extended border
+    # lists bit for bit.
+    rng = np.random.default_rng(67)
+    systems = list(bordered_pin_systems().values())
+    for _ in range(300):
+        nb, k = int(rng.integers(3, 30)), int(rng.integers(1, 4))
+        band = random_tridiagonal_band(rng, nb)
+        band[rng.integers(nb)] = 0.0  # a zero row: a boost
+        systems.append(BandBorder(band=band, kl=1, cols=rng.standard_normal((nb, k)),
+                                  rows=10.0 ** rng.uniform(-4.0, 2.0) * rng.standard_normal((k, nb)),
+                                  corner=rng.standard_normal((k, k))))
+    boosted = 0
+    for system in systems:
+        for rtol in (0.0, linalg.DEFAULT_PIVOT_RTOL, 1e-3):
+            fact = lu_factor(system, pivot_rtol=rtol)
+            terms = np.sum(np.abs(fact.corner), axis=1) + np.sum(
+                np.abs(fact.rows) * np.sum(np.abs(fact.right), axis=0), axis=1)
+            assert fact.schur_floor == rtol * float(np.max(terms)), system
+            boosted += len(fact.cols) > system.k
+    assert boosted >= 300
+
+
+def test_schur_solve_is_the_left_to_right_float_solve():
+    # BLAS kernels round dot products of length 2 and up differently: the
+    # numpy solve this replaced gave other bits than this reference in 164
+    # of the 1,000 3x3 and 386 of the 1,000 4x4 solves here under OpenBLAS's
+    # SkylakeX kernel, in 121 of the 4x4 ones under Prescott, and in none
+    # under Haswell or Sandybridge.  The Schur solve is the reference on
+    # every CPU, and for k <= 2 (single-product dots) it is that numpy solve.
+    rng = np.random.default_rng(61)
+    solved = 0
+    for k in (1, 2, 3, 4) * 1000:
+        block = rng.standard_normal((k, k)) * 10.0 ** rng.uniform(-4.0, 4.0, (k, k))
+        lu = linalg._schur_factor(block.tolist(), [[]] * k, [[]] * k)
+        if lu.singular:
+            continue
+        b = (rng.standard_normal(k) * 10.0 ** rng.uniform(-4.0, 4.0, k)).tolist()
+        got = linalg._schur_solve(lu, b)
+        assert [v.hex() for v in got] == [v.hex() for v in float_lu_solve(lu.packed, lu.perm, b)]
+        if k <= 2:
+            dense = LuFactorization(packed=np.array(lu.packed), perm=np.array(lu.perm), perm_sign=lu.perm_sign,
+                                    singular=False, pivot_floor=0.0)
+            assert np.array_equal(linalg._dense_solve(dense, np.array(b)), got)
+        assert np.allclose(block @ got, b, rtol=1e-6, atol=1e-6 * np.max(np.abs(block)) * np.max(np.abs(got)))
+        solved += 1
+    assert solved == 4000
 
 
 # ---------------------------------------------------------------------------
