@@ -22,9 +22,11 @@ and columns, which is how the models hand over their linearizations.
   reflection-equivariant: with ``P`` the reversal, ``solve(P J P, P b) ==
   P solve(J, b)`` bit for bit, so Newton iterates from odd guesses stay
   exactly odd.  Sign-only factorizations never make the mirrored one.
-* Any other band (ACOK's augmented Poisson form, ``kl = ku = 3``) gets a
-  ``dgbtf2``-style band LU with partial pivoting inside the band,
-  O(N (kl + ku) kl); LAPACK makes the same split.
+* Any other band with at most three sub- and superdiagonals (ACOK's
+  augmented Poisson form has ``kl = ku = 3``) gets a ``dgbtf2``-style band
+  LU with partial pivoting inside the band, O(N); LAPACK makes the same
+  split.  It is unrolled for ``kl = ku = 3``: a narrower band is padded
+  with zeros, whose updates it skips.  A wider band raises ``ValueError``.
 * Borders (ACOK's border, the pseudo-arclength systems, the bordered
   Neumann problem) are eliminated by mixed block elimination (Govaerts &
   Pryce, *IMA J. Numer. Anal.* 13, 1993), which stays accurate when ``A``
@@ -154,6 +156,7 @@ class BandBorder:
     ``A`` (order ``nb``) is held in row-wise band storage,
     ``band[i, kl + j - i] = A[i, j]`` for ``-kl <= j - i <= ku``, where
     ``ku = band.shape[1] - 1 - kl``; entries outside ``A`` are zero.
+    ``lu_factor`` takes ``kl`` and ``ku`` up to 3.
 
     The system a caller factors and solves is the Schur complement of the
     full matrix onto the unknowns ``outer`` (indices into the full matrix,
@@ -259,13 +262,14 @@ class BandBorder:
 
 @dataclass
 class _GeneralBandLu:
-    """Factors of ``_band_lu``: a band other than tridiagonal.
+    """Factors of ``_band_lu``: a band other than tridiagonal, ``kl, ku <= 3``.
 
     Step ``j`` of the elimination interchanges rows ``j`` and ``swaps[j]``,
     then subtracts ``mults[j][i]`` times row ``j`` from row ``j + 1 + i``.
     ``U`` has ``pivots`` on its diagonal and ``tails[j]`` right of it in
-    row ``j`` (at most ``kl + ku`` entries).  ``perm_sign`` is the parity of
-    the interchanges and ``boosts`` lists the boosted pivots.
+    row ``j``.  ``mults[j]`` and ``tails[j]`` are tuples of 3 and 6 entries,
+    zero where they fall outside the band or the matrix.  ``perm_sign`` is
+    the parity of the interchanges and ``boosts`` lists the boosted pivots.
     """
 
     pivots: list
@@ -504,119 +508,151 @@ def _dot(a: list, b: list) -> float:
 
 
 def _band_lu(system: BandBorder, boost_floor: float, boost: float) -> _GeneralBandLu:
-    """Band LU with partial pivoting inside the band (``dgbtf2``-style).
+    """Band LU with partial pivoting inside the band (``dgbtf2``-style), for ``kl, ku <= 3``.
 
-    Row ``i`` is held as a list over columns ``i - kl .. i + kl + ku``: the
-    band plus the fill the interchanges leave, so an interchange of rows
-    ``j`` and ``p`` shifts both lists by ``p - j``.  A pivot of magnitude
-    ``<= boost_floor`` is boosted by ``delta = +-boost`` (the pivot's sign,
-    + for zero): that factors ``A + delta e_r e_j^T`` exactly, with ``r``
-    the pivot row's original index, and ``_bordered_factor`` takes the
-    correction back out through one more border; ``boosts`` lists
-    ``(r, j, delta)``.  The loops skip zero entries explicitly: on lists
-    this short that is faster than slicing.
+    The band is padded to ``kl = ku = 3`` storage with every entry outside
+    ``A`` zero, plus four zero rows below.  Step ``j`` holds rows ``j ..
+    j + 3`` over columns ``j .. j + 6`` (all the interchanges can reach)
+    in the 28 locals ``a0 .. d6``, and shifts row ``j + 4`` in as it moves
+    on.  The first strictly largest entry of column ``j`` pivots.  A pivot
+    of magnitude ``<= boost_floor`` is boosted by ``delta = +-boost`` (the
+    pivot's sign, + for zero): that factors ``A + delta e_r e_j^T`` exactly,
+    with ``r`` the pivot row's original index, and ``_bordered_factor`` takes
+    the correction back out through one more border; ``boosts`` lists
+    ``(r, j, delta)``.  A zero multiplier, and an update by a zero ``U``
+    entry, are skipped.
     """
     kl, ku = system.kl, system.ku
+    if kl > 3 or ku > 3:
+        raise ValueError(f"band LU takes at most 3 sub- and superdiagonals, got kl={kl}, ku={ku}")
     nb = system.band.shape[0]
-    width = 2 * kl + ku + 1
-    padded = np.zeros((nb + kl, width))  # with zero rows below the matrix
-    padded[:nb, : kl + ku + 1] = system.band
-    work = padded.tolist()
+    padded = np.zeros((nb + 4, 7))
+    padded[:nb, 3 - kl : 4 + ku] = system.band
+    for i in range(min(3, nb)):  # left of column 0
+        padded[i, : 3 - i] = 0.0
+    for i in range(max(0, nb - 3), nb):  # right of column nb - 1
+        padded[i, nb + 3 - i :] = 0.0
+    rows = padded.tolist()
+    a0, a1, a2, a3, a4, a5, a6 = rows[0][3:] + [0.0] * 3
+    b0, b1, b2, b3, b4, b5, b6 = rows[1][2:] + [0.0] * 2
+    c0, c1, c2, c3, c4, c5, c6 = rows[2][1:] + [0.0]
+    d0, d1, d2, d3, d4, d5, d6 = rows[3]
     origin = list(range(nb))
     pivots, tails, mults, swaps = [0.0] * nb, [None] * nb, [None] * nb, list(range(nb))
     boosts = []
     sign = 1
-    below = [(t, kl - t) for t in range(1, kl + 1)]  # (row offset, index of column j)
     for j in range(nb):
-        prow = work[j]
-        p, best = j, abs(prow[kl])
-        for t, at in below:
-            v = abs(work[j + t][at])
-            if v > best:
-                p, best = j + t, v
-        if p != j:
-            d = p - j
-            other = work[p]
-            work[p] = prow[d:] + [0.0] * d
-            prow = work[j] = [0.0] * d + other[: width - d]
-            origin[j], origin[p] = origin[p], origin[j]
+        p, best = 0, abs(a0)
+        v = abs(b0)
+        if v > best:
+            p, best = 1, v
+        v = abs(c0)
+        if v > best:
+            p, best = 2, v
+        if abs(d0) > best:
+            p = 3
+        if p:
+            if p == 1:
+                a0, a1, a2, a3, a4, a5, a6, b0, b1, b2, b3, b4, b5, b6 = (
+                    b0, b1, b2, b3, b4, b5, b6, a0, a1, a2, a3, a4, a5, a6)
+            elif p == 2:
+                a0, a1, a2, a3, a4, a5, a6, c0, c1, c2, c3, c4, c5, c6 = (
+                    c0, c1, c2, c3, c4, c5, c6, a0, a1, a2, a3, a4, a5, a6)
+            else:
+                a0, a1, a2, a3, a4, a5, a6, d0, d1, d2, d3, d4, d5, d6 = (
+                    d0, d1, d2, d3, d4, d5, d6, a0, a1, a2, a3, a4, a5, a6)
+            origin[j], origin[j + p] = origin[j + p], origin[j]
             sign = -sign
-            swaps[j] = p
-        piv = prow[kl]
-        if abs(piv) <= boost_floor:
-            delta = -boost if piv < 0.0 else boost
+            swaps[j] = j + p
+        if abs(a0) <= boost_floor:
+            delta = -boost if a0 < 0.0 else boost
             boosts.append((origin[j], j, delta))
-            piv = piv + delta
-        tail = prow[kl + 1 :]
-        ms = []
-        for t, at in below:
-            row = work[j + t]
-            a = row[at]
-            if a == 0.0:
-                ms.append(0.0)
-                continue
-            f = a / piv
-            ms.append(f)
-            c = at + 1
-            for y in tail:
-                if y != 0.0:
-                    row[c] -= f * y
-                c += 1
-        pivots[j], tails[j], mults[j] = piv, tail, ms
-        work[j] = None
-    # Drop what lies right of or below the matrix.
-    for j in range(max(0, nb - kl - ku), nb):
-        tails[j] = tails[j][: nb - 1 - j]
-    for j in range(max(0, nb - kl), nb):
-        mults[j] = mults[j][: nb - 1 - j]
+            a0 = a0 + delta
+        m1 = m2 = m3 = 0.0
+        if b0 != 0.0:
+            m1 = f = b0 / a0
+            if a1 != 0.0: b1 -= f * a1
+            if a2 != 0.0: b2 -= f * a2
+            if a3 != 0.0: b3 -= f * a3
+            if a4 != 0.0: b4 -= f * a4
+            if a5 != 0.0: b5 -= f * a5
+            if a6 != 0.0: b6 -= f * a6
+        if c0 != 0.0:
+            m2 = f = c0 / a0
+            if a1 != 0.0: c1 -= f * a1
+            if a2 != 0.0: c2 -= f * a2
+            if a3 != 0.0: c3 -= f * a3
+            if a4 != 0.0: c4 -= f * a4
+            if a5 != 0.0: c5 -= f * a5
+            if a6 != 0.0: c6 -= f * a6
+        if d0 != 0.0:
+            m3 = f = d0 / a0
+            if a1 != 0.0: d1 -= f * a1
+            if a2 != 0.0: d2 -= f * a2
+            if a3 != 0.0: d3 -= f * a3
+            if a4 != 0.0: d4 -= f * a4
+            if a5 != 0.0: d5 -= f * a5
+            if a6 != 0.0: d6 -= f * a6
+        pivots[j], tails[j], mults[j] = a0, (a1, a2, a3, a4, a5, a6), (m1, m2, m3)
+        a0, a1, a2, a3, a4, a5, a6 = b1, b2, b3, b4, b5, b6, 0.0
+        b0, b1, b2, b3, b4, b5, b6 = c1, c2, c3, c4, c5, c6, 0.0
+        c0, c1, c2, c3, c4, c5, c6 = d1, d2, d3, d4, d5, d6, 0.0
+        d0, d1, d2, d3, d4, d5, d6 = rows[j + 4]
     return _GeneralBandLu(pivots=pivots, tails=tails, mults=mults, swaps=swaps, perm_sign=sign, boosts=boosts)
 
 
-def _band_lu_solve(fact: _GeneralBandLu, x: list) -> list:
-    """``A^-1 x`` through the band factors, in place."""
-    for j, p in enumerate(fact.swaps):
+def _band_lu_solve(fact: _GeneralBandLu, b: list) -> list:
+    """``A^-1 b`` through the band factors, over ``b`` padded with six zeros."""
+    nb = len(b)
+    x = b + [0.0] * 6
+    for j, p, (f1, f2, f3) in zip(range(nb), fact.swaps, fact.mults):
         if p != j:
             x[j], x[p] = x[p], x[j]
         xj = x[j]
         if xj != 0.0:
-            i = j + 1
-            for f in fact.mults[j]:
-                if f != 0.0:
-                    x[i] -= f * xj
-                i += 1
+            if f1 != 0.0: x[j + 1] -= f1 * xj
+            if f2 != 0.0: x[j + 2] -= f2 * xj
+            if f3 != 0.0: x[j + 3] -= f3 * xj
     tails, pivots = fact.tails, fact.pivots
-    for j in range(len(x) - 1, -1, -1):
+    for j in range(nb - 1, -1, -1):
+        u1, u2, u3, u4, u5, u6 = tails[j]
         v = x[j]
-        c = j + 1
-        for y in tails[j]:
-            if y != 0.0:
-                v -= y * x[c]
-            c += 1
+        if u1 != 0.0: v -= u1 * x[j + 1]
+        if u2 != 0.0: v -= u2 * x[j + 2]
+        if u3 != 0.0: v -= u3 * x[j + 3]
+        if u4 != 0.0: v -= u4 * x[j + 4]
+        if u5 != 0.0: v -= u5 * x[j + 5]
+        if u6 != 0.0: v -= u6 * x[j + 6]
         x[j] = v / pivots[j]
+    del x[nb:]
     return x
 
 
-def _band_lu_solve_t(fact: _GeneralBandLu, x: list) -> list:
-    """``A^-T x`` through the band factors, in place."""
-    for j, (piv, tail) in enumerate(zip(fact.pivots, fact.tails)):
+def _band_lu_solve_t(fact: _GeneralBandLu, b: list) -> list:
+    """``A^-T b`` through the band factors, over ``b`` padded with six zeros."""
+    nb = len(b)
+    x = b + [0.0] * 6
+    for j, piv, (u1, u2, u3, u4, u5, u6) in zip(range(nb), fact.pivots, fact.tails):
         xj = x[j] = x[j] / piv
         if xj != 0.0:
-            c = j + 1
-            for y in tail:
-                if y != 0.0:
-                    x[c] -= y * xj
-                c += 1
-    for j in range(len(x) - 1, -1, -1):
+            if u1 != 0.0: x[j + 1] -= u1 * xj
+            if u2 != 0.0: x[j + 2] -= u2 * xj
+            if u3 != 0.0: x[j + 3] -= u3 * xj
+            if u4 != 0.0: x[j + 4] -= u4 * xj
+            if u5 != 0.0: x[j + 5] -= u5 * xj
+            if u6 != 0.0: x[j + 6] -= u6 * xj
+    mults, swaps = fact.mults, fact.swaps
+    for j in range(nb - 1, -1, -1):
+        f1, f2, f3 = mults[j]
         v = x[j]
-        i = j + 1
-        for f in fact.mults[j]:
-            if f != 0.0:
-                v -= f * x[i]
-            i += 1
+        if f1 != 0.0: v -= f1 * x[j + 1]
+        if f2 != 0.0: v -= f2 * x[j + 2]
+        if f3 != 0.0: v -= f3 * x[j + 3]
         x[j] = v
-        p = fact.swaps[j]
+        p = swaps[j]
         if p != j:
             x[j], x[p] = x[p], x[j]
+    del x[nb:]
     return x
 
 
@@ -656,7 +692,7 @@ def _bordered_factor(system: BandBorder, pivot_rtol: float) -> BorderedLuFactori
         rows[i][j] = 1.0
         corner.append([0.0] * k)
         corner[i][i] = -1.0
-    right = [solve(band, list(c)) for c in cols]
+    right = [solve(band, c) for c in cols]
     schur = _schur_factor(corner, rows, right)
     # A Schur pivot is zero to within pivot_rtol if it cancels that far below
     # the max row sum of |corner| + |rows| |right|, which is 1 + the sum of
@@ -732,7 +768,7 @@ def _bordered_solve(fact: BorderedLuFactorization, b: list) -> list:
     visible = len(b) - nb  # the caller's borders; the rest are boosted pivots'
     f, g = b[:nb], b[nb:] + [0.0] * (k - visible)
     if fact.left is None:
-        left = [fact.solve_t(fact.band, list(r)) for r in fact.rows]
+        left = [fact.solve_t(fact.band, r) for r in fact.rows]
         fact.left = (left, _schur_factor(fact.corner, left, fact.cols))
     left, schur_t = fact.left
     if schur_t.singular:
@@ -758,7 +794,8 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
     the three central diagonals, gets a ``BandLuFactorization`` in O(n); any
     other ``BandBorder`` a ``BorderedLuFactorization`` in O(n), whose band
     is factored by the same tridiagonal kernel if it is tridiagonal; any
-    other dense matrix a dense ``LuFactorization``.
+    other dense matrix a dense ``LuFactorization``.  A ``BandBorder`` with
+    ``kl`` or ``ku`` above 3 raises ``ValueError``.
 
     ``pivot_rtol`` is the relative singularity threshold: the absolute floor
     is ``pivot_rtol * max_i sum_j |a_ij|``.  0.0 flags only exact zero
@@ -869,8 +906,8 @@ def _dense_solve(fact: LuFactorization, b: np.ndarray) -> np.ndarray:
 
 def _pivots(fact: Factorization):
     """The diagonal of ``U`` (the band's, for a bordered factorization)."""
-    if isinstance(fact, LuFactorization):  # the Schur block's may be a 0 x 0 list
-        return np.diagonal(np.reshape(fact.packed, (len(fact.packed),) * 2))
+    if isinstance(fact, LuFactorization):  # a Schur block's ``packed`` is a list
+        return [row[i] for i, row in enumerate(fact.packed)]
     return fact.pivots
 
 
@@ -882,7 +919,7 @@ def _sign_from_fact(fact: Factorization) -> int:
     """
     if fact.singular:
         return 0
-    negatives = int(np.count_nonzero(np.less(_pivots(fact), 0.0)))
+    negatives = len([p for p in _pivots(fact) if p < 0.0])
     sign = fact.perm_sign * (-1 if negatives % 2 else 1)
     if isinstance(fact, BorderedLuFactorization):
         sign *= _sign_from_fact(fact.schur) * fact.system.hidden_sign

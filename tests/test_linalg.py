@@ -1,12 +1,13 @@
 """Unit tests for the LU core: factorization, solves, det signs, and the
 null modes the detector reads off its factorizations.  Oracles are
 numpy.linalg, hand-built matrices and, for the tridiagonal and
-band-plus-border kernels, the dense kernel on the same matrix; the
-tridiagonal kernel in bordered use is checked against the general band
-kernel, and the scalar Schur factorization against the dense kernel."""
+band-plus-border kernels, the dense kernel on the same matrix; both band
+kernels in bordered use are checked against a test-local list-based band
+LU, and the scalar Schur factorization against the dense kernel."""
 
 import hashlib
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -764,9 +765,208 @@ def test_schur_solve_is_the_left_to_right_float_solve():
 
 
 # ---------------------------------------------------------------------------
-# one tridiagonal elimination (reference: the general band kernel, which it
-# must reproduce value for value wherever a border takes boosts back out)
+# band kernels in bordered use (reference: the list-based dgbtf2-style band
+# LU below, which both must reproduce value for value)
 # ---------------------------------------------------------------------------
+
+
+def reference_band_lu(system, boost_floor, boost):
+    """Band LU with partial pivoting inside the band, for any ``kl`` and ``ku``.
+
+    Row ``i`` is held as a list over columns ``i - kl .. i + kl + ku``: the
+    band plus the fill the interchanges leave, so an interchange of rows
+    ``j`` and ``p`` shifts both lists by ``p - j``.  The first strictly
+    largest entry of column ``j`` pivots; a pivot of magnitude
+    ``<= boost_floor`` is boosted by ``+-boost`` and listed as ``(original
+    row, step, delta)``; zero multipliers and updates by zero ``U`` entries
+    are skipped.  ``mults[j]`` and ``tails[j]`` stop at the matrix's edge.
+    """
+    kl, ku = system.kl, system.ku
+    nb = system.band.shape[0]
+    width = 2 * kl + ku + 1
+    padded = np.zeros((nb + kl, width))  # with zero rows below the matrix
+    padded[:nb, : kl + ku + 1] = system.band
+    work = padded.tolist()
+    origin = list(range(nb))
+    pivots, tails, mults, swaps = [0.0] * nb, [None] * nb, [None] * nb, list(range(nb))
+    boosts = []
+    sign = 1
+    below = [(t, kl - t) for t in range(1, kl + 1)]  # (row offset, index of column j)
+    for j in range(nb):
+        prow = work[j]
+        p, best = j, abs(prow[kl])
+        for t, at in below:
+            v = abs(work[j + t][at])
+            if v > best:
+                p, best = j + t, v
+        if p != j:
+            d = p - j
+            other = work[p]
+            work[p] = prow[d:] + [0.0] * d
+            prow = work[j] = [0.0] * d + other[: width - d]
+            origin[j], origin[p] = origin[p], origin[j]
+            sign = -sign
+            swaps[j] = p
+        piv = prow[kl]
+        if abs(piv) <= boost_floor:
+            delta = -boost if piv < 0.0 else boost
+            boosts.append((origin[j], j, delta))
+            piv = piv + delta
+        tail = prow[kl + 1 :]
+        ms = []
+        for t, at in below:
+            row = work[j + t]
+            a = row[at]
+            if a == 0.0:
+                ms.append(0.0)
+                continue
+            f = a / piv
+            ms.append(f)
+            c = at + 1
+            for y in tail:
+                if y != 0.0:
+                    row[c] -= f * y
+                c += 1
+        pivots[j], tails[j], mults[j] = piv, tail, ms
+        work[j] = None
+    # Drop what lies right of or below the matrix.
+    for j in range(max(0, nb - kl - ku), nb):
+        tails[j] = tails[j][: nb - 1 - j]
+    for j in range(max(0, nb - kl), nb):
+        mults[j] = mults[j][: nb - 1 - j]
+    return SimpleNamespace(pivots=pivots, tails=tails, mults=mults, swaps=swaps, perm_sign=sign, boosts=boosts)
+
+
+def reference_band_lu_solve(fact, x):
+    """``A^-1 x`` through ``reference_band_lu``'s factors, in place."""
+    for j, p in enumerate(fact.swaps):
+        if p != j:
+            x[j], x[p] = x[p], x[j]
+        xj = x[j]
+        if xj != 0.0:
+            i = j + 1
+            for f in fact.mults[j]:
+                if f != 0.0:
+                    x[i] -= f * xj
+                i += 1
+    tails, pivots = fact.tails, fact.pivots
+    for j in range(len(x) - 1, -1, -1):
+        v = x[j]
+        c = j + 1
+        for y in tails[j]:
+            if y != 0.0:
+                v -= y * x[c]
+            c += 1
+        x[j] = v / pivots[j]
+    return x
+
+
+def reference_band_lu_solve_t(fact, x):
+    """``A^-T x`` through ``reference_band_lu``'s factors, in place."""
+    for j, (piv, tail) in enumerate(zip(fact.pivots, fact.tails)):
+        xj = x[j] = x[j] / piv
+        if xj != 0.0:
+            c = j + 1
+            for y in tail:
+                if y != 0.0:
+                    x[c] -= y * xj
+                c += 1
+    for j in range(len(x) - 1, -1, -1):
+        v = x[j]
+        i = j + 1
+        for f in fact.mults[j]:
+            if f != 0.0:
+                v -= f * x[i]
+            i += 1
+        x[j] = v
+        p = fact.swaps[j]
+        if p != j:
+            x[j], x[p] = x[p], x[j]
+    return x
+
+
+def bits(values, length=None):
+    """``float.hex`` of each value, padded with zeros to ``length``."""
+    out = [v.hex() for v in values]
+    return out + [(0.0).hex()] * ((length or len(out)) - len(out))
+
+
+def assert_band_lu_is_the_reference(system, boost_floor, boost, rng):
+    """``_band_lu`` and both its solves against the reference, bit for bit.
+
+    Returns the numbers of boosts and interchanges.
+    """
+    nb = len(system.band)
+    got = linalg._band_lu(system, boost_floor, boost)
+    want = reference_band_lu(system, boost_floor, boost)
+    assert (got.swaps, got.perm_sign, got.boosts) == (want.swaps, want.perm_sign, want.boosts)
+    assert bits(got.pivots) == bits(want.pivots)
+    assert [bits(t) for t in got.tails] == [bits(t, 6) for t in want.tails]
+    assert [bits(m) for m in got.mults] == [bits(m, 3) for m in want.mults]
+    b = rng.standard_normal(nb)
+    b[rng.random(nb) < 0.25] = 0.0
+    b[rng.random(nb) < 0.1] = -0.0
+    for rhs in (b.tolist(), np.eye(nb)[rng.integers(nb)].tolist()):
+        x, x_t = linalg._band_lu_solve(got, rhs), linalg._band_lu_solve_t(got, rhs)
+        assert [v.hex() for v in x] == [v.hex() for v in reference_band_lu_solve(want, list(rhs))]
+        assert [v.hex() for v in x_t] == [v.hex() for v in reference_band_lu_solve_t(want, list(rhs))]
+    return len(want.boosts), sum(p != j for j, p in enumerate(want.swaps))
+
+
+def boost_scale(band):
+    """``_bordered_factor``'s boost: the band's max row sum (1.0 for a zero band)."""
+    return float(np.max(np.sum(np.abs(band), axis=1))) or 1.0
+
+
+def test_band_lu_is_the_reference_kernel_bitwise_on_random_bands():
+    # Every storage entry is drawn, so the band carries junk outside A,
+    # which the reference drops only at the end.
+    rng = np.random.default_rng(71)
+    boosts = swaps = 0
+    for _ in range(1200):
+        nb, kl, ku = (int(v) for v in rng.integers((1, 0, 0), (31, 4, 4)))
+        band = rng.choice([-1.0, 1.0], (nb, kl + ku + 1)) * 10.0 ** rng.uniform(-3.0, 3.0, (nb, kl + ku + 1))
+        band[rng.random(band.shape) < 0.25] = 0.0
+        band[rng.random(band.shape) < 0.05] = -0.0
+        scale = boost_scale(band)
+        for boost_floor in (0.0, linalg._BOOST_RTOL * scale, 0.3 * scale):
+            b, s = assert_band_lu_is_the_reference(BandBorder(band=band, kl=kl), boost_floor, scale, rng)
+            boosts, swaps = boosts + b, swaps + s
+    assert boosts >= 10000 and swaps >= 10000
+
+
+def test_band_lu_is_the_reference_kernel_bitwise_on_acok_linearizations():
+    # States built without numpy's transcendental functions (their SIMD
+    # paths differ by CPU): constants interchange at almost every step.
+    grid = GridSpec(100)
+    model = model_by_kind("acok", grid)
+    x = grid.nodes
+    states = (
+        np.full(grid.n_nodes, 0.5),
+        0.5 + 0.3 * x / np.sqrt(x * x + 0.01),
+        0.5 + 0.45 * (1.0 - 8.0 * x * x * (1.0 - x * x)),
+        0.98 - 0.96 * x * x,
+    )
+    rng = np.random.default_rng(73)
+    boosts = swaps = 0
+    for gamma in (0.0, 146.2, 700.0, 3000.0):
+        for epsilon in (0.1, 0.3):
+            for state in states:
+                system = model.linearize(state, ModelParams(epsilon=epsilon, gamma=gamma))
+                scale = boost_scale(system.band)
+                for boost_floor in (0.0, linalg._BOOST_RTOL * scale, 0.3 * scale):
+                    b, s = assert_band_lu_is_the_reference(system, boost_floor, scale, rng)
+                    boosts, swaps = boosts + b, swaps + s
+    assert boosts >= 1000 and swaps >= 5000
+
+
+@pytest.mark.parametrize("kl, ku, k", [(4, 3, 1), (3, 4, 0), (0, 5, 2), (6, 0, 0)])
+def test_lu_factor_rejects_a_band_wider_than_three(kl, ku, k):
+    rng = np.random.default_rng(79)
+    system = BandBorder(band=rng.standard_normal((12, kl + ku + 1)), kl=kl, cols=rng.standard_normal((12, k)),
+                        rows=rng.standard_normal((k, 12)), corner=rng.standard_normal((k, k)))
+    with pytest.raises(ValueError, match=f"kl={kl}, ku={ku}"):
+        lu_factor(system)
 
 
 def random_tridiagonal_band(rng, n):
@@ -778,12 +978,12 @@ def random_tridiagonal_band(rng, n):
 
 
 def assert_tridiagonal_kernel_is_the_general_one(band, boost_floor, boost, rng):
-    """Factors and both solves of ``_band_factor`` in boost mode against ``_band_lu``'s.
+    """Factors and both solves of ``_band_factor`` in boost mode against the reference band LU's.
 
     Returns the numbers of boosts and interchanges.
     """
     n = len(band)
-    general = linalg._band_lu(BandBorder(band=band, kl=1), boost_floor, boost)
+    general = reference_band_lu(BandBorder(band=band, kl=1), boost_floor, boost)
     tri = linalg._band_factor(linalg._diagonals(band), boost_floor, boost)
     assert not tri.singular
     assert tri.pivots == general.pivots
@@ -794,14 +994,9 @@ def assert_tridiagonal_kernel_is_the_general_one(band, boost_floor, boost, rng):
     assert tri.perm_sign == general.perm_sign
     assert tri.boosts == general.boosts
     for b in (rng.standard_normal(n).tolist(), np.eye(n)[rng.integers(n)].tolist()):
-        assert linalg._band_solve(tri, b) == linalg._band_lu_solve(general, list(b))
-        assert linalg._band_solve_t(tri, b) == linalg._band_lu_solve_t(general, list(b))
+        assert linalg._band_solve(tri, b) == reference_band_lu_solve(general, list(b))
+        assert linalg._band_solve_t(tri, b) == reference_band_lu_solve_t(general, list(b))
     return len(tri.boosts), sum(tri.swapped)
-
-
-def boost_scale(band):
-    """``_bordered_factor``'s boost: the band's max row sum (1.0 for a zero band)."""
-    return float(np.max(np.sum(np.abs(band), axis=1))) or 1.0
 
 
 def test_tridiagonal_kernel_in_boost_mode_is_the_general_band_kernel():
