@@ -39,9 +39,11 @@ The models:
 ``OhtaKawasaki``
     eps*A phi - B W'(phi)/eps - gamma*(B G B) phi with the double well
     W = 18*(phi^2 - phi)^2 pinned between 0 and 1 and the nonlocal zero-mean
-    inverse Laplacian G; continued in the nonlocal strength gamma.  Its
-    Jacobian is dense, but ``linearize`` hands over an O(N) augmented form
-    that solves G's Poisson problem alongside (see the class).
+    inverse Laplacian G; continued in the nonlocal strength gamma.  G is
+    applied by two prefix sums (``green_apply``); its dense matrix
+    (``green_operator``) exists only for the oracles.  The Jacobian is
+    dense, but ``linearize`` hands over an O(N) augmented form that solves
+    G's Poisson problem alongside (see the class).
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ __all__ = [
     "CubicRoots",
     "ch_trivial_roots",
     "TrivialBranch",
-    "GreenOperator",
+    "green_apply",
     "green_operator",
     "poisson_neumann_solve",
     "model_by_kind",
@@ -428,63 +430,53 @@ class CahnHilliardSteady(AllenCahn):
         return [TrivialBranch(labels[i], i == roots.middle_index, root_fn(i)) for i in range(3)]
 
 
-@dataclass(frozen=True)
-class GreenOperator:
-    """Dense zero-mean inverse Neumann Laplacian on the grid.
+def green_apply(f: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """``G f`` along axis 0: the zero-mean inverse of ``-A`` by two prefix sums.
 
-    ``matrix @ phi`` approximates the solution u of ``-u'' = phi - mean(phi)``
-    with zero-flux boundaries and zero trapezoidal mean.  ``h_profile`` is the
-    kernel's diagonal-shift profile x^2/2 - 5/6 evaluated at the nodes (handy
-    for closed-form cross-checks).
+    ``u = G f`` solves ``-A u = f - mean(f)`` with zero trapezoidal mean.
+    Row by row the folded ``-A u = g`` reads ``u[i+1] - u[i] = -h sum_{j<=i}
+    w_j g_j``, so the fluxes are one prefix sum and ``u`` is a second one,
+    shifted to zero mean.  ``f[0]`` is subtracted first, so constants give
+    exactly 0.  Only elementwise operations, ``cumsum`` and ``add.reduce``:
+    no BLAS, so the bits do not depend on the CPU kernel.
     """
-
-    matrix: np.ndarray
-    h_profile: np.ndarray
+    f = np.asarray(f, dtype=float)
+    w = grid.trapezoid_weights.reshape((-1,) + (1,) * (f.ndim - 1))
+    # One zero row on top: the second prefix sum then runs in place over
+    # the fluxes shifted down by one.
+    u = np.zeros((f.shape[0] + 1,) + f.shape[1:])
+    g = np.subtract(f, f[0], out=u[1:])
+    g -= np.add.reduce(w * g, axis=0) / 2.0
+    g *= w
+    np.cumsum(g, axis=0, out=g)
+    g *= -grid.h
+    u = np.cumsum(u[:-1], axis=0, out=u[:-1])
+    u -= np.add.reduce(w * u, axis=0) / 2.0
+    return u
 
 
 @lru_cache(maxsize=8)
-def green_operator(grid: GridSpec) -> GreenOperator:
-    """Assemble the dense nonlocal operator by trapezoid collocation.
+def green_operator(grid: GridSpec) -> np.ndarray:
+    """Dense matrix of ``green_apply`` (n_nodes x n_nodes, read-only, cached).
 
-    Construction: with kernel G(x,y) = |x-y|/2 and weights w,
-
-        u(x_i) = c * Htilde_i - sum_j G_ij w_j phi_j + (1/|O|) * sum_j (w G w)_j phi_j
-
-    where c = (w.phi)/2 is the mean of phi, Htilde = (Gw) - (w.Gw)/2 comes
-    from integrating the kernel, and the last term fixes the additive
-    constant so the output has zero trapezoidal mean.  Constants are
-    annihilated by construction; a final rank-one correction spreads each
-    row's rounding residue over the row, which leaves ``max|matrix @ ones|``
-    at rounding level: 4.9e-17 at N=50, 6.4e-17 at N=200, 1.5e-16 at N=800.
+    Built as ``green_apply`` of the identity, for the oracles only: the
+    dense ``jacobian``, ``verify`` and the tests.  A final rank-one
+    correction spreads each row's rounding residue over the row, so that
+    ``max|matrix @ ones|`` stays at rounding level.
     """
-    x = grid.nodes
-    w = grid.trapezoid_weights
     n = grid.n_nodes
-    g = 0.5 * np.abs(x[:, None] - x[None, :])
-    gw = g @ w  # row integrals of the kernel: (x^2 + 1)/2 exactly for this kernel
-    wgw = float(w @ gw)  # double integral: 4/3
-    h_profile = gw - wgw  # x^2/2 - 5/6 profile
-    h_tilde = gw - 0.5 * wgw  # zero-mean variant: x^2/2 - 1/6
-
-    matrix = (
-        0.5 * np.outer(h_tilde, w)
-        - g * w[None, :]
-        + 0.5 * np.outer(np.ones(n), gw * w)
-    )
+    matrix = green_apply(np.eye(n), grid)
     # Exact constant annihilation: distribute each row's residual row-sum.
     matrix -= np.outer(matrix @ np.ones(n), np.full(n, 1.0 / n))
-
     matrix.setflags(write=False)
-    hp = h_profile.copy()
-    hp.setflags(write=False)
-    return GreenOperator(matrix=matrix, h_profile=hp)
+    return matrix
 
 
 @lru_cache(maxsize=8)
 def _neumann_system(grid: GridSpec):
     """``K = [[A, 1], [w^T, 0]]``: ``(K, its factorization, its det sign)``.
 
-    ``green_operator`` is ``K``'s inverse on zero-mean data: ``-A G = I - 1 w^T / 2``.
+    ``green_apply`` is ``K``'s inverse on zero-mean data: ``-A G = I - 1 w^T / 2``.
     """
     n = grid.n_nodes
     system = BandBorder(
@@ -500,7 +492,7 @@ def poisson_neumann_solve(f: np.ndarray, grid: GridSpec) -> np.ndarray:
 
     Uses the same folded second-difference operator as the models, bordered
     by the trapezoid-mean constraint to pin the additive constant, so the
-    result is directly comparable with ``green_operator`` applied to ``-f``.
+    result is directly comparable with ``green_apply`` applied to ``-f``.
 
     Raises ``ValueError`` ("Neumann problem unsolvable") when the trapezoidal
     mean of ``f`` exceeds 1e-10 in magnitude, since no solution exists then.
@@ -521,7 +513,8 @@ class OhtaKawasaki(_ModelBase):
 
     Residual: eps*A phi - B (36/eps) (2 phi^3 - 3 phi^2 + phi) - gamma*(B G B) phi
     with the double well W(phi) = 18*(phi^2 - phi)^2 (wells at 0 and 1) and
-    the zero-mean nonlocal operator G (``green``, from ``green_operator``).
+    the zero-mean nonlocal operator G, applied by the prefix sums of
+    ``green_apply``; the model holds no N x N array.
     ``G`` inverts ``-A`` on zero-mean data, so ``G B`` inverts the compact
     ``-B^-1 A`` and the premultiplied nonlocal term is ``B G B``.  Note the
     leading Laplacian enters with a +eps factor (gradient-flow sign), unlike
@@ -534,7 +527,8 @@ class OhtaKawasaki(_ModelBase):
     ``(u, s)`` through ``K = [[A, 1], [w^T, 0]]`` gives back ``J``.
     Interleaving ``(v_i, u_i)`` makes it a band with three sub- and
     superdiagonals plus one border, and ``det_sign(J) = det_sign(M) det_sign(K)`` for the
-    augmented matrix ``M``.  The dense ``jacobian`` stays as an oracle.
+    augmented matrix ``M``.  The dense ``jacobian`` stays as an oracle; it
+    and ``green_operator``'s dense G are built only when an oracle asks.
     """
 
     kind = "acok"
@@ -542,7 +536,6 @@ class OhtaKawasaki(_ModelBase):
 
     def __init__(self, grid: GridSpec):
         super().__init__(grid)
-        self.green = green_operator(grid)
         self._poisson, _, self._poisson_sign = _neumann_system(grid)
 
     def residual(self, state, params: ModelParams) -> np.ndarray:
@@ -582,7 +575,7 @@ class OhtaKawasaki(_ModelBase):
     def jacobian(self, state, params: ModelParams) -> np.ndarray:
         phi = self._require_state(state)
         local = BandBorder(band=self._local_band(phi, params), kl=1).to_dense()
-        bg = _tridiagonal_rows(self.green.matrix, self._compact)
+        bg = _tridiagonal_rows(green_operator(self.grid), self._compact)
         # (B G) B = (B^T (B G)^T)^T, and B^T's band is B's with sub and super swapped.
         bgb = _tridiagonal_rows(bg.T, _transposed_band(self._compact)).T
         return local - params.gamma * bgb
@@ -592,9 +585,8 @@ class OhtaKawasaki(_ModelBase):
 
     def _nonlocal(self, phi: np.ndarray) -> np.ndarray:
         # (B G B) phi through the stencils: B maps constants to themselves
-        # exactly, so constants meet G itself and stay annihilated to the
-        # same rounding as G's own.
-        return _compact_apply(self.green.matrix @ _compact_apply(phi))
+        # exactly, so constants meet G itself and give exactly 0.
+        return _compact_apply(green_apply(_compact_apply(phi), self.grid))
 
     def trivial_branches(self, params: ModelParams) -> list[TrivialBranch]:
         return [

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import phase_bifurcate
-from phase_bifurcate import cli, linalg
+from phase_bifurcate import cli, linalg, models
 from phase_bifurcate.continuation import NewtonFailure
 from phase_bifurcate.linalg import BandBorder
 from phase_bifurcate.models import AllenCahn
@@ -456,8 +456,9 @@ def test_verify_acok_variant_checks(tmp_path, capsys):
     ids=["ac-solutions", "acok-solutions", "ac-arclength", "acok-arclength"],
 )
 def test_engine_never_calls_the_dense_lu(argv, monkeypatch, capsys):
-    """Every engine factorization is a band or band-plus-border one, and
-    every tridiagonal band, bordered or not, takes the tridiagonal kernel."""
+    """Every engine factorization is a band or band-plus-border one, every
+    tridiagonal band, bordered or not, takes the tridiagonal kernel, and
+    ACOK applies G by prefix sums, never building its dense matrix."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the engine called a kernel it must not")
@@ -465,6 +466,8 @@ def test_engine_never_calls_the_dense_lu(argv, monkeypatch, capsys):
     monkeypatch.setattr(linalg, "_dense_factor", refuse)
     if argv[2] == "ac":
         monkeypatch.setattr(linalg, "_band_lu", refuse)
+    else:
+        monkeypatch.setattr(models, "green_operator", refuse)
     assert run_cli([*argv, "--n-cells", "40", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] > 0 if argv[0] == "solutions" else len(payload["branches"]) > 3
@@ -479,9 +482,9 @@ def test_engine_never_calls_the_dense_lu(argv, monkeypatch, capsys):
     "argv",
     [
         ["solutions", "--model", "ac", "--epsilon", "0.15", "--n-cells", "60", "--eps-range", "0.14:0.7"],
-        # The residual applies the dense 61x61 Green operator through BLAS.
-        # Every ACOK factorization, the null mode at each detected event
-        # included, is the pure-Python band-plus-border one.
+        # The residual applies G by prefix sums, without BLAS.  Every ACOK
+        # factorization, the null mode at each detected event included, is
+        # the pure-Python band-plus-border one.
         ["solutions", "--model", "acok", "--gamma", "100", "--epsilon", "0.3", "--n-cells", "60",
          "--gamma-range", "0:700"],
         # Pseudo-arclength on ACOK: the augmented Jacobian's border plus the

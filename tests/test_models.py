@@ -2,6 +2,7 @@
 the nonlocal Green operator.  Oracles: closed-form solutions on [-1, 1],
 finite differences, and exact floating-point symmetry identities."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from phase_bifurcate import (
     GridSpec,
     ModelParams,
     ch_trivial_roots,
+    green_apply,
     green_operator,
     laplacian_apply,
     laplacian_matrix,
@@ -115,9 +117,7 @@ def test_discrete_eigenmode_identity():
 
 def test_trivial_states_have_tiny_residual():
     # The last case guards verify's absolute 1e-12 trivial_residual_sup
-    # bound: the ACOK residual at a constant state grows like gamma times
-    # the rounding of G @ ones, so it is checked on a fine grid at the top
-    # of the gamma window.
+    # bound on a fine grid at the top of the gamma window.
     cases = [
         ("ac", 50, ModelParams(epsilon=0.25)),
         ("ch", 50, ModelParams(epsilon=0.3, mu0=0.05)),
@@ -129,6 +129,16 @@ def test_trivial_states_have_tiny_residual():
         for state in model.trivial_states(params):
             sup = np.max(np.abs(model.residual(state, params)))
             assert sup <= 1e-12, f"{kind} N={n_cells}: {sup:.3e}"
+
+
+@pytest.mark.parametrize("n_cells", [50, 800, 4096])
+def test_acok_constant_states_have_exactly_zero_residual(n_cells):
+    # The well vanishes exactly at 0, 1/2 and 1, A and B act exactly on
+    # constants, and green_apply subtracts f[0] first: no rounding is left.
+    model = model_by_kind("acok", GridSpec(n_cells))
+    params = ModelParams(epsilon=0.3, gamma=3000.0)
+    for state in model.trivial_states(params):
+        assert np.max(np.abs(model.residual(state, params))) == 0.0
 
 
 def test_trivial_branches_bifurcating_flags_and_values():
@@ -327,44 +337,59 @@ def test_acok_residual_reflection_equivariance():
 
 def test_green_annihilates_constants():
     g = GridSpec(100)
-    green = green_operator(g)
-    assert np.max(np.abs(green.matrix @ np.full(g.n_nodes, 2.5))) <= 1e-13
+    const = np.full(g.n_nodes, 2.5)
+    assert np.max(np.abs(green_apply(const, g))) == 0.0
+    assert np.max(np.abs(green_operator(g) @ const)) <= 1e-13
 
 
 def test_green_output_has_zero_trapezoid_mean():
     g = GridSpec(100)
-    green = green_operator(g)
     rng = np.random.default_rng(3)
     f = rng.standard_normal(g.n_nodes)
-    assert abs(float(g.trapezoid_weights @ (green.matrix @ f))) <= 1e-13
+    assert abs(float(g.trapezoid_weights @ green_apply(f, g))) <= 1e-13
+    assert abs(float(g.trapezoid_weights @ (green_operator(g) @ f))) <= 1e-13
 
 
-def test_green_h_profile_closed_form():
-    """Kernel row integrals: x^2/2 - 5/6 shifted by the exact trapezoid bias."""
+@pytest.mark.parametrize("n_cells", [4, 100, 800, 4096])
+def test_green_apply_inverts_the_discrete_cosine_modes(n_cells):
+    """Exact discrete oracle: ``cos(m pi (x+1)/2)`` is an eigenvector of the
+    folded ``-A`` with eigenvalue ``a_m = (4/h^2) sin^2(m pi h/4)``, and has
+    zero trapezoid mean unless it is the constant (``a_m = 0``)."""
+    g = GridSpec(n_cells)
+    for m in range(1, 21):
+        if m % (2 * n_cells) == 0:
+            continue
+        mode = np.cos(m * math.pi * (g.nodes + 1.0) / 2.0)
+        a_m = (4.0 / g.h**2) * math.sin(m * math.pi * g.h / 4.0) ** 2
+        gap = np.max(np.abs(a_m * green_apply(mode, g) - mode))
+        assert gap <= 1e-11 * np.max(np.abs(mode)), f"m={m}: {gap:.3e}"
+
+
+def test_green_operator_is_green_apply_of_the_identity():
     g = GridSpec(100)
-    green = green_operator(g)
-    expected = g.nodes**2 / 2.0 - 5.0 / 6.0 - g.h**2 / 6.0
-    assert np.max(np.abs(green.h_profile - expected)) <= 1e-14
+    matrix = green_operator(g)
+    assert isinstance(matrix, np.ndarray) and not matrix.flags.writeable
+    rng = np.random.default_rng(4)
+    f = rng.standard_normal(g.n_nodes)
+    assert np.max(np.abs(matrix @ f - green_apply(f, g))) <= 1e-15
 
 
 def test_green_inverts_neumann_eigenfunctions():
     # cos(pi x) and sin(pi x / 2) are zero-flux, zero-mean eigenfunctions
     for n, tol in ((100, 4e-5), (200, 1e-5)):
         g = GridSpec(n)
-        green = green_operator(g)
         x = g.nodes
         f1 = np.cos(np.pi * x)
-        assert np.max(np.abs(green.matrix @ f1 - f1 / np.pi**2)) <= tol
+        assert np.max(np.abs(green_apply(f1, g) - f1 / np.pi**2)) <= tol
         f2 = np.sin(0.5 * np.pi * x)
-        assert np.max(np.abs(green.matrix @ f2 - 4.0 * f2 / np.pi**2)) <= tol
+        assert np.max(np.abs(green_apply(f2, g) - 4.0 * f2 / np.pi**2)) <= tol
 
 
 def test_green_handles_non_eigenfunction_data():
     # -u'' = sin(pi x), u'(+-1) = 0, zero mean  =>  u = sin(pi x)/pi^2 + x/pi
     g = GridSpec(200)
-    green = green_operator(g)
     x = g.nodes
-    u = green.matrix @ np.sin(np.pi * x)
+    u = green_apply(np.sin(np.pi * x), g)
     exact = np.sin(np.pi * x) / np.pi**2 + x / np.pi
     assert np.max(np.abs(u - exact)) <= 1e-4
 
@@ -385,17 +410,41 @@ def test_poisson_solve_rejects_nonzero_mean_data():
 
 
 def test_green_matches_poisson_solve_to_rounding():
-    """The quadrature matrix is the exact discrete inverse of the solve route."""
+    """The prefix sums and their matrix are the exact discrete inverse of the solve route."""
     g = GridSpec(100)
-    green = green_operator(g)
     rng = np.random.default_rng(5)
     x = g.nodes
     w = g.trapezoid_weights
     raw = rng.standard_normal(g.n_nodes)
     inputs = [np.sin(np.pi * x), np.cos(np.pi * x), raw - (w @ raw) / 2.0]
     for f in inputs:
-        gap = np.max(np.abs(green.matrix @ f - poisson_neumann_solve(-f, g)))
-        assert gap <= 1e-12
+        u = poisson_neumann_solve(-f, g)
+        assert np.max(np.abs(green_apply(f, g) - u)) <= 1e-12
+        assert np.max(np.abs(green_operator(g) @ f - u)) <= 1e-12
+
+
+# sha256 of green_apply(f) and of the ACOK residual on polynomial inputs
+# (no numpy transcendentals, whose SIMD paths differ by CPU).  Neither
+# calls BLAS, so the bits hold under every OpenBLAS kernel.
+_ACOK_RESIDUAL_PINS = {
+    100: ("21b729cd4813886e867039e1a2f0ce693856c2fc7f2ed611ad62b8c4542cfd29",
+          "439d7f3097b6afdbc684fe86592baecce83225df2ad08d6af805321fd33a1837"),
+    200: ("0d7b9b7357a08c20909429dc38822484f6b916c0478afe3b3a2620411e1d1aba",
+          "db686e57289e32964c4cdd2e5c3203774efb7aaace85ce4f9b7dcce302243b37"),
+    4096: ("f90f80f6f518af9a4e2a05aa9860db97efd26da8173132612cb5776058757274",
+           "6fd760a4fec47fb517c5f9de435e06f294c1f8ea932f23a204e75e7198359bd5"),
+}
+
+
+@pytest.mark.parametrize("n_cells", sorted(_ACOK_RESIDUAL_PINS))
+def test_acok_residual_is_pinned_bitwise(n_cells):
+    grid = GridSpec(n_cells)
+    x = grid.nodes
+    f = x * (1.0 - x * x) + 0.3 * x * x
+    psi = 0.5 + 0.4 * x * (1.0 - 0.5 * x * x)
+    r = model_by_kind("acok", grid).residual(psi, ModelParams(epsilon=0.3, gamma=1000.0))
+    digests = tuple(hashlib.sha256(u.tobytes()).hexdigest() for u in (green_apply(f, grid), r))
+    assert digests == _ACOK_RESIDUAL_PINS[n_cells]
 
 
 # ---------------------------------------------------------------------------
