@@ -43,6 +43,12 @@ EXIT_VERIFY = 3
 
 MAX_N_CELLS = 4096
 
+#: An explicit --newton-tol below this many ulps of the residual's row scale
+#: is refused.  Newton's last residuals sit at 0.1-0.4 ulps of that scale in
+#: the median (AC at eps = 0.1 and ACOK at eps = 0.3, N = 40 to 1024), and
+#: the smallest of them at 0.01 ulps.
+RESIDUAL_FLOOR_ULPS = 2.0**-8
+
 _NUMERICAL_ERRORS = (ContinuationError, SingularMatrixError, FloatingPointError)
 
 
@@ -142,6 +148,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def residual_floor(model, params: ModelParams, settings: ContinuationSettings) -> float:
+    """The smallest ``newton_tol`` a run accepts: ``RESIDUAL_FLOOR_ULPS`` ulps of the residual's scale.
+
+    The scale is the max row sum of ``|linearize|`` at the zero state, the
+    smaller of its values at the two window ends: rounding leaves the
+    residual of any state of order one about an ulp of it.
+    """
+    zero = np.zeros(model.grid.n_nodes)
+    scale = min(
+        float(np.abs(model.linearize(zero, model.with_param(params, end)).band).sum(axis=1).max())
+        for end in (settings.param_min, settings.param_max)
+    )
+    return RESIDUAL_FLOOR_ULPS * np.finfo(float).eps * scale
+
+
 def resolve(args) -> tuple[RunConfig, object, ModelParams]:
     """Fill in model-dependent defaults and validate the combination."""
     kind = args.model
@@ -199,6 +220,13 @@ def resolve(args) -> tuple[RunConfig, object, ModelParams]:
             model.with_param(params, end)
     except ValueError as exc:
         raise UsageError(str(exc))
+    if args.newton_tol is not None:
+        floor = residual_floor(model, params, settings)
+        if settings.newton_tol < floor:
+            raise UsageError(
+                f"--newton-tol {settings.newton_tol!r} is below the residual's rounding floor {floor:.3g} "
+                f"at --n-cells {args.n_cells}: no Newton correction can reach it"
+            )
 
     at_param = None
     if args.command == "solutions":

@@ -8,9 +8,11 @@ det(Jacobian) between scan samples, then resolved into a null mode by one
 solve with the event's factorization and classified against the analytic
 eigenmode families.  New branches are seeded along the null mode on both
 sides (the +/- offshoots of a pitchfork) and traced over the parameter
-window.  A diagram computed for one slice (``compute_diagram(..., at=p)``)
-traces only what ``solutions_at`` reads at ``p``: no constant branches, and
-natural-mode offshoots stop at ``p``.
+window; where the residual is odd and the base state zero, the - offshoot
+is the exact negation of the traced + one.  A diagram computed for one
+slice (``compute_diagram(..., at=p)``) traces only what ``solutions_at``
+reads at ``p``: no constant branches, and natural-mode offshoots stop at
+``p``.
 
 Every factorization goes through the model's ``linearize`` (a
 ``linalg.BandBorder``, factored in O(N)); the pseudo-arclength systems add
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -731,6 +733,25 @@ def branch_switch(
     neither side yields one, a WARNING names each side's last failure.
     ``at`` is passed on to ``trace_branch`` (the seeding does not depend on it).
     Defaults: s0 = 0.05*(sup|base|+1), dmu = 2x bisection width + 1e-4*|param|.
+
+    When the residual is odd (``model.residual_is_odd``: AC, and CH at
+    mu0 = 0) and the base state is exactly zero, the bifurcation is a Z2
+    pitchfork and phi -> -phi maps the + offshoot onto the - one bit for
+    bit, so only the + side is traced.  The - branch shares its anchor,
+    negates every later state (``0.0 - state``, so zeros stay +0.0) and
+    copies everything else; if the + side yields no branch, neither does
+    the - side, for the same reason.  The image is exact because:
+
+    * IEEE round-to-nearest is symmetric under negation;
+    * the residual is built from ``phi*phi*phi`` and linear stencils, so it
+      is odd bit for bit, and the Jacobian depends on phi only through
+      phi*phi, so both sides factor identical matrices (the arclength
+      systems' borders are negated, which the elimination carries through
+      as exact sign flips);
+    * every solve is linear in its right-hand side, and the arclength dot
+      products multiply pairs of negated vectors, so they are unchanged;
+    * the constant states {-1, 0, +1} are closed under negation, so
+      ``_near_any_trivial`` decides both sides alike.
     """
     base = bif.base_state
     p0 = bif.param
@@ -746,12 +767,10 @@ def branch_switch(
         det_sign=det_sign(lu_factor(model.linearize(base, anchor_params))),
         newton_iters_used=0,
     )
-
-    branches: list[Branch] = []
-    failures: list[str] = []
     offsets = [s * dmu for scale in (1.0, 10.0, 100.0) for s in (-scale, +scale)]
-    for sigma, tag in ((1, "+"), (-1, "-")):
-        traced = None
+
+    def side(sigma: int, tag: str) -> tuple[Optional[Branch], str]:
+        """The traced offshoot on one side, or None and why none survived."""
         newton_reason, tried, on_trivial = "none", 0, 0
         for off in offsets:
             p1 = p0 + off
@@ -771,29 +790,48 @@ def branch_switch(
             if _near_any_trivial(model, params_at, seed.state, settings.dedupe_tol):
                 on_trivial += 1
                 continue
-            direction = 1 if off > 0 else -1
-            traced = trace_branch(
+            return trace_branch(
                 model,
                 params,
                 settings,
                 seed,
-                direction,
+                1 if off > 0 else -1,
                 origin=BranchOrigin("switched", bif.bif_id, sigma),
                 branch_id=f"{bif.bif_id}{tag}",
                 prepend=(anchor,),
                 at=at,
                 _fact=seed_fact,
-            )
-            break
+            ), ""
+        return None, f"last Newton failure {newton_reason}, {on_trivial} of {tried} seeds on a trivial state"
+
+    plus, plus_failure = side(1, "+")
+    if model.residual_is_odd(params) and not np.any(base):
+        minus, minus_failure = (None if plus is None else _negated(plus, bif.bif_id)), plus_failure
+    else:
+        minus, minus_failure = side(-1, "-")
+
+    branches: list[Branch] = []
+    failures: list[str] = []
+    for tag, traced, failure in (("+", plus, plus_failure), ("-", minus, minus_failure)):
         if traced is None:
             logger.info("branch switch at %s produced no %s-side branch", bif.bif_id, tag)
-            failures.append(
-                f"{tag} side: last Newton failure {newton_reason}, {on_trivial} of {tried} seeds on a trivial state")
+            failures.append(f"{tag} side: {failure}")
         else:
             branches.append(traced)
     if not branches:
         logger.warning("branch switch at %s (param=%r) produced no branch: %s", bif.bif_id, p0, "; ".join(failures))
     return branches
+
+
+def _negated(plus: Branch, bif_id: str) -> Branch:
+    """The - offshoot of an odd model's pitchfork from its traced + side (see ``branch_switch``)."""
+    anchor, *rest = plus.points
+    return Branch(
+        id=f"{bif_id}-",
+        origin=BranchOrigin("switched", bif_id, -1),
+        points=[anchor] + [replace(p, state=0.0 - p.state) for p in rest],
+        stop_reason=plus.stop_reason,
+    )
 
 
 def _polyline_gap(query_param, query_state, other: Branch, frame: _ArclengthFrame) -> tuple[float, float]:

@@ -324,6 +324,10 @@ class _ModelBase:
         """Nodal vectors of every branch of ``trivial_branches(params)``."""
         return [b.state_of(params, self.grid) for b in self.trivial_branches(params)]
 
+    def residual_is_odd(self, params: ModelParams) -> bool:
+        """Whether ``residual(-phi) == -residual(phi)`` bit for bit at ``params``."""
+        return False
+
     def _band(self, lap_scale: float, scale: np.ndarray) -> np.ndarray:
         """Row-wise band of ``lap_scale * A + B diag(scale)``."""
         shifted = np.zeros((scale.size, 3))
@@ -353,6 +357,10 @@ class AllenCahn(_ModelBase):
 
     def _offset(self, params: ModelParams) -> float:
         return 0.0
+
+    def residual_is_odd(self, params: ModelParams) -> bool:
+        """Without an offset: ``_cube`` and the linear stencils are odd bit for bit."""
+        return self._offset(params) == 0.0
 
     def residual(self, state, params: ModelParams) -> np.ndarray:
         phi = self._require_state(state)

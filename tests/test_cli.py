@@ -17,7 +17,7 @@ import pytest
 
 import phase_bifurcate
 from phase_bifurcate import cli, linalg, models
-from phase_bifurcate.continuation import NewtonFailure
+from phase_bifurcate.continuation import NewtonFailure, compute_diagram, default_settings
 from phase_bifurcate.linalg import BandBorder
 from phase_bifurcate.models import AllenCahn
 
@@ -102,6 +102,44 @@ def test_window_outside_the_model_domain_exits_1(argv, code, err, capsys):
     # The three windows used to fail inside the run, as "numerical failure" (exit 2).
     assert run_cli(argv) == code
     assert capsys.readouterr().err == err
+
+
+def test_newton_tol_below_the_rounding_floor_exits_1(capsys):
+    # This run used to find all three bifurcations, fail or lose every
+    # switch seed, and exit 0 with count=0.
+    argv = ["solutions", "--model", "ac", "--epsilon", "0.2", "--n-cells", "40", "--eps-range", "0.15:0.5",
+            "--newton-tol", "1e-30"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --newton-tol 1e-30 is below the residual's rounding floor ")
+
+
+@pytest.mark.parametrize("n_cells, reached", [(40, 9e-14), (200, 3e-12), (1024, 1e-10), (4096, 1.7e-9)])
+def test_residual_floor_is_below_the_residuals_newton_reaches(n_cells, reached):
+    # ``reached``: the median last residual of AC's traced points at eps = 0.1,
+    # which the floor stays below with a factor 16 to spare.
+    model = models.model_by_kind("ac", models.GridSpec(n_cells))
+    settings = default_settings("ac")
+    assert cli.residual_floor(model, models.ModelParams(epsilon=0.1), settings) < reached / 16
+
+
+def test_residual_floor_is_below_every_residual_of_a_diagram():
+    model = models.model_by_kind("ac", models.GridSpec(40))
+    params = models.ModelParams(epsilon=0.1)
+    settings = default_settings("ac", param_min=0.095, param_max=0.4)
+    diagram = compute_diagram(model, params, settings)
+    reached = [p.residual_norm for b in diagram.branches if b.origin.kind == "switched" for p in b.points[1:]]
+    assert len(reached) > 100
+    assert cli.residual_floor(model, params, settings) < min(reached)
+
+
+def test_only_an_explicit_newton_tol_meets_the_floor(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "residual_floor", lambda model, params, settings: 1.0)
+    argv = ["points", "--model", "ac", "--n-cells", "20", "--eps-range", "0.3:0.7"]
+    assert run_cli(argv) == 0
+    assert run_cli(argv + ["--newton-tol", "0.5"]) == 1
+    assert "rounding floor 1 at --n-cells 20" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

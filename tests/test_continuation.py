@@ -725,9 +725,29 @@ def test_slow_regula_falsi_still_gives_the_plain_bisection_event(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_branch_switch_produces_bitwise_mirror_offshoots(ac_detection):
+def _trace_every_side(model, monkeypatch):
+    """Turn off the odd-model shortcut on ``model`` for the rest of the test."""
+    monkeypatch.setattr(model, "residual_is_odd", lambda params: False)
+
+
+def _count_traces(monkeypatch) -> list:
+    """Log the branch id of every ``trace_branch`` call the engine makes; returns the log."""
+    traced = []
+    trace_branch = continuation.trace_branch
+
+    def counting_trace_branch(*args, **kwargs):
+        traced.append(kwargs["branch_id"])
+        return trace_branch(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "trace_branch", counting_trace_branch)
+    return traced
+
+
+def test_branch_switch_produces_bitwise_mirror_offshoots(ac_detection, monkeypatch):
+    # Both sides traced: the Z2 image the odd-model shortcut relies on.
     g, model, params, settings, bifs = ac_detection
     sine0 = [b for b in bifs if b.mode_family == "sine"][0]
+    _trace_every_side(model, monkeypatch)
     sides = branch_switch(model, params, settings, sine0)
     assert len(sides) == 2
     plus, minus = sides
@@ -737,6 +757,76 @@ def test_branch_switch_produces_bitwise_mirror_offshoots(ac_detection):
     for p, m in zip(plus.points, minus.points):
         assert p.param == m.param
         assert np.array_equal(p.state, -m.state)
+
+
+@pytest.fixture(scope="module", params=["ac", "ac-arclength", "ch-mu0-0"])
+def odd_case(request, ac_detection):
+    """(model, params, settings, bifurcations) of a model whose residual is odd."""
+    g, model, params, settings, bifs = ac_detection
+    if request.param == "ac-arclength":
+        return model, params, replace(settings, use_pseudo_arclength=True), bifs
+    if request.param == "ac":
+        return model, params, settings, bifs
+    ch = model_by_kind("ch", g)
+    ch_params = ModelParams(epsilon=0.5, mu0=0.0)
+    ch_settings = default_settings("ch", param_min=0.3, param_max=0.7)
+    tb = next(b for b in ch.trivial_branches(ch_params) if b.bifurcating)
+    ch_bifs = detect_bifurcations_on_trivial(
+        ch, ch_params, ch_settings, lambda pv: tb.state_of(ch.with_param(ch_params, pv), g))
+    return ch, ch_params, ch_settings, ch_bifs
+
+
+def test_mirrored_offshoot_is_the_traced_one_bit_for_bit(odd_case, monkeypatch):
+    model, params, settings, bifs = odd_case
+    assert model.residual_is_odd(params) and len(bifs) == 2
+    traced = _count_traces(monkeypatch)
+    mirrored = [branch_switch(model, params, settings, bif) for bif in bifs]
+    assert traced == [f"{bif.bif_id}+" for bif in bifs]
+    _trace_every_side(model, monkeypatch)
+    both = [branch_switch(model, params, settings, bif) for bif in bifs]
+    for got, want in zip(mirrored, both):
+        assert [b.id for b in got] == [b.id for b in want] and len(got) == 2
+        for a, b in zip(got, want):
+            assert (a.origin, a.stop_reason, len(a.points)) == (b.origin, b.stop_reason, len(b.points))
+            for p, q in zip(a.points, b.points):
+                # tobytes: a -0.0 where the trace has +0.0 fails here
+                assert p.state.tobytes() == q.state.tobytes()
+                assert (p.param, p.residual_norm, p.det_sign, p.newton_iters_used) == (
+                    q.param, q.residual_norm, q.det_sign, q.newton_iters_used)
+
+
+def test_negated_offshoot_shares_the_anchor_and_keeps_zeros_positive():
+    # A traced - side gets +0.0 wherever the + side has +0.0 (0.0 + -0.0 is
+    # +0.0), so the negation must not turn them into -0.0.
+    anchor = BranchPoint(param=0.5, state=np.zeros(3), residual_norm=0.0, det_sign=1, newton_iters_used=0)
+    point = BranchPoint(param=0.4, state=np.array([0.0, 1.5, -2.0]), residual_norm=3e-12, det_sign=-1,
+                        newton_iters_used=3)
+    plus = Branch("bp0+", BranchOrigin("switched", "bp0", 1), [anchor, point], stop_reason="slice")
+    minus = continuation._negated(plus, "bp0")
+    assert (minus.id, minus.origin, minus.stop_reason) == ("bp0-", BranchOrigin("switched", "bp0", -1), "slice")
+    assert minus.points[0] is anchor
+    got = minus.points[1]
+    assert got.state.tobytes() == np.array([0.0, -1.5, 2.0]).tobytes()
+    assert (got.param, got.residual_norm, got.det_sign, got.newton_iters_used) == (0.4, 3e-12, -1, 3)
+    assert point.state.tobytes() == np.array([0.0, 1.5, -2.0]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["acok", "ch-mu0-0.05"])
+def test_branch_switch_traces_both_sides_of_models_that_are_not_odd(kind, monkeypatch):
+    g = GridSpec(40)
+    if kind == "acok":
+        model, params = model_by_kind("acok", g), ModelParams(epsilon=0.3)
+        settings = default_settings("acok", param_min=0.0, param_max=700.0)
+    else:
+        model, params = model_by_kind("ch", g), ModelParams(epsilon=0.5, mu0=0.05)
+        settings = default_settings("ch", param_min=0.3, param_max=0.7)
+    assert not model.residual_is_odd(params)
+    tb = next(b for b in model.trivial_branches(params) if b.bifurcating)
+    bif = detect_bifurcations_on_trivial(
+        model, params, settings, lambda pv: tb.state_of(model.with_param(params, pv), g))[0]
+    traced = _count_traces(monkeypatch)
+    sides = branch_switch(model, params, settings, bif)
+    assert traced == [f"{bif.bif_id}+", f"{bif.bif_id}-"] == [b.id for b in sides]
 
 
 def test_branch_switch_offshoot_grows_from_zero(ac_detection):
@@ -754,7 +844,8 @@ def test_branch_switch_offshoot_grows_from_zero(ac_detection):
 def test_branch_switch_traces_from_the_seed_s_own_factorization(ac_detection, monkeypatch):
     # The seed's Newton correction ends by factoring the Jacobian at the
     # seed; natural tracing predicts from that factorization instead of
-    # factoring the same matrix again, and traces the same bits.
+    # factoring the same matrix again, and traces the same bits.  AC is odd,
+    # so only the + side is traced, and the - side is its negation.
     g, model, params, settings, bifs = ac_detection
     sine0 = [b for b in bifs if b.mode_family == "sine"][0]
     factored = _count_factorizations(monkeypatch)
@@ -764,9 +855,11 @@ def test_branch_switch_traces_from_the_seed_s_own_factorization(ac_detection, mo
     reused = len(factored)
     trace_branch = continuation.trace_branch
     monkeypatch.setattr(continuation, "trace_branch", lambda *a, _fact=None, **kw: trace_branch(*a, **kw))
+    traced = _count_traces(monkeypatch)
     factored.clear()
     again = branch_switch(model, params, settings, sine0)
-    assert len(factored) == reused + 2
+    assert traced == [f"{sine0.bif_id}+"]
+    assert len(factored) == reused + len(traced)  # one refactor per traced side
     for side, other in zip(sides, again):
         assert [p.param for p in side.points] == [p.param for p in other.points]
         assert all(np.array_equal(p.state, q.state) for p, q in zip(side.points, other.points))
