@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -50,6 +51,8 @@ MAX_N_CELLS = 4096
 RESIDUAL_FLOOR_ULPS = 2.0**-8
 
 _NUMERICAL_ERRORS = (ContinuationError, SingularMatrixError, FloatingPointError)
+
+logger = logging.getLogger("phase_bifurcate")
 
 
 class UsageError(Exception):
@@ -404,8 +407,20 @@ def cmd_trace(cfg: RunConfig, model, params, settings) -> int:
     return EXIT_OK
 
 
+def _warn_offshoots_short_of(diagram: Diagram, at: float) -> None:
+    """One WARNING per offshoot that stopped (min_step, max_points) with every point short of ``at``."""
+    for br in diagram.branches:
+        if br.origin.kind != "switched" or br.stop_reason not in ("min_step", "max_points"):
+            continue
+        side = br.points[0].param - at
+        if all((p.param - at) * side > 0.0 for p in br.points):
+            logger.warning("offshoot %s stopped with %s at param=%r, short of the slice at %r",
+                           br.id, br.stop_reason, br.points[-1].param, at)
+
+
 def cmd_solutions(cfg: RunConfig, model, params, settings) -> int:
     diagram = compute_diagram(model, params, settings, at=cfg.at_param)
+    _warn_offshoots_short_of(diagram, cfg.at_param)
     sols = solutions_at(diagram, cfg.at_param, model, settings)
     if cfg.format == "json":
         payload = {

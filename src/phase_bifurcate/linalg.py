@@ -21,7 +21,10 @@ and columns, which is how the models hand over their linearizations.
   mirrored (order-reversed) system's, which makes it exactly
   reflection-equivariant: with ``P`` the reversal, ``solve(P J P, P b) ==
   P solve(J, b)`` bit for bit, so Newton iterates from odd guesses stay
-  exactly odd.  Sign-only factorizations never make the mirrored one.
+  exactly odd.  Sign-only factorizations never make the mirrored one, and
+  a band that is its own mirror bit for bit (the AC/CH Jacobian at an even
+  or odd state) makes none: one elimination serves both solves, and an
+  even or odd right-hand side usually needs only one solve.
 * Any other band with at most three sub- and superdiagonals (ACOK's
   augmented Poisson form has ``kl = ku = 3``) gets a ``dgbtf2``-style band
   LU with partial pivoting inside the band, O(N); LAPACK makes the same
@@ -126,7 +129,13 @@ class BandLuFactorization:
         Lists of length n-1, n, n-1, n-2 and n-1 (as far as nonnegative).
     band:
         The factored matrix's sub-, main and superdiagonal, kept for the
-        mirrored factorization that ``lu_solve`` makes on its first call.
+        mirrored factorization.
+    mirror, own_mirror:
+        ``own_mirror`` says whether ``band`` equals its mirror
+        ``(sup[::-1], diag[::-1], sub[::-1])`` bit for bit, signed zeros
+        included (set by ``lu_factor``).  If it does, this factorization is
+        its own mirrored one and ``mirror`` stays None; otherwise ``mirror``
+        is the mirror's factorization, made by the first ``lu_solve``.
     perm_sign, singular, pivot_floor:
         As in ``LuFactorization``.
     boosts:
@@ -146,6 +155,7 @@ class BandLuFactorization:
     pivot_floor: float
     boosts: list
     mirror: Optional["BandLuFactorization"] = None
+    own_mirror: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,17 +500,44 @@ def _band_solve_equivariant(fact: BandLuFactorization, b: list) -> list:
     With ``P`` the reversal, the mirror of ``P J P`` is ``J`` itself and
     IEEE addition commutes, so ``P J P`` with ``P b`` gets exactly ``P``
     times this result.  If the mirrored factorization is singular the
-    top-down solve is returned alone.
+    top-down solve is returned alone.  A band that is its own mirror
+    (``own_mirror``) is its own mirrored factorization, and
+    ``_reflected_solve`` may spare it the second solve.
     """
-    if fact.mirror is None:
-        sub, diag, sup = fact.band
-        fact.mirror = _band_factor((sup[::-1], diag[::-1], sub[::-1]), fact.pivot_floor)
     top = _band_solve(fact, b)
-    if fact.mirror.singular:
-        return top
-    bottom = _band_solve(fact.mirror, b[::-1])
-    bottom.reverse()
+    if fact.own_mirror:
+        mirror, bottom = fact, _reflected_solve(top, b)
+    else:
+        if fact.mirror is None:
+            sub, diag, sup = fact.band
+            fact.mirror = _band_factor((sup[::-1], diag[::-1], sub[::-1]), fact.pivot_floor)
+        mirror, bottom = fact.mirror, None
+        if mirror.singular:
+            return top
+    if bottom is None:
+        bottom = _band_solve(mirror, b[::-1])
+        bottom.reverse()
     return [0.5 * (u + v) for u, v in zip(top, bottom)]
+
+
+def _reflected_solve(top: list, b: list) -> Optional[list]:
+    """The mirrored solve of an own-mirror band, read off its top-down solve ``top``.
+
+    If ``b`` is even by value, the mirrored solve runs the same operations
+    on ``b`` itself, so it is ``top`` reversed; if ``b`` is odd, on ``-b``,
+    and negation is exact in IEEE arithmetic, so it is ``top`` reversed and
+    negated.  "By value" lets zeros differ in sign, and a zero's sign can
+    change only a result that is itself zero, so this holds bit for bit
+    when ``top`` has no exact zero.  None where that does not apply.
+    """
+    if 0.0 in top:
+        return None
+    rev = b[::-1]
+    if rev == b:
+        return top[::-1]
+    if [-v for v in rev] == b:
+        return [-v for v in reversed(top)]
+    return None
 
 
 def _dot(a: list, b: list) -> float:
@@ -813,7 +850,10 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
             if not np.all(np.isfinite(a)):
                 raise ValueError("matrix contains non-finite entries")
             return _dense_factor(a.copy(), pivot_rtol)
-    return _band_factor(tuple(d.tolist() for d in band), _band_floor(band, pivot_rtol))
+    fact = _band_factor(tuple(d.tolist() for d in band), _band_floor(band, pivot_rtol))
+    sub, diag, sup = band
+    fact.own_mirror = sub.tobytes() == sup[::-1].tobytes() and diag.tobytes() == diag[::-1].tobytes()
+    return fact
 
 
 def _dense_factor(a: np.ndarray, pivot_rtol: float) -> LuFactorization:
@@ -973,7 +1013,24 @@ def null_vector(fact: Factorization) -> np.ndarray:
     step already lands on its eigenvector to rounding.  The start vector is
     the same on every call, so the result is bitwise reproducible.  Raises
     ``SingularMatrixError`` if the factorization was flagged singular.
+
+    An unbordered tridiagonal band that is its own mirror bit for bit
+    (``BandLuFactorization.own_mirror``) commutes with the reversal ``P``,
+    so each of its eigenspaces is spanned by even and odd vectors, and a
+    simple eigenvalue's eigenvector is exactly even (``P v = v``) or exactly
+    odd (``P v = -v``) (Golubitsky, Stewart & Schaeffer, *Singularities and
+    Groups in Bifurcation Theory* II, isotropy subgroups).  The AC/CH
+    Jacobian at a constant state, where every primary bifurcation sits, is
+    such a band.  There ``w`` is replaced by its even part ``(w + P w)/2``
+    or its odd part ``(w - P w)/2``, whichever has the larger sup-norm, so
+    the mode has its parity exactly instead of to rounding, and so do the
+    offshoots seeded from it.  That is the right choice only when a simple
+    eigenvalue crosses: at a double crossing either part spans only part of
+    the null space.  Bordered and dense factorizations are never projected.
     """
     start = np.random.default_rng(1790).standard_normal(_order(fact))
     w = lu_solve(fact, start / float(np.linalg.norm(start)))
+    if isinstance(fact, BandLuFactorization) and fact.own_mirror:
+        even, odd = 0.5 * (w + w[::-1]), 0.5 * (w - w[::-1])
+        w = even if np.max(np.abs(even)) >= np.max(np.abs(odd)) else odd
     return _fix_sign(w / float(np.linalg.norm(w)))

@@ -382,6 +382,34 @@ def test_solutions_json_validates_against_schema(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solutions_warns_once_per_offshoot_that_stops_short_of_the_slice(caplog, capsys):
+    # --newton-tol 1e-14 is above the rounding floor but out of the
+    # corrector's reach on bp1 and bp2, so their offshoots stop with
+    # min_step before eps = 0.2 and the slice is empty; bp0's offshoots lead
+    # away from the slice and stop there.  At the default tolerance every
+    # offshoot reaches the slice and nothing is logged.
+    argv = ["solutions", "--model", "ac", "--epsilon", "0.2", "--n-cells", "40", "--eps-range", "0.15:0.5"]
+    with caplog.at_level("INFO", logger="phase_bifurcate"):
+        assert run_cli(argv) == 0
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
+    assert "count=4" in capsys.readouterr().err
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="phase_bifurcate"):
+        assert run_cli(argv + ["--newton-tol", "1e-14"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "count=0\n"
+    header = "branch_id,origin,param,residual_norm," + ",".join(f"phi_{i}" for i in range(41))
+    assert captured.out.splitlines() == [header]
+    ids = []
+    for record in caplog.records:
+        branch_id, reason, last, at = record.args
+        assert record.getMessage() == (
+            f"offshoot {branch_id} stopped with min_step at param={last!r}, short of the slice at 0.2")
+        assert reason == "min_step" and last > at == 0.2
+        ids.append(branch_id)
+    assert ids == ["bp1+", "bp1-", "bp2+", "bp2-"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

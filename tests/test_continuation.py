@@ -31,7 +31,9 @@ from phase_bifurcate import (
     detect_bifurcations_on_trivial,
     eigenmode,
     euler_predict,
+    linalg,
     lu_factor,
+    lu_solve,
     model_by_kind,
     newton_correct,
     solutions_at,
@@ -379,17 +381,19 @@ def arclength_branches(ac_detection):
     return cases
 
 
-# The AC pseudo-arclength diagram at N=40 over eps in [0.25, 0.7], recorded
-# before bordered tridiagonal bands left the general band kernel: per branch,
-# its point count, last parameter and the sha256 of its stacked states.
+# The AC pseudo-arclength diagram at N=40 over eps in [0.25, 0.7]: per
+# branch, its point count, last parameter and the sha256 of its stacked
+# states.  The trivial rows were recorded before bordered tridiagonal bands
+# left the general band kernel; the offshoot rows since the null modes are
+# exactly even or odd (``linalg.null_vector``).
 _ARCLENGTH_DIAGRAM_N40 = (
     ("trivial:phi=-1", 116, "0x1.f7ced916872a0p-3", "9931a985c9640bbd11c51f98e9ec7e7e2ced32d9e920fd6b768e74504afd5b15"),
     ("trivial:phi=0", 116, "0x1.f7ced916872a0p-3", "af1ef4eeead6c483a4d000c0b8863d1e4cc2cc43e4b1e800183ab3c375cf260e"),
     ("trivial:phi=+1", 116, "0x1.f7ced916872a0p-3", "557ede7b2ba866388ec2f612d4e084f41e3b5f0288d22b17eca77b21a0f336d4"),
-    ("bp0+", 64, "0x1.fe94290bcaedfp-3", "382182ad1bdc05cfced65cb6dcd0f9a4a7bb5fe7cd7f955210c23898c9b822dd"),
-    ("bp0-", 64, "0x1.fe94290bcaedfp-3", "6144809d3c46482bf32632175bad70aac4ead4363a01c4f222d45a4cf1b05807"),
-    ("bp1+", 144, "0x1.fe504bc1f3bd4p-3", "54e31645a824c289b41aabeb4c85e9f6a07ad0f16dfecacf468bd27eea596209"),
-    ("bp1-", 144, "0x1.fe504bc1f3bd4p-3", "50d82b83571230ed64dd6e663814668a5f7657860eade29b20a1b675626a153e"),
+    ("bp0+", 64, "0x1.fe94290bcad8ap-3", "1025cd63633eb7ac820e31adfffa100a861ec45392eb1269f058f27e0d3da341"),
+    ("bp0-", 64, "0x1.fe94290bcad8ap-3", "35e8e08af954bcd9627874fd7740eba73ba08c826197e96686079613b4ea1f5d"),
+    ("bp1+", 144, "0x1.fe504bc1f4083p-3", "92e7bb5887f5f68902e2057918b3eabff5cdf5a261ece06d3ea1f16ead61ed08"),
+    ("bp1-", 144, "0x1.fe504bc1f4083p-3", "b9635be4ede8811841de61e4383222926fd2a2cd7622d53e411dc7f277de0c66"),
 )
 
 
@@ -720,6 +724,36 @@ def test_slow_regula_falsi_still_gives_the_plain_bisection_event(monkeypatch):
     assert count <= plain_count + cap
 
 
+def _unprojected_null_vector(fact):
+    """``null_vector`` without its parity projection: one solve, scaled and sign-fixed."""
+    start = np.random.default_rng(1790).standard_normal(linalg._order(fact))
+    w = lu_solve(fact, start / np.linalg.norm(start))
+    return linalg._fix_sign(w / np.linalg.norm(w))
+
+
+def test_event_modes_of_bands_that_are_not_their_own_mirror_are_not_projected(monkeypatch):
+    # The toy's diagonal is not a palindrome, and ACOK's linearization is
+    # bordered: their event modes are the one solve's, as they always were.
+    modes = []
+    null_vector = continuation.null_vector
+
+    def recording_null_vector(fact):
+        modes.append((fact, null_vector(fact)))
+        return modes[-1][1]
+
+    monkeypatch.setattr(continuation, "null_vector", recording_null_vector)
+    _toy_detection(DiagonalToy(lambda mu: [mu - 0.3141592653589793, 2.0 * mu - 1.5]), monkeypatch)
+    assert len(modes) == 2
+    g = GridSpec(40)
+    detect_bifurcations_on_trivial(
+        model_by_kind("acok", g), ModelParams(epsilon=0.3), default_settings("acok", param_max=700.0),
+        lambda p: np.full(g.n_nodes, 0.5))
+    assert len(modes) > 4
+    for fact, mode in modes:
+        assert not getattr(fact, "own_mirror", False)
+        assert mode.tobytes() == _unprojected_null_vector(fact).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # branch switching
 # ---------------------------------------------------------------------------
@@ -865,23 +899,50 @@ def test_branch_switch_traces_from_the_seed_s_own_factorization(ac_detection, mo
         assert all(np.array_equal(p.state, q.state) for p, q in zip(side.points, other.points))
 
 
-def test_branch_switch_warns_once_when_neither_side_yields_a_branch(caplog):
+def _last_newton_failure(model, seeds, settings) -> str:
+    """The reason ``_newton`` raises on the last of ``seeds`` ((params, guess) pairs) that fails."""
+    reason = "none"
+    for params_at, guess in seeds:
+        try:
+            continuation._newton(model, params_at, guess, settings)
+        except NewtonFailure as exc:
+            reason = exc.reason
+    return reason
+
+
+def test_branch_switch_warns_once_when_neither_side_yields_a_branch(caplog, monkeypatch):
     # An unreachable Newton tolerance fails every seed or pulls it back onto
-    # the trivial state, on both sides of every crossing.
+    # the trivial state, on both sides of every crossing.  The residual then
+    # stalls at rounding level, so whether a seed ends as no_convergence or
+    # diverged is rounding noise: the message must name what ``_newton``
+    # raises on each side's seeds, whichever it is.
     g = GridSpec(40)
     model = model_by_kind("ac", g)
     params = ModelParams(epsilon=0.2)
     settings = default_settings("ac", param_min=0.15, param_max=0.5, newton_tol=1e-30)
     bifs = detect_bifurcations_on_trivial(model, params, settings, lambda p: np.zeros(g.n_nodes))
     bif = bifs[0]
+    seeds = []
+    newton = continuation._newton
+
+    def recording_newton(model_, params_at, guess, settings_):
+        seeds.append((params_at, guess))
+        return newton(model_, params_at, guess, settings_)
+
+    monkeypatch.setattr(continuation, "_newton", recording_newton)
     with caplog.at_level("INFO", logger="phase_bifurcate"):
         assert branch_switch(model, params, settings, bif) == []
+    monkeypatch.undo()
+    assert seeds  # the + side's; the - side's seeds are their negations
+    plus = _last_newton_failure(model, seeds, settings)
+    minus = _last_newton_failure(model, [(p, -guess) for p, guess in seeds], settings)
+    assert {plus, minus} <= {"no_convergence", "diverged"}
     warnings = [r for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1
     message = warnings[0].getMessage()
     assert f"branch switch at {bif.bif_id} (param={bif.param!r}) produced no branch" in message
-    assert "+ side: last Newton failure no_convergence" in message
-    assert "- side: last Newton failure no_convergence" in message
+    assert f"+ side: last Newton failure {plus}," in message
+    assert f"- side: last Newton failure {minus}," in message
 
 
 def test_branch_switch_with_surviving_sides_does_not_warn(ac_detection, caplog):
@@ -1073,6 +1134,25 @@ def test_solutions_at_rejects_out_of_window(small_diagram):
     _, model, params, settings, diagram = small_diagram
     with pytest.raises(ValueError):
         solutions_at(diagram, 0.75, model, settings)
+
+
+@pytest.mark.parametrize("kind", ["ac", "ch"])
+def test_every_state_of_the_n200_slice_is_exactly_even_or_odd(kind):
+    # Each primary null mode is exactly even or odd (linalg.null_vector), and
+    # the reflection-equivariant solves keep every Newton iterate so, bit
+    # for bit.  bp11's near-null interface-translation mode once took its
+    # states 1.4e-4 off parity.
+    grid = GridSpec(200)
+    model = model_by_kind(kind, grid)
+    params = ModelParams(epsilon=0.1, mu0=0.0)
+    settings = default_settings(kind)
+    diagram = compute_diagram(model, params, settings, at=0.1)
+    sols = solutions_at(diagram, 0.1, model, settings)
+    assert len(sols) == 12
+    states = [(s.branch_id, s.state) for s in sols]
+    states += [(b.id, p.state) for b in diagram.branches for p in b.points]
+    for branch_id, state in states:
+        assert np.array_equal(state[::-1], state) or np.array_equal(state[::-1], -state), branch_id
 
 
 # ---------------------------------------------------------------------------

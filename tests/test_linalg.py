@@ -435,6 +435,91 @@ def test_band_solve_falls_back_to_top_down_when_only_the_mirror_is_floored():
     assert np.array_equal(x, linalg._band_solve(fact, [1.0, 2.0]))
 
 
+def _band_border(sub, diag, sup):
+    """The tridiagonal ``(sub, diag, sup)`` as an unbordered ``BandBorder``, its entries' bits kept."""
+    return BandBorder(band=np.column_stack((np.r_[0.0, sub], diag, np.r_[sup, 0.0])), kl=1)
+
+
+def _self_mirror_band(rng, n):
+    """Random tridiagonal ``(sub, diag, sup)`` arrays equal to their mirror bit for bit."""
+    sub = rng.standard_normal(n - 1)
+    diag = rng.standard_normal(n)
+    diag[n - 1 - np.arange(n // 2)] = diag[: n // 2]
+    return sub, diag, sub[::-1].copy()
+
+
+def _mirrored_by_force(fact, b):
+    """The equivariant solve by a mirrored elimination and solve, as if the band were not its own mirror."""
+    sub, diag, sup = fact.band
+    mirror = linalg._band_factor((sup[::-1], diag[::-1], sub[::-1]), fact.pivot_floor)
+    assert not mirror.singular
+    top = linalg._band_solve(fact, b)
+    bottom = linalg._band_solve(mirror, b[::-1])[::-1]
+    return [0.5 * (u + v) for u, v in zip(top, bottom)]
+
+
+def _parity_cases(rng, n):
+    """Right-hand sides: general, even and odd, and even and odd by value only (zeros of both signs)."""
+    half = n // 2
+    lo, hi = np.arange(half), n - 1 - np.arange(half)
+    even, odd = rng.standard_normal(n), rng.standard_normal(n)
+    even[hi], odd[hi] = even[lo], -odd[lo]
+    if n % 2:
+        odd[half] = 0.0
+    cases = [rng.standard_normal(n), even, odd, -even, -odd, np.zeros(n), -np.zeros(n)]
+    if n >= 4:
+        zeros_even, zeros_odd = even.copy(), odd.copy()
+        zeros_even[[0, 1]], zeros_even[[-1, -2]] = 0.0, -0.0  # even by value, not bitwise
+        zeros_odd[0], zeros_odd[-1] = 0.0, 0.0  # odd by value, not bitwise
+        general = rng.standard_normal(n)
+        general[[0, -1]] = -0.0, 0.0
+        cases += [zeros_even, zeros_odd, general]
+    return cases
+
+
+def test_own_mirror_band_solves_with_one_elimination_as_the_mirrored_one_would(monkeypatch):
+    rng = np.random.default_rng(2022)
+    solves = []
+    band_solve = linalg._band_solve
+
+    def counting_band_solve(fact, b):
+        solves.append(b)
+        return band_solve(fact, b)
+
+    monkeypatch.setattr(linalg, "_band_solve", counting_band_solve)
+    shortcuts = 0
+    for n in (1, 2, 3, 4, 101):
+        for _ in range(4):
+            sub, diag, sup = _self_mirror_band(rng, n)
+            for given in (tridiagonal(sub, diag, sup), _band_border(sub, diag, sup)):
+                fact = lu_factor(given)
+                assert isinstance(fact, BandLuFactorization) and fact.own_mirror
+                for b in _parity_cases(rng, n):
+                    solves.clear()
+                    got = lu_solve(fact, b)
+                    assert len(solves) in (1, 2)
+                    shortcuts += len(solves) == 1
+                    want = _mirrored_by_force(fact, b.tolist())
+                    assert got.tobytes() == np.array(want).tobytes(), f"n={n}, b={b}"
+                assert fact.mirror is None  # no second elimination
+    assert shortcuts > 100  # the even and odd right-hand sides take one solve
+
+
+def test_own_mirror_counts_signed_zeros():
+    sub, diag, sup = np.array([1.0, 0.0, 2.0]), np.array([3.0, -0.0, -0.0, 3.0]), np.array([2.0, 0.0, 1.0])
+    assert lu_factor(_band_border(sub, diag, sup)).own_mirror
+    assert not lu_factor(_band_border(sub, np.array([3.0, 0.0, -0.0, 3.0]), sup)).own_mirror
+    assert not lu_factor(_band_border(np.array([1.0, -0.0, 2.0]), diag, sup)).own_mirror
+    assert not lu_factor(_band_border(sub, diag, np.array([2.0, 0.0, 1.5]))).own_mirror
+    grid = GridSpec(40)
+    model = model_by_kind("ac", grid)
+    params = ModelParams(epsilon=0.2)
+    odd = np.tanh(grid.nodes / 0.2)
+    odd = 0.5 * (odd - odd[::-1])
+    assert lu_factor(model.linearize(odd, params)).own_mirror
+    assert not lu_factor(model.linearize(np.linspace(-0.3, 0.5, grid.n_nodes), params)).own_mirror
+
+
 def test_off_band_nonzero_takes_dense_path():
     grid = GridSpec(20)
     model = model_by_kind("ac", grid)
@@ -1160,6 +1245,51 @@ def test_null_vector_handles_exactly_singular_matrix():
     assert fact.singular
     with pytest.raises(SingularMatrixError):
         null_vector(fact)
+
+
+def _unprojected_null_vector(fact):
+    """``null_vector`` without the parity projection: one solve, scaled and sign-fixed."""
+    start = np.random.default_rng(1790).standard_normal(linalg._order(fact))
+    w = lu_solve(fact, start / np.linalg.norm(start))
+    return linalg._fix_sign(w / np.linalg.norm(w))
+
+
+def test_null_vector_of_an_own_mirror_band_has_its_parity_exactly():
+    # At phi = 0 the AC Jacobian is its own mirror, and the mode crossing at
+    # eps = 1/k is sin(k x) (odd) or cos(k x) (even) on the symmetric grid.
+    grid = GridSpec(100)
+    model = model_by_kind("ac", grid)
+    for family, parity in (("sine", -1.0), ("cosine", 1.0)):
+        for n in range(family == "cosine", 4):
+            eps = ac_bifurcation(n, family).param_value
+            fact = lu_factor(model.linearize(np.zeros(grid.n_nodes), ModelParams(epsilon=eps)), pivot_rtol=0.0)
+            assert fact.own_mirror
+            v = null_vector(fact)
+            assert np.array_equal(v[::-1], parity * v), f"{family} {n}"
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+            assert abs(v @ eigenmode(n, family, grid)) >= 1.0 - 1e-6
+            # The projection drops only the other parity's share of the one solve.
+            assert np.max(np.abs(v - _unprojected_null_vector(fact))) <= 1e-4
+
+
+def test_null_vector_projects_only_own_mirror_unbordered_bands():
+    rng = np.random.default_rng(31)
+    grid = GridSpec(40)
+    model = model_by_kind("ac", grid)
+    at_zero = model.linearize(np.zeros(grid.n_nodes), ModelParams(epsilon=2.0 / np.pi))
+    ones = np.ones(grid.n_nodes)
+    centro = rng.standard_normal((6, 6))
+    centro = centro + centro[::-1, ::-1]  # its own mirror, but dense
+    cases = [
+        tridiagonal(rng.standard_normal(9), rng.standard_normal(10), rng.standard_normal(9)),
+        model.linearize(np.tanh(grid.nodes / 0.2 + 0.1), ModelParams(epsilon=0.2)),
+        at_zero.bordered(ones, ones, 0.0),  # an own-mirror band under a symmetric border
+        centro,
+    ]
+    for matrix in cases:
+        fact = lu_factor(matrix, pivot_rtol=0.0)
+        assert not getattr(fact, "own_mirror", False)
+        assert null_vector(fact).tobytes() == _unprojected_null_vector(fact).tobytes()
 
 
 def test_neumann_laplacian_kernel_is_constant():
