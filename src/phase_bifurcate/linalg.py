@@ -25,11 +25,12 @@ and columns, which is how the models hand over their linearizations.
   a band that is its own mirror bit for bit (the AC/CH Jacobian at an even
   or odd state) makes none: one elimination serves both solves, and an
   even or odd right-hand side usually needs only one solve.
-* Any other band with at most three sub- and superdiagonals (ACOK's
-  augmented Poisson form has ``kl = ku = 3``) gets a ``dgbtf2``-style band
+* Any other band with at most two sub- and superdiagonals (ACOK's
+  augmented Poisson form has ``kl = ku = 2``) gets a ``dgbtf2``-style band
   LU with partial pivoting inside the band, O(N); LAPACK makes the same
-  split.  It is unrolled for ``kl = ku = 3``: a narrower band is padded
-  with zeros, whose updates it skips.  A wider band raises ``ValueError``.
+  split.  It is unrolled for ``kl = ku = 2`` over local variables: a
+  narrower band is padded with zeros, whose updates it skips.  A wider
+  band raises ``ValueError``.
 * Borders (ACOK's border, the pseudo-arclength systems, the bordered
   Neumann problem) are eliminated by mixed block elimination (Govaerts &
   Pryce, *IMA J. Numer. Anal.* 13, 1993), which stays accurate when ``A``
@@ -166,7 +167,7 @@ class BandBorder:
     ``A`` (order ``nb``) is held in row-wise band storage,
     ``band[i, kl + j - i] = A[i, j]`` for ``-kl <= j - i <= ku``, where
     ``ku = band.shape[1] - 1 - kl``; entries outside ``A`` are zero.
-    ``lu_factor`` takes ``kl`` and ``ku`` up to 3.
+    ``lu_factor`` takes ``kl`` and ``ku`` up to 2.
 
     The system a caller factors and solves is the Schur complement of the
     full matrix onto the unknowns ``outer`` (indices into the full matrix,
@@ -272,12 +273,12 @@ class BandBorder:
 
 @dataclass
 class _GeneralBandLu:
-    """Factors of ``_band_lu``: a band other than tridiagonal, ``kl, ku <= 3``.
+    """Factors of ``_band_lu``: a band other than tridiagonal, ``kl, ku <= 2``.
 
     Step ``j`` of the elimination interchanges rows ``j`` and ``swaps[j]``,
     then subtracts ``mults[j][i]`` times row ``j`` from row ``j + 1 + i``.
     ``U`` has ``pivots`` on its diagonal and ``tails[j]`` right of it in
-    row ``j``.  ``mults[j]`` and ``tails[j]`` are tuples of 3 and 6 entries,
+    row ``j``.  ``mults[j]`` and ``tails[j]`` are tuples of 2 and 4 entries,
     zero where they fall outside the band or the matrix.  ``perm_sign`` is
     the parity of the interchanges and ``boosts`` lists the boosted pivots.
     """
@@ -545,12 +546,12 @@ def _dot(a: list, b: list) -> float:
 
 
 def _band_lu(system: BandBorder, boost_floor: float, boost: float) -> _GeneralBandLu:
-    """Band LU with partial pivoting inside the band (``dgbtf2``-style), for ``kl, ku <= 3``.
+    """Band LU with partial pivoting inside the band (``dgbtf2``-style), for ``kl, ku <= 2``.
 
-    The band is padded to ``kl = ku = 3`` storage with every entry outside
-    ``A`` zero, plus four zero rows below.  Step ``j`` holds rows ``j ..
-    j + 3`` over columns ``j .. j + 6`` (all the interchanges can reach)
-    in the 28 locals ``a0 .. d6``, and shifts row ``j + 4`` in as it moves
+    The band is padded to ``kl = ku = 2`` storage with every entry outside
+    ``A`` zero, plus three zero rows below.  Step ``j`` holds rows ``j ..
+    j + 2`` over columns ``j .. j + 4`` (all the interchanges can reach)
+    in the 15 locals ``a0 .. c4``, and shifts row ``j + 3`` in as it moves
     on.  The first strictly largest entry of column ``j`` pivots.  A pivot
     of magnitude ``<= boost_floor`` is boosted by ``delta = +-boost`` (the
     pivot's sign, + for zero): that factors ``A + delta e_r e_j^T`` exactly,
@@ -560,20 +561,19 @@ def _band_lu(system: BandBorder, boost_floor: float, boost: float) -> _GeneralBa
     entry, are skipped.
     """
     kl, ku = system.kl, system.ku
-    if kl > 3 or ku > 3:
-        raise ValueError(f"band LU takes at most 3 sub- and superdiagonals, got kl={kl}, ku={ku}")
+    if kl > 2 or ku > 2:
+        raise ValueError(f"band LU takes at most 2 sub- and superdiagonals, got kl={kl}, ku={ku}")
     nb = system.band.shape[0]
-    padded = np.zeros((nb + 4, 7))
-    padded[:nb, 3 - kl : 4 + ku] = system.band
-    for i in range(min(3, nb)):  # left of column 0
-        padded[i, : 3 - i] = 0.0
-    for i in range(max(0, nb - 3), nb):  # right of column nb - 1
-        padded[i, nb + 3 - i :] = 0.0
+    padded = np.zeros((nb + 3, 5))
+    padded[:nb, 2 - kl : 3 + ku] = system.band
+    for i in range(min(2, nb)):  # left of column 0
+        padded[i, : 2 - i] = 0.0
+    for i in range(max(0, nb - 2), nb):  # right of column nb - 1
+        padded[i, nb + 2 - i :] = 0.0
     rows = padded.tolist()
-    a0, a1, a2, a3, a4, a5, a6 = rows[0][3:] + [0.0] * 3
-    b0, b1, b2, b3, b4, b5, b6 = rows[1][2:] + [0.0] * 2
-    c0, c1, c2, c3, c4, c5, c6 = rows[2][1:] + [0.0]
-    d0, d1, d2, d3, d4, d5, d6 = rows[3]
+    a0, a1, a2, a3, a4 = rows[0][2:] + [0.0] * 2
+    b0, b1, b2, b3, b4 = rows[1][1:] + [0.0]
+    c0, c1, c2, c3, c4 = rows[2]
     origin = list(range(nb))
     pivots, tails, mults, swaps = [0.0] * nb, [None] * nb, [None] * nb, list(range(nb))
     boosts = []
@@ -583,21 +583,13 @@ def _band_lu(system: BandBorder, boost_floor: float, boost: float) -> _GeneralBa
         v = abs(b0)
         if v > best:
             p, best = 1, v
-        v = abs(c0)
-        if v > best:
-            p, best = 2, v
-        if abs(d0) > best:
-            p = 3
+        if abs(c0) > best:
+            p = 2
         if p:
             if p == 1:
-                a0, a1, a2, a3, a4, a5, a6, b0, b1, b2, b3, b4, b5, b6 = (
-                    b0, b1, b2, b3, b4, b5, b6, a0, a1, a2, a3, a4, a5, a6)
-            elif p == 2:
-                a0, a1, a2, a3, a4, a5, a6, c0, c1, c2, c3, c4, c5, c6 = (
-                    c0, c1, c2, c3, c4, c5, c6, a0, a1, a2, a3, a4, a5, a6)
+                a0, a1, a2, a3, a4, b0, b1, b2, b3, b4 = b0, b1, b2, b3, b4, a0, a1, a2, a3, a4
             else:
-                a0, a1, a2, a3, a4, a5, a6, d0, d1, d2, d3, d4, d5, d6 = (
-                    d0, d1, d2, d3, d4, d5, d6, a0, a1, a2, a3, a4, a5, a6)
+                a0, a1, a2, a3, a4, c0, c1, c2, c3, c4 = c0, c1, c2, c3, c4, a0, a1, a2, a3, a4
             origin[j], origin[j + p] = origin[j + p], origin[j]
             sign = -sign
             swaps[j] = j + p
@@ -605,90 +597,85 @@ def _band_lu(system: BandBorder, boost_floor: float, boost: float) -> _GeneralBa
             delta = -boost if a0 < 0.0 else boost
             boosts.append((origin[j], j, delta))
             a0 = a0 + delta
-        m1 = m2 = m3 = 0.0
+        m1 = m2 = 0.0
         if b0 != 0.0:
             m1 = f = b0 / a0
             if a1 != 0.0: b1 -= f * a1
             if a2 != 0.0: b2 -= f * a2
             if a3 != 0.0: b3 -= f * a3
             if a4 != 0.0: b4 -= f * a4
-            if a5 != 0.0: b5 -= f * a5
-            if a6 != 0.0: b6 -= f * a6
         if c0 != 0.0:
             m2 = f = c0 / a0
             if a1 != 0.0: c1 -= f * a1
             if a2 != 0.0: c2 -= f * a2
             if a3 != 0.0: c3 -= f * a3
             if a4 != 0.0: c4 -= f * a4
-            if a5 != 0.0: c5 -= f * a5
-            if a6 != 0.0: c6 -= f * a6
-        if d0 != 0.0:
-            m3 = f = d0 / a0
-            if a1 != 0.0: d1 -= f * a1
-            if a2 != 0.0: d2 -= f * a2
-            if a3 != 0.0: d3 -= f * a3
-            if a4 != 0.0: d4 -= f * a4
-            if a5 != 0.0: d5 -= f * a5
-            if a6 != 0.0: d6 -= f * a6
-        pivots[j], tails[j], mults[j] = a0, (a1, a2, a3, a4, a5, a6), (m1, m2, m3)
-        a0, a1, a2, a3, a4, a5, a6 = b1, b2, b3, b4, b5, b6, 0.0
-        b0, b1, b2, b3, b4, b5, b6 = c1, c2, c3, c4, c5, c6, 0.0
-        c0, c1, c2, c3, c4, c5, c6 = d1, d2, d3, d4, d5, d6, 0.0
-        d0, d1, d2, d3, d4, d5, d6 = rows[j + 4]
+        pivots[j], tails[j], mults[j] = a0, (a1, a2, a3, a4), (m1, m2)
+        a0, a1, a2, a3, a4 = b1, b2, b3, b4, 0.0
+        b0, b1, b2, b3, b4 = c1, c2, c3, c4, 0.0
+        c0, c1, c2, c3, c4 = rows[j + 3]
     return _GeneralBandLu(pivots=pivots, tails=tails, mults=mults, swaps=swaps, perm_sign=sign, boosts=boosts)
 
 
 def _band_lu_solve(fact: _GeneralBandLu, b: list) -> list:
-    """``A^-1 b`` through the band factors, over ``b`` padded with six zeros."""
+    """``A^-1 b`` through the band factors, with ``x[j] .. x[j + 2]`` in the
+    locals ``x0 .. x2`` on the way down and ``x[j + 1] .. x[j + 4]`` in
+    ``s1 .. s4`` on the way back up (zero past the end)."""
     nb = len(b)
-    x = b + [0.0] * 6
-    for j, p, (f1, f2, f3) in zip(range(nb), fact.swaps, fact.mults):
+    ext = b + [0.0] * 3
+    x0, x1, x2 = ext[:3]
+    y = [0.0] * nb
+    for j, p, (f1, f2) in zip(range(nb), fact.swaps, fact.mults):
         if p != j:
-            x[j], x[p] = x[p], x[j]
-        xj = x[j]
-        if xj != 0.0:
-            if f1 != 0.0: x[j + 1] -= f1 * xj
-            if f2 != 0.0: x[j + 2] -= f2 * xj
-            if f3 != 0.0: x[j + 3] -= f3 * xj
-    tails, pivots = fact.tails, fact.pivots
-    for j in range(nb - 1, -1, -1):
-        u1, u2, u3, u4, u5, u6 = tails[j]
-        v = x[j]
-        if u1 != 0.0: v -= u1 * x[j + 1]
-        if u2 != 0.0: v -= u2 * x[j + 2]
-        if u3 != 0.0: v -= u3 * x[j + 3]
-        if u4 != 0.0: v -= u4 * x[j + 4]
-        if u5 != 0.0: v -= u5 * x[j + 5]
-        if u6 != 0.0: v -= u6 * x[j + 6]
-        x[j] = v / pivots[j]
-    del x[nb:]
-    return x
+            if p == j + 1:
+                x0, x1 = x1, x0
+            else:
+                x0, x2 = x2, x0
+        if x0 != 0.0:
+            if f1 != 0.0: x1 -= f1 * x0
+            if f2 != 0.0: x2 -= f2 * x0
+        y[j] = x0
+        x0, x1, x2 = x1, x2, ext[j + 3]
+    s1 = s2 = s3 = s4 = 0.0
+    for j, (u1, u2, u3, u4), piv in zip(range(nb - 1, -1, -1), reversed(fact.tails), reversed(fact.pivots)):
+        v = y[j]
+        if u1 != 0.0: v -= u1 * s1
+        if u2 != 0.0: v -= u2 * s2
+        if u3 != 0.0: v -= u3 * s3
+        if u4 != 0.0: v -= u4 * s4
+        s4, s3, s2 = s3, s2, s1
+        y[j] = s1 = v / piv
+    return y
 
 
 def _band_lu_solve_t(fact: _GeneralBandLu, b: list) -> list:
-    """``A^-T b`` through the band factors, over ``b`` padded with six zeros."""
+    """``A^-T b`` through the band factors, over ``b`` padded with four zeros.
+
+    Going back up, ``w1, w2`` hold ``x[j + 1], x[j + 2]``; step ``j``
+    interchanges no lower than ``j + 2``, so ``x[j + 2]`` is final after it.
+    """
     nb = len(b)
-    x = b + [0.0] * 6
-    for j, piv, (u1, u2, u3, u4, u5, u6) in zip(range(nb), fact.pivots, fact.tails):
+    x = b + [0.0] * 4
+    for j, piv, (u1, u2, u3, u4) in zip(range(nb), fact.pivots, fact.tails):
         xj = x[j] = x[j] / piv
         if xj != 0.0:
             if u1 != 0.0: x[j + 1] -= u1 * xj
             if u2 != 0.0: x[j + 2] -= u2 * xj
             if u3 != 0.0: x[j + 3] -= u3 * xj
             if u4 != 0.0: x[j + 4] -= u4 * xj
-            if u5 != 0.0: x[j + 5] -= u5 * xj
-            if u6 != 0.0: x[j + 6] -= u6 * xj
-    mults, swaps = fact.mults, fact.swaps
-    for j in range(nb - 1, -1, -1):
-        f1, f2, f3 = mults[j]
+    w1 = w2 = 0.0
+    for j, (f1, f2), p in zip(range(nb - 1, -1, -1), reversed(fact.mults), reversed(fact.swaps)):
         v = x[j]
-        if f1 != 0.0: v -= f1 * x[j + 1]
-        if f2 != 0.0: v -= f2 * x[j + 2]
-        if f3 != 0.0: v -= f3 * x[j + 3]
-        x[j] = v
-        p = swaps[j]
+        if f1 != 0.0: v -= f1 * w1
+        if f2 != 0.0: v -= f2 * w2
         if p != j:
-            x[j], x[p] = x[p], x[j]
+            if p == j + 1:
+                v, w1 = w1, v
+            else:
+                v, w2 = w2, v
+        x[j + 2] = w2
+        w1, w2 = v, w1
+    x[0], x[1] = w1, w2
     del x[nb:]
     return x
 
@@ -832,7 +819,7 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
     other ``BandBorder`` a ``BorderedLuFactorization`` in O(n), whose band
     is factored by the same tridiagonal kernel if it is tridiagonal; any
     other dense matrix a dense ``LuFactorization``.  A ``BandBorder`` with
-    ``kl`` or ``ku`` above 3 raises ``ValueError``.
+    ``kl`` or ``ku`` above 2 raises ``ValueError``.
 
     ``pivot_rtol`` is the relative singularity threshold: the absolute floor
     is ``pivot_rtol * max_i sum_j |a_ij|``.  0.0 flags only exact zero

@@ -43,7 +43,8 @@ The models:
     applied by two prefix sums (``green_apply``); its dense matrix
     (``green_operator``) exists only for the oracles.  The Jacobian is
     dense, but ``linearize`` hands over an O(N) augmented form that solves
-    G's Poisson problem alongside (see the class).
+    G's Poisson problem alongside, from ``B G B = G - 2c(I - P) - c^2 A``
+    (see the class).
 """
 
 from __future__ import annotations
@@ -530,13 +531,18 @@ class OhtaKawasaki(_ModelBase):
 
     The Jacobian ``J = T - gamma B G B`` with the tridiagonal
     ``T = eps A - B diag(W''/eps)`` is dense, but ``linearize`` never forms
-    it: ``J v = r`` is the augmented O(N) system ``T v - gamma B u = r``,
-    ``B v + A u + s 1 = 0``, ``w^T u = 0`` in ``(v, u, s)``; eliminating
-    ``(u, s)`` through ``K = [[A, 1], [w^T, 0]]`` gives back ``J``.
-    Interleaving ``(v_i, u_i)`` makes it a band with three sub- and
-    superdiagonals plus one border, and ``det_sign(J) = det_sign(M) det_sign(K)`` for the
-    augmented matrix ``M``.  The dense ``jacobian`` stays as an oracle; it
-    and ``green_operator``'s dense G are built only when an oracle asks.
+    it.  With ``c = h^2/12`` and ``P = 1 w^T / 2``, ``B = I + c A``,
+    ``A G = G A = -(I - P)`` and ``A P = 0``, so ``B G B = G - 2c(I - P)
+    - c^2 A`` exactly, and ``J v = r`` is the augmented O(N) system
+    ``(T + 2c gamma I + c^2 gamma A) v - gamma u + 2c gamma s 1 = r``,
+    ``v + A u + s 1 = 0``, ``w^T u = 0`` in ``(v, u, s)``: the last two
+    give ``u = G v`` and ``s 1 = -P v``.  Interleaved as ``(v_i, u_i)``
+    with ``s`` as one border, it is a band with two sub- and
+    superdiagonals.  ``J`` is the Schur complement of the Neumann block
+    ``K = [[A, 1], [w^T, 0]]`` in it, so ``det_sign(J) = det_sign(M)
+    det_sign(K)`` for the augmented matrix ``M``, with ``K``'s sign fixed
+    per grid (``hidden_sign``).  The dense ``jacobian`` oracle still
+    applies ``B G B`` through ``B`` and ``G``: an independent route.
     """
 
     kind = "acok"
@@ -561,22 +567,27 @@ class OhtaKawasaki(_ModelBase):
         return self._band(eps, (-36.0 / eps) * (6.0 * phi * phi - 6.0 * phi + 1.0))
 
     def linearize(self, state, params: ModelParams) -> BandBorder:
-        """The augmented band-plus-border form of the Jacobian (class docstring)."""
+        """The augmented band-plus-border form of the Jacobian (class docstring).
+
+        v-row ``i`` is band row ``2i``, with nonzeros at offsets ``-2, 0, +1,
+        +2``; u-row ``i`` is band row ``2i + 1``, at ``-2, -1, 0, +2``.
+        """
         phi = self._require_state(state)
-        n = self.grid.n_nodes
-        band = np.zeros((2 * n, 7))
-        # Row 2i is (T v - gamma B u)_i, row 2i+1 is (B v + A u)_i + s;
-        # column c of the band holds the unknown at offset c - 3.
-        band[0::2, 1::2] = self._local_band(phi, params)
-        band[0::2, 2::2] = -params.gamma * self._compact
-        band[1::2, 0:5:2] = self._compact
-        band[1::2, 1:6:2] = self._poisson.band
-        cols = np.zeros((2 * n, 1))
-        cols[1::2, 0] = 1.0
+        n, gamma = self.grid.n_nodes, params.gamma
+        c = self.grid.h * self.grid.h / 12.0
+        band = np.zeros((2 * n, 5))
+        # Band column k holds the unknown at offset k - 2.
+        band[0::2, 0::2] = self._local_band(phi, params) + (c * c * gamma) * self._lap
+        band[0::2, 2] += 2.0 * c * gamma
+        band[0::2, 3] = -gamma
+        band[1::2, 1] = 1.0
+        band[1::2, 0::2] = self._poisson.band
+        cols = np.ones((2 * n, 1))
+        cols[0::2, 0] = 2.0 * c * gamma
         rows = np.zeros((1, 2 * n))
         rows[0, 1::2] = self._poisson.rows[0]
         return BandBorder(
-            band=band, kl=3, cols=cols, rows=rows, corner=np.zeros((1, 1)),
+            band=band, kl=2, cols=cols, rows=rows, corner=np.zeros((1, 1)),
             outer=np.arange(0, 2 * n, 2), hidden_sign=self._poisson_sign,
         )
 

@@ -6,6 +6,7 @@ kernels in bordered use are checked against a test-local list-based band
 LU, and the scalar Schur factorization against the dense kernel."""
 
 import hashlib
+import math
 import weakref
 from types import SimpleNamespace
 
@@ -573,7 +574,7 @@ def neumann_system(grid, sign=1.0):
 def test_bordered_kernel_matches_numpy_on_random_band_and_borders():
     rng = np.random.default_rng(5)
     for _ in range(200):
-        nb, kl, ku, k = (int(v) for v in rng.integers((1, 0, 0, 0), (25, 4, 4, 3)))
+        nb, kl, ku, k = (int(v) for v in rng.integers((1, 0, 0, 0), (25, 3, 3, 3)))
         system = BandBorder(
             band=rng.standard_normal((nb, kl + ku + 1)), kl=kl,
             cols=rng.standard_normal((nb, k)), rows=rng.standard_normal((k, nb)),
@@ -688,6 +689,50 @@ def test_bordered_kernel_matches_dense_on_acok_jacobians():
                     assert np.max(np.abs(x_new - x_dense)) <= 1e-9 * np.max(np.abs(x_dense)), where
 
 
+def acok_crossing(m, grid, epsilon):
+    """Closed-form gamma at which cosine mode ``m`` crosses zero on ``phi = 1/2``.
+
+    The mode is an exact eigenvector of ``A``, ``B`` and ``G`` (eigenvalues
+    ``-a``, ``b = 1 - h^2 a / 12`` and ``1/a``) and ``W''(1/2) = -18``, so
+    the Jacobian's eigenvalue ``-eps a + 18 b / eps - gamma b^2 / a``
+    vanishes at the returned gamma.
+    """
+    a = (4.0 / grid.h**2) * math.sin(m * math.pi * grid.h / 4.0) ** 2
+    b = 1.0 - grid.h**2 * a / 12.0
+    return a * (18.0 * b / epsilon - epsilon * a) / (b * b)
+
+
+def refined_solve(matrix, rhs, sweeps=4):
+    """``numpy.linalg.solve`` refined ``sweeps`` times with ``longdouble`` residuals."""
+    x = np.linalg.solve(matrix, rhs)
+    wide = matrix.astype(np.longdouble)
+    for _ in range(sweeps):
+        residual = rhs.astype(np.longdouble) - wide @ x.astype(np.longdouble)
+        x = x + np.linalg.solve(matrix, residual.astype(float))
+    return x
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("offset", [1e-6, 1e-9])
+def test_acok_solve_next_to_a_crossing_is_accurate(m, offset):
+    # Next to a crossing J is nearly singular (condition number about 2e11
+    # at m = 1 and the 1e-9 offset), so the forward error is about that
+    # times the backward error: the test bounds both.
+    grid = GridSpec(200)
+    model = model_by_kind("acok", grid)
+    state = np.full(grid.n_nodes, 0.5)
+    params = ModelParams(epsilon=0.3, gamma=(1.0 + offset) * acok_crossing(m, grid, 0.3))
+    jac = model.jacobian(state, params)
+    rhs = np.random.default_rng(97).standard_normal(grid.n_nodes)
+    ref = refined_solve(jac, rhs)
+    x = lu_solve(lu_factor(model.linearize(state, params)), rhs)
+    forward = np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+    assert forward <= 1e-4, f"forward error {forward:.2e}"
+    backward = np.max(np.abs(jac @ x - rhs)) / (
+        np.max(np.sum(np.abs(jac), axis=1)) * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+    assert backward <= 1e-14, f"backward error {backward:.2e}"
+
+
 def test_bordered_tridiagonal_band_takes_the_tridiagonal_kernel(monkeypatch):
     monkeypatch.setattr(linalg, "_band_lu", None)  # any call would fail
     grid = GridSpec(40)
@@ -768,16 +813,17 @@ def bordered_pin_systems():
 # (the k = 4 solve below read b9298c2c... under OpenBLAS's SkylakeX kernel
 # and 619e9d73... under Prescott), so those two hashes are float_lu_solve's.
 # Every other value held under the SkylakeX, Haswell, Sandybridge and
-# Prescott kernels and without numpy's AVX2 and AVX-512 paths.
+# Prescott kernels and without numpy's AVX2 and AVX-512 paths.  The three
+# ACOK rows are those of the kl = ku = 2 linearization.
 _BORDERED_PINS = {
     "ac-arclength": (1, -1, "0x1.8aaa9ef15e7d4p+9", "0x1.58a0692f27f1dp-27", False,
                      "da21f5b097b531cc149526c4a470a20d8c3b23eb07ce923dd627fc7f295e2ed2"),
     "acok-linearize": (1, 1, "0x1.6e16cbba2eb36p+10", "0x1.57aa85bc89f18p-27", False,
-                       "403e62d1018fdbc8056ef54e5f2f23c7498ca816b15b970dba1a14dde16f77a6"),
-    "acok-arclength": (2, 1, "0x1.6a833409537f5p+10", "0x1.57aa85bc89f18p-27", False,
-                       "277b793b328bffa6dd5ea5bc88db1dde82f3a8034d2341092000accebf7c7849"),
+                       "2bf2905701b275ab46392ca3e53966c728537dc001744b5802a4a174abc1cab7"),
+    "acok-arclength": (2, 1, "0x1.6a833409537f4p+10", "0x1.57aa85bc89f18p-27", False,
+                       "3db626b6f758cd3cb5384f66d306baf3ee3bc8685d7e25f3e74f02660dd09671"),
     "acok-arclength-boosted": (3, -1, "0x1.68c9ad75f9204p+10", "0x1.57aa85bc89f18p-27", False,
-                               "d1ca5d3c2bafd23edf9ec06b91a5695b5dc75037440960d2efb84273adbbd253"),
+                               "d394b0a41e4db67dfa8b1baa49c87493681a3157ae8959efff5aafd4fb0b9873"),
     "boosted-twice": (4, -1, "0x1.5cf49882e0ef4p+5", "0x1.f96406e712141p-36", False,
                       "f1dfaecf3f34380c46f6c2a0bb08639c54a2a1d50b6d8c530f3535aa0445e2f6"),
     "neumann": (2, -1, "0x1.8a8b6b5351bf5p+9", "0x1.57a1b9efc95a9p-27", False,
@@ -986,8 +1032,8 @@ def assert_band_lu_is_the_reference(system, boost_floor, boost, rng):
     want = reference_band_lu(system, boost_floor, boost)
     assert (got.swaps, got.perm_sign, got.boosts) == (want.swaps, want.perm_sign, want.boosts)
     assert bits(got.pivots) == bits(want.pivots)
-    assert [bits(t) for t in got.tails] == [bits(t, 6) for t in want.tails]
-    assert [bits(m) for m in got.mults] == [bits(m, 3) for m in want.mults]
+    assert [bits(t) for t in got.tails] == [bits(t, 4) for t in want.tails]
+    assert [bits(m) for m in got.mults] == [bits(m, 2) for m in want.mults]
     b = rng.standard_normal(nb)
     b[rng.random(nb) < 0.25] = 0.0
     b[rng.random(nb) < 0.1] = -0.0
@@ -1009,7 +1055,7 @@ def test_band_lu_is_the_reference_kernel_bitwise_on_random_bands():
     rng = np.random.default_rng(71)
     boosts = swaps = 0
     for _ in range(1200):
-        nb, kl, ku = (int(v) for v in rng.integers((1, 0, 0), (31, 4, 4)))
+        nb, kl, ku = (int(v) for v in rng.integers((1, 0, 0), (31, 3, 3)))
         band = rng.choice([-1.0, 1.0], (nb, kl + ku + 1)) * 10.0 ** rng.uniform(-3.0, 3.0, (nb, kl + ku + 1))
         band[rng.random(band.shape) < 0.25] = 0.0
         band[rng.random(band.shape) < 0.05] = -0.0
@@ -1051,6 +1097,16 @@ def test_lu_factor_rejects_a_band_wider_than_three(kl, ku, k):
     system = BandBorder(band=rng.standard_normal((12, kl + ku + 1)), kl=kl, cols=rng.standard_normal((12, k)),
                         rows=rng.standard_normal((k, 12)), corner=rng.standard_normal((k, k)))
     with pytest.raises(ValueError, match=f"kl={kl}, ku={ku}"):
+        lu_factor(system)
+
+
+@pytest.mark.parametrize("kl, ku", [(3, 0), (0, 3), (3, 2), (2, 3), (3, 3)])
+def test_lu_factor_rejects_three_sub_or_superdiagonals(kl, ku):
+    # The band LU holds a 3-row by 5-column window: kl, ku <= 2.
+    rng = np.random.default_rng(83)
+    system = BandBorder(band=rng.standard_normal((12, kl + ku + 1)), kl=kl, cols=rng.standard_normal((12, 1)),
+                        rows=rng.standard_normal((1, 12)), corner=rng.standard_normal((1, 1)))
+    with pytest.raises(ValueError, match=f"at most 2 sub- and superdiagonals, got kl={kl}, ku={ku}"):
         lu_factor(system)
 
 
@@ -1151,7 +1207,7 @@ def test_log_abs_det_matches_slogdet_on_tridiagonal_band_and_dense():
 def test_log_abs_det_matches_slogdet_on_random_band_with_borders_and_dense():
     rng = np.random.default_rng(31)
     for _ in range(100):
-        nb, kl, ku, k = (int(v) for v in rng.integers((1, 0, 0, 0), (25, 4, 4, 3)))
+        nb, kl, ku, k = (int(v) for v in rng.integers((1, 0, 0, 0), (25, 3, 3, 3)))
         system = BandBorder(
             band=rng.standard_normal((nb, kl + ku + 1)), kl=kl,
             cols=rng.standard_normal((nb, k)), rows=rng.standard_normal((k, nb)),

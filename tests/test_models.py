@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from phase_bifurcate import (
+    BandBorder,
     GridSpec,
     ModelParams,
     ch_trivial_roots,
@@ -19,6 +20,7 @@ from phase_bifurcate import (
     model_by_kind,
     poisson_neumann_solve,
 )
+from phase_bifurcate.models import _compact_band, _neumann_system
 
 
 def fd_jacobian(model, state, params, delta_scale=1e-6):
@@ -486,6 +488,58 @@ def test_compact_scheme_eigenvalues_are_fourth_order():
         assert np.max(np.abs(jac @ u - (mu - b) * u)) <= 1e-9 * mu
         errors.append(abs(mu / b - k * k) / (k * k))
     assert errors[0] / errors[1] == pytest.approx(16.0, rel=0.05)
+
+
+@pytest.mark.parametrize("n_cells", [4, 50, 200, 1000])
+def test_compact_nonlocal_block_is_green_minus_a_tridiagonal_correction(n_cells):
+    """``B G B = G - 2c (I - P) - c^2 A`` with ``c = h^2/12`` and ``P = 1 w^T / 2``.
+
+    ``B = I + c A``, ``A G = G A = -(I - P)`` and ``A P = 0``, so
+    ``c (A G + G A) = -2c (I - P)`` and ``c^2 A G A = -c^2 A``.  The
+    left side is built from the dense oracles, as the ``jacobian`` oracle
+    builds it; ``linearize`` couples through the right side.
+    """
+    g = GridSpec(n_cells)
+    n = g.n_nodes
+    green, lap = green_operator(g), laplacian_matrix(g)
+    compact = BandBorder(band=_compact_band(n), kl=1).to_dense()
+    c = g.h * g.h / 12.0
+    proj = np.outer(np.ones(n), g.trapezoid_weights) / 2.0
+    want = green - 2.0 * c * (np.eye(n) - proj) - c * c * lap
+    gap = np.max(np.abs(compact @ green @ compact - want))
+    assert gap <= 1e-12 * np.max(np.abs(green)), f"{gap:.2e}"
+
+
+def test_acok_linearize_is_the_interleaved_kl_ku_2_band():
+    """v-row ``i`` is ``(T + 2c gamma I + c^2 gamma A) v - gamma u_i + 2c gamma s``,
+    u-row ``i`` is ``v_i + (A u)_i + s`` and the border row is ``w^T u``,
+    interleaved as ``(v_i, u_i)`` with ``s`` last."""
+    g = GridSpec(40)
+    n = g.n_nodes
+    model = model_by_kind("acok", g)
+    state = 0.5 + 0.3 * np.tanh(g.nodes / 0.1)
+    gamma, c = 700.0, g.h * g.h / 12.0
+    lin = model.linearize(state, ModelParams(epsilon=0.3, gamma=gamma))
+    assert (lin.kl, lin.ku, lin.k) == (2, 2, 1)
+    assert np.array_equal(lin.outer, np.arange(0, 2 * n, 2))
+    assert lin.hidden_sign == _neumann_system(g)[2]
+    # Four nonzeros per band row, at offsets -2, 0, +1, +2 and -2, -1, 0, +2.
+    v_rows, u_rows = lin.band[0::2] != 0.0, lin.band[1::2] != 0.0
+    assert np.array_equal(v_rows[1:-1], np.tile([True, False, True, True, True], (n - 2, 1)))
+    assert np.array_equal(u_rows[1:-1], np.tile([True, True, True, False, True], (n - 2, 1)))
+    full = lin.to_dense()
+    v, u, s = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2), 2 * n
+    local = model.jacobian(state, ModelParams(epsilon=0.3, gamma=0.0))
+    lap = laplacian_matrix(g)
+    want = local + 2.0 * c * gamma * np.eye(n) + c * c * gamma * lap
+    assert np.max(np.abs(full[np.ix_(v, v)] - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.array_equal(full[np.ix_(v, u)], -gamma * np.eye(n))
+    assert np.array_equal(full[v, s], np.full(n, 2.0 * c * gamma))
+    assert np.array_equal(full[np.ix_(u, v)], np.eye(n))
+    assert np.array_equal(full[np.ix_(u, u)], lap)
+    assert np.array_equal(full[u, s], np.ones(n))
+    assert np.array_equal(full[s, u], g.trapezoid_weights)
+    assert not full[s, v].any() and full[s, s] == 0.0
 
 
 def test_model_rejects_bad_state_shape():
