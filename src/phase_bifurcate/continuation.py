@@ -73,6 +73,9 @@ REGULA_FALSI_MARGIN = 0.125
 _EXP_CAP = 700.0  # math.exp overflows above ~709.8
 _LOG2 = math.log(2.0)
 
+#: A branch-switch seed's amplitude is picked from s0 * 2**-k, k < this depth.
+SEED_LADDER_DEPTH = 20
+
 #: Null modes are classified against analytic modes with index <= this cap.
 MAX_MODE_INDEX = 25
 
@@ -100,7 +103,9 @@ class ContinuationSettings:
 
     Steps are in units of the active parameter (also in pseudo-arclength
     mode, where they are converted to the internal scaled arclength).
-    ``seed_amplitude`` overrides the branch-switch seed default when set.
+    ``seed_amplitude`` overrides the default top of the branch-switch seed
+    amplitude ladder, s0 = 0.05*(sup|base| + 1), when set (see
+    ``branch_switch``).
     Every float setting must be finite; the tolerances, and the seed
     amplitude when set, must be positive.
     """
@@ -715,6 +720,21 @@ def _classify_mode(vector: np.ndarray, grid) -> tuple[str, Optional[int]]:
     return best[0], best[1]
 
 
+def _seed_amplitude(model, params_at, base, direction, top: float) -> float:
+    """The a in top*2**-k (k < SEED_LADDER_DEPTH) with the smallest sup|F(base + a*direction)|/a.
+
+    ``direction`` is sup-normalized; the first a wins a tie.  Residual
+    evaluations only: no factorization.
+    """
+    best, best_ratio = top, math.inf
+    for k in range(SEED_LADDER_DEPTH):
+        a = math.ldexp(top, -k)
+        ratio = _sup(model.residual(base + a * direction, params_at)) / a
+        if ratio < best_ratio:
+            best, best_ratio = a, ratio
+    return best
+
+
 def _near_any_trivial(model, params_at, state, tol: float) -> bool:
     return any(_sup(state - t) <= tol for t in model.trivial_states(params_at))
 
@@ -724,15 +744,25 @@ def branch_switch(
 ) -> list[Branch]:
     """Seed and trace the +/- offshoots emerging at a bifurcation point.
 
-    For each sign the seed is base_state + sigma*s0*(null mode, sup-normalized
-    so the seed's amplitude is s0 regardless of grid size), corrected at a
+    For each sign the seed is base_state + sigma*a*(null mode, sup-normalized
+    so the seed's amplitude is a regardless of grid size), corrected at a
     ladder of parameter offsets (-dmu, +dmu, then 10x and 100x those) from
     the bifurcation; the first offset whose correction converges to a state
     distinct from every trivial state wins.  A side with no surviving offset
     yields no branch, which is legitimate for one-sided directions; when
     neither side yields one, a WARNING names each side's last failure.
+    Each seed is logged at INFO.
     ``at`` is passed on to ``trace_branch`` (the seeding does not depend on it).
-    Defaults: s0 = 0.05*(sup|base|+1), dmu = 2x bisection width + 1e-4*|param|.
+
+    At each offset ``_seed_amplitude`` picks a from the ladder s0*2**-k
+    (k < ``SEED_LADDER_DEPTH``): the one with the smallest sup|F|/a.  Near a
+    pitchfork the residual along the null mode is a*(lambda + c*a**2) (the
+    one-dimensional Lyapunov-Schmidt reduction), so the ratio is smallest
+    next to the branch's amplitude, and Newton starts in its quadratic
+    phase.  Where no branch passes, the bottom of the ladder wins and Newton
+    falls onto the trivial state, which is rejected.  Defaults: s0 =
+    ``settings.seed_amplitude`` or 0.05*(sup|base|+1), dmu = 2x bisection
+    width + 1e-4*|param|.
 
     When the residual is odd (``model.residual_is_odd``: AC, and CH at
     mu0 = 0) and the base state is exactly zero, the bifurcation is a Z2
@@ -751,7 +781,9 @@ def branch_switch(
     * every solve is linear in its right-hand side, and the arclength dot
       products multiply pairs of negated vectors, so they are unchanged;
     * the constant states {-1, 0, +1} are closed under negation, so
-      ``_near_any_trivial`` decides both sides alike.
+      ``_near_any_trivial`` decides both sides alike;
+    * sup|F| is the same on negated states, so both sides pick the same
+      seed amplitude.
     """
     base = bif.base_state
     p0 = bif.param
@@ -778,15 +810,22 @@ def branch_switch(
                 continue
             tried += 1
             params_at = model.with_param(params, p1)
-            guess = base + (sigma * s0) * mode_sup
+            amplitude = _seed_amplitude(model, params_at, base, sigma * mode_sup, s0)
+            guess = base + (sigma * amplitude) * mode_sup
             try:
                 seed, seed_fact = _newton(model, params_at, guess, settings)
             except NewtonFailure as exc:
+                logger.info("%s%s seed at param=%r, amplitude %.3e: %s after %d Newton iterations",
+                            bif.bif_id, tag, p1, amplitude, exc.reason, exc.iterations)
                 newton_reason = exc.reason
                 continue
             except SingularMatrixError:
+                logger.info("%s%s seed at param=%r, amplitude %.3e: singular",
+                            bif.bif_id, tag, p1, amplitude)
                 newton_reason = "singular"
                 continue
+            logger.info("%s%s seed at param=%r, amplitude %.3e: converged in %d Newton iterations",
+                        bif.bif_id, tag, p1, amplitude, seed.newton_iters_used)
             if _near_any_trivial(model, params_at, seed.state, settings.dedupe_tol):
                 on_trivial += 1
                 continue

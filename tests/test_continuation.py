@@ -384,16 +384,17 @@ def arclength_branches(ac_detection):
 # The AC pseudo-arclength diagram at N=40 over eps in [0.25, 0.7]: per
 # branch, its point count, last parameter and the sha256 of its stacked
 # states.  The trivial rows were recorded before bordered tridiagonal bands
-# left the general band kernel; the offshoot rows since the null modes are
-# exactly even or odd (``linalg.null_vector``).
+# left the general band kernel; the offshoot rows since each seed's
+# amplitude is picked from the residual along the null mode
+# (``continuation._seed_amplitude``).
 _ARCLENGTH_DIAGRAM_N40 = (
     ("trivial:phi=-1", 116, "0x1.f7ced916872a0p-3", "9931a985c9640bbd11c51f98e9ec7e7e2ced32d9e920fd6b768e74504afd5b15"),
     ("trivial:phi=0", 116, "0x1.f7ced916872a0p-3", "af1ef4eeead6c483a4d000c0b8863d1e4cc2cc43e4b1e800183ab3c375cf260e"),
     ("trivial:phi=+1", 116, "0x1.f7ced916872a0p-3", "557ede7b2ba866388ec2f612d4e084f41e3b5f0288d22b17eca77b21a0f336d4"),
-    ("bp0+", 64, "0x1.fe94290bcad8ap-3", "1025cd63633eb7ac820e31adfffa100a861ec45392eb1269f058f27e0d3da341"),
-    ("bp0-", 64, "0x1.fe94290bcad8ap-3", "35e8e08af954bcd9627874fd7740eba73ba08c826197e96686079613b4ea1f5d"),
-    ("bp1+", 144, "0x1.fe504bc1f4083p-3", "92e7bb5887f5f68902e2057918b3eabff5cdf5a261ece06d3ea1f16ead61ed08"),
-    ("bp1-", 144, "0x1.fe504bc1f4083p-3", "b9635be4ede8811841de61e4383222926fd2a2cd7622d53e411dc7f277de0c66"),
+    ("bp0+", 64, "0x1.fe94290bcb1ccp-3", "01d1831564d2f409e48eff6cacabe34fb257461d9ec838caffb5ee48d94e516f"),
+    ("bp0-", 64, "0x1.fe94290bcb1ccp-3", "5494c520548a99ae498992786ca772b763259e1d0e222f1e2a92ff95bb75b235"),
+    ("bp1+", 144, "0x1.fe5048e543813p-3", "53ee31ba353d1ebae2e48e6a631f6b0402436ab8094d64ab33821e67a2a1496e"),
+    ("bp1-", 144, "0x1.fe5048e543813p-3", "011f64c70f3acc4966d98971ff5f12610f80b48a23e82611b98027d7c09379b8"),
 )
 
 
@@ -951,6 +952,159 @@ def test_branch_switch_with_surviving_sides_does_not_warn(ac_detection, caplog):
         for bif in bifs:
             assert len(branch_switch(model, params, settings, bif)) == 2
     assert caplog.records == []
+
+
+class CubicToy:
+    """F(x) = x*(lam + x*x) per entry: a pitchfork whose branch amplitude is sqrt(-lam)."""
+
+    def __init__(self, lam):
+        self.lam = lam
+
+    def residual(self, state, params):
+        return state * (self.lam + state * state)
+
+
+@pytest.mark.parametrize("lam, top, want", [(-1.0 / 16.0, 1.0, 0.25), (-1.0 / 16.0, 3.0, 0.1875), (0.0, 0.5, 0.5 * 2.0**-19)])
+def test_seed_amplitude_picks_the_smallest_residual_ratio(lam, top, want):
+    # sup|F|/a is smallest on the rung next to the branch amplitude
+    # sqrt(-lam) = 0.25; with no branch (lam = 0) it falls all the way down
+    # the ladder.
+    direction = np.array([0.0, -0.5, 1.0])
+    assert continuation._seed_amplitude(CubicToy(lam), None, np.zeros(3), direction, top) == want
+
+
+def test_seed_amplitude_takes_the_top_of_a_ladder_of_ties():
+    linear = type("Linear", (), {"residual": lambda self, state, params: 3.0 * state})()
+    assert continuation._seed_amplitude(linear, None, np.zeros(2), np.array([1.0, 0.25]), 0.375) == 0.375
+
+
+def _log_seeds(monkeypatch) -> list:
+    """Log every seed ``branch_switch`` corrects, in order; returns the log.
+
+    Each entry is a dict: ``direction`` (the signed sup-normalized null
+    mode), ``tried`` (sup|state - base| of every state ``_seed_amplitude``
+    evaluated: the amplitudes themselves when the base is 0), ``picked``,
+    ``param``, ``outcome`` ("converged" or the NewtonFailure reason),
+    ``iters`` and, when converged, ``state``.  Corrections made while tracing
+    are not logged.
+    """
+    seeds, tracing = [], []
+    pick, newton, trace = continuation._seed_amplitude, continuation._newton, continuation.trace_branch
+
+    def logging_pick(model, params_at, base, direction, top):
+        tried = []
+
+        class Recording:
+            def residual(self, state, params_):
+                tried.append(_sup(state - base))
+                return model.residual(state, params_)
+
+        picked = pick(Recording(), params_at, base, direction, top)
+        seeds.append(dict(direction=direction, tried=tried, picked=picked))
+        return picked
+
+    def logging_newton(model, params_at, guess, settings):
+        if tracing:
+            return newton(model, params_at, guess, settings)
+        seed = seeds[-1]
+        seed["param"] = model.active_value(params_at)
+        try:
+            point, fact = newton(model, params_at, guess, settings)
+        except NewtonFailure as exc:
+            seed.update(outcome=exc.reason, iters=exc.iterations)
+            raise
+        seed.update(outcome="converged", iters=point.newton_iters_used, state=point.state)
+        return point, fact
+
+    def flagged_trace(*args, **kwargs):
+        tracing.append(True)
+        try:
+            return trace(*args, **kwargs)
+        finally:
+            tracing.pop()
+
+    monkeypatch.setattr(continuation, "_seed_amplitude", logging_pick)
+    monkeypatch.setattr(continuation, "_newton", logging_newton)
+    monkeypatch.setattr(continuation, "trace_branch", flagged_trace)
+    return seeds
+
+
+def _acok_switch_seeds(n_cells, monkeypatch) -> list:
+    """(bifurcation, offshoots, logged seeds) of each ACOK event at eps=0.3 over gamma in [0, 700]."""
+    g = GridSpec(n_cells)
+    model, params = model_by_kind("acok", g), ModelParams(epsilon=0.3)
+    settings = default_settings("acok", param_min=0.0, param_max=700.0)
+    tb = next(b for b in model.trivial_branches(params) if b.bifurcating)
+    bifs = detect_bifurcations_on_trivial(
+        model, params, settings, lambda pv: tb.state_of(model.with_param(params, pv), g))
+    assert len(bifs) == 3
+    seeds = _log_seeds(monkeypatch)
+    out = []
+    for bif in bifs:
+        seeds.clear()
+        out.append((bif, branch_switch(model, params, settings, bif), list(seeds)))
+    return out
+
+
+@pytest.mark.parametrize("n_cells", [40, 100])
+def test_acok_seeds_converge_at_the_first_in_window_offset(n_cells, monkeypatch):
+    # Seeded at 0.05*(sup|base| + 1) = 0.075, far above bp0's branch
+    # amplitude (2e-4), every side failed its first offsets with
+    # no_convergence at the 14-iteration cap.
+    for bif, sides, seeds in _acok_switch_seeds(n_cells, monkeypatch):
+        assert [b.id for b in sides] == [f"{bif.bif_id}+", f"{bif.bif_id}-"]
+        assert all(seed["outcome"] != "no_convergence" for seed in seeds)
+        # one seed per side: the loop over the offsets skips only those
+        # outside the window, so it is the first in-window offset's
+        assert [int(np.sign(seed["direction"] @ bif.null_mode)) for seed in seeds] == [1, -1]
+        for seed, side in zip(seeds, sides):
+            assert seed["outcome"] == "converged"
+            assert seed["param"] == side.points[1].param
+
+
+def test_acok_seeds_converge_within_5_newton_iterations_at_n100(monkeypatch):
+    # The acok-slice grid.  At N=40 bp0's seeds take 7: the ladder's 2x
+    # rungs put the pick at 0.60 of the branch amplitude there, next to the
+    # turning point of Newton on a*(lam + c*a*a), at 1/sqrt(3) of it.
+    iters = {bif.bif_id: [seed["iters"] for seed in seeds]
+             for bif, _, seeds in _acok_switch_seeds(100, monkeypatch)}
+    assert all(len(v) == 2 and max(v) <= 5 for v in iters.values()), iters
+
+
+def test_ac_seed_amplitude_is_within_a_factor_2_of_the_converged_seed(ac_detection, monkeypatch):
+    g, model, params, settings, bifs = ac_detection
+    seeds = _log_seeds(monkeypatch)
+    for bif in bifs:
+        seeds.clear()
+        assert len(branch_switch(model, params, settings, bif)) == 2
+        seed = seeds[-1]
+        assert seed["outcome"] == "converged"
+        m = bif.null_mode / _sup(bif.null_mode)
+        along = float(seed["state"] @ m) / float(m @ m)
+        assert seed["picked"] / 2.0 <= along <= 2.0 * seed["picked"]
+
+
+@pytest.mark.parametrize("seed_amplitude", [None, 0.2, 1e-3])
+def test_seed_amplitude_setting_is_the_largest_amplitude_evaluated(ac_detection, monkeypatch, seed_amplitude):
+    g, model, params, settings, bifs = ac_detection
+    seeds = _log_seeds(monkeypatch)
+    branch_switch(model, params, replace(settings, seed_amplitude=seed_amplitude), bifs[0])
+    top = 0.05 if seed_amplitude is None else seed_amplitude  # 0.05*(sup|base| + 1), base 0
+    assert seeds
+    for seed in seeds:
+        assert seed["tried"] == [top * 2.0**-k for k in range(continuation.SEED_LADDER_DEPTH)]
+        assert seed["picked"] in seed["tried"]
+
+
+def test_branch_switch_logs_each_seed_at_info(ac_detection, caplog):
+    g, model, params, settings, bifs = ac_detection
+    with caplog.at_level("INFO", logger="phase_bifurcate"):
+        branch_switch(model, params, settings, bifs[0])
+    seeds = [r.getMessage() for r in caplog.records if " seed at param=" in r.getMessage()]
+    assert len(seeds) == 1 and all(r.levelname == "INFO" for r in caplog.records)
+    assert seeds[0].startswith(f"{bifs[0].bif_id}+ seed at param=")
+    assert ", amplitude " in seeds[0] and seeds[0].endswith(" Newton iterations")
+    assert "converged in " in seeds[0]
 
 
 # ---------------------------------------------------------------------------
