@@ -45,9 +45,9 @@ EXIT_VERIFY = 3
 MAX_N_CELLS = 4096
 
 #: An explicit --newton-tol below this many ulps of the residual's row scale
-#: is refused.  Newton's last residuals sit at 0.1-0.4 ulps of that scale in
-#: the median (AC at eps = 0.1 and ACOK at eps = 0.3, N = 40 to 1024), and
-#: the smallest of them at 0.01 ulps.
+#: is refused.  Newton's last residuals sit at 0.1-0.5 ulps of that scale in
+#: the median (AC at eps = 0.1, N = 40 to 1024; ACOK at eps = 0.3, N = 40
+#: to 400), and the smallest of them at 0.01 ulps.
 RESIDUAL_FLOOR_ULPS = 2.0**-8
 
 _NUMERICAL_ERRORS = (ContinuationError, SingularMatrixError, FloatingPointError)
@@ -154,15 +154,19 @@ def build_parser() -> argparse.ArgumentParser:
 def residual_floor(model, params: ModelParams, settings: ContinuationSettings) -> float:
     """The smallest ``newton_tol`` a run accepts: ``RESIDUAL_FLOOR_ULPS`` ulps of the residual's scale.
 
-    The scale is the max row sum of ``|linearize|`` at the zero state, the
+    The scale is the max row sum of ``|linearize|`` at the zero state over
+    the band rows of the visible unknowns (``outer``: every row for AC/CH,
+    the state rows of ACOK's augmented band, not its Poisson rows), the
     smaller of its values at the two window ends: rounding leaves the
     residual of any state of order one about an ulp of it.
     """
     zero = np.zeros(model.grid.n_nodes)
-    scale = min(
-        float(np.abs(model.linearize(zero, model.with_param(params, end)).band).sum(axis=1).max())
-        for end in (settings.param_min, settings.param_max)
-    )
+
+    def scale_at(end: float) -> float:
+        lin = model.linearize(zero, model.with_param(params, end))
+        return float(np.abs(lin.band[lin.outer]).sum(axis=1).max())
+
+    scale = min(scale_at(end) for end in (settings.param_min, settings.param_max))
     return RESIDUAL_FLOOR_ULPS * np.finfo(float).eps * scale
 
 

@@ -764,13 +764,16 @@ def branch_switch(
     ``settings.seed_amplitude`` or 0.05*(sup|base|+1), dmu = 2x bisection
     width + 1e-4*|param|.
 
-    When the residual is odd (``model.residual_is_odd``: AC, and CH at
-    mu0 = 0) and the base state is exactly zero, the bifurcation is a Z2
-    pitchfork and phi -> -phi maps the + offshoot onto the - one bit for
-    bit, so only the + side is traced.  The - branch shares its anchor,
-    negates every later state (``0.0 - state``, so zeros stay +0.0) and
-    copies everything else; if the + side yields no branch, neither does
-    the - side, for the same reason.  The image is exact because:
+    When the model has a symmetry center c (``model.symmetry_center``:
+    F(2c - phi) = -F(phi)) and the base state is exactly c, the bifurcation
+    is a Z2 pitchfork and phi -> 2c - phi maps the + offshoot onto the -
+    one, so only the + side is traced.  The - branch shares its anchor and
+    maps every later state at the same parameter.
+
+    Where c = 0 (AC, and CH at mu0 = 0) the image is exact bit for bit, so
+    the - branch negates every state (``0.0 - state``, so zeros stay +0.0)
+    and copies everything else; if the + side yields no branch, neither
+    does the - side, for the same reason.  The image is exact because:
 
     * IEEE round-to-nearest is symmetric under negation;
     * the residual is built from ``phi*phi*phi`` and linear stencils, so it
@@ -784,6 +787,16 @@ def branch_switch(
       ``_near_any_trivial`` decides both sides alike;
     * sup|F| is the same on negated states, so both sides pick the same
       seed amplitude.
+
+    Any other c (ACOK: 1/2) gives an image that is right only to rounding:
+    ``1.0 - state`` rounds, and the residual's cubic, its stencils and the
+    prefix sums of G round differently on it.  So each image state goes
+    through ``_newton`` at its parameter: one whose residual is already
+    at most ``newton_tol`` is kept as it is (0 iterations), any other is
+    corrected, and either way the point takes its residual, iteration
+    count and det sign from that correction, none from the + side.  If a
+    correction fails, or the + side yields no branch, the - side is
+    traced instead, and one INFO line says why.
     """
     base = bif.base_state
     p0 = bif.param
@@ -844,10 +857,15 @@ def branch_switch(
         return None, f"last Newton failure {newton_reason}, {on_trivial} of {tried} seeds on a trivial state"
 
     plus, plus_failure = side(1, "+")
-    if model.residual_is_odd(params) and not np.any(base):
-        minus, minus_failure = (None if plus is None else _negated(plus, bif.bif_id)), plus_failure
+    center = model.symmetry_center(params)
+    minus, minus_failure = None, plus_failure
+    if center == 0.0 and not np.any(base):
+        minus = None if plus is None else _negated(plus, bif.bif_id)
     else:
-        minus, minus_failure = side(-1, "-")
+        if center is not None and np.all(base == center):
+            minus = _checked_image(model, params, settings, plus, bif.bif_id, center)
+        if minus is None:
+            minus, minus_failure = side(-1, "-")
 
     branches: list[Branch] = []
     failures: list[str] = []
@@ -862,15 +880,37 @@ def branch_switch(
     return branches
 
 
-def _negated(plus: Branch, bif_id: str) -> Branch:
-    """The - offshoot of an odd model's pitchfork from its traced + side (see ``branch_switch``)."""
+def _negated(plus: Branch, bif_id: str, center: float = 0.0) -> Branch:
+    """The - offshoot of a pitchfork from c = ``center`` as the image phi -> 2c - phi of its + side.
+
+    Everything but the states is copied (see ``branch_switch``).
+    """
     anchor, *rest = plus.points
     return Branch(
         id=f"{bif_id}-",
         origin=BranchOrigin("switched", bif_id, -1),
-        points=[anchor] + [replace(p, state=0.0 - p.state) for p in rest],
+        points=[anchor] + [replace(p, state=(2.0 * center) - p.state) for p in rest],
         stop_reason=plus.stop_reason,
     )
+
+
+def _checked_image(model, params, settings, plus: Optional[Branch], bif_id: str, center: float) -> Optional[Branch]:
+    """``_negated(plus, bif_id, center)`` with every image point Newton-checked, or None and why at INFO."""
+    if plus is None:
+        logger.info("%s+ yielded no branch: tracing the - side", bif_id)
+        return None
+    image = _negated(plus, bif_id, center)
+    anchor, *rest = image.points
+    points = [anchor]
+    for p in rest:
+        try:
+            point, _ = _newton(model, model.with_param(params, p.param), p.state, settings)
+        except (NewtonFailure, SingularMatrixError) as exc:
+            logger.info("%s- image at param=%r failed its Newton check (%s): tracing the - side",
+                        bif_id, p.param, getattr(exc, "reason", "singular"))
+            return None
+        points.append(point)
+    return replace(image, points=points)
 
 
 def _polyline_gap(query_param, query_state, other: Branch, frame: _ArclengthFrame) -> tuple[float, float]:

@@ -15,7 +15,9 @@ of nodal values; each model exposes
   kept as the oracle for the tests and ``verify``; the engine never builds it,
 - ``param_derivative(state, params)`` -- derivative with respect to the
   model's active continuation parameter,
-- ``trivial_branches(params)`` -- the spatially constant solution families.
+- ``trivial_branches(params)`` -- the spatially constant solution families,
+- ``symmetry_center(params)`` -- the constant c with ``F(2c - phi) = -F(phi)``
+  (0 for AC and offset-free CH, 1/2 for ACOK), or None.
 
 The second derivative is discretized with the compact fourth-order (Numerov)
 scheme ``L = B^-1 A``: ``A`` is the folded second-difference matrix
@@ -325,9 +327,15 @@ class _ModelBase:
         """Nodal vectors of every branch of ``trivial_branches(params)``."""
         return [b.state_of(params, self.grid) for b in self.trivial_branches(params)]
 
-    def residual_is_odd(self, params: ModelParams) -> bool:
-        """Whether ``residual(-phi) == -residual(phi)`` bit for bit at ``params``."""
-        return False
+    def symmetry_center(self, params: ModelParams) -> Optional[float]:
+        """The constant c with ``residual(2c - phi) == -residual(phi)`` at ``params``, or None.
+
+        Branch switching takes the ``-`` offshoot of a pitchfork from the
+        constant state c as the image of its ``+`` offshoot (see
+        ``continuation.branch_switch``): exact bit for bit where c is 0.0,
+        exact only up to rounding elsewhere.
+        """
+        return None
 
     def _band(self, lap_scale: float, scale: np.ndarray) -> np.ndarray:
         """Row-wise band of ``lap_scale * A + B diag(scale)``."""
@@ -359,9 +367,9 @@ class AllenCahn(_ModelBase):
     def _offset(self, params: ModelParams) -> float:
         return 0.0
 
-    def residual_is_odd(self, params: ModelParams) -> bool:
-        """Without an offset: ``_cube`` and the linear stencils are odd bit for bit."""
-        return self._offset(params) == 0.0
+    def symmetry_center(self, params: ModelParams) -> Optional[float]:
+        """0.0 without an offset (``_cube`` and the linear stencils are odd bit for bit), else None."""
+        return 0.0 if self._offset(params) == 0.0 else None
 
     def residual(self, state, params: ModelParams) -> np.ndarray:
         phi = self._require_state(state)
@@ -561,6 +569,15 @@ class OhtaKawasaki(_ModelBase):
             - _compact_apply(well / eps)
             - params.gamma * self._nonlocal(phi)
         )
+
+    def symmetry_center(self, params: ModelParams) -> Optional[float]:
+        """0.5: W is even about 1/2, and ``A``, ``B`` and ``B G B`` annihilate constants.
+
+        So ``residual(1 - phi) == -residual(phi)`` in exact arithmetic, but
+        not bit for bit: ``1 - phi`` rounds, and the cubic and the prefix
+        sums round differently on the image.
+        """
+        return 0.5
 
     def _local_band(self, phi: np.ndarray, params: ModelParams) -> np.ndarray:
         eps = params.epsilon

@@ -134,6 +134,34 @@ def test_residual_floor_is_below_every_residual_of_a_diagram():
     assert cli.residual_floor(model, params, settings) < min(reached)
 
 
+@pytest.mark.parametrize(
+    "n_cells, epsilon, window", [(40, 0.3, (0.0, 700.0)), (100, 0.3, (0.0, 700.0)), (200, 0.1, (0.0, 3000.0))])
+def test_acok_residual_floor_is_within_2x_of_the_dense_jacobians(n_cells, epsilon, window):
+    # Taken from all rows of the augmented band, the floor read a Poisson
+    # u-row (about 4/h^2): 3.2x the dense floor at N=100 and 9.4x at N=200.
+    model = models.model_by_kind("acok", models.GridSpec(n_cells))
+    params = models.ModelParams(epsilon=epsilon)
+    settings = default_settings("acok", param_min=window[0], param_max=window[1])
+    zero = np.zeros(model.grid.n_nodes)
+    dense = cli.RESIDUAL_FLOOR_ULPS * np.finfo(float).eps * min(
+        float(np.abs(model.jacobian(zero, model.with_param(params, end))).sum(axis=1).max()) for end in window)
+    assert dense / 2.0 <= cli.residual_floor(model, params, settings) <= 2.0 * dense
+
+
+@pytest.mark.parametrize(
+    "kind, n_cells, params, window, pinned",
+    [
+        ("ac", 40, models.ModelParams(epsilon=0.1), (0.095, 0.4), "0x1.7d886439ad444p-50"),
+        ("ch", 200, models.ModelParams(epsilon=0.1, mu0=0.05), (0.25, 0.7), "0x1.386aaaaaaaaabp-45"),
+    ],
+)
+def test_ac_ch_residual_floor_is_pinned_bitwise(kind, n_cells, params, window, pinned):
+    # Every band row of AC/CH is visible: the floor is the one it always was.
+    model = models.model_by_kind(kind, models.GridSpec(n_cells))
+    settings = default_settings(kind, param_min=window[0], param_max=window[1])
+    assert cli.residual_floor(model, params, settings).hex() == pinned
+
+
 def test_only_an_explicit_newton_tol_meets_the_floor(monkeypatch, capsys):
     monkeypatch.setattr(cli, "residual_floor", lambda model, params, settings: 1.0)
     argv = ["points", "--model", "ac", "--n-cells", "20", "--eps-range", "0.3:0.7"]

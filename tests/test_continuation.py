@@ -761,8 +761,8 @@ def test_event_modes_of_bands_that_are_not_their_own_mirror_are_not_projected(mo
 
 
 def _trace_every_side(model, monkeypatch):
-    """Turn off the odd-model shortcut on ``model`` for the rest of the test."""
-    monkeypatch.setattr(model, "residual_is_odd", lambda params: False)
+    """Turn off the symmetry-image shortcut on ``model`` for the rest of the test."""
+    monkeypatch.setattr(model, "symmetry_center", lambda params: None)
 
 
 def _count_traces(monkeypatch) -> list:
@@ -813,7 +813,7 @@ def odd_case(request, ac_detection):
 
 def test_mirrored_offshoot_is_the_traced_one_bit_for_bit(odd_case, monkeypatch):
     model, params, settings, bifs = odd_case
-    assert model.residual_is_odd(params) and len(bifs) == 2
+    assert model.symmetry_center(params) == 0.0 and len(bifs) == 2
     traced = _count_traces(monkeypatch)
     mirrored = [branch_switch(model, params, settings, bif) for bif in bifs]
     assert traced == [f"{bif.bif_id}+" for bif in bifs]
@@ -848,6 +848,8 @@ def test_negated_offshoot_shares_the_anchor_and_keeps_zeros_positive():
 
 @pytest.mark.parametrize("kind", ["acok", "ch-mu0-0.05"])
 def test_branch_switch_traces_both_sides_of_models_that_are_not_odd(kind, monkeypatch):
+    # ACOK is not odd but symmetric about 1/2: its - side is the checked
+    # image of the + side, not traced.  CH with an offset has no center.
     g = GridSpec(40)
     if kind == "acok":
         model, params = model_by_kind("acok", g), ModelParams(epsilon=0.3)
@@ -855,13 +857,114 @@ def test_branch_switch_traces_both_sides_of_models_that_are_not_odd(kind, monkey
     else:
         model, params = model_by_kind("ch", g), ModelParams(epsilon=0.5, mu0=0.05)
         settings = default_settings("ch", param_min=0.3, param_max=0.7)
-    assert not model.residual_is_odd(params)
+    assert model.symmetry_center(params) == (0.5 if kind == "acok" else None)
     tb = next(b for b in model.trivial_branches(params) if b.bifurcating)
     bif = detect_bifurcations_on_trivial(
         model, params, settings, lambda pv: tb.state_of(model.with_param(params, pv), g))[0]
     traced = _count_traces(monkeypatch)
     sides = branch_switch(model, params, settings, bif)
-    assert traced == [f"{bif.bif_id}+", f"{bif.bif_id}-"] == [b.id for b in sides]
+    assert [b.id for b in sides] == [f"{bif.bif_id}+", f"{bif.bif_id}-"]
+    assert traced == ([f"{bif.bif_id}+"] if kind == "acok" else [f"{bif.bif_id}+", f"{bif.bif_id}-"])
+
+
+@pytest.fixture(scope="module")
+def acok_events():
+    """n_cells -> (model, params, settings, bifurcations) of ACOK at eps=0.3 over gamma in [0, 700]."""
+    found = {}
+
+    def events(n_cells):
+        if n_cells not in found:
+            g = GridSpec(n_cells)
+            model, params = model_by_kind("acok", g), ModelParams(epsilon=0.3)
+            settings = default_settings("acok", param_min=0.0, param_max=700.0)
+            tb = next(b for b in model.trivial_branches(params) if b.bifurcating)
+            bifs = detect_bifurcations_on_trivial(
+                model, params, settings, lambda pv: tb.state_of(model.with_param(params, pv), g))
+            found[n_cells] = (model, params, settings, bifs)
+        return found[n_cells]
+
+    return events
+
+
+@pytest.mark.parametrize("arclength", [False, True], ids=["natural", "arclength"])
+@pytest.mark.parametrize("n_cells", [40, 100])
+def test_acok_image_offshoots_match_the_traced_ones(acok_events, n_cells, arclength, monkeypatch):
+    model, params, settings, bifs = acok_events(n_cells)
+    settings = replace(settings, use_pseudo_arclength=arclength)
+    assert len(bifs) == 3
+    imaged = [branch_switch(model, params, settings, bif) for bif in bifs]
+    _trace_every_side(model, monkeypatch)
+    traced = [branch_switch(model, params, settings, bif) for bif in bifs]
+    for got, want in zip(imaged, traced):
+        assert [b.id for b in got] == [b.id for b in want] and len(got) == 2
+        for a, b in zip(got, want):
+            assert (a.origin, a.stop_reason, len(a.points)) == (b.origin, b.stop_reason, len(b.points))
+            assert [p.det_sign for p in a.points] == [p.det_sign for p in b.points]
+            if not arclength:
+                assert [p.param for p in a.points] == [p.param for p in b.points]
+        plus, minus = got
+        assert minus.points[0] is plus.points[0]
+        for p, m in zip(plus.points[1:], minus.points[1:]):
+            # each image point lies at the + point's parameter, with the
+            # residual of its own evaluation; one kept as it is (0 Newton
+            # iterations: all of them here, but that is up to rounding) is
+            # the image bit for bit
+            assert m.param == p.param
+            if m.newton_iters_used == 0:
+                assert m.state.tobytes() == (1.0 - p.state).tobytes()
+            assert m.residual_norm == _sup(model.residual(m.state, model.with_param(params, m.param)))
+            assert m.residual_norm <= settings.newton_tol
+
+
+def test_acok_image_that_fails_its_newton_check_traces_the_minus_side(acok_events, caplog, monkeypatch):
+    model, params, settings, bifs = acok_events(40)
+    bif = bifs[1]
+    negated = continuation._negated
+
+    def with_a_nan_at_the_end(plus, bif_id, center=0.0):
+        image = negated(plus, bif_id, center)
+        last = image.points[-1]
+        image.points[-1] = replace(last, state=np.full_like(last.state, np.nan))
+        return image
+
+    monkeypatch.setattr(continuation, "_negated", with_a_nan_at_the_end)
+    traced = _count_traces(monkeypatch)
+    with caplog.at_level("INFO", logger="phase_bifurcate"):
+        got = branch_switch(model, params, settings, bif)
+    assert traced == [f"{bif.bif_id}+", f"{bif.bif_id}-"] == [b.id for b in got]
+    checks = [r.getMessage() for r in caplog.records if "Newton check" in r.getMessage()]
+    assert len(checks) == 1 and checks[0].startswith(f"{bif.bif_id}- image at param=")
+    assert "(diverged): tracing the - side" in checks[0]
+    _trace_every_side(model, monkeypatch)
+    want = branch_switch(model, params, settings, bif)
+    for a, b in zip(got, want):
+        assert len(a.points) == len(b.points)
+        for p, q in zip(a.points, b.points):
+            assert (p.param, p.state.tobytes(), p.newton_iters_used) == (q.param, q.state.tobytes(), q.newton_iters_used)
+
+
+def test_checked_image_of_no_branch_is_none_and_says_why(acok_events, caplog):
+    model, params, settings, _ = acok_events(40)
+    with caplog.at_level("INFO", logger="phase_bifurcate"):
+        assert continuation._checked_image(model, params, settings, None, "bp0", 0.5) is None
+    assert [r.getMessage() for r in caplog.records] == ["bp0+ yielded no branch: tracing the - side"]
+
+
+def test_checked_image_corrects_an_image_off_the_branch(acok_events):
+    # A point is kept as it is only while its residual meets newton_tol;
+    # any other is corrected, and takes its own iteration count.  (bp0's
+    # first points lie next to the crossing, where a near-null mode leaves
+    # the state poorly determined by its residual; bp1's do not.)
+    model, params, settings, bifs = acok_events(40)
+    plus = branch_switch(model, params, settings, bifs[1])[0]
+    off = replace(plus, points=[plus.points[0]] + [replace(p, state=p.state + 1e-6) for p in plus.points[1:]])
+    image = continuation._checked_image(model, params, settings, off, "bp1", 0.5)
+    exact = continuation._checked_image(model, params, settings, plus, "bp1", 0.5)
+    assert len(image.points) == len(plus.points)
+    for m, e in zip(image.points[1:], exact.points[1:]):
+        assert m.param == e.param and m.newton_iters_used >= 1
+        assert m.residual_norm <= settings.newton_tol
+        assert _sup(m.state - e.state) <= 1e-8
 
 
 def test_branch_switch_offshoot_grows_from_zero(ac_detection):
@@ -986,10 +1089,11 @@ def _log_seeds(monkeypatch) -> list:
     evaluated: the amplitudes themselves when the base is 0), ``picked``,
     ``param``, ``outcome`` ("converged" or the NewtonFailure reason),
     ``iters`` and, when converged, ``state``.  Corrections made while tracing
-    are not logged.
+    or checking a symmetry image are not logged.
     """
     seeds, tracing = [], []
-    pick, newton, trace = continuation._seed_amplitude, continuation._newton, continuation.trace_branch
+    pick, newton = continuation._seed_amplitude, continuation._newton
+    trace, check = continuation.trace_branch, continuation._checked_image
 
     def logging_pick(model, params_at, base, direction, top):
         tried = []
@@ -1016,23 +1120,33 @@ def _log_seeds(monkeypatch) -> list:
         seed.update(outcome="converged", iters=point.newton_iters_used, state=point.state)
         return point, fact
 
-    def flagged_trace(*args, **kwargs):
-        tracing.append(True)
-        try:
-            return trace(*args, **kwargs)
-        finally:
-            tracing.pop()
+    def flagged(fn):
+        def call(*args, **kwargs):
+            tracing.append(True)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                tracing.pop()
+
+        return call
 
     monkeypatch.setattr(continuation, "_seed_amplitude", logging_pick)
     monkeypatch.setattr(continuation, "_newton", logging_newton)
-    monkeypatch.setattr(continuation, "trace_branch", flagged_trace)
+    monkeypatch.setattr(continuation, "trace_branch", flagged(trace))
+    monkeypatch.setattr(continuation, "_checked_image", flagged(check))
     return seeds
 
 
-def _acok_switch_seeds(n_cells, monkeypatch) -> list:
-    """(bifurcation, offshoots, logged seeds) of each ACOK event at eps=0.3 over gamma in [0, 700]."""
+def _acok_switch_seeds(n_cells, monkeypatch, every_side=True) -> list:
+    """(bifurcation, offshoots, logged seeds) of each ACOK event at eps=0.3 over gamma in [0, 700].
+
+    With ``every_side`` both sides are seeded and traced; without, the -
+    side is the checked image of the + side.
+    """
     g = GridSpec(n_cells)
     model, params = model_by_kind("acok", g), ModelParams(epsilon=0.3)
+    if every_side:
+        _trace_every_side(model, monkeypatch)
     settings = default_settings("acok", param_min=0.0, param_max=700.0)
     tb = next(b for b in model.trivial_branches(params) if b.bifurcating)
     bifs = detect_bifurcations_on_trivial(
@@ -1069,6 +1183,17 @@ def test_acok_seeds_converge_within_5_newton_iterations_at_n100(monkeypatch):
     iters = {bif.bif_id: [seed["iters"] for seed in seeds]
              for bif, _, seeds in _acok_switch_seeds(100, monkeypatch)}
     assert all(len(v) == 2 and max(v) <= 5 for v in iters.values()), iters
+
+
+def test_acok_plus_seeds_converge_at_the_first_in_window_offset_within_5_iterations(monkeypatch):
+    # The same seeds as traced with every side, on acok-slice's grid; the -
+    # side is the image, and seeds nothing.
+    for bif, sides, seeds in _acok_switch_seeds(100, monkeypatch, every_side=False):
+        assert [b.id for b in sides] == [f"{bif.bif_id}+", f"{bif.bif_id}-"]
+        (seed,) = seeds
+        assert int(np.sign(seed["direction"] @ bif.null_mode)) == 1
+        assert seed["outcome"] == "converged" and seed["iters"] <= 5
+        assert seed["param"] == sides[0].points[1].param
 
 
 def test_ac_seed_amplitude_is_within_a_factor_2_of_the_converged_seed(ac_detection, monkeypatch):

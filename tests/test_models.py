@@ -332,6 +332,36 @@ def test_acok_residual_reflection_equivariance():
     assert np.max(np.abs(r_flip - r[::-1])) <= 1e-12 * max(1.0, np.max(np.abs(r)))
 
 
+@pytest.mark.parametrize(
+    "kind, params, center",
+    [
+        ("ac", ModelParams(epsilon=0.17), 0.0),
+        ("ch", ModelParams(epsilon=0.17, mu0=0.0), 0.0),
+        ("ch", ModelParams(epsilon=0.17, mu0=0.05), None),
+        ("acok", ModelParams(epsilon=0.3, gamma=0.0), 0.5),
+        ("acok", ModelParams(epsilon=0.3, gamma=1000.0), 0.5),
+    ],
+    ids=["ac", "ch-mu0-0", "ch-mu0-0.05", "acok-gamma0", "acok-gamma1000"],
+)
+def test_symmetry_center_negates_the_residual(kind, params, center):
+    # Bit for bit where the center is 0.0 (the branch-switch image is taken
+    # unchecked there), to rounding where it is 0.5 (checked by Newton).
+    g = GridSpec(100)
+    model = model_by_kind(kind, g)
+    assert model.symmetry_center(params) == center
+    if center is None:
+        return
+    rng = np.random.default_rng(79)
+    for _ in range(5):
+        phi = center + 0.9 * (2.0 * rng.random(g.n_nodes) - 1.0)
+        r = model.residual(phi, params)
+        r_image = model.residual((2.0 * center) - phi, params)
+        if center == 0.0:
+            assert r_image.tobytes() == (0.0 - r).tobytes()
+        else:
+            assert np.max(np.abs(r_image + r)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
+
+
 # ---------------------------------------------------------------------------
 # Green operator and Poisson solve
 # ---------------------------------------------------------------------------
