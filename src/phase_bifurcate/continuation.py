@@ -8,8 +8,8 @@ det(Jacobian) between scan samples, then resolved into a null mode by one
 solve with the event's factorization and classified against the analytic
 eigenmode families.  New branches are seeded along the null mode on both
 sides (the +/- offshoots of a pitchfork) and traced over the parameter
-window; where the residual is odd and the base state zero, the - offshoot
-is the exact negation of the traced + one.  A diagram computed for one
+window; where a symmetry of the model maps the + offshoot onto the - one,
+the - offshoot is that image of the traced + one.  A diagram computed for one
 slice (``compute_diagram(..., at=p)``) traces only what ``solutions_at``
 reads at ``p``: no constant branches, and natural-mode offshoots stop at
 ``p``.
@@ -182,6 +182,7 @@ class Branch:
     origin: BranchOrigin
     points: list[BranchPoint]
     stop_reason: str = "param_bound"
+    image: Optional[tuple["Branch", Callable]] = None  # (source, map) of an exact image; see ``_image``
 
 
 @dataclass
@@ -764,39 +765,19 @@ def branch_switch(
     ``settings.seed_amplitude`` or 0.05*(sup|base|+1), dmu = 2x bisection
     width + 1e-4*|param|.
 
-    When the model has a symmetry center c (``model.symmetry_center``:
-    F(2c - phi) = -F(phi)) and the base state is exactly c, the bifurcation
-    is a Z2 pitchfork and phi -> 2c - phi maps the + offshoot onto the -
-    one, so only the + side is traced.  The - branch shares its anchor and
-    maps every later state at the same parameter.
-
-    Where c = 0 (AC, and CH at mu0 = 0) the image is exact bit for bit, so
-    the - branch negates every state (``0.0 - state``, so zeros stay +0.0)
-    and copies everything else; if the + side yields no branch, neither
-    does the - side, for the same reason.  The image is exact because:
-
-    * IEEE round-to-nearest is symmetric under negation;
-    * the residual is built from ``phi*phi*phi`` and linear stencils, so it
-      is odd bit for bit, and the Jacobian depends on phi only through
-      phi*phi, so both sides factor identical matrices (the arclength
-      systems' borders are negated, which the elimination carries through
-      as exact sign flips);
-    * every solve is linear in its right-hand side, and the arclength dot
-      products multiply pairs of negated vectors, so they are unchanged;
-    * the constant states {-1, 0, +1} are closed under negation, so
-      ``_near_any_trivial`` decides both sides alike;
-    * sup|F| is the same on negated states, so both sides pick the same
-      seed amplitude.
-
-    Any other c (ACOK: 1/2) gives an image that is right only to rounding:
-    ``1.0 - state`` rounds, and the residual's cubic, its stencils and the
-    prefix sums of G round differently on it.  So each image state goes
-    through ``_newton`` at its parameter: one whose residual is already
-    at most ``newton_tol`` is kept as it is (0 iterations), any other is
-    corrected, and either way the point takes its residual, iteration
-    count and det sign from that correction, none from the + side.  If a
-    correction fails, or the + side yields no branch, the - side is
-    traced instead, and one INFO line says why.
+    Where ``_pitchfork_image`` finds a map g of the states with g(base) =
+    base and g(mode) = -mode that the residual commutes with (equivariant
+    branching: Golubitsky, Stewart & Schaeffer II, ch. XIII), g maps the +
+    offshoot onto the - one, so only the + side is traced.  The - branch
+    shares its anchor and takes g of every later state at the same
+    parameter (``_image``).  Where g commutes with the residual bit for bit
+    the image is exact and copies everything else; if the + side yields no
+    branch, neither does the - side.  Where g commutes only to rounding
+    (ACOK), every image state goes through ``_newton`` at its parameter and
+    takes its residual, iteration count and det sign from there (0
+    iterations where it already meets ``newton_tol``); if a correction
+    fails, or the + side yields no branch, the - side is traced instead,
+    and one INFO line says why.
     """
     base = bif.base_state
     p0 = bif.param
@@ -857,15 +838,12 @@ def branch_switch(
         return None, f"last Newton failure {newton_reason}, {on_trivial} of {tried} seeds on a trivial state"
 
     plus, plus_failure = side(1, "+")
-    center = model.symmetry_center(params)
+    image = _pitchfork_image(model, params, bif)
     minus, minus_failure = None, plus_failure
-    if center == 0.0 and not np.any(base):
-        minus = None if plus is None else _negated(plus, bif.bif_id)
-    else:
-        if center is not None and np.all(base == center):
-            minus = _checked_image(model, params, settings, plus, bif.bif_id, center)
-        if minus is None:
-            minus, minus_failure = side(-1, "-")
+    if image is not None:
+        minus = _image(model, params, settings, plus, bif.bif_id, *image)
+    if minus is None and not (image and image[1]):
+        minus, minus_failure = side(-1, "-")
 
     branches: list[Branch] = []
     failures: list[str] = []
@@ -880,37 +858,69 @@ def branch_switch(
     return branches
 
 
-def _negated(plus: Branch, bif_id: str, center: float = 0.0) -> Branch:
-    """The - offshoot of a pitchfork from c = ``center`` as the image phi -> 2c - phi of its + side.
+def _pitchfork_image(model, params, bif: BifurcationPoint) -> Optional[tuple[Callable, bool]]:
+    """``(g, exact)``: the map taking a pitchfork's + offshoot onto its - one, or None.
 
-    Everything but the states is copied (see ``branch_switch``).
+    With c = ``model.symmetry_center(params)`` and the base state c, g is
+    phi -> 2c - phi, exact iff c == 0.0: any other c (ACOK: 1/2) rounds in
+    ``1.0 - state``, and the cubic, the stencils and the prefix sums of G
+    round differently on the image.  A model without a center whose base is
+    its own reversal and whose mode is exactly odd (CH with an offset) takes
+    the reversal R, exact.  Any other pitchfork has no image here.
+
+    An exact g carries every other field of the + branch over, because:
+
+    * IEEE round-to-nearest is symmetric under negation, and the AC/CH
+      residual is built from ``phi*phi*phi`` and stencils that add each
+      node's two neighbours commutatively, so it is odd and commutes with R
+      bit for bit: each image point's residual is its + point's, negated
+      or reversed;
+    * the Jacobian depends on phi only through phi*phi, so a negated state
+      has the same Jacobian and a reversed one its mirror P J P, whose det
+      is det J;
+    * ``0.0 - state`` and ``state[::-1]`` round nothing, and ``0.0 - state``
+      gives +0.0 where tracing the - side gives +0.0 (0.0 + -0.0);
+    * the constant states are closed under both maps, so
+      ``_near_any_trivial`` decides both sides alike, and equal sup|F|
+      picks equal seed amplitudes.
+
+    Under negation, tracing the - side gives the same bits: every solve is
+    linear in its right-hand side, and the arclength dot products multiply
+    pairs of negated vectors.
     """
-    anchor, *rest = plus.points
-    return Branch(
-        id=f"{bif_id}-",
-        origin=BranchOrigin("switched", bif_id, -1),
-        points=[anchor] + [replace(p, state=(2.0 * center) - p.state) for p in rest],
-        stop_reason=plus.stop_reason,
-    )
+    base, center = bif.base_state, model.symmetry_center(params)
+    if center is not None:
+        if np.all(base == center):
+            return (lambda state: (2.0 * center) - state), center == 0.0
+    elif np.array_equal(base, base[::-1]) and np.array_equal(bif.null_mode[::-1], -bif.null_mode):
+        return (lambda state: state[::-1].copy()), True
+    return None
 
 
-def _checked_image(model, params, settings, plus: Optional[Branch], bif_id: str, center: float) -> Optional[Branch]:
-    """``_negated(plus, bif_id, center)`` with every image point Newton-checked, or None and why at INFO."""
+def _image(model, params, settings, plus: Optional[Branch], bif_id: str, g: Callable, exact: bool) -> Optional[Branch]:
+    """The - offshoot as the image under ``g`` of its + side (see ``branch_switch``), or None.
+
+    An exact image copies everything but the states and records ``(plus,
+    g)`` as its ``image``.  An inexact one Newton-checks every image point;
+    if ``plus`` is None or a check fails it is None, and one INFO line says why.
+    """
     if plus is None:
-        logger.info("%s+ yielded no branch: tracing the - side", bif_id)
+        if not exact:
+            logger.info("%s+ yielded no branch: tracing the - side", bif_id)
         return None
-    image = _negated(plus, bif_id, center)
-    anchor, *rest = image.points
-    points = [anchor]
-    for p in rest:
+    points = plus.points[:1] + [replace(p, state=g(p.state)) for p in plus.points[1:]]
+    minus = Branch(f"{bif_id}-", BranchOrigin("switched", bif_id, -1), points, plus.stop_reason)
+    if exact:
+        minus.image = (plus, g)
+        return minus
+    for i, p in enumerate(points[1:], 1):
         try:
-            point, _ = _newton(model, model.with_param(params, p.param), p.state, settings)
+            points[i], _ = _newton(model, model.with_param(params, p.param), p.state, settings)
         except (NewtonFailure, SingularMatrixError) as exc:
             logger.info("%s- image at param=%r failed its Newton check (%s): tracing the - side",
                         bif_id, p.param, getattr(exc, "reason", "singular"))
             return None
-        points.append(point)
-    return replace(image, points=points)
+    return minus
 
 
 def _polyline_gap(query_param, query_state, other: Branch, frame: _ArclengthFrame) -> tuple[float, float]:
@@ -1044,19 +1054,26 @@ def solutions_at(diagram: Diagram, param: float, model, settings: ContinuationSe
 
     Walks every offshoot branch, Newton-corrects the linear interpolant of
     each segment straddling ``param``, drops anything that lands on a trivial
-    state, and dedupes by state sup-norm <= dedupe_tol.  A diagram computed
-    for one slice (``diagram.at`` set) can be sliced only there: any other
-    ``param`` raises ValueError.
+    state, and dedupes by state sup-norm <= dedupe_tol.  An exact image
+    branch (``Branch.image``) takes instead the map of its source's
+    corrected states, so each is the exact image of its partner.  A diagram
+    computed for one slice (``diagram.at`` set) can be sliced only there: any
+    other ``param`` raises ValueError.
     """
     if not (settings.param_min <= param <= settings.param_max):
         raise ValueError(f"param {param} outside diagram range [{settings.param_min}, {settings.param_max}]")
     if diagram.at is not None and param != diagram.at:
         raise ValueError(f"diagram was computed for the slice at {diagram.at}, not at {param}")
     params_at = model.with_param(diagram.params, param)
-    found: list[Solution] = []
-    for br in diagram.branches:
-        if br.origin.kind == "trivial":
-            continue
+    corrected: dict[str, list[BranchPoint]] = {}
+
+    def corrections(br: Branch) -> list[BranchPoint]:
+        if br.id in corrected:
+            return corrected[br.id]
+        if br.image is not None:
+            source, g = br.image
+            return [replace(pt, state=g(pt.state)) for pt in corrections(source)]
+        out = corrected[br.id] = []
         pts = br.points
         for a, b in zip(pts[:-1], pts[1:]):
             da, db = a.param - param, b.param - param
@@ -1070,10 +1087,16 @@ def solutions_at(diagram: Diagram, param: float, model, settings: ContinuationSe
                 alpha = (param - a.param) / (b.param - a.param)
                 guess = (1.0 - alpha) * a.state + alpha * b.state
             try:
-                pt = newton_correct(model, params_at, guess, settings)
+                out.append(newton_correct(model, params_at, guess, settings))
             except (NewtonFailure, SingularMatrixError) as exc:
                 logger.info("slice correction failed on %s: %s", br.id, exc)
-                continue
+        return out
+
+    found: list[Solution] = []
+    for br in diagram.branches:
+        if br.origin.kind == "trivial":
+            continue
+        for pt in corrections(br):
             if _near_any_trivial(model, params_at, pt.state, settings.dedupe_tol):
                 continue
             if any(_sup(pt.state - s.state) <= settings.dedupe_tol for s in found):

@@ -16,15 +16,15 @@ and columns, which is how the models hand over their linearizations.
   all lie on the three central diagonals (the AC/CH Jacobians), are
   eliminated in O(N) in the manner of LAPACK ``dgttrf``, with the dense
   kernel's pivoting rule (swap only if the subdiagonal entry is strictly
-  larger), pivot floor and singularity rules.  ``lu_solve`` on an
-  unbordered tridiagonal factorization averages the top-down solve with the
-  mirrored (order-reversed) system's, which makes it exactly
-  reflection-equivariant: with ``P`` the reversal, ``solve(P J P, P b) ==
-  P solve(J, b)`` bit for bit, so Newton iterates from odd guesses stay
-  exactly odd.  Sign-only factorizations never make the mirrored one, and
-  a band that is its own mirror bit for bit (the AC/CH Jacobian at an even
-  or odd state) makes none: one elimination serves both solves, and an
-  even or odd right-hand side usually needs only one solve.
+  larger), pivot floor and singularity rules, once per band.  ``lu_solve``
+  on an unbordered band that is its own mirror bit for bit (the AC/CH
+  Jacobian at an even or odd state) averages the top-down solve with the
+  mirrored (order-reversed) one through the same elimination, which makes
+  it exactly reflection-equivariant: with ``P`` the reversal, ``P b``
+  gets exactly ``P`` times the solution of ``b``, so Newton iterates from
+  even or odd guesses keep their parity exactly, and an even or odd
+  right-hand side usually needs only one solve.  Any other band solves
+  top-down once.
 * Any other band with at most two sub- and superdiagonals (ACOK's
   augmented Poisson form has ``kl = ku = 2``) gets a ``dgbtf2``-style band
   LU with partial pivoting inside the band, O(N); LAPACK makes the same
@@ -128,15 +128,11 @@ class BandLuFactorization:
     ----------
     lower, pivots, upper, upper2, swapped:
         Lists of length n-1, n, n-1, n-2 and n-1 (as far as nonnegative).
-    band:
-        The factored matrix's sub-, main and superdiagonal, kept for the
-        mirrored factorization.
-    mirror, own_mirror:
-        ``own_mirror`` says whether ``band`` equals its mirror
+    own_mirror:
+        Whether the factored band ``(sub, diag, sup)`` equals its mirror
         ``(sup[::-1], diag[::-1], sub[::-1])`` bit for bit, signed zeros
-        included (set by ``lu_factor``).  If it does, this factorization is
-        its own mirrored one and ``mirror`` stays None; otherwise ``mirror``
-        is the mirror's factorization, made by the first ``lu_solve``.
+        included (set by ``lu_factor``).  Only then does ``lu_solve`` solve
+        reflection-equivariantly, this factorization being its own mirrored one.
     perm_sign, singular, pivot_floor:
         As in ``LuFactorization``.
     boosts:
@@ -150,12 +146,10 @@ class BandLuFactorization:
     upper: list
     upper2: list
     swapped: list
-    band: tuple
     perm_sign: int
     singular: bool
     pivot_floor: float
     boosts: list
-    mirror: Optional["BandLuFactorization"] = None
     own_mirror: bool = False
 
 
@@ -436,7 +430,7 @@ def _band_factor(band: tuple, floor: float, boost: Optional[float] = None) -> Ba
         else:
             d[n - 1] += _boosted(boosts, _origin(swapped, n - 1), n - 1, d[n - 1], boost)
     return BandLuFactorization(
-        lower=lower, pivots=d, upper=du, upper2=upper2, swapped=swapped, band=band,
+        lower=lower, pivots=d, upper=du, upper2=upper2, swapped=swapped,
         perm_sign=sign, singular=singular, pivot_floor=floor, boosts=boosts,
     )
 
@@ -496,49 +490,29 @@ def _band_solve_t(fact: BandLuFactorization, b: list) -> list:
 
 
 def _band_solve_equivariant(fact: BandLuFactorization, b: list) -> list:
-    """Mean of the top-down solve and the mirrored system's solve.
+    """The top-down solve, averaged with the mirrored one if the band is its own mirror.
 
-    With ``P`` the reversal, the mirror of ``P J P`` is ``J`` itself and
-    IEEE addition commutes, so ``P J P`` with ``P b`` gets exactly ``P``
-    times this result.  If the mirrored factorization is singular the
-    top-down solve is returned alone.  A band that is its own mirror
-    (``own_mirror``) is its own mirrored factorization, and
-    ``_reflected_solve`` may spare it the second solve.
+    With ``P`` the reversal, an ``own_mirror`` band ``J`` is ``P J P``, so
+    its elimination is also the mirrored system's, and IEEE addition
+    commutes: ``P b`` gets exactly ``P`` times this result.  If ``b`` is
+    even by value, the mirrored solve runs the same operations on ``b``
+    itself, so it is the top-down one reversed; if ``b`` is odd, on ``-b``,
+    and negation is exact in IEEE arithmetic, so it is reversed and negated.
+    "By value" lets zeros differ in sign, and a zero's sign can change only
+    a result that is itself zero, so this holds bit for bit when the
+    top-down solve has no exact zero; otherwise the mirrored one is solved.
     """
     top = _band_solve(fact, b)
-    if fact.own_mirror:
-        mirror, bottom = fact, _reflected_solve(top, b)
+    if not fact.own_mirror:
+        return top
+    rev, exact = b[::-1], 0.0 not in top
+    if exact and rev == b:
+        bottom = top[::-1]
+    elif exact and [-v for v in rev] == b:
+        bottom = [-v for v in reversed(top)]
     else:
-        if fact.mirror is None:
-            sub, diag, sup = fact.band
-            fact.mirror = _band_factor((sup[::-1], diag[::-1], sub[::-1]), fact.pivot_floor)
-        mirror, bottom = fact.mirror, None
-        if mirror.singular:
-            return top
-    if bottom is None:
-        bottom = _band_solve(mirror, b[::-1])
-        bottom.reverse()
+        bottom = _band_solve(fact, rev)[::-1]
     return [0.5 * (u + v) for u, v in zip(top, bottom)]
-
-
-def _reflected_solve(top: list, b: list) -> Optional[list]:
-    """The mirrored solve of an own-mirror band, read off its top-down solve ``top``.
-
-    If ``b`` is even by value, the mirrored solve runs the same operations
-    on ``b`` itself, so it is ``top`` reversed; if ``b`` is odd, on ``-b``,
-    and negation is exact in IEEE arithmetic, so it is ``top`` reversed and
-    negated.  "By value" lets zeros differ in sign, and a zero's sign can
-    change only a result that is itself zero, so this holds bit for bit
-    when ``top`` has no exact zero.  None where that does not apply.
-    """
-    if 0.0 in top:
-        return None
-    rev = b[::-1]
-    if rev == b:
-        return top[::-1]
-    if [-v for v in rev] == b:
-        return [-v for v in reversed(top)]
-    return None
 
 
 def _dot(a: list, b: list) -> float:
@@ -884,9 +858,9 @@ def lu_solve(fact: Factorization, rhs) -> np.ndarray:
     ``rhs`` is a vector of the system's order; anything else (a matrix of
     stacked right-hand sides included) raises ``ValueError``.  Raises
     ``SingularMatrixError`` if the factorization was flagged singular.  A
-    ``BandLuFactorization`` (an unbordered tridiagonal matrix) solves
-    reflection-equivariantly (module docstring); a bordered one does not,
-    whatever its band.
+    ``BandLuFactorization`` (an unbordered tridiagonal matrix) that is its
+    own mirror solves reflection-equivariantly (module docstring); any other
+    factorization, bordered ones whatever their band, solves once, top-down.
     """
     if fact.singular:
         raise SingularMatrixError("singular matrix")

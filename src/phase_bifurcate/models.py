@@ -17,7 +17,8 @@ of nodal values; each model exposes
   model's active continuation parameter,
 - ``trivial_branches(params)`` -- the spatially constant solution families,
 - ``symmetry_center(params)`` -- the constant c with ``F(2c - phi) = -F(phi)``
-  (0 for AC and offset-free CH, 1/2 for ACOK), or None.
+  (0 for AC and offset-free CH, 1/2 for ACOK), or None (CH with an offset,
+  whose pitchforks branch switching maps by the reversal instead).
 
 The second derivative is discretized with the compact fourth-order (Numerov)
 scheme ``L = B^-1 A``: ``A`` is the folded second-difference matrix
@@ -331,9 +332,10 @@ class _ModelBase:
         """The constant c with ``residual(2c - phi) == -residual(phi)`` at ``params``, or None.
 
         Branch switching takes the ``-`` offshoot of a pitchfork from the
-        constant state c as the image of its ``+`` offshoot (see
-        ``continuation.branch_switch``): exact bit for bit where c is 0.0,
-        exact only up to rounding elsewhere.
+        constant state c as the image of its ``+`` offshoot: exact bit for
+        bit where c is 0.0, exact only up to rounding elsewhere.  Without a
+        center, an exactly odd mode's ``-`` offshoot is the reversal of the
+        ``+`` one (``continuation._pitchfork_image``).
         """
         return None
 

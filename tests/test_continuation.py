@@ -760,9 +760,9 @@ def test_event_modes_of_bands_that_are_not_their_own_mirror_are_not_projected(mo
 # ---------------------------------------------------------------------------
 
 
-def _trace_every_side(model, monkeypatch):
-    """Turn off the symmetry-image shortcut on ``model`` for the rest of the test."""
-    monkeypatch.setattr(model, "symmetry_center", lambda params: None)
+def _trace_every_side(monkeypatch):
+    """Turn off every symmetry image, the centre's and the reflection, for the rest of the test."""
+    monkeypatch.setattr(continuation, "_pitchfork_image", lambda model, params, bif: None)
 
 
 def _count_traces(monkeypatch) -> list:
@@ -782,7 +782,7 @@ def test_branch_switch_produces_bitwise_mirror_offshoots(ac_detection, monkeypat
     # Both sides traced: the Z2 image the odd-model shortcut relies on.
     g, model, params, settings, bifs = ac_detection
     sine0 = [b for b in bifs if b.mode_family == "sine"][0]
-    _trace_every_side(model, monkeypatch)
+    _trace_every_side(monkeypatch)
     sides = branch_switch(model, params, settings, sine0)
     assert len(sides) == 2
     plus, minus = sides
@@ -817,7 +817,7 @@ def test_mirrored_offshoot_is_the_traced_one_bit_for_bit(odd_case, monkeypatch):
     traced = _count_traces(monkeypatch)
     mirrored = [branch_switch(model, params, settings, bif) for bif in bifs]
     assert traced == [f"{bif.bif_id}+" for bif in bifs]
-    _trace_every_side(model, monkeypatch)
+    _trace_every_side(monkeypatch)
     both = [branch_switch(model, params, settings, bif) for bif in bifs]
     for got, want in zip(mirrored, both):
         assert [b.id for b in got] == [b.id for b in want] and len(got) == 2
@@ -837,34 +837,92 @@ def test_negated_offshoot_shares_the_anchor_and_keeps_zeros_positive():
     point = BranchPoint(param=0.4, state=np.array([0.0, 1.5, -2.0]), residual_norm=3e-12, det_sign=-1,
                         newton_iters_used=3)
     plus = Branch("bp0+", BranchOrigin("switched", "bp0", 1), [anchor, point], stop_reason="slice")
-    minus = continuation._negated(plus, "bp0")
+    odd_model = type("Odd", (), {"symmetry_center": lambda self, params: 0.0})()
+    bif = continuation.BifurcationPoint("bp0", 0.5, np.zeros(3), np.array([0.5, 1.0, 0.5]), "cosine", 0)
+    g, exact = continuation._pitchfork_image(odd_model, None, bif)
+    assert exact
+    minus = continuation._image(odd_model, None, None, plus, "bp0", g, exact)
     assert (minus.id, minus.origin, minus.stop_reason) == ("bp0-", BranchOrigin("switched", "bp0", -1), "slice")
-    assert minus.points[0] is anchor
+    assert minus.image == (plus, g) and minus.points[0] is anchor
     got = minus.points[1]
     assert got.state.tobytes() == np.array([0.0, -1.5, 2.0]).tobytes()
     assert (got.param, got.residual_norm, got.det_sign, got.newton_iters_used) == (0.4, 3e-12, -1, 3)
     assert point.state.tobytes() == np.array([0.0, 1.5, -2.0]).tobytes()
+    assert continuation._image(odd_model, None, None, None, "bp0", g, exact) is None
+
+
+def _ch_offset_events(n_cells, mu0, lo, hi):
+    """(model, params, settings, bifurcations) of CH with an offset over eps in [lo, hi]."""
+    g = GridSpec(n_cells)
+    model, params = model_by_kind("ch", g), ModelParams(epsilon=0.5, mu0=mu0)
+    settings = default_settings("ch", param_min=lo, param_max=hi)
+    tb = next(b for b in model.trivial_branches(params) if b.bifurcating)
+    bifs = detect_bifurcations_on_trivial(
+        model, params, settings, lambda pv: tb.state_of(model.with_param(params, pv), g))
+    return model, params, settings, bifs
+
+
+def _is_odd(mode):
+    return np.array_equal(mode[::-1], -mode)
 
 
 @pytest.mark.parametrize("kind", ["acok", "ch-mu0-0.05"])
 def test_branch_switch_traces_both_sides_of_models_that_are_not_odd(kind, monkeypatch):
     # ACOK is not odd but symmetric about 1/2: its - side is the checked
-    # image of the + side, not traced.  CH with an offset has no center.
-    g = GridSpec(40)
+    # image of the + side, not traced.  CH with an offset has no center: an
+    # exactly odd mode's - side is the reversal of the + side, and an even
+    # mode's two sides are traced.
     if kind == "acok":
+        g = GridSpec(40)
         model, params = model_by_kind("acok", g), ModelParams(epsilon=0.3)
         settings = default_settings("acok", param_min=0.0, param_max=700.0)
+        tb = next(b for b in model.trivial_branches(params) if b.bifurcating)
+        bifs = detect_bifurcations_on_trivial(
+            model, params, settings, lambda pv: tb.state_of(model.with_param(params, pv), g))[:1]
     else:
-        model, params = model_by_kind("ch", g), ModelParams(epsilon=0.5, mu0=0.05)
-        settings = default_settings("ch", param_min=0.3, param_max=0.7)
+        model, params, settings, bifs = _ch_offset_events(40, 0.05, 0.3, 0.7)
+        assert sorted(_is_odd(bif.null_mode) for bif in bifs) == [False, True]
     assert model.symmetry_center(params) == (0.5 if kind == "acok" else None)
-    tb = next(b for b in model.trivial_branches(params) if b.bifurcating)
-    bif = detect_bifurcations_on_trivial(
-        model, params, settings, lambda pv: tb.state_of(model.with_param(params, pv), g))[0]
     traced = _count_traces(monkeypatch)
-    sides = branch_switch(model, params, settings, bif)
-    assert [b.id for b in sides] == [f"{bif.bif_id}+", f"{bif.bif_id}-"]
-    assert traced == ([f"{bif.bif_id}+"] if kind == "acok" else [f"{bif.bif_id}+", f"{bif.bif_id}-"])
+    for bif in bifs:
+        traced.clear()
+        sides = branch_switch(model, params, settings, bif)
+        assert [b.id for b in sides] == [f"{bif.bif_id}+", f"{bif.bif_id}-"]
+        one_side = kind == "acok" or _is_odd(bif.null_mode)
+        assert traced == ([f"{bif.bif_id}+"] if one_side else [f"{bif.bif_id}+", f"{bif.bif_id}-"])
+
+
+@pytest.mark.parametrize("mu0, lo, hi", [(0.05, 0.1, 0.7), (0.3, 0.1, 0.6)])
+@pytest.mark.parametrize("n_cells", [40, 100, 200])
+def test_ch_offset_reflection_images_match_the_model_along_whole_branches(n_cells, mu0, lo, hi):
+    # The - branch of an odd-mode CH pitchfork is the reversal R of its +
+    # branch with every other field copied.  That is exact because the
+    # residual commutes with R bit for bit, and the det sign of R J R is
+    # that of J, as a fresh factorization at each image state confirms.
+    model, params, settings, bifs = _ch_offset_events(n_cells, mu0, lo, hi)
+    diagram = compute_diagram(model, params, settings)
+    images = [b for b in diagram.branches if b.image is not None]
+    assert [b.id for b in images] == [f"{bif.bif_id}-" for bif in bifs if _is_odd(bif.null_mode)]
+    imaged = 0
+    for minus in images:
+        plus, _ = minus.image
+        assert plus.id == minus.id[:-1] + "+" and minus.stop_reason == plus.stop_reason
+        assert minus.points[0] is plus.points[0] and len(minus.points) == len(plus.points)
+        for p, m in zip(plus.points[1:], minus.points[1:]):
+            at = model.with_param(params, m.param)
+            assert m.state.tobytes() == p.state[::-1].tobytes()
+            assert model.residual(m.state, at).tobytes() == model.residual(p.state, at)[::-1].tobytes()
+            assert det_sign(lu_factor(model.linearize(m.state, at))) == m.det_sign
+            assert (m.param, m.residual_norm, m.newton_iters_used) == (p.param, p.residual_norm, p.newton_iters_used)
+            imaged += 1
+    assert imaged == (192 if mu0 == 0.05 else 52)
+    # Each image branch runs from its pitchfork down to lo, so every slice
+    # below the pitchfork holds both partners.
+    for at in (0.12, 0.15, 0.2):
+        states = {s.branch_id: s.state for s in solutions_at(diagram, at, model, settings)}
+        for minus in images:
+            if minus.points[0].param > at:
+                assert states[minus.id].tobytes() == states[minus.image[0].id][::-1].tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -893,7 +951,7 @@ def test_acok_image_offshoots_match_the_traced_ones(acok_events, n_cells, arclen
     settings = replace(settings, use_pseudo_arclength=arclength)
     assert len(bifs) == 3
     imaged = [branch_switch(model, params, settings, bif) for bif in bifs]
-    _trace_every_side(model, monkeypatch)
+    _trace_every_side(monkeypatch)
     traced = [branch_switch(model, params, settings, bif) for bif in bifs]
     for got, want in zip(imaged, traced):
         assert [b.id for b in got] == [b.id for b in want] and len(got) == 2
@@ -919,15 +977,14 @@ def test_acok_image_offshoots_match_the_traced_ones(acok_events, n_cells, arclen
 def test_acok_image_that_fails_its_newton_check_traces_the_minus_side(acok_events, caplog, monkeypatch):
     model, params, settings, bifs = acok_events(40)
     bif = bifs[1]
-    negated = continuation._negated
+    last = branch_switch(model, params, settings, bif)[0].points[-1].state
+    pick = continuation._pitchfork_image
 
-    def with_a_nan_at_the_end(plus, bif_id, center=0.0):
-        image = negated(plus, bif_id, center)
-        last = image.points[-1]
-        image.points[-1] = replace(last, state=np.full_like(last.state, np.nan))
-        return image
+    def with_a_nan_at_the_end(model_, params_, bif_):
+        g, exact = pick(model_, params_, bif_)
+        return (lambda state: np.full_like(state, np.nan) if np.array_equal(state, last) else g(state)), exact
 
-    monkeypatch.setattr(continuation, "_negated", with_a_nan_at_the_end)
+    monkeypatch.setattr(continuation, "_pitchfork_image", with_a_nan_at_the_end)
     traced = _count_traces(monkeypatch)
     with caplog.at_level("INFO", logger="phase_bifurcate"):
         got = branch_switch(model, params, settings, bif)
@@ -935,7 +992,7 @@ def test_acok_image_that_fails_its_newton_check_traces_the_minus_side(acok_event
     checks = [r.getMessage() for r in caplog.records if "Newton check" in r.getMessage()]
     assert len(checks) == 1 and checks[0].startswith(f"{bif.bif_id}- image at param=")
     assert "(diverged): tracing the - side" in checks[0]
-    _trace_every_side(model, monkeypatch)
+    _trace_every_side(monkeypatch)
     want = branch_switch(model, params, settings, bif)
     for a, b in zip(got, want):
         assert len(a.points) == len(b.points)
@@ -944,9 +1001,11 @@ def test_acok_image_that_fails_its_newton_check_traces_the_minus_side(acok_event
 
 
 def test_checked_image_of_no_branch_is_none_and_says_why(acok_events, caplog):
-    model, params, settings, _ = acok_events(40)
+    model, params, settings, bifs = acok_events(40)
+    g, exact = continuation._pitchfork_image(model, params, bifs[0])
+    assert not exact
     with caplog.at_level("INFO", logger="phase_bifurcate"):
-        assert continuation._checked_image(model, params, settings, None, "bp0", 0.5) is None
+        assert continuation._image(model, params, settings, None, "bp0", g, exact) is None
     assert [r.getMessage() for r in caplog.records] == ["bp0+ yielded no branch: tracing the - side"]
 
 
@@ -958,8 +1017,9 @@ def test_checked_image_corrects_an_image_off_the_branch(acok_events):
     model, params, settings, bifs = acok_events(40)
     plus = branch_switch(model, params, settings, bifs[1])[0]
     off = replace(plus, points=[plus.points[0]] + [replace(p, state=p.state + 1e-6) for p in plus.points[1:]])
-    image = continuation._checked_image(model, params, settings, off, "bp1", 0.5)
-    exact = continuation._checked_image(model, params, settings, plus, "bp1", 0.5)
+    g = continuation._pitchfork_image(model, params, bifs[1])
+    image = continuation._image(model, params, settings, off, "bp1", *g)
+    exact = continuation._image(model, params, settings, plus, "bp1", *g)
     assert len(image.points) == len(plus.points)
     for m, e in zip(image.points[1:], exact.points[1:]):
         assert m.param == e.param and m.newton_iters_used >= 1
@@ -1093,7 +1153,7 @@ def _log_seeds(monkeypatch) -> list:
     """
     seeds, tracing = [], []
     pick, newton = continuation._seed_amplitude, continuation._newton
-    trace, check = continuation.trace_branch, continuation._checked_image
+    trace, check = continuation.trace_branch, continuation._image
 
     def logging_pick(model, params_at, base, direction, top):
         tried = []
@@ -1133,7 +1193,7 @@ def _log_seeds(monkeypatch) -> list:
     monkeypatch.setattr(continuation, "_seed_amplitude", logging_pick)
     monkeypatch.setattr(continuation, "_newton", logging_newton)
     monkeypatch.setattr(continuation, "trace_branch", flagged(trace))
-    monkeypatch.setattr(continuation, "_checked_image", flagged(check))
+    monkeypatch.setattr(continuation, "_image", flagged(check))
     return seeds
 
 
@@ -1146,7 +1206,7 @@ def _acok_switch_seeds(n_cells, monkeypatch, every_side=True) -> list:
     g = GridSpec(n_cells)
     model, params = model_by_kind("acok", g), ModelParams(epsilon=0.3)
     if every_side:
-        _trace_every_side(model, monkeypatch)
+        _trace_every_side(monkeypatch)
     settings = default_settings("acok", param_min=0.0, param_max=700.0)
     tb = next(b for b in model.trivial_branches(params) if b.bifurcating)
     bifs = detect_bifurcations_on_trivial(

@@ -7,7 +7,6 @@ LU, and the scalar Schur factorization against the dense kernel."""
 
 import hashlib
 import math
-import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -392,48 +391,48 @@ def test_band_floor_is_the_max_row_sum_and_mirror_invariant():
 
 
 def test_band_solve_is_reflection_equivariant_bitwise():
-    """solve(P J P, P b) == P solve(J, b) exactly, P the order reversal."""
+    """solve(J, P b) == P solve(J, b) exactly for a band J equal to its mirror P J P, P the order reversal."""
     rng = np.random.default_rng(23)
-    cases = []
-    for n in (1, 2, 3, 10, 101):
-        # Random bands pivot both ways and have no mirror symmetry of their own.
-        cases.append(tridiagonal(rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)))
+    cases = [tridiagonal(*_self_mirror_band(rng, n)) for n in (1, 2, 3, 10, 101) for _ in range(3)]
     grid = GridSpec(100)
     model = model_by_kind("ac", grid)
-    cases.append(model.jacobian(rng.uniform(-1.0, 1.0, grid.n_nodes), ModelParams(epsilon=0.08)))
+    odd = rng.uniform(-1.0, 1.0, grid.n_nodes)
+    odd = 0.5 * (odd - odd[::-1])
+    cases.append(model.jacobian(odd, ModelParams(epsilon=0.08)))
     for a in cases:
         n = a.shape[0]
-        mirrored = a[::-1, ::-1].copy()
+        assert np.array_equal(a, a[::-1, ::-1])
+        fact = lu_factor(a)
+        assert fact.own_mirror
         for b in (rng.standard_normal(n), *rng.standard_normal((n, 2)).T):
-            x = lu_solve(lu_factor(a), b)
-            y = lu_solve(lu_factor(mirrored), b[::-1].copy())
-            assert np.array_equal(y, x[::-1]), f"n={n}"
+            x = lu_solve(fact, b)
+            assert np.array_equal(lu_solve(fact, b[::-1].copy()), x[::-1]), f"n={n}"
 
 
-def test_band_mirror_is_factored_on_first_solve_only():
-    a = tridiagonal([1.0, -2.0, 0.5], [3.0, 1.0, 4.0, -1.0], [0.25, 2.0, 1.0])
-    fact = lu_factor(a)
-    assert weakref.ref(fact)() is fact
-    assert det_sign(fact) == int(np.linalg.slogdet(a)[0])
-    assert fact.mirror is None  # sign-only use pays for one elimination
-    x = lu_solve(fact, np.ones(4))
-    mirror = fact.mirror
-    assert isinstance(mirror, BandLuFactorization)
-    assert np.array_equal(lu_solve(fact, np.ones(4)), x)
-    assert fact.mirror is mirror
-    assert np.max(np.abs(a @ x - 1.0)) <= 1e-13
+def test_band_that_is_not_its_own_mirror_solves_top_down_with_one_elimination(monkeypatch):
+    factored = []
+    band_factor = linalg._band_factor
 
+    def counting_band_factor(*args, **kwargs):
+        factored.append(args)
+        return band_factor(*args, **kwargs)
 
-def test_band_solve_falls_back_to_top_down_when_only_the_mirror_is_floored():
-    # No swaps either way and det = 1e-13: the last pivot is det/0.5
-    # top-down but det/1 mirrored, so a floor of 1.5e-13 flags only the
-    # mirrored elimination.
-    a = np.array([[0.5, 1.0], [0.5, 1.0 + 2e-13]])
-    fact = lu_factor(a, pivot_rtol=1e-13)
-    assert not fact.singular
-    x = lu_solve(fact, np.array([1.0, 2.0]))
-    assert fact.mirror.singular
-    assert np.array_equal(x, linalg._band_solve(fact, [1.0, 2.0]))
+    monkeypatch.setattr(linalg, "_band_factor", counting_band_factor)
+    rng = np.random.default_rng(29)
+    grid = GridSpec(40)
+    cases = [tridiagonal([1.0, -2.0, 0.5], [3.0, 1.0, 4.0, -1.0], [0.25, 2.0, 1.0]),
+             np.array([[0.5, 1.0], [0.5, 1.0 + 2e-13]]),  # det 1e-13: the mirrored elimination's last pivot is floored
+             model_by_kind("ac", grid).linearize(np.tanh(grid.nodes / 0.2 + 0.1), ModelParams(epsilon=0.2))]
+    cases += [tridiagonal(rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1))
+              for n in (2, 3, 10, 101)]
+    for matrix in cases:
+        factored.clear()
+        fact = lu_factor(matrix, pivot_rtol=1e-13)
+        assert isinstance(fact, BandLuFactorization) and not fact.own_mirror and not fact.singular
+        n = len(fact.pivots)
+        for b in (np.ones(n), rng.standard_normal(n)):
+            assert lu_solve(fact, b).tobytes() == np.array(linalg._band_solve(fact, b.tolist())).tobytes()
+        assert len(factored) == 1
 
 
 def _band_border(sub, diag, sup):
@@ -449,9 +448,9 @@ def _self_mirror_band(rng, n):
     return sub, diag, sub[::-1].copy()
 
 
-def _mirrored_by_force(fact, b):
-    """The equivariant solve by a mirrored elimination and solve, as if the band were not its own mirror."""
-    sub, diag, sup = fact.band
+def _mirrored_by_force(fact, band, b):
+    """The equivariant solve of ``fact`` (of ``band``) by a mirrored elimination and solve."""
+    sub, diag, sup = (d.tolist() for d in band)
     mirror = linalg._band_factor((sup[::-1], diag[::-1], sub[::-1]), fact.pivot_floor)
     assert not mirror.singular
     top = linalg._band_solve(fact, b)
@@ -480,14 +479,19 @@ def _parity_cases(rng, n):
 
 def test_own_mirror_band_solves_with_one_elimination_as_the_mirrored_one_would(monkeypatch):
     rng = np.random.default_rng(2022)
-    solves = []
-    band_solve = linalg._band_solve
+    solves, factored = [], []
+    band_solve, band_factor = linalg._band_solve, linalg._band_factor
 
     def counting_band_solve(fact, b):
         solves.append(b)
         return band_solve(fact, b)
 
+    def counting_band_factor(*args, **kwargs):
+        factored.append(args)
+        return band_factor(*args, **kwargs)
+
     monkeypatch.setattr(linalg, "_band_solve", counting_band_solve)
+    monkeypatch.setattr(linalg, "_band_factor", counting_band_factor)
     shortcuts = 0
     for n in (1, 2, 3, 4, 101):
         for _ in range(4):
@@ -497,12 +501,12 @@ def test_own_mirror_band_solves_with_one_elimination_as_the_mirrored_one_would(m
                 assert isinstance(fact, BandLuFactorization) and fact.own_mirror
                 for b in _parity_cases(rng, n):
                     solves.clear()
+                    factored.clear()
                     got = lu_solve(fact, b)
-                    assert len(solves) in (1, 2)
+                    assert len(solves) in (1, 2) and not factored  # no second elimination
                     shortcuts += len(solves) == 1
-                    want = _mirrored_by_force(fact, b.tolist())
+                    want = _mirrored_by_force(fact, (sub, diag, sup), b.tolist())
                     assert got.tobytes() == np.array(want).tobytes(), f"n={n}, b={b}"
-                assert fact.mirror is None  # no second elimination
     assert shortcuts > 100  # the even and odd right-hand sides take one solve
 
 

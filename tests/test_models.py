@@ -300,13 +300,17 @@ def test_ac_residual_is_bitwise_odd():
 
 
 def test_ac_residual_is_bitwise_reflection_equivariant():
+    # CH with an offset too: branch switching takes the - side of its odd
+    # modes as the unchecked reversal of the + side.
     g = GridSpec(100)
-    model = model_by_kind("ac", g)
-    params = ModelParams(epsilon=0.17)
     rng = np.random.default_rng(13)
-    state = 0.9 * (2.0 * rng.random(g.n_nodes) - 1.0)
-    flipped = state[::-1].copy()
-    assert np.array_equal(model.residual(flipped, params), model.residual(state, params)[::-1])
+    for kind, mu0 in (("ac", 0.0), ("ch", 0.05), ("ch", 0.3)):
+        model = model_by_kind(kind, g)
+        params = ModelParams(epsilon=0.17, mu0=mu0)
+        for _ in range(5):
+            state = 0.9 * (2.0 * rng.random(g.n_nodes) - 1.0)
+            flipped = state[::-1].copy()
+            assert model.residual(flipped, params).tobytes() == model.residual(state, params)[::-1].tobytes(), kind
 
 
 def test_acok_residual_half_symmetry():
