@@ -7,6 +7,7 @@ LU, and the scalar Schur factorization against the dense kernel."""
 
 import hashlib
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -407,6 +408,42 @@ def test_band_solve_is_reflection_equivariant_bitwise():
         for b in (rng.standard_normal(n), *rng.standard_normal((n, 2)).T):
             x = lu_solve(fact, b)
             assert np.array_equal(lu_solve(fact, b[::-1].copy()), x[::-1]), f"n={n}"
+
+
+def test_band_mirror_is_factored_on_first_solve_only(monkeypatch):
+    # A band that is not its own mirror is eliminated once, by lu_factor;
+    # neither the first solve nor any later one factors its mirror.
+    factored = []
+    band_factor = linalg._band_factor
+
+    def counting_band_factor(*args, **kwargs):
+        factored.append(args)
+        return band_factor(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_band_factor", counting_band_factor)
+    a = tridiagonal([1.0, -2.0, 0.5], [3.0, 1.0, 4.0, -1.0], [0.25, 2.0, 1.0])
+    fact = lu_factor(a)
+    assert weakref.ref(fact)() is fact
+    assert det_sign(fact) == int(np.linalg.slogdet(a)[0])
+    assert len(factored) == 1 and not fact.own_mirror  # sign-only use pays for one elimination
+    x = lu_solve(fact, np.ones(4))
+    assert len(factored) == 1
+    assert np.array_equal(lu_solve(fact, np.ones(4)), x)
+    assert len(factored) == 1
+    assert np.max(np.abs(a @ x - 1.0)) <= 1e-13
+
+
+def test_band_solve_falls_back_to_top_down_when_only_the_mirror_is_floored():
+    # No swaps either way and det = 1e-13: the last pivot is det/0.5
+    # top-down but det/1 mirrored, so a floor of 1.5e-13 flags only the
+    # mirrored elimination; the solve is the top-down one bit for bit.
+    a = np.array([[0.5, 1.0], [0.5, 1.0 + 2e-13]])
+    fact = lu_factor(a, pivot_rtol=1e-13)
+    assert not fact.singular and not fact.own_mirror
+    mirror = linalg._band_factor(([1.0], [1.0 + 2e-13, 0.5], [0.5]), fact.pivot_floor)
+    assert mirror.singular
+    x = lu_solve(fact, np.array([1.0, 2.0]))
+    assert x.tobytes() == np.array(linalg._band_solve(fact, [1.0, 2.0])).tobytes()
 
 
 def test_band_that_is_not_its_own_mirror_solves_top_down_with_one_elimination(monkeypatch):
