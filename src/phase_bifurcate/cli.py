@@ -332,6 +332,7 @@ def cmd_points(cfg: RunConfig, model, params, settings, phi0: Optional[float]) -
 
     ordered = sorted(rows.values(), key=lambda r: r["analytic_value"] if r["analytic_value"] is not None
                      else r["detected_value"])
+    _warn_undetected_crossings(ordered)
     note = None
     if not ordered:
         note = "no bifurcations on this branch"
@@ -351,6 +352,18 @@ def cmd_points(cfg: RunConfig, model, params, settings, phi0: Optional[float]) -
             ]))
         _emit(cfg, "\n".join(lines) + "\n")
     return EXIT_OK
+
+
+def _warn_undetected_crossings(rows: list) -> None:
+    """One WARNING per closed-form crossing that no detected event matched.
+
+    The scan bisects one sign change per scan step, so a step that holds
+    several crossings reports at most one of them.
+    """
+    for r in rows:
+        if r["analytic_value"] is not None and r["detected_value"] is None:
+            logger.warning("closed-form crossing %s %d at param=%r has no detected event: a scan step may hold "
+                           "several crossings; try a finer --step", r["family"], r["n"], r["analytic_value"])
 
 
 def _diagram_summary(diagram: Diagram) -> dict:

@@ -16,7 +16,9 @@ reads at ``p``: no constant branches, and natural-mode offshoots stop at
 
 Every factorization goes through the model's ``linearize`` (a
 ``linalg.BandBorder``, factored in O(N)); the pseudo-arclength systems add
-one border to it, and each detection probe is one sign-only factorization.
+one border to it, and each detection probe is one sign-only factorization
+(the scan's first level, on a band ``linalg.pass_size`` takes, in
+vectorized passes of many).
 The dense ``jacobian`` is never built here.
 
 Everything is deterministic: fixed iteration orders and a fixed seed for the
@@ -32,7 +34,9 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .linalg import Factorization, SingularMatrixError, det_sign, log_abs_det, lu_factor, lu_solve, null_vector
+from .linalg import (
+    Factorization, SingularMatrixError, band_det_pass, det_sign, log_abs_det, lu_factor, lu_solve, null_vector, pass_size,
+)
 from . import analysis
 from .models import MODELS, ModelParams
 
@@ -564,7 +568,8 @@ def detect_bifurcations_on_trivial(
     step/10 up to 3 levels deep.
 
     A scan step whose end signs differ yields one event, however many
-    crossings it holds, and the others raise no warning.  The house steps of
+    crossings it holds (the CLI's ``points`` warns for each closed-form
+    crossing no event matched).  The house steps of
     ``default_settings`` are below the closest crossing spacing of their
     windows; a coarser ``initial_step`` (the CLI's ``--step``) is not checked
     against it.  ``points --model ac --n-cells 60 --eps-range 0.0588:0.461
@@ -593,7 +598,15 @@ def detect_bifurcations_on_trivial(
 
     Each probe factors the linearization at the constant state once, with
     an unfloored pivot test (``pivot_rtol=0``): reliable arbitrarily close
-    to a crossing, where the default relative floor would report 0.
+    to a crossing, where the default relative floor would report 0.  The
+    first level's samples and midpoints depend on no probe's result, so on
+    a band ``linalg.pass_size`` takes (ACOK's ``kl = ku = 2``, enough
+    probes, a grid small enough for the byte budget) they are all signed
+    before the scan, in ``linalg.band_det_pass`` passes: a few midpoints
+    the scan will not ask for too, and each probe with ``lu_factor``'s
+    bits, so the events are the same.  A probe a pass leaves (a boosted
+    band pivot, as at gamma = 0), the bisections, the rescans and the
+    events' factorizations are factored one at a time.
     ``compute_diagram`` and ``verify`` call this only on the branch flagged
     ``bifurcating`` (``models.TrivialBranch`` says why the others cannot
     bifurcate), and so does ``points`` unless ``--phi0`` picks another.
@@ -603,8 +616,20 @@ def detect_bifurcations_on_trivial(
 
     probes: dict[float, tuple[int, float]] = {}  # param -> (det sign, log|det|)
 
+    def samples(a: float, b: float, step: float) -> list[float]:
+        out = [a]
+        p = a + step
+        while p < b - 1e-12 * settings.range_width:
+            out.append(p)
+            p += step
+        out.append(b)
+        return out
+
+    def system(pv: float):
+        return model.linearize(trivial_state_fn(pv), model.with_param(params, pv))
+
     def factor(pv: float) -> Factorization:
-        return lu_factor(model.linearize(trivial_state_fn(pv), model.with_param(params, pv)), pivot_rtol=0.0)
+        return lu_factor(system(pv), pivot_rtol=0.0)
 
     def probe(pv: float) -> tuple[int, float]:
         hit = probes.get(pv)
@@ -671,13 +696,8 @@ def detect_bifurcations_on_trivial(
         return 0.5 * (a + b)
 
     def scan(a: float, b: float, step: float, depth: int):
-        samples = [a]
-        p = a + step
-        while p < b - 1e-12 * settings.range_width:
-            samples.append(p)
-            p += step
-        samples.append(b)
-        for left, right in zip(samples[:-1], samples[1:]):
+        points = samples(a, b, step)
+        for left, right in zip(points[:-1], points[1:]):
             sl, sr = sgn(left), sgn(right)
             if sl == 0:
                 events.append(left)
@@ -688,6 +708,18 @@ def detect_bifurcations_on_trivial(
                 if sgn(0.5 * (left + right)) != sl:
                     # Hidden even number of crossings: rescan finer.
                     scan(left, right, (right - left) / 10.0, depth + 1)
+
+    # The first level's samples and midpoints depend on no probe: sign them
+    # in passes where the band takes one (``linalg.pass_size``).
+    first = samples(lo, hi, settings.initial_step)
+    first += [0.5 * (left + right) for left, right in zip(first[:-1], first[1:])]
+    size = pass_size(system(lo), len(first))
+    if size:
+        for start in range(0, len(first), size):
+            chunk = first[start : start + size]
+            for pv, hit in zip(chunk, band_det_pass(map(system, chunk), len(chunk))):
+                if hit is not None:
+                    probes[pv] = hit
 
     scan(lo, hi, settings.initial_step, 0)
     if sgn(hi) == 0:

@@ -45,23 +45,33 @@ and columns, which is how the models hand over their linearizations.
 * Any other dense matrix goes through a right-looking blocked LU whose
   Schur update runs through matrix-matrix products: the tests' reference,
   which the engine never calls.
+* ``band_det_pass`` gives the det sign and ``log|det|`` of many bordered
+  bands of one shape with ``kl`` or ``ku`` = 2 (ACOK's detection scan) in
+  one pass: ``_band_lu``'s operations in its order, vectorized over the
+  systems with numpy's elementwise operations and reductions only, so each
+  result is ``lu_factor(s, pivot_rtol=0.0)``'s bit for bit.  A system that
+  would need a boosted band pivot comes back None.  ``pass_size`` takes a
+  pass only if it holds at least ``MIN_PASS_SYSTEMS`` within
+  ``PASS_BYTES``.
 
 The band and Schur kernels run on Python lists, which beat numpy's per-call
-cost at these sizes.  ``lu_factor`` takes the row sums behind the pivot
-floors with numpy, then turns its input arrays into lists once (only the
-Schur floor turns the borders' band solves back into an array); ``lu_solve``
-turns the right-hand side into a list and the solution into an array once.
+cost at these sizes for one system.  ``lu_factor`` takes the row sums behind
+the pivot floors with numpy, then turns its input arrays into lists once
+(only the Schur floor turns the borders' band solves back into an array);
+``lu_solve`` turns the right-hand side into a list and the solution into an
+array once.
 A ``BandBorder`` whose ``outer`` lists every unknown needs no scatter or
 gather around that.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, mul
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -76,6 +86,8 @@ __all__ = [
     "det_sign",
     "log_abs_det",
     "null_vector",
+    "pass_size",
+    "band_det_pass",
 ]
 
 #: Default relative pivot floor: a pivot whose magnitude falls below
@@ -90,6 +102,17 @@ _BOOST_RTOL = 1e-14
 #: Panel width of ``lu_factor``'s blocked Schur update.  It sets only the
 #: speed; the factors agree to rounding for any positive width.
 _LU_BLOCK = 48
+
+#: ``band_det_pass`` is taken only if each pass holds at least this many
+#: systems: below about 25 its per-step numpy calls cost more than factoring
+#: the systems one at a time (ACOK at N = 100 and 800, on a 2-vCPU x86-64
+#: host with numpy 2.4).
+MIN_PASS_SYSTEMS = 32
+
+#: Bytes of one ``band_det_pass``'s arrays at most: 364 ACOK systems at
+#: N = 100, 184 at N = 200 and 36 at N = 1024; from N = 2048 on, fewer than
+#: ``MIN_PASS_SYSTEMS``, so those scans factor one system at a time.
+PASS_BYTES = 4 << 20
 
 
 class SingularMatrixError(RuntimeError):
@@ -953,6 +976,164 @@ def log_abs_det(fact: Factorization) -> float:
     if isinstance(fact, BorderedLuFactorization):
         total += log_abs_det(fact.schur)
     return total
+
+
+def _takes_pass(system: BandBorder) -> bool:
+    """Whether a pass takes ``system``: ``kl`` or ``ku`` is 2 (and neither more), so ``_band_lu`` factors its band."""
+    return max(system.kl, system.ku) == 2
+
+
+def pass_size(system: BandBorder, count: int) -> int:
+    """Systems per ``band_det_pass`` for ``count`` systems shaped like ``system``; 0: factor them one at a time.
+
+    A pass pays numpy's per-call cost at every elimination step whatever it
+    holds, so it is taken only for a band ``_band_lu`` factors and only if
+    each pass holds at least ``MIN_PASS_SYSTEMS``.  Its working array takes
+    ``PASS_BYTES`` at most; the systems are split evenly over as few passes
+    as that allows.
+    """
+    nb, k = system.band.shape[0], system.k
+    capacity = PASS_BYTES // (8 * ((nb + 4) * (5 + k) + k * nb))
+    if not _takes_pass(system) or min(capacity, count) < MIN_PASS_SYSTEMS:
+        return 0
+    passes = math.ceil(count / capacity)
+    return math.ceil(count / passes)
+
+
+def _pass_checks(work: np.ndarray, rows: np.ndarray, corners: list) -> tuple:
+    """``(usable, boost_floor)`` per system of a pass, from its input before the zeros outside ``A`` are set.
+
+    ``_bordered_factor`` raises if a row sum of the full matrix's magnitudes
+    is not finite, and boosts a band pivot on or below ``_BOOST_RTOL`` times
+    the band's largest row sum.  Summed here in another order, the sums can
+    differ in their last bits, so a system is usable only where that cannot
+    matter: every sum far below overflow.  The floor returned is raised by
+    a relative 1e-9, far more than those bits, so a pivot above it is above
+    ``_bordered_factor``'s too.
+    """
+    nb, count, k = work.shape[0] - 4, work.shape[2], rows.shape[0]
+    sums = np.zeros((nb, count))
+    for c in range(5):
+        sums += np.abs(work[:nb, c])
+    boost_floor = (1.0 + 1e-9) * (_BOOST_RTOL * sums.max(axis=0, initial=0.0))
+    for c in range(5, 5 + k):  # the full matrix's rows: the borders' columns too
+        sums += np.abs(work[:nb, c])
+    border_sums = np.abs(rows).sum(axis=1) + np.abs(np.reshape(corners, (count, k, k))).sum(axis=2).T
+    usable = (sums.max(axis=0, initial=0.0) < 1e300) & (border_sums.max(axis=0, initial=0.0) < 1e300)
+    return usable, boost_floor
+
+
+def band_det_pass(systems: Iterable[BandBorder], count: int) -> list:
+    """``(det_sign, log_abs_det)`` of ``lu_factor(s, pivot_rtol=0.0)`` for each of ``count`` systems, factored together.
+
+    The systems share ``kl``, ``ku`` (one of them 2), the band's order and
+    the number of borders; each is copied into the pass's array as it is
+    drawn from ``systems``, so none has to be kept.  The pass runs
+    ``_band_lu``'s operations in its order, vectorized over the systems:
+    the window holds three rows of five band columns plus the border
+    columns, so the borders' forward elimination is the factorization's
+    own row operations, with ``_band_lu_solve``'s skips; ``A^-1 cols`` is
+    then back-substituted over all systems, each Schur block goes through
+    ``_schur_factor``, and each ``log|det|`` is summed as ``log_abs_det``
+    sums it.  So every result is the scalar path's bit for bit.  A system
+    that path would boost a band pivot of, or raise on for a non-finite
+    entry, comes back as None, to be factored one at a time; so does one
+    whose row sums or pivots are too close to that for the pass to tell
+    (``_pass_checks``).
+    """
+    systems = iter(systems)
+    first = next(systems)
+    nb, k, kl, ku = first.band.shape[0], first.k, first.kl, first.ku
+    if not _takes_pass(first):
+        raise ValueError(f"a pass takes bands with kl or ku = 2 and neither above, got kl={kl}, ku={ku}")
+    # work[i, c, s]: row i of system s, band columns i - 2 .. i + 2, then its
+    # borders; four zero rows below.
+    work = np.zeros((nb + 4, 5 + k, count))
+    rows = np.empty((k, nb, count))
+    corners, hidden = [], []
+    for s, system in enumerate(itertools.chain([first], systems)):
+        if (system.band.shape[0], system.k, system.kl, system.ku) != (nb, k, kl, ku):
+            raise ValueError("the systems of one pass must share their band's shape and their borders' number")
+        work[:nb, 2 - kl : 3 + ku, s] = system.band
+        work[:nb, 5:, s] = system.cols
+        rows[..., s] = system.rows
+        corners.append(system.corner.tolist())
+        hidden.append(system.hidden_sign)
+    usable, boost_floor = _pass_checks(work, rows, corners)
+    for i in range(min(2, nb)):  # left of column 0
+        work[i, : 2 - i] = 0.0
+    for i in range(max(0, nb - 2), nb):  # right of column nb - 1
+        work[i, nb + 2 - i : 5] = 0.0
+
+    # window[r] is row j + r: band columns j .. j + 4, then the borders.
+    window = np.zeros((3, 5 + k, count))
+    window[0, :3], window[1, :4], window[2, :5] = work[0, 2:5], work[1, 1:5], work[2, :5]
+    window[:, 5:] = work[:3, 5:]
+    top, second, third = window
+    column, leads, rest = window[:, 0], window[1:, 0], window[1:, 1:]
+    pivot, tail = top[0], top[1:]
+    moved, moving = window[:2, :4], window[1:, 1:5]
+    border_to, border_from = window[:2, 5:], window[1:, 5:]
+    size, saved = np.empty((3, count)), np.empty((5 + k, count))
+    mults = np.empty((2, count))
+    swapped = np.empty((nb, count), dtype=bool)
+    from_second, from_third = np.empty(count, dtype=bool), np.empty(count, dtype=bool)
+    keep, nonzero = np.empty((2, 4 + k, count), dtype=bool), np.empty((4 + k, count), dtype=bool)
+    lead = keep[:, 0]
+    update = np.empty((2, 4 + k, count))
+    with np.errstate(all="ignore"):  # a system that would take a boost is dropped below
+        for j in range(nb):
+            # The first strictly largest entry of column j pivots.
+            p = np.abs(column, out=size).argmax(axis=0)
+            np.not_equal(p, 0, out=swapped[j])
+            np.equal(p, 1, out=from_second)
+            np.equal(p, 2, out=from_third)
+            np.copyto(saved, top)
+            np.copyto(top, second, where=from_second)
+            np.copyto(top, third, where=from_third)
+            np.copyto(second, saved, where=from_second)
+            np.copyto(third, saved, where=from_third)
+            # A zero multiplier, and an update by a zero U entry, are skipped:
+            # a band entry is updated where its row's lead is nonzero, a
+            # border where the multiplier is (as _band_lu_solve does).
+            np.divide(leads, pivot, out=mults)
+            np.not_equal(leads, 0.0, out=lead)
+            keep[:, 1:4] = lead[:, None]
+            np.not_equal(mults[:, None], 0.0, out=keep[:, 4:])
+            np.not_equal(tail, 0.0, out=nonzero)
+            keep &= nonzero
+            np.multiply(mults[:, None], tail, out=update)
+            np.subtract(rest, update, out=rest, where=keep)
+            work[j] = top  # row j was read three steps ago
+            np.copyto(moved, moving)
+            window[:2, 4] = 0.0
+            np.copyto(border_to, border_from)
+            third[:] = work[j + 3]
+        # Back substitution, A^-1 cols overwriting the border columns.
+        update, nonzero = np.empty((4, k, count)), np.empty((4, count), dtype=bool)
+        for j in range(nb - 1, -1, -1):
+            row = work[j]
+            x, tails = row[5:], row[1:5]
+            np.not_equal(tails, 0.0, out=nonzero)
+            np.multiply(tails[:, None], work[j + 1 : j + 5, 5:], out=update)
+            for i in range(4):
+                np.subtract(x, update[i], out=x, where=nonzero[i])
+            np.divide(x, row[0], out=x)
+    pivots, right = work[:nb, 0], work[:nb, 5:]
+    usable &= (np.abs(pivots) > boost_floor).all(axis=0) & np.isfinite(right).all(axis=(0, 1))
+    negatives = np.count_nonzero(pivots < 0.0, axis=0) + np.count_nonzero(swapped, axis=0)
+    out = []
+    for s in range(count):
+        if not usable[s]:
+            out.append(None)
+            continue
+        schur = _schur_factor(corners[s], rows[..., s].tolist(), right[..., s].T.tolist())
+        if schur.singular:  # a zero Schur pivot: the factorization's flag at pivot_rtol = 0
+            out.append((0, -math.inf))
+            continue
+        sign = (-1 if negatives[s] % 2 else 1) * _sign_from_fact(schur) * hidden[s]
+        out.append((sign, float(np.sum(np.log(np.abs(pivots[:, s])))) + log_abs_det(schur)))
+    return out
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:

@@ -438,6 +438,30 @@ def test_solutions_warns_once_per_offshoot_that_stops_short_of_the_slice(caplog,
     assert ids == ["bp1+", "bp1-", "bp2+", "bp2-"]
 
 
+def test_points_warns_once_per_closed_form_crossing_without_a_detected_event(caplog, capsys):
+    # The first 0.05 scan step, [0.0588, 0.1088], holds five crossings
+    # (cosine 5 down to cosine 3) and only cosine 3 is bisected.  The other
+    # four are named on stderr; stdout and the exit code stay as they were.
+    # At the house step every crossing is detected and nothing is logged.
+    argv = ["points", "--model", "ac", "--n-cells", "60", "--eps-range", "0.0588:0.461"]
+    with caplog.at_level("WARNING", logger="phase_bifurcate"):
+        assert run_cli(argv + ["--step", "0.05"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 9
+    undetected = [(family, int(n), float(analytic)) for family, n, analytic, detected, _ in rows if detected == ""]
+    assert [(family, n) for family, n, _ in undetected] == [("cosine", 5), ("sine", 4), ("cosine", 4), ("sine", 3)]
+    assert [r.levelname for r in caplog.records] == ["WARNING"] * 4
+    for record, (family, n, analytic) in zip(caplog.records, undetected):
+        assert record.args == (family, n, pytest.approx(analytic, rel=1e-15))
+        assert record.getMessage().startswith(f"closed-form crossing {family} {n} at param=")
+        assert record.getMessage().endswith("try a finer --step")
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="phase_bifurcate"):
+        assert run_cli(argv) == 0
+    assert all(line.split(",")[3] for line in capsys.readouterr().out.splitlines()[1:])
+    assert caplog.records == []
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

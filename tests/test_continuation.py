@@ -586,6 +586,101 @@ def test_batched_scan_signs_give_the_scalar_detection_bitwise(n_cells, shift):
         assert b.base_state.tobytes() == state.tobytes()
 
 
+def _acok_detection(n_cells, lo, hi):
+    """Detection on ACOK's phi = 1/2 branch at gamma 100, epsilon 0.3, as comparable bytes."""
+    g = GridSpec(n_cells)
+    model = model_by_kind("acok", g)
+    params = ModelParams(epsilon=0.3, gamma=100.0)
+    settings = default_settings("acok", param_min=lo, param_max=hi)
+    state = np.full(g.n_nodes, 0.5)
+    bifs = detect_bifurcations_on_trivial(model, params, settings, lambda p: state)
+    return [(b.bif_id, b.param.hex(), b.mode_family, b.mode_index, b.null_mode.tobytes()) for b in bifs]
+
+
+def _spy_on_passes(monkeypatch, scalar=False) -> list:
+    """Log the size of every ``band_det_pass``; with ``scalar``, take none (every probe one at a time)."""
+    sizes = []
+
+    def logged_pass(systems, count):
+        sizes.append(count)
+        return linalg.band_det_pass(systems, count)
+
+    monkeypatch.setattr(continuation, "band_det_pass", logged_pass)
+    if scalar:
+        monkeypatch.setattr(continuation, "pass_size", lambda system, count: 0)
+    return sizes
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.37], ids=["from-zero", "shifted"])
+@pytest.mark.parametrize("n_cells", [40, 100, 200])
+def test_detection_in_band_passes_is_the_scalar_detection_bitwise(monkeypatch, n_cells, shift):
+    lo = shift * 10.0
+    passes = _spy_on_passes(monkeypatch)
+    got = _acok_detection(n_cells, lo, 700.0)
+    assert passes == [141]  # 71 samples and 70 midpoints
+    monkeypatch.undo()
+    _spy_on_passes(monkeypatch, scalar=True)
+    assert got == _acok_detection(n_cells, lo, 700.0)
+    assert len(got) == 3
+
+
+def test_gate_window_detection_in_several_passes_is_the_scalar_detection_bitwise(monkeypatch):
+    # The N=200 gate window [0, 3000]: 301 samples and 300 midpoints, four
+    # passes within the byte budget.
+    passes = _spy_on_passes(monkeypatch)
+    got = _acok_detection(200, 0.0, 3000.0)
+    assert passes == [151, 151, 151, 148]
+    monkeypatch.undo()
+    _spy_on_passes(monkeypatch, scalar=True)
+    assert got == _acok_detection(200, 0.0, 3000.0)
+    assert len(got) == len(acok_bifurcations_in_range(0.3, 0.0, 3000.0))
+
+
+def test_window_below_the_minimum_pass_size_is_signed_one_probe_at_a_time(monkeypatch):
+    # [0, 150] at step 10: 16 samples and 15 midpoints, fewer than a pass takes.
+    assert 16 + 15 < linalg.MIN_PASS_SYSTEMS
+    passes = _spy_on_passes(monkeypatch)
+    factored = _count_factorizations(monkeypatch)
+    got = _acok_detection(100, 0.0, 150.0)
+    assert passes == [] and len(factored) >= 31
+    assert [(family, index) for _, _, family, index, _ in got] == [("sine", 4), ("sine", 0)]
+    monkeypatch.undo()
+    _spy_on_passes(monkeypatch, scalar=True)
+    assert got == _acok_detection(100, 0.0, 150.0)
+
+
+def test_no_first_level_scan_probe_goes_through_lu_factor(monkeypatch):
+    # Every first-level sample and midpoint is signed in a pass; lu_factor
+    # sees only the bisections' probes and the events' factorizations.  (At
+    # gamma = 0 the band needs a boost, so a window from 0 factors that one
+    # sample one at a time; this one starts a fraction of a step in.)
+    g = GridSpec(100)
+    model = model_by_kind("acok", g)
+    built = []  # (gamma, system) of every linearization, kept alive so identity is unambiguous
+
+    def logged_linearize(state, params):
+        system = type(model).linearize(model, state, params)
+        built.append((params.gamma, system))
+        return system
+
+    monkeypatch.setattr(model, "linearize", logged_linearize)
+    factored = _count_factorizations(monkeypatch)
+    lo, hi, step = 3.7, 700.0, 10.0
+    settings = default_settings("acok", param_min=lo, param_max=hi, initial_step=step)
+    state = np.full(g.n_nodes, 0.5)
+    bifs = detect_bifurcations_on_trivial(model, ModelParams(epsilon=0.3, gamma=100.0), settings, lambda p: state)
+    samples = [lo]
+    while samples[-1] + step < hi - 1e-12 * (hi - lo):
+        samples.append(samples[-1] + step)
+    samples.append(hi)
+    first_level = set(samples) | {0.5 * (a + b) for a, b in zip(samples[:-1], samples[1:])}
+    assert len(first_level) == 141
+    probed = [gamma for gamma, system in built if any(system is m for m in factored)]
+    assert len(probed) == len(factored) > 0
+    assert not first_level & set(probed)
+    assert [(b.param.hex(), b.mode_family, b.mode_index) for b in bifs] == list(_BATCHED_SCAN_EVENTS[100, 0.37])
+
+
 # AC and CH events of plain det-sign bisection (every midpoint probed), on
 # the benchmark's CH N=800 scan and AC slice configurations: the reference
 # window and one seeded shift of its lower end.

@@ -1107,18 +1107,23 @@ def test_band_lu_is_the_reference_kernel_bitwise_on_random_bands():
     assert boosts >= 10000 and swaps >= 10000
 
 
-def test_band_lu_is_the_reference_kernel_bitwise_on_acok_linearizations():
-    # States built without numpy's transcendental functions (their SIMD
-    # paths differ by CPU): constants interchange at almost every step.
-    grid = GridSpec(100)
-    model = model_by_kind("acok", grid)
+def acok_states(grid):
+    """Constant and non-constant ACOK states, built without numpy's transcendental functions."""
     x = grid.nodes
-    states = (
+    return (
         np.full(grid.n_nodes, 0.5),
         0.5 + 0.3 * x / np.sqrt(x * x + 0.01),
         0.5 + 0.45 * (1.0 - 8.0 * x * x * (1.0 - x * x)),
         0.98 - 0.96 * x * x,
     )
+
+
+def test_band_lu_is_the_reference_kernel_bitwise_on_acok_linearizations():
+    # States built without numpy's transcendental functions (their SIMD
+    # paths differ by CPU): constants interchange at almost every step.
+    grid = GridSpec(100)
+    model = model_by_kind("acok", grid)
+    states = acok_states(grid)
     rng = np.random.default_rng(73)
     boosts = swaps = 0
     for gamma in (0.0, 146.2, 700.0, 3000.0):
@@ -1296,6 +1301,175 @@ def test_log_abs_det_on_acok_linearizations_is_the_jacobian_s_up_to_a_constant()
                 assert det_sign(fact) == int(sign)
                 offsets.append(log_abs_det(fact) - log_jac)
         assert max(offsets) - min(offsets) <= 1e-9 * max(1.0, abs(offsets[0]))
+
+
+# ---------------------------------------------------------------------------
+# band_det_pass: many systems' det signs and log|det| in one vectorized pass
+# ---------------------------------------------------------------------------
+
+
+def scalar_det_bits(system):
+    """``(det_sign, float.hex(log_abs_det))`` of ``lu_factor(system, 0.0)``: the pass's reference."""
+    fact = lu_factor(system, pivot_rtol=0.0)
+    return det_sign(fact), log_abs_det(fact).hex()
+
+
+def pass_det_bits(systems):
+    """``band_det_pass`` over ``systems`` (drawn from a generator), each result as ``scalar_det_bits`` gives it."""
+    got = linalg.band_det_pass((s for s in systems), len(systems))
+    assert len(got) == len(systems)
+    return [None if r is None else (r[0], r[1].hex()) for r in got]
+
+
+@pytest.mark.parametrize("n_cells", [20, 100, 200])
+def test_band_det_pass_is_lu_factor_bitwise_on_acok_linearizations(n_cells):
+    grid = GridSpec(n_cells)
+    model = model_by_kind("acok", grid)
+    gammas = np.linspace(0.37, 3000.0, 41)
+    signs = set()
+    for epsilon in (0.1, 0.3):
+        for state in acok_states(grid):
+            systems = [model.linearize(state, ModelParams(epsilon=epsilon, gamma=g)) for g in gammas]
+            want = [scalar_det_bits(s) for s in systems]
+            assert pass_det_bits(systems) == want
+            signs |= {sign for sign, _ in want}
+    assert signs == {-1, 1}
+
+
+def test_band_det_pass_is_lu_factor_bitwise_on_random_bordered_bands():
+    # Entries over six decades, about one in eight zero (some -0.0): the
+    # pivot moves at most steps, the skipped updates are exercised, and a
+    # band with a zero column comes back None.
+    rng = np.random.default_rng(83)
+    swaps = boosted = kept = 0
+    for kl, ku in ((1, 2), (2, 1), (2, 2)):
+        for k in (1, 2):
+            for _ in range(4):
+                nb = int(rng.integers(1, 40))
+                systems = []
+                for _ in range(24):
+                    band = rng.choice([-1.0, 1.0], (nb, kl + ku + 1)) * 10.0 ** rng.uniform(-3.0, 3.0, (nb, kl + ku + 1))
+                    band[rng.random(band.shape) < 0.1] = 0.0
+                    band[rng.random(band.shape) < 0.03] = -0.0
+                    outer = np.sort(rng.choice(nb + k, size=nb, replace=False)) if rng.random() < 0.5 else None
+                    systems.append(BandBorder(
+                        band=band, kl=kl, cols=rng.standard_normal((nb, k)), rows=rng.standard_normal((k, nb)),
+                        corner=rng.standard_normal((k, k)), outer=outer, hidden_sign=int(rng.choice([-1, 1])),
+                    ))
+                got = pass_det_bits(systems)
+                for system, result in zip(systems, got):
+                    fact = lu_factor(system, pivot_rtol=0.0)
+                    swaps += sum(p != j for j, p in enumerate(fact.band.swaps))
+                    if fact.band.boosts:
+                        assert result is None
+                        boosted += 1
+                    else:
+                        assert result == scalar_det_bits(system)
+                        kept += 1
+    assert swaps >= 5000 and boosted >= 30 and kept >= 400
+
+
+def test_band_det_pass_breaks_pivot_ties_as_the_band_lu_does():
+    # Entries from a few values tie the pivot candidates at many steps: the
+    # first of the largest pivots, and another choice moves the bits.
+    rng = np.random.default_rng(103)
+    for kl, ku in ((1, 2), (2, 1), (2, 2)):
+        for _ in range(4):
+            systems = [BandBorder(band=rng.choice([-3.0, -1.0, 0.5, 1.0, 3.0], (30, kl + ku + 1)), kl=kl,
+                                  cols=rng.choice([-1.0, 1.0, 2.0], (30, 1)), rows=rng.choice([-1.0, 1.0, 2.0], (1, 30)),
+                                  corner=np.array([[0.5]])) for _ in range(20)]
+            got = pass_det_bits(systems)
+            assert sum(r is not None for r in got) >= 15
+            assert got == [r if r is None else scalar_det_bits(s) for s, r in zip(systems, got)]
+
+
+def test_band_det_pass_leaves_a_band_that_needs_a_boost_to_lu_factor():
+    # At gamma = 0 the Poisson rows of ACOK's band decouple, and their
+    # Neumann block is singular: _band_lu boosts a pivot.
+    grid = GridSpec(40)
+    model = model_by_kind("acok", grid)
+    state = np.full(grid.n_nodes, 0.5)
+    systems = [model.linearize(state, ModelParams(epsilon=0.3, gamma=g)) for g in (0.0, 100.0, 0.0, 250.0)]
+    assert [bool(lu_factor(s, pivot_rtol=0.0).band.boosts) for s in systems] == [True, False, True, False]
+    got = pass_det_bits(systems)
+    assert got[0] is None and got[2] is None
+    assert [got[1], got[3]] == [scalar_det_bits(systems[1]), scalar_det_bits(systems[3])]
+
+
+def test_band_det_pass_leaves_a_non_finite_system_to_lu_factor():
+    rng = np.random.default_rng(89)
+    systems = [BandBorder(band=rng.standard_normal((12, 5)), kl=2, cols=rng.standard_normal((12, 1)),
+                          rows=rng.standard_normal((1, 12)), corner=rng.standard_normal((1, 1))) for _ in range(4)]
+    systems[1].band[3, 2] = np.nan
+    systems[2].rows[0, 5] = np.inf
+    got = pass_det_bits(systems)
+    assert got[1] is None and got[2] is None
+    assert [got[0], got[3]] == [scalar_det_bits(systems[0]), scalar_det_bits(systems[3])]
+    for system in systems[1:3]:
+        with pytest.raises(ValueError, match="non-finite"):
+            lu_factor(system, pivot_rtol=0.0)
+
+
+def test_band_det_pass_signs_an_exactly_singular_schur_block_zero():
+    # A diagonal band (kl = ku = 2 storage) with cols = d0 e0, rows = e0^T
+    # and corner 1: A^-1 cols = e0 exactly, so the Schur block is 1 - 1 = 0.
+    rng = np.random.default_rng(97)
+    systems = []
+    for singular in (True, False, True):
+        band = np.zeros((9, 5))
+        band[:, 2] = rng.uniform(1.0, 2.0, 9)
+        cols = np.zeros((9, 1))
+        cols[0, 0] = band[0, 2]
+        rows = np.zeros((1, 9))
+        rows[0, 0] = 1.0
+        systems.append(BandBorder(band=band, kl=2, cols=cols, rows=rows,
+                                  corner=np.array([[1.0 if singular else 3.0]])))
+    want = [scalar_det_bits(s) for s in systems]
+    assert want[0] == want[2] == (0, (-math.inf).hex()) and want[1][0] == 1
+    assert pass_det_bits(systems) == want
+
+
+def test_band_det_pass_results_do_not_depend_on_how_the_systems_are_split():
+    grid = GridSpec(60)
+    model = model_by_kind("acok", grid)
+    state = acok_states(grid)[1]
+    systems = [model.linearize(state, ModelParams(epsilon=0.3, gamma=g)) for g in np.linspace(1.0, 2000.0, 70)]
+    whole = pass_det_bits(systems)
+    assert whole == [scalar_det_bits(s) for s in systems]
+    for size in (1, 7, 32, 69):
+        assert sum((pass_det_bits(systems[i:i + size]) for i in range(0, len(systems), size)), []) == whole
+
+
+def test_pass_size_takes_only_general_bands_in_passes_within_the_byte_budget(monkeypatch):
+    def acok(n_cells):
+        grid = GridSpec(n_cells)
+        return model_by_kind("acok", grid).linearize(np.full(grid.n_nodes, 0.5), ModelParams(epsilon=0.3, gamma=1.0))
+
+    grid = GridSpec(100)
+    ac = model_by_kind("ac", grid).linearize(np.zeros(grid.n_nodes), ModelParams(epsilon=0.3))
+    assert linalg.pass_size(ac, 1000) == 0  # tridiagonal: _band_factor's
+    assert linalg.pass_size(acok(100), 141) == 141  # acok-slice's first level: one pass
+    assert linalg.pass_size(acok(100), linalg.MIN_PASS_SYSTEMS - 1) == 0
+    assert linalg.pass_size(acok(200), 601) == 151  # four passes
+    assert linalg.pass_size(acok(1024), 401) == 34  # twelve passes
+    assert linalg.pass_size(acok(4096), 21) == linalg.pass_size(acok(2048), 1000) == 0
+    monkeypatch.setattr(linalg, "PASS_BYTES", 64 * 1024)
+    assert linalg.pass_size(acok(100), 141) == 0  # 5 per pass: below the minimum
+
+
+def test_band_det_pass_rejects_bands_it_does_not_take_and_mixed_shapes():
+    rng = np.random.default_rng(101)
+
+    def band(nb, kl, ku):
+        return BandBorder(band=rng.standard_normal((nb, kl + ku + 1)), kl=kl, cols=rng.standard_normal((nb, 1)),
+                          rows=rng.standard_normal((1, nb)), corner=rng.standard_normal((1, 1)))
+
+    for kl, ku in ((1, 1), (3, 2), (0, 1)):
+        with pytest.raises(ValueError, match="kl or ku = 2"):
+            linalg.band_det_pass([band(10, kl, ku)], 1)
+    for other in (band(11, 2, 2), band(10, 2, 1)):
+        with pytest.raises(ValueError, match="share"):
+            linalg.band_det_pass([band(10, 2, 2), other], 2)
 
 
 # ---------------------------------------------------------------------------
