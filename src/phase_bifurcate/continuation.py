@@ -2,7 +2,8 @@
 
 The engine walks solution branches x(mu) of a parametric model with an Euler
 predictor and Newton corrector (natural parameterization by default,
-pseudo-arclength opt-in for branches that fold in mu).  Bifurcations on the
+pseudo-arclength opt-in for offshoots that fold in mu; the constant branches
+are always traced against mu).  Bifurcations on the
 constant ("trivial") branches are located by bisecting sign changes of
 det(Jacobian) between scan samples, then resolved into a null mode by one
 solve with the event's factorization and classified against the analytic
@@ -286,10 +287,16 @@ def euler_predict(model, params, point: BranchPoint, step: float, fact: Factoriz
 
     ``fact`` is the factorization of ``model.linearize`` at ``point`` (the
     tracer reuses the one from the point's correction).  Raises
-    SingularMatrixError, through ``lu_solve``, if it is flagged singular
-    (caller shrinks the step).
+    SingularMatrixError if it is flagged singular (caller shrinks the step).
+    Where F_mu is exactly zero (a constant state that does not move with the
+    parameter) dx is zero and no solve is made: the prediction is a copy of
+    the state.
     """
     fmu = model.param_derivative(point.state, params)
+    if not fmu.any():
+        if fact.singular:
+            raise SingularMatrixError("singular matrix")
+        return point.state.copy()
     dx = lu_solve(fact, -fmu * step)
     return point.state + dx
 
@@ -320,6 +327,8 @@ def trace_branch(
     at max_step.  Pseudo-arclength mode (settings.use_pseudo_arclength)
     parameterizes by scaled secant arclength instead and follows the branch
     through folds, stopping when the parameter leaves the window.
+    ``compute_diagram`` traces constant branches, which have no fold, in
+    natural mode whatever the settings say.
 
     ``prepend`` points (e.g. the bifurcation anchor) are copied to the front
     of the branch unmodified.
@@ -805,11 +814,13 @@ def branch_switch(
     parameter (``_image``).  Where g commutes with the residual bit for bit
     the image is exact and copies everything else; if the + side yields no
     branch, neither does the - side.  Where g commutes only to rounding
-    (ACOK), every image state goes through ``_newton`` at its parameter and
-    takes its residual, iteration count and det sign from there (0
-    iterations where it already meets ``newton_tol``); if a correction
-    fails, or the + side yields no branch, the - side is traced instead,
-    and one INFO line says why.
+    (ACOK), the residual of every image state is evaluated at its
+    parameter.  One within ``newton_tol`` is kept with that residual, 0
+    iterations and its + point's det sign: F(g phi) = -F(phi) gives
+    J(g phi) = J(phi), so no factorization is needed.  Any
+    other goes through ``_newton`` and takes its residual, iteration count
+    and det sign from there.  If a correction fails, or the + side yields
+    no branch, the - side is traced instead, and one INFO line says why.
     """
     base = bif.base_state
     p0 = bif.param
@@ -933,8 +944,11 @@ def _image(model, params, settings, plus: Optional[Branch], bif_id: str, g: Call
     """The - offshoot as the image under ``g`` of its + side (see ``branch_switch``), or None.
 
     An exact image copies everything but the states and records ``(plus,
-    g)`` as its ``image``.  An inexact one Newton-checks every image point;
-    if ``plus`` is None or a check fails it is None, and one INFO line says why.
+    g)`` as its ``image``.  An inexact one evaluates the residual of every
+    image point: one within ``newton_tol`` keeps its state, that residual,
+    0 iterations and its + point's det sign (no factorization); any other
+    is corrected by ``_newton``.  If ``plus`` is None or a correction fails
+    it is None, and one INFO line says why.
     """
     if plus is None:
         if not exact:
@@ -946,8 +960,13 @@ def _image(model, params, settings, plus: Optional[Branch], bif_id: str, g: Call
         minus.image = (plus, g)
         return minus
     for i, p in enumerate(points[1:], 1):
+        params_at = model.with_param(params, p.param)
+        rn = _sup(model.residual(p.state, params_at))
+        if rn <= settings.newton_tol:
+            points[i] = replace(p, residual_norm=rn, newton_iters_used=0)
+            continue
         try:
-            points[i], _ = _newton(model, model.with_param(params, p.param), p.state, settings)
+            points[i], _ = _newton(model, params_at, p.state, settings)
         except (NewtonFailure, SingularMatrixError) as exc:
             logger.info("%s- image at param=%r failed its Newton check (%s): tracing the - side",
                         bif_id, p.param, getattr(exc, "reason", "singular"))
@@ -955,21 +974,30 @@ def _image(model, params, settings, plus: Optional[Branch], bif_id: str, g: Call
     return minus
 
 
-def _polyline_gap(query_param, query_state, other: Branch, frame: _ArclengthFrame) -> tuple[float, float]:
+class _Polyline:
+    """A branch's points as arrays, with the query-independent terms of ``_polyline_gap``."""
+
+    def __init__(self, branch: Branch):
+        pts = branch.points
+        self.P = np.array([p.param for p in pts])
+        self.X = np.stack([p.state for p in pts])
+        self.dP = self.P[1:] - self.P[:-1]
+        self.dX = self.X[1:] - self.X[:-1]
+        self.dX_X = np.einsum("ij,ij->i", self.dX, self.X[:-1])
+        self.dX_dX = np.einsum("ij,ij->i", self.dX, self.dX)
+
+
+def _polyline_gap(query_param, query_state, line: _Polyline, frame: _ArclengthFrame) -> tuple[float, float]:
     """Distance from a (param, state) point to a branch polyline.
 
     Returns (sup-norm state gap, |param gap|) at the closest segment
     projection in the scaled metric.
     """
-    pts = other.points
-    P = np.array([p.param for p in pts])
-    X = np.stack([p.state for p in pts])
-    if len(pts) == 1:
+    P, X, dP, dX = line.P, line.X, line.dP, line.dX
+    if len(P) == 1:
         return _sup(query_state - X[0]), abs(query_param - P[0])
-    dP = P[1:] - P[:-1]
-    dX = X[1:] - X[:-1]
-    num = (query_param - P[:-1]) * dP / frame.pscale**2 + (dX @ query_state - np.einsum("ij,ij->i", dX, X[:-1])) / frame.n
-    den = dP * dP / frame.pscale**2 + np.einsum("ij,ij->i", dX, dX) / frame.n
+    num = (query_param - P[:-1]) * dP / frame.pscale**2 + (dX @ query_state - line.dX_X) / frame.n
+    den = dP * dP / frame.pscale**2 + line.dX_dX / frame.n
     t = np.where(den > 0.0, np.clip(num / np.where(den > 0.0, den, 1.0), 0.0, 1.0), 0.0)
     proj_P = P[:-1] + t * dP
     proj_X = X[:-1] + t[:, None] * dX
@@ -983,9 +1011,11 @@ def _dedupe_branches(branches: list[Branch], settings: ContinuationSettings) -> 
 
     Two branches are duplicates when 5 evenly-indexed sample points of the
     shorter lie on the other's polyline within dedupe_tol (state sup-norm)
-    at matching parameters.  Trivial branches are never deduped.
+    at matching parameters.  Trivial branches are never deduped.  Each
+    branch's polyline is built once, at its first query.
     """
     kept: list[Branch] = []
+    lines: dict[int, _Polyline] = {}
     for br in branches:
         if br.origin.kind == "trivial":
             kept.append(br)
@@ -995,11 +1025,14 @@ def _dedupe_branches(branches: list[Branch], settings: ContinuationSettings) -> 
             if other.origin.kind == "trivial":
                 continue
             short, long_ = (br, other) if len(br.points) <= len(other.points) else (other, br)
+            line = lines.get(id(long_))
+            if line is None:
+                line = lines[id(long_)] = _Polyline(long_)
             frame = _ArclengthFrame(short.points[0].state.shape[0], settings)
             idxs = np.unique(np.linspace(0, len(short.points) - 1, 5).astype(int))
             ok = True
             for i in idxs:
-                sgap, pgap = _polyline_gap(short.points[i].param, short.points[i].state, long_, frame)
+                sgap, pgap = _polyline_gap(short.points[i].param, short.points[i].state, line, frame)
                 if sgap > settings.dedupe_tol or pgap > settings.dedupe_tol * max(1.0, frame.pscale):
                     ok = False
                     break
@@ -1020,6 +1053,10 @@ def compute_diagram(model, params, settings: ContinuationSettings, *, at: Option
     det-sign events on the one flagged ``bifurcating`` (the others are
     linearly stable throughout; see ``models.TrivialBranch``), switches onto
     the emerging branches at every bifurcation and traces them, then dedupes.
+    A trivial branch, a closed-form constant state with no fold to round,
+    is traced in natural mode down to param_min even when
+    ``settings.use_pseudo_arclength`` is set; only the offshoots take
+    pseudo-arclength.
 
     With ``at`` set, only what ``solutions_at(diagram, at, ...)`` reads is
     traced: the trivial branches are still corrected at param_max (where a
@@ -1038,6 +1075,7 @@ def compute_diagram(model, params, settings: ContinuationSettings, *, at: Option
 
     branches: list[Branch] = []
     bifurcations: list[BifurcationPoint] = []
+    natural = replace(settings, use_pseudo_arclength=False)
 
     for tb in model.trivial_branches(params):
         start_params = model.with_param(params, settings.param_max)
@@ -1052,7 +1090,7 @@ def compute_diagram(model, params, settings: ContinuationSettings, *, at: Option
                 trace_branch(
                     model,
                     params,
-                    settings,
+                    natural,
                     start,
                     -1,
                     origin=BranchOrigin("trivial", tb.label),

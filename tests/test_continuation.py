@@ -276,6 +276,33 @@ def test_euler_predict_raises_on_a_singular_factorization():
         euler_predict(model, 1.0, fold, -0.1, fact)
 
 
+@pytest.mark.parametrize("kind, params, constant", [
+    ("ac", ModelParams(epsilon=0.4), 0.0),
+    ("ac", ModelParams(epsilon=0.4), -1.0),
+    ("acok", ModelParams(epsilon=0.3, gamma=300.0), 0.5),
+    ("acok", ModelParams(epsilon=0.3, gamma=300.0), 1.0),
+])
+def test_euler_predict_copies_a_constant_state_without_a_solve(kind, params, constant, monkeypatch):
+    # F_mu is exactly 0 at a constant state that does not move with the
+    # parameter: the prediction is the state bit for bit, what the solve
+    # with a zero right-hand side gives, and no solve is made.
+    g = GridSpec(40)
+    model = model_by_kind(kind, g)
+    point = newton_correct(model, params, np.full(g.n_nodes, constant), default_settings(kind))
+    fmu = model.param_derivative(point.state, params)
+    assert not fmu.any()
+    fact = lu_factor(model.linearize(point.state, params))
+    solved = point.state + lu_solve(fact, -fmu * -0.01)
+    monkeypatch.setattr(continuation, "lu_solve", lambda *a: pytest.fail("euler_predict solved"))
+    pred = euler_predict(model, params, point, -0.01, fact)
+    assert pred is not point.state
+    assert pred.tobytes() == point.state.tobytes() == solved.tobytes()
+    singular = lu_factor(BandBorder.from_dense(np.zeros((g.n_nodes, g.n_nodes))))
+    assert singular.singular
+    with pytest.raises(SingularMatrixError):
+        euler_predict(model, params, point, -0.01, singular)
+
+
 # ---------------------------------------------------------------------------
 # natural tracing
 # ---------------------------------------------------------------------------
@@ -383,14 +410,15 @@ def arclength_branches(ac_detection):
 
 # The AC pseudo-arclength diagram at N=40 over eps in [0.25, 0.7]: per
 # branch, its point count, last parameter and the sha256 of its stacked
-# states.  The trivial rows were recorded before bordered tridiagonal bands
-# left the general band kernel; the offshoot rows since each seed's
-# amplitude is picked from the residual along the null mode
+# states.  The trivial rows were recorded since constant branches are
+# traced against the parameter whatever the settings say (they end at
+# param_min, 0.25); the offshoot rows since each seed's amplitude is
+# picked from the residual along the null mode
 # (``continuation._seed_amplitude``).
 _ARCLENGTH_DIAGRAM_N40 = (
-    ("trivial:phi=-1", 116, "0x1.f7ced916872a0p-3", "9931a985c9640bbd11c51f98e9ec7e7e2ced32d9e920fd6b768e74504afd5b15"),
-    ("trivial:phi=0", 116, "0x1.f7ced916872a0p-3", "af1ef4eeead6c483a4d000c0b8863d1e4cc2cc43e4b1e800183ab3c375cf260e"),
-    ("trivial:phi=+1", 116, "0x1.f7ced916872a0p-3", "557ede7b2ba866388ec2f612d4e084f41e3b5f0288d22b17eca77b21a0f336d4"),
+    ("trivial:phi=-1", 115, "0x1.0000000000000p-2", "43839bd22591d29c086c3937aa0e0cd54d0a19d332d093b890c1c20b57806074"),
+    ("trivial:phi=0", 115, "0x1.0000000000000p-2", "a8fce3fb06ce3bd8c76bcdf60b4ea17197b535ab46de6001a147b10982737668"),
+    ("trivial:phi=+1", 115, "0x1.0000000000000p-2", "a89d094e080837cebf58af4d9d1229bae5381281c3ea0cd9a5acd563431a1871"),
     ("bp0+", 64, "0x1.fe94290bcb1ccp-3", "01d1831564d2f409e48eff6cacabe34fb257461d9ec838caffb5ee48d94e516f"),
     ("bp0-", 64, "0x1.fe94290bcb1ccp-3", "5494c520548a99ae498992786ca772b763259e1d0e222f1e2a92ff95bb75b235"),
     ("bp1+", 144, "0x1.fe5048e543813p-3", "53ee31ba353d1ebae2e48e6a631f6b0402436ab8094d64ab33821e67a2a1496e"),
@@ -416,6 +444,32 @@ def test_arclength_diagram_is_pinned_bitwise(monkeypatch):
         for b in diagram.branches
     )
     assert got == _ARCLENGTH_DIAGRAM_N40
+
+
+@pytest.mark.parametrize("kind, params, n_cells, window", [
+    ("ac", ModelParams(epsilon=0.5), 40, (0.25, 0.7)),
+    ("ch", ModelParams(epsilon=0.5, mu0=0.05), 40, (0.25, 0.7)),
+    ("acok", ModelParams(epsilon=0.3), 40, (0.0, 700.0)),
+], ids=["ac", "ch-mu0-0.05", "acok"])
+def test_arclength_diagram_traces_constant_branches_against_the_parameter(kind, params, n_cells, window):
+    # A constant branch has no fold to round: with pseudo-arclength set it
+    # is still the natural trace bit for bit, down to param_min exactly.
+    model = model_by_kind(kind, GridSpec(n_cells))
+    natural = default_settings(kind, param_min=window[0], param_max=window[1])
+    arclength = replace(natural, use_pseudo_arclength=True)
+    got, want = (
+        [b for b in compute_diagram(model, params, s).branches if b.origin.kind == "trivial"]
+        for s in (arclength, natural)
+    )
+    assert [b.id for b in got] == [b.id for b in want] and len(got) == 3
+    for a, b in zip(got, want):
+        assert a.id.startswith("trivial:")
+        assert a.stop_reason == b.stop_reason == "param_bound"
+        assert a.points[-1].param == window[0]
+        assert len(a.points) == len(b.points)
+        for p, q in zip(a.points, b.points):
+            assert (p.param, p.state.tobytes(), p.residual_norm, p.det_sign, p.newton_iters_used) == (
+                q.param, q.state.tobytes(), q.residual_norm, q.det_sign, q.newton_iters_used)
 
 
 def test_arclength_points_record_the_residual_at_their_own_state(arclength_branches):
@@ -1122,6 +1176,63 @@ def test_checked_image_corrects_an_image_off_the_branch(acok_events):
         assert _sup(m.state - e.state) <= 1e-8
 
 
+def _minus_points_against_fresh_factorizations(model, params, diagram) -> int:
+    checked = 0
+    for minus in (b for b in diagram.branches if b.id.endswith("-")):
+        for m in minus.points:
+            params_at = model.with_param(params, m.param)
+            assert m.det_sign == det_sign(lu_factor(model.linearize(m.state, params_at)))
+            checked += 1
+    return checked
+
+
+def test_acok_image_points_carry_the_det_sign_of_their_own_jacobian(acok_events):
+    # J(1 - phi) = J(phi) (F(1 - phi) = -F(phi)), so each image point takes
+    # its + point's det sign; a factorization at its own state agrees.
+    model, params, settings, _ = acok_events(40)
+    diagram = compute_diagram(model, params, settings)
+    assert _minus_points_against_fresh_factorizations(model, params, diagram) > 0
+    # the acok-slice benchmark's arguments at N=100
+    g = GridSpec(100)
+    model, params = model_by_kind("acok", g), ModelParams(epsilon=0.3, gamma=100.0)
+    diagram = compute_diagram(model, params, default_settings("acok", param_min=0.0, param_max=700.0), at=100.0)
+    assert _minus_points_against_fresh_factorizations(model, params, diagram) > 0
+
+
+def test_checked_image_point_over_newton_tol_goes_through_newton(acok_events, monkeypatch):
+    model, params, settings, bifs = acok_events(40)
+    plus = branch_switch(model, params, settings, bifs[1])[0]
+    g = continuation._pitchfork_image(model, params, bifs[1])
+    want = continuation._image(model, params, settings, plus, "bp1", *g)
+    assert all(m.newton_iters_used == 0 for m in want.points)
+    # The image check's residual at one parameter reads over newton_tol
+    # once; that point alone is corrected by _newton.
+    forced = plus.points[3].param
+    residual, calls, newtons = model.residual, [], []
+
+    def residual_once_over_tol(state, params_at):
+        r = residual(state, params_at)
+        if model.active_value(params_at) == forced and not calls:
+            calls.append(forced)
+            return r + 10.0 * settings.newton_tol
+        return r
+
+    newton = continuation._newton
+
+    def spy(model_, params_at, guess, settings_):
+        newtons.append(model_.active_value(params_at))
+        return newton(model_, params_at, guess, settings_)
+
+    monkeypatch.setattr(model, "residual", residual_once_over_tol)
+    monkeypatch.setattr(continuation, "_newton", spy)
+    got = continuation._image(model, params, settings, plus, "bp1", *g)
+    assert calls == [forced] and newtons == [forced]
+    assert len(got.points) == len(want.points)
+    for m, e in zip(got.points, want.points):
+        assert (m.param, m.state.tobytes(), m.residual_norm, m.newton_iters_used, m.det_sign) == (
+            e.param, e.state.tobytes(), e.residual_norm, e.newton_iters_used, e.det_sign)
+
+
 def test_branch_switch_offshoot_grows_from_zero(ac_detection):
     g, model, params, settings, bifs = ac_detection
     sine0 = [b for b in bifs if b.mode_family == "sine"][0]
@@ -1419,6 +1530,35 @@ def test_dedupe_keeps_distinct_branches_and_all_trivial():
     d = _mk_branch("bp1+", "switched", [[v[0], -v[1]] for v in states], params_list)
     kept = _dedupe_branches([a, b, c, d], toy_settings())
     assert [br.id for br in kept] == ["trivial:a", "trivial:b", "bp0+", "bp1+"]
+
+
+def _polyline_gap_per_query(query_param, query_state, other, frame):
+    """``_polyline_gap`` with every array built from the branch at each query."""
+    P = np.array([p.param for p in other.points])
+    X = np.stack([p.state for p in other.points])
+    if len(P) == 1:
+        return _sup(query_state - X[0]), abs(query_param - P[0])
+    dP, dX = P[1:] - P[:-1], X[1:] - X[:-1]
+    num = (query_param - P[:-1]) * dP / frame.pscale**2 + (dX @ query_state - np.einsum("ij,ij->i", dX, X[:-1])) / frame.n
+    den = dP * dP / frame.pscale**2 + np.einsum("ij,ij->i", dX, dX) / frame.n
+    t = np.where(den > 0.0, np.clip(num / np.where(den > 0.0, den, 1.0), 0.0, 1.0), 0.0)
+    gaps = np.max(np.abs(X[:-1] + t[:, None] * dX - query_state[None, :]), axis=1)
+    k = int(np.argmin(gaps))
+    return float(gaps[k]), float(abs(query_param - (P[:-1] + t * dP)[k]))
+
+
+def test_polyline_gaps_from_a_prebuilt_polyline_are_the_per_query_ones_bitwise(small_diagram):
+    _, _, _, settings, diagram = small_diagram
+    offshoots = [b for b in diagram.branches if b.origin.kind == "switched"]
+    one_point = replace(offshoots[0], points=offshoots[0].points[:1])
+    frame = continuation._ArclengthFrame(offshoots[0].points[0].state.shape[0], settings)
+    for other in offshoots + [one_point]:
+        line = continuation._Polyline(other)
+        for br in offshoots:
+            for pt in br.points[:: max(1, len(br.points) // 7)]:
+                got = continuation._polyline_gap(pt.param, pt.state, line, frame)
+                want = _polyline_gap_per_query(pt.param, pt.state, other, frame)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 # ---------------------------------------------------------------------------
