@@ -230,11 +230,13 @@ def _sup(v: np.ndarray) -> float:
     return float(np.max(np.abs(v)))
 
 
-def _newton(model, params, guess, settings) -> tuple[BranchPoint, Factorization]:
+def _newton(model, params, guess, settings, sign: Optional[int] = None) -> tuple[BranchPoint, Optional[Factorization]]:
     """Newton iteration to `newton_tol` in residual max-norm.
 
     Returns the accepted point together with the Jacobian factorization *at*
     the accepted state (used for the det sign and reused by the predictor).
+    With ``sign`` (the det sign there, known beforehand) the accepted state
+    is not factored: the point takes ``sign`` and None comes back instead.
     Raises NewtonFailure on singular Jacobian, iteration cap, or three
     consecutive residual increases.
     """
@@ -265,12 +267,12 @@ def _newton(model, params, guess, settings) -> tuple[BranchPoint, Factorization]
         else:
             growths = 0
         prev = rn
-    fact = lu_factor(model.linearize(x, params))
+    fact = None if sign is not None else lu_factor(model.linearize(x, params))
     point = BranchPoint(
         param=model.active_value(params),
         state=x,
         residual_norm=rn,
-        det_sign=det_sign(fact),
+        det_sign=det_sign(fact) if fact is not None else sign,
         newton_iters_used=iters,
     )
     return point, fact
@@ -282,7 +284,7 @@ def newton_correct(model, params, guess, settings) -> BranchPoint:
     return point
 
 
-def euler_predict(model, params, point: BranchPoint, step: float, fact: Factorization) -> np.ndarray:
+def euler_predict(model, params, point: BranchPoint, step: float, fact: Optional[Factorization]) -> np.ndarray:
     """First-order predictor: solve J dx = -F_mu * dmu at ``point``.
 
     ``fact`` is the factorization of ``model.linearize`` at ``point`` (the
@@ -290,13 +292,17 @@ def euler_predict(model, params, point: BranchPoint, step: float, fact: Factoriz
     SingularMatrixError if it is flagged singular (caller shrinks the step).
     Where F_mu is exactly zero (a constant state that does not move with the
     parameter) dx is zero and no solve is made: the prediction is a copy of
-    the state.
+    the state.  ``fact`` None says that ``J`` is known to be regular at
+    ``point`` (a well, ``models.TrivialBranch``); it is then factored here
+    only if a solve needs it.
     """
     fmu = model.param_derivative(point.state, params)
     if not fmu.any():
-        if fact.singular:
+        if fact is not None and fact.singular:
             raise SingularMatrixError("singular matrix")
         return point.state.copy()
+    if fact is None:
+        fact = lu_factor(model.linearize(point.state, params))
     dx = lu_solve(fact, -fmu * step)
     return point.state + dx
 
@@ -318,6 +324,7 @@ def trace_branch(
     prepend: Iterable[BranchPoint] = (),
     at: Optional[float] = None,
     _fact: Optional[Factorization] = None,
+    _sign: Optional[int] = None,
 ) -> Branch:
     """Trace a branch from an accepted point until a stop condition.
 
@@ -339,16 +346,19 @@ def trace_branch(
     already there is not stepped from.  Pseudo-arclength tracing ignores
     ``at``, since a fold can bring the branch back across it.  ``_fact``
     (``_newton``'s factorization at ``start``) spares natural tracing a refactor.
+    ``_sign``, in natural mode, is every point's det sign, known beforehand
+    (a well: ``models.TrivialBranch``); no point is then factored for its
+    sign, only for a predictor solve (``euler_predict``).
     """
     if direction not in (-1, 1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
     origin = origin or BranchOrigin("trivial", "unlabeled")
     if settings.use_pseudo_arclength:
         return _trace_arclength(model, params, settings, start, direction, origin, branch_id, prepend)
-    return _trace_natural(model, params, settings, start, direction, origin, branch_id, prepend, at, _fact)
+    return _trace_natural(model, params, settings, start, direction, origin, branch_id, prepend, at, _fact, _sign)
 
 
-def _trace_natural(model, params, settings, start, direction, origin, branch_id, prepend, at, fact) -> Branch:
+def _trace_natural(model, params, settings, start, direction, origin, branch_id, prepend, at, fact, sign) -> Branch:
     points: list[BranchPoint] = list(prepend) + [start]
     bound = settings.param_max if direction > 0 else settings.param_min
     edge_tol = 1e-12 * settings.range_width
@@ -368,10 +378,10 @@ def _trace_natural(model, params, settings, start, direction, origin, branch_id,
             break
         target = _clip_target(cur.param, step, direction, settings)
         try:
-            if cur_fact is None:
+            if cur_fact is None and sign is None:
                 cur_fact = lu_factor(model.linearize(cur.state, cur_params))
             guess = euler_predict(model, cur_params, cur, target - cur.param, fact=cur_fact)
-            nxt, nxt_fact = _newton(model, model.with_param(params, target), guess, settings)
+            nxt, nxt_fact = _newton(model, model.with_param(params, target), guess, settings, sign)
         except (NewtonFailure, SingularMatrixError):
             step *= 0.5
             easy = 0
@@ -609,13 +619,15 @@ def detect_bifurcations_on_trivial(
     an unfloored pivot test (``pivot_rtol=0``): reliable arbitrarily close
     to a crossing, where the default relative floor would report 0.  The
     first level's samples and midpoints depend on no probe's result, so on
-    a band ``linalg.pass_size`` takes (ACOK's ``kl = ku = 2``, enough
-    probes, a grid small enough for the byte budget) they are all signed
-    before the scan, in ``linalg.band_det_pass`` passes: a few midpoints
-    the scan will not ask for too, and each probe with ``lu_factor``'s
-    bits, so the events are the same.  A probe a pass leaves (a boosted
-    band pivot, as at gamma = 0), the bisections, the rescans and the
-    events' factorizations are factored one at a time.
+    a band ``linalg.pass_size`` takes (ACOK's ``kl = ku = 2`` from 32
+    probes, the AC/CH tridiagonal band from 40, a grid small enough for
+    the byte budget) they are all signed before the scan, in
+    ``linalg.band_det_pass`` passes: a few midpoints the scan will not ask
+    for too, and each probe with ``lu_factor``'s bits, so the events are
+    the same.  A probe a pass leaves (a boosted band pivot, as at
+    gamma = 0), the bisections, the rescans and the events' factorizations
+    are factored one at a time.  The analytic modes the events' null modes
+    are classified against are built once per scan.
     ``compute_diagram`` and ``verify`` call this only on the branch flagged
     ``bifurcating`` (``models.TrivialBranch`` says why the others cannot
     bifurcate), and so does ``points`` unless ``--phi0`` picks another.
@@ -735,7 +747,7 @@ def detect_bifurcations_on_trivial(
         events.append(hi)
 
     events.sort()
-    grid = model.grid
+    modes = _analytic_modes(model.grid) if events else []
     out: list[BifurcationPoint] = []
     for i, loc in enumerate(events):
         fact = factor(loc)
@@ -744,19 +756,27 @@ def detect_bifurcations_on_trivial(
             if fact.singular:
                 raise SingularMatrixError(f"singular linearization at and next to the event at param={loc!r}")
         mode = null_vector(fact)
-        family, index = _classify_mode(mode, grid)
+        family, index = _classify_mode(mode, modes)
         out.append(BifurcationPoint(f"bp{i}", loc, trivial_state_fn(loc), mode, family, index))
     return out
 
 
-def _classify_mode(vector: np.ndarray, grid) -> tuple[str, Optional[int]]:
+def _analytic_modes(grid) -> list[tuple[str, int, np.ndarray]]:
+    """``(family, index, mode)`` of each analytic eigenmode ``_classify_mode`` compares against, in its order."""
+    return [
+        (family, n, analysis.eigenmode(n, family, grid))
+        for family, start in (("sine", 0), ("cosine", 1))
+        for n in range(start, MAX_MODE_INDEX + 1)
+    ]
+
+
+def _classify_mode(vector: np.ndarray, modes: list) -> tuple[str, Optional[int]]:
+    """The family and index of the first of ``modes`` (``_analytic_modes``) with the largest |correlation|."""
     best = ("unknown", None, 0.0)
-    for family, start in (("sine", 0), ("cosine", 1)):
-        for n in range(start, MAX_MODE_INDEX + 1):
-            m = analysis.eigenmode(n, family, grid)
-            corr = abs(float(vector @ m))
-            if corr > best[2]:
-                best = (family, n, corr)
+    for family, n, m in modes:
+        corr = abs(float(vector @ m))
+        if corr > best[2]:
+            best = (family, n, corr)
     if best[2] < MODE_CORRELATION_FLOOR:
         return "unknown", None
     return best[0], best[1]
@@ -1056,7 +1076,10 @@ def compute_diagram(model, params, settings: ContinuationSettings, *, at: Option
     A trivial branch, a closed-form constant state with no fold to round,
     is traced in natural mode down to param_min even when
     ``settings.use_pseudo_arclength`` is set; only the offshoots take
-    pseudo-arclength.
+    pseudo-arclength.  Its trace starts from the correction's factorization
+    at param_max.  Every point of a well (not ``bifurcating``) takes that
+    start point's det sign and is factored only for a predictor solve,
+    which the AC and ACOK wells never need (F_mu is exactly zero there).
 
     With ``at`` set, only what ``solutions_at(diagram, at, ...)`` reads is
     traced: the trivial branches are still corrected at param_max (where a
@@ -1081,7 +1104,7 @@ def compute_diagram(model, params, settings: ContinuationSettings, *, at: Option
         start_params = model.with_param(params, settings.param_max)
         start_state = tb.state_of(start_params, model.grid)
         try:
-            start, _ = _newton(model, start_params, start_state, settings)
+            start, start_fact = _newton(model, start_params, start_state, settings)
         except NewtonFailure as exc:
             logger.warning("trivial branch %s failed at param_max: %s", tb.label, exc)
             continue
@@ -1095,6 +1118,8 @@ def compute_diagram(model, params, settings: ContinuationSettings, *, at: Option
                     -1,
                     origin=BranchOrigin("trivial", tb.label),
                     branch_id=f"trivial:{tb.label}",
+                    _fact=start_fact,
+                    _sign=None if tb.bifurcating else start.det_sign,
                 )
             )
         if not tb.bifurcating:

@@ -45,17 +45,22 @@ and columns, which is how the models hand over their linearizations.
 * Any other dense matrix goes through a right-looking blocked LU whose
   Schur update runs through matrix-matrix products: the tests' reference,
   which the engine never calls.
-* ``band_det_pass`` gives the det sign and ``log|det|`` of many bordered
-  bands of one shape with ``kl`` or ``ku`` = 2 (ACOK's detection scan) in
-  one pass: ``_band_lu``'s operations in its order, vectorized over the
-  systems with numpy's elementwise operations and reductions only, so each
-  result is ``lu_factor(s, pivot_rtol=0.0)``'s bit for bit.  A system that
-  would need a boosted band pivot comes back None.  ``pass_size`` takes a
-  pass only if it holds at least ``MIN_PASS_SYSTEMS`` within
-  ``PASS_BYTES``.
+* ``band_det_pass`` gives the det sign and ``log|det|`` of many systems of
+  one shape in one pass, vectorized over the systems with numpy's
+  elementwise operations and reductions only, so each result is
+  ``lu_factor(s, pivot_rtol=0.0)``'s bit for bit.  Bordered bands with
+  ``kl`` or ``ku`` = 2 (ACOK's detection scan) take ``_band_lu``'s
+  operations in its order; a system that would need a boosted band pivot
+  comes back None.  Plain tridiagonal bands (the AC/CH scans) take
+  ``_band_factor``'s, with an exact zero pivot giving ``(0, -inf)``.  A
+  system ``lu_factor`` would refuse for a non-finite entry comes back
+  None too.  ``pass_size`` takes a pass only if it holds at least
+  ``MIN_PASS_SYSTEMS`` (``MIN_TRIDIAGONAL_PASS_SYSTEMS`` for a tridiagonal
+  band) within ``PASS_BYTES``.
 
 The band and Schur kernels run on Python lists, which beat numpy's per-call
-cost at these sizes for one system.  ``lu_factor`` takes the row sums behind
+cost at these sizes for one system; the tridiagonal and ``_band_lu``
+kernels hold the entries they update in local variables, not list slots.  ``lu_factor`` takes the row sums behind
 the pivot floors with numpy, then turns its input arrays into lists once
 (only the Schur floor turns the borders' band solves back into an array);
 ``lu_solve`` turns the right-hand side into a list and the solution into an
@@ -109,9 +114,18 @@ _LU_BLOCK = 48
 #: host with numpy 2.4).
 MIN_PASS_SYSTEMS = 32
 
+#: The same for a plain tridiagonal band (``_tridiagonal_det_pass``, about
+#: a dozen numpy calls per row): on the same host it broke even with
+#: ``lu_factor`` one system at a time at about 25 systems for N = 100 and
+#: 200 and about 31 for N = 800, and ran 1.3-1.8x faster at 40 and
+#: 2.6-3.6x at 128.
+MIN_TRIDIAGONAL_PASS_SYSTEMS = 40
+
 #: Bytes of one ``band_det_pass``'s arrays at most: 364 ACOK systems at
 #: N = 100, 184 at N = 200 and 36 at N = 1024; from N = 2048 on, fewer than
-#: ``MIN_PASS_SYSTEMS``, so those scans factor one system at a time.
+#: ``MIN_PASS_SYSTEMS``, so those scans factor one system at a time.  For
+#: plain tridiagonal bands: 856 at N = 100, 108 at N = 800 and 85 at
+#: N = 1024; from N = 4096 on, fewer than ``MIN_TRIDIAGONAL_PASS_SYSTEMS``.
 PASS_BYTES = 4 << 20
 
 
@@ -404,20 +418,22 @@ def _band_factor(band: tuple, floor: float, boost: Optional[float] = None) -> Ba
     With ``boost``, a pivot on or below ``floor`` is boosted by ``+-boost``
     instead of flagging the matrix singular, and recorded in ``boosts``
     exactly as ``_band_lu`` does; the factors are then ``_band_lu``'s.
+    Step ``k`` holds row ``k``'s running diagonal and superdiagonal entries
+    in the locals ``piv`` and ``u``, and reads row ``k + 1`` as it comes.
     """
     sub, diag, sup = band
     n = len(diag)
-    d = list(diag)
-    du = list(sup)
+    pivots = [0.0] * n
+    upper = [0.0] * max(n - 1, 0)
     lower = [0.0] * max(n - 1, 0)
     upper2 = [0.0] * max(n - 2, 0)
     swapped = [False] * max(n - 1, 0)
     boosts = []
     sign = 1
     singular = False
-    for k in range(n - 1):
-        piv = d[k]
-        below = sub[k]
+    last = n - 2  # the last step, which leaves no fill-in
+    piv, u = (diag[0] if n else 0.0), (sup[0] if n > 1 else 0.0)
+    for k, below, dn, un in zip(range(n - 1), sub, diag[1:], [*sup[1:], 0.0]):
         mag, mag_below = abs(piv), abs(below)
         if mag_below > mag:
             # Row k+1 becomes the pivot row; row k is eliminated below it.
@@ -429,11 +445,11 @@ def _band_factor(band: tuple, floor: float, boost: Optional[float] = None) -> Ba
             swapped[k] = True
             sign = -sign
             mult = piv / below
-            d[k], du[k], d[k + 1] = below, d[k + 1], du[k] - mult * d[k + 1]
-            if k + 2 < n:
-                upper2[k] = du[k + 1]
-                du[k + 1] = 0.0 - mult * upper2[k]
-            lower[k] = mult
+            pivots[k], upper[k], lower[k] = below, dn, mult
+            piv = u - mult * dn
+            if k < last:
+                upper2[k] = un
+                u = 0.0 - mult * un
         else:
             # Row k stays the pivot row.  In both branches a small pivot is
             # boosted before its multipliers are formed.
@@ -441,19 +457,23 @@ def _band_factor(band: tuple, floor: float, boost: Optional[float] = None) -> Ba
                 if boost is None:
                     singular = True
                     if piv == 0.0:
+                        pivots[k], upper[k] = piv, u
+                        piv, u = dn, un
                         continue
                 else:
-                    piv = d[k] = piv + _boosted(boosts, _origin(swapped, k), k, piv, boost)
+                    piv += _boosted(boosts, _origin(swapped, k), k, piv, boost)
             mult = below / piv
-            d[k + 1] -= mult * du[k]
-            lower[k] = mult
-    if n and abs(d[n - 1]) <= floor:
-        if boost is None:
-            singular = True
-        else:
-            d[n - 1] += _boosted(boosts, _origin(swapped, n - 1), n - 1, d[n - 1], boost)
+            pivots[k], upper[k], lower[k] = piv, u, mult
+            piv, u = dn - mult * u, un
+    if n:
+        if abs(piv) <= floor:
+            if boost is None:
+                singular = True
+            else:
+                piv += _boosted(boosts, _origin(swapped, n - 1), n - 1, piv, boost)
+        pivots[n - 1] = piv
     return BandLuFactorization(
-        lower=lower, pivots=d, upper=du, upper2=upper2, swapped=swapped,
+        lower=lower, pivots=pivots, upper=upper, upper2=upper2, swapped=swapped,
         perm_sign=sign, singular=singular, pivot_floor=floor, boosts=boosts,
     )
 
@@ -477,38 +497,58 @@ def _origin(swapped: list, k: int) -> int:
 
 
 def _band_solve(fact: BandLuFactorization, b: list) -> list:
-    """Top-down forward and back substitution through ``fact`` (O(n))."""
-    x = list(b)
-    n = len(x)
-    for k, (mult, swap) in enumerate(zip(fact.lower, fact.swapped)):
+    """Top-down forward and back substitution through ``fact`` (O(n)).
+
+    Going down, ``cur`` holds ``x[k]`` and ``nxt`` ``x[k + 1]``; going back
+    up, ``s1, s2`` hold ``x[k + 1], x[k + 2]``.
+    """
+    n = len(b)
+    if not n:
+        return []
+    x = [0.0] * n
+    cur = b[0]
+    for k, mult, swap, nxt in zip(range(n - 1), fact.lower, fact.swapped, b[1:]):
         if swap:
-            x[k], x[k + 1] = x[k + 1], x[k]
-        x[k + 1] -= mult * x[k]
+            cur, nxt = nxt, cur
+        x[k] = cur
+        cur = nxt - mult * cur
     d, du, du2 = fact.pivots, fact.upper, fact.upper2
-    if n:
-        x[n - 1] /= d[n - 1]
+    s1 = x[n - 1] = cur / d[n - 1]
     if n > 1:
-        x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
-    for k in range(n - 3, -1, -1):
-        x[k] = (x[k] - du[k] * x[k + 1] - du2[k] * x[k + 2]) / d[k]
+        s2, s1 = s1, (x[n - 2] - du[n - 2] * s1) / d[n - 2]
+        x[n - 2] = s1
+        for k in range(n - 3, -1, -1):
+            s2, s1 = s1, (x[k] - du[k] * s1 - du2[k] * s2) / d[k]
+            x[k] = s1
     return x
 
 
 def _band_solve_t(fact: BandLuFactorization, b: list) -> list:
-    """``A^-T b`` through ``fact``: ``U^T`` forward, then the steps transposed, last first."""
-    x = list(b)
-    n = len(x)
+    """``A^-T b`` through ``fact``: ``U^T`` forward, then the steps transposed, last first.
+
+    Going forward, ``s1, s2`` hold ``x[k - 1], x[k - 2]``; going back,
+    ``w`` holds ``x[k + 1]``, final once step ``k`` has run.
+    """
+    n = len(b)
+    if not n:
+        return []
     d, du, du2 = fact.pivots, fact.upper, fact.upper2
-    if n:
-        x[0] /= d[0]
+    x = [0.0] * n
+    s1 = x[0] = b[0] / d[0]
     if n > 1:
-        x[1] = (x[1] - du[0] * x[0]) / d[1]
-    for k in range(2, n):
-        x[k] = (x[k] - du2[k - 2] * x[k - 2] - du[k - 1] * x[k - 1]) / d[k]
-    for k in range(n - 2, -1, -1):
-        x[k] -= fact.lower[k] * x[k + 1]
-        if fact.swapped[k]:
-            x[k], x[k + 1] = x[k + 1], x[k]
+        s2, s1 = s1, (b[1] - du[0] * s1) / d[1]
+        x[1] = s1
+        for k in range(2, n):
+            s2, s1 = s1, (b[k] - du2[k - 2] * s2 - du[k - 1] * s1) / d[k]
+            x[k] = s1
+    w = s1
+    for k, mult, swap in zip(range(n - 2, -1, -1), reversed(fact.lower), reversed(fact.swapped)):
+        v = x[k] - mult * w
+        if swap:
+            v, w = w, v
+        x[k + 1] = w
+        w = v
+    x[0] = w
     return x
 
 
@@ -824,7 +864,7 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
     to a singularity).
     """
     if isinstance(matrix, BandBorder):
-        if not (matrix.kl == matrix.ku == 1 and matrix.k == 0 and matrix._all_outer):
+        if not _plain_tridiagonal(matrix):
             return _bordered_factor(matrix, pivot_rtol)
         band = _diagonals(matrix.band)
     else:
@@ -978,26 +1018,104 @@ def log_abs_det(fact: Factorization) -> float:
     return total
 
 
+def _plain_tridiagonal(system: BandBorder) -> bool:
+    """Whether ``lu_factor`` factors ``system`` by ``_band_factor`` alone: a tridiagonal band, no borders."""
+    return system.kl == system.ku == 1 and system.k == 0 and system._all_outer
+
+
 def _takes_pass(system: BandBorder) -> bool:
-    """Whether a pass takes ``system``: ``kl`` or ``ku`` is 2 (and neither more), so ``_band_lu`` factors its band."""
-    return max(system.kl, system.ku) == 2
+    """Whether a pass takes ``system``: a plain tridiagonal band, or ``kl`` or ``ku`` is 2 (and neither more)."""
+    return _plain_tridiagonal(system) or max(system.kl, system.ku) == 2
 
 
 def pass_size(system: BandBorder, count: int) -> int:
     """Systems per ``band_det_pass`` for ``count`` systems shaped like ``system``; 0: factor them one at a time.
 
     A pass pays numpy's per-call cost at every elimination step whatever it
-    holds, so it is taken only for a band ``_band_lu`` factors and only if
-    each pass holds at least ``MIN_PASS_SYSTEMS``.  Its working array takes
-    ``PASS_BYTES`` at most; the systems are split evenly over as few passes
-    as that allows.
+    holds, so it is taken only for a band it takes (``_takes_pass``) and
+    only if each pass holds at least its minimum: ``MIN_TRIDIAGONAL_PASS_SYSTEMS``
+    for a plain tridiagonal band, ``MIN_PASS_SYSTEMS`` for one ``_band_lu``
+    factors.  So the choice rests on the band's width and the number of
+    systems alone.  Its working arrays take ``PASS_BYTES`` at most; the
+    systems are split evenly over as few passes as that allows.
     """
     nb, k = system.band.shape[0], system.k
-    capacity = PASS_BYTES // (8 * ((nb + 4) * (5 + k) + k * nb))
-    if not _takes_pass(system) or min(capacity, count) < MIN_PASS_SYSTEMS:
+    if _plain_tridiagonal(system):
+        minimum, per_system = MIN_TRIDIAGONAL_PASS_SYSTEMS, 8 * 6 * (nb + 1)
+    else:
+        minimum, per_system = MIN_PASS_SYSTEMS, 8 * ((nb + 4) * (5 + k) + k * nb)
+    capacity = PASS_BYTES // per_system
+    if not _takes_pass(system) or min(capacity, count) < minimum:
         return 0
     passes = math.ceil(count / capacity)
     return math.ceil(count / passes)
+
+
+def _tridiagonal_det_pass(systems: Iterable[BandBorder], nb: int, count: int) -> list:
+    """``band_det_pass`` for plain tridiagonal bands of order ``nb``: ``_band_factor``'s steps, vectorized.
+
+    With ``pivot_rtol = 0`` the floor is 0, so the only pivot flagged is an
+    exact zero, and up to the first one the pass runs ``_band_factor``'s
+    operations in its order on every system: a zero pivot is then the
+    scalar kernel's first one too, and the system's result is ``(0, -inf)``
+    whatever the pass computes after it.  Each row sum of magnitudes is
+    ``_band_floor``'s, in its order, so a system whose sums are not all
+    finite (``lu_factor`` raises for it) comes back None.  Each
+    ``log|det|`` is a pairwise sum over one row of a C-contiguous array, as
+    ``log_abs_det`` sums one system's pivots.
+    """
+    # band[i, :, s]: sub-, main and superdiagonal entry of row i of system
+    # s, zero outside the matrix; one zero row below.  With the magnitudes
+    # below the diagonal, the pivots and their copy by system: six floats a
+    # row (``pass_size``).
+    band = np.zeros((nb + 1, 3, count))
+    for s, system in enumerate(systems):
+        if not _plain_tridiagonal(system) or system.band.shape[0] != nb:
+            raise ValueError("the systems of one pass must share their band's shape and their borders' number")
+        band[:nb, :, s] = system.band
+    band[0, 0] = band[nb - 1, 2] = 0.0
+    below_mag = np.abs(band[:, 0])
+    pivots = np.empty((nb, count))
+    swapped = np.zeros((nb, count), dtype=bool)
+    # state: row k's running diagonal (piv) and superdiagonal (u) entries,
+    # then row k + 1's sub- and main diagonal entries.  Read as 2 x 2, it
+    # is [[piv, u], [below, dn]]; an interchange reverses its rows.
+    state = np.empty((4, count))
+    pair = state.reshape(2, 2, count)
+    piv, u, incoming = state[0], state[1], state[2:]
+    state[:2] = band[0, 1:]
+    mag, prod = np.empty(count), np.empty(count)
+    # Overflow leaves a system unusable, and after a zero pivot its values
+    # are not used.
+    with np.errstate(all="ignore"):
+        sums = below_mag[:nb] + np.abs(band[:nb, 2])
+        sums += np.abs(band[:nb, 1])
+        usable = np.isfinite(sums).all(axis=0)
+        for k in range(nb - 1):
+            swap = swapped[k]
+            np.greater(below_mag[k + 1], np.abs(piv, out=mag), out=swap)
+            incoming[...] = band[k + 1, :2]
+            # No interchange: pivot piv, multiplier below / piv, and row k+1's
+            # diagonal dn - mult * u.  An interchange: pivot below,
+            # multiplier piv / below, diagonal u - mult * dn, and row k+1's
+            # superdiagonal becomes fill-in, leaving 0.0 - mult * un.
+            (pivot, y), (num, x) = np.where(swap, pair[::-1], pair)
+            pivots[k] = pivot
+            mult = np.divide(num, pivot)
+            np.subtract(x, np.multiply(mult, y, out=prod), out=piv)
+            un = band[k + 1, 2]
+            np.multiply(mult, un, out=prod)
+            np.copyto(u, un)
+            np.subtract(0.0, prod, out=u, where=swap)
+        pivots[nb - 1] = piv
+        by_system = np.ascontiguousarray(pivots.T)
+        singular = (by_system == 0.0).any(axis=1)
+        negatives = np.count_nonzero(by_system < 0.0, axis=1) + np.count_nonzero(swapped, axis=0)
+        logs = np.log(np.abs(by_system, out=by_system), out=by_system).sum(axis=1)
+    return [
+        None if not ok else (0, -math.inf) if zero else (-1 if neg % 2 else 1, log)
+        for ok, zero, neg, log in zip(usable.tolist(), singular.tolist(), negatives.tolist(), logs.tolist())
+    ]
 
 
 def _pass_checks(work: np.ndarray, rows: np.ndarray, corners: list) -> tuple:
@@ -1026,9 +1144,11 @@ def _pass_checks(work: np.ndarray, rows: np.ndarray, corners: list) -> tuple:
 def band_det_pass(systems: Iterable[BandBorder], count: int) -> list:
     """``(det_sign, log_abs_det)`` of ``lu_factor(s, pivot_rtol=0.0)`` for each of ``count`` systems, factored together.
 
-    The systems share ``kl``, ``ku`` (one of them 2), the band's order and
-    the number of borders; each is copied into the pass's array as it is
-    drawn from ``systems``, so none has to be kept.  The pass runs
+    The systems share ``kl``, ``ku`` (one of them 2, or both 1 with no
+    borders), the band's order and the number of borders; each is copied
+    into the pass's array as it is drawn from ``systems``, so none has to
+    be kept.  Plain tridiagonal bands go through ``_tridiagonal_det_pass``.
+    Any other pass runs
     ``_band_lu``'s operations in its order, vectorized over the systems:
     the window holds three rows of five band columns plus the border
     columns, so the borders' forward elimination is the factorization's
@@ -1045,7 +1165,10 @@ def band_det_pass(systems: Iterable[BandBorder], count: int) -> list:
     first = next(systems)
     nb, k, kl, ku = first.band.shape[0], first.k, first.kl, first.ku
     if not _takes_pass(first):
-        raise ValueError(f"a pass takes bands with kl or ku = 2 and neither above, got kl={kl}, ku={ku}")
+        raise ValueError(f"a pass takes plain tridiagonal bands and bands with kl or ku = 2 and neither above, "
+                         f"got kl={kl}, ku={ku} with {k} borders")
+    if _plain_tridiagonal(first):
+        return _tridiagonal_det_pass(itertools.chain([first], systems), nb, count)
     # work[i, c, s]: row i of system s, band columns i - 2 .. i + 2, then its
     # borders; four zero rows below.
     work = np.zeros((nb + 4, 5 + k, count))

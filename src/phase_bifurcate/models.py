@@ -221,7 +221,9 @@ class TrivialBranch:
     ``value_of(params)`` returns the constant; ``state_of(params)`` the nodal
     vector.  ``bifurcating`` marks the one branch whose linearization can
     turn singular, and so the only one the detection scan runs on.  The
-    others are the wells, linearly stable at every parameter:
+    others are the wells, linearly stable at every parameter, so their det
+    sign never changes: ``compute_diagram`` gives each point of a well its
+    start point's.  They are:
 
     * AC at phi = +-1 and the CH outer roots: ``J = -A + c B`` with
       ``c = (3 phi^2 - 1)/eps^2 > 0``.  ``A`` is self-adjoint in a

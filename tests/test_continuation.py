@@ -301,6 +301,24 @@ def test_euler_predict_copies_a_constant_state_without_a_solve(kind, params, con
     assert singular.singular
     with pytest.raises(SingularMatrixError):
         euler_predict(model, params, point, -0.01, singular)
+    # No factorization (a well's: known regular) is made for no solve.
+    monkeypatch.setattr(continuation, "lu_factor", lambda *a: pytest.fail("euler_predict factored"))
+    assert euler_predict(model, params, point, -0.01, None).tobytes() == point.state.tobytes()
+
+
+def test_euler_predict_without_a_factorization_factors_for_its_solve():
+    # A CH well with an offset moves with epsilon: F_mu is not zero, so the
+    # solve needs the factorization, made from the point as the tracer would.
+    g = GridSpec(40)
+    model = model_by_kind("ch", g)
+    params = ModelParams(epsilon=0.3, mu0=0.05)
+    (well, *_) = [tb for tb in model.trivial_branches(params) if not tb.bifurcating]
+    point = newton_correct(model, params, well.state_of(params, g), default_settings("ch"))
+    assert model.param_derivative(point.state, params).any()
+    fact = lu_factor(model.linearize(point.state, params))
+    want = euler_predict(model, params, point, -0.01, fact)
+    assert euler_predict(model, params, point, -0.01, None).tobytes() == want.tobytes()
+    assert want.tobytes() != point.state.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +488,37 @@ def test_arclength_diagram_traces_constant_branches_against_the_parameter(kind, 
         for p, q in zip(a.points, b.points):
             assert (p.param, p.state.tobytes(), p.residual_norm, p.det_sign, p.newton_iters_used) == (
                 q.param, q.state.tobytes(), q.residual_norm, q.det_sign, q.newton_iters_used)
+
+
+@pytest.mark.parametrize("kind, params, window", [
+    ("ac", ModelParams(epsilon=0.5), (0.25, 0.7)),
+    ("ch", ModelParams(epsilon=0.5, mu0=0.05), (0.25, 0.7)),
+    ("acok", ModelParams(epsilon=0.3), (0.0, 700.0)),
+], ids=["ac", "ch-mu0-0.05", "acok"])
+def test_well_points_carry_their_start_det_sign(kind, params, window, monkeypatch):
+    # models.TrivialBranch proves no eigenvalue of a well's Jacobian reaches
+    # zero, so each point takes the start's det sign: the sign a fresh
+    # factorization gives.  With the scan left out, each AC and ACOK
+    # constant is factored only where _newton corrects it: each well once, at
+    # its start, and the bifurcating branch once per point, the start's
+    # factorization serving its first step.
+    model = model_by_kind(kind, GridSpec(40))
+    settings = default_settings(kind, param_min=window[0], param_max=window[1])
+    factored = _count_factorizations(monkeypatch)
+    monkeypatch.setattr(continuation, "detect_bifurcations_on_trivial", lambda *args: [])
+    branches = compute_diagram(model, params, settings).branches
+    monkeypatch.undo()
+    wells = [b for b in branches if b.id != "trivial:" + next(
+        tb.label for tb in model.trivial_branches(params) if tb.bifurcating)]
+    (scanned,) = [b for b in branches if b not in wells]
+    assert len(wells) == 2 and all(len(w.points) >= 30 for w in wells)
+    for well in wells:
+        for p in well.points:
+            fresh = lu_factor(model.linearize(p.state, model.with_param(params, p.param)))
+            assert p.det_sign == det_sign(fresh) == well.points[0].det_sign != 0
+    if kind != "ch":  # CH's wells move with epsilon: Newton factors them
+        assert {p.newton_iters_used for b in branches for p in b.points} == {0}
+        assert len(factored) == len(scanned.points) + 2
 
 
 def test_arclength_points_record_the_residual_at_their_own_state(arclength_branches):
@@ -701,6 +750,27 @@ def test_window_below_the_minimum_pass_size_is_signed_one_probe_at_a_time(monkey
     monkeypatch.undo()
     _spy_on_passes(monkeypatch, scalar=True)
     assert got == _acok_detection(100, 0.0, 150.0)
+
+
+@pytest.mark.parametrize("kind, mu0, lo, hi, step, first_level", [
+    ("ac", 0.0, 0.095, 0.4, 0.005, 123),  # ac-slice's window: 62 samples and 61 midpoints
+    ("ch", 0.05, 0.25, 0.7, 0.01, 91),  # ac-arclength's window: 46 and 45
+], ids=["ac", "ch-mu0-0.05"])
+@pytest.mark.parametrize("n_cells", [40, 100, 200])
+def test_ac_ch_detection_in_tridiagonal_passes_is_the_scalar_detection_bitwise(
+    monkeypatch, kind, mu0, lo, hi, step, first_level, n_cells
+):
+    def detect():
+        bifs = _detect_on_bifurcating_branch(kind, n_cells, ModelParams(epsilon=0.3, mu0=mu0), step, lo, hi)
+        return [(b.bif_id, b.param.hex(), b.mode_family, b.mode_index, b.null_mode.tobytes()) for b in bifs]
+
+    passes = _spy_on_passes(monkeypatch)
+    got = detect()
+    assert passes == [first_level]
+    monkeypatch.undo()
+    _spy_on_passes(monkeypatch, scalar=True)
+    assert got == detect()
+    assert len(got) >= 2
 
 
 def test_no_first_level_scan_probe_goes_through_lu_factor(monkeypatch):
@@ -1373,13 +1443,13 @@ def _log_seeds(monkeypatch) -> list:
         seeds.append(dict(direction=direction, tried=tried, picked=picked))
         return picked
 
-    def logging_newton(model, params_at, guess, settings):
+    def logging_newton(model, params_at, guess, settings, *sign):
         if tracing:
-            return newton(model, params_at, guess, settings)
+            return newton(model, params_at, guess, settings, *sign)
         seed = seeds[-1]
         seed["param"] = model.active_value(params_at)
         try:
-            point, fact = newton(model, params_at, guess, settings)
+            point, fact = newton(model, params_at, guess, settings, *sign)
         except NewtonFailure as exc:
             seed.update(outcome=exc.reason, iters=exc.iterations)
             raise

@@ -1207,6 +1207,124 @@ def test_tridiagonal_kernel_in_boost_mode_is_the_general_band_kernel():
         assert b == 1
 
 
+def reference_band_factor(band, floor, boost=None):
+    """``_band_factor`` as it indexed lists on every row: the reference for the kernel that holds them in locals."""
+    sub, diag, sup = band
+    n = len(diag)
+    d = list(diag)
+    du = list(sup)
+    lower = [0.0] * max(n - 1, 0)
+    upper2 = [0.0] * max(n - 2, 0)
+    swapped = [False] * max(n - 1, 0)
+    boosts = []
+    sign = 1
+    singular = False
+    for k in range(n - 1):
+        piv = d[k]
+        below = sub[k]
+        mag, mag_below = abs(piv), abs(below)
+        if mag_below > mag:
+            if mag_below <= floor:
+                if boost is None:
+                    singular = True
+                else:
+                    below += linalg._boosted(boosts, k + 1, k, below, boost)
+            swapped[k] = True
+            sign = -sign
+            mult = piv / below
+            d[k], du[k], d[k + 1] = below, d[k + 1], du[k] - mult * d[k + 1]
+            if k + 2 < n:
+                upper2[k] = du[k + 1]
+                du[k + 1] = 0.0 - mult * upper2[k]
+            lower[k] = mult
+        else:
+            if mag <= floor:
+                if boost is None:
+                    singular = True
+                    if piv == 0.0:
+                        continue
+                else:
+                    piv = d[k] = piv + linalg._boosted(boosts, linalg._origin(swapped, k), k, piv, boost)
+            mult = below / piv
+            d[k + 1] -= mult * du[k]
+            lower[k] = mult
+    if n and abs(d[n - 1]) <= floor:
+        if boost is None:
+            singular = True
+        else:
+            d[n - 1] += linalg._boosted(boosts, linalg._origin(swapped, n - 1), n - 1, d[n - 1], boost)
+    return SimpleNamespace(lower=lower, pivots=d, upper=du, upper2=upper2, swapped=swapped,
+                           perm_sign=sign, singular=singular, boosts=boosts)
+
+
+def reference_band_solve(fact, b):
+    """``_band_solve`` as it indexed the solution list on every row."""
+    x = list(b)
+    n = len(x)
+    for k, (mult, swap) in enumerate(zip(fact.lower, fact.swapped)):
+        if swap:
+            x[k], x[k + 1] = x[k + 1], x[k]
+        x[k + 1] -= mult * x[k]
+    d, du, du2 = fact.pivots, fact.upper, fact.upper2
+    if n:
+        x[n - 1] /= d[n - 1]
+    if n > 1:
+        x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
+    for k in range(n - 3, -1, -1):
+        x[k] = (x[k] - du[k] * x[k + 1] - du2[k] * x[k + 2]) / d[k]
+    return x
+
+
+def reference_band_solve_t(fact, b):
+    """``_band_solve_t`` as it indexed the solution list on every row."""
+    x = list(b)
+    n = len(x)
+    d, du, du2 = fact.pivots, fact.upper, fact.upper2
+    if n:
+        x[0] /= d[0]
+    if n > 1:
+        x[1] = (x[1] - du[0] * x[0]) / d[1]
+    for k in range(2, n):
+        x[k] = (x[k] - du2[k - 2] * x[k - 2] - du[k - 1] * x[k - 1]) / d[k]
+    for k in range(n - 2, -1, -1):
+        x[k] -= fact.lower[k] * x[k + 1]
+        if fact.swapped[k]:
+            x[k], x[k + 1] = x[k + 1], x[k]
+    return x
+
+
+def test_tridiagonal_kernels_in_locals_are_the_list_indexing_ones_bitwise():
+    # Random bands with exact and signed zeros, pivot ties and zero columns,
+    # unboosted (floors 0 and pivot_rtol-sized: zero pivots are skipped and
+    # flagged) and boosted (every pivot on or below the floor).
+    rng = np.random.default_rng(107)
+    bands = [random_tridiagonal_band(rng, n) for n in range(1, 16) for _ in range(40)]
+    bands += [rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], (n, 3)) for n in range(1, 16) for _ in range(40)]
+    bands += [np.zeros((n, 3)) for n in (1, 2, 5)]
+    singular = boosts = swaps = 0
+    for band in bands:
+        diagonals = tuple(d.tolist() for d in linalg._diagonals(band))
+        scale = boost_scale(band)
+        for floor, boost in ((0.0, None), (1e-2 * scale, None), (linalg._BOOST_RTOL * scale, scale),
+                             (1e-2 * scale, scale)):
+            got, want = linalg._band_factor(diagonals, floor, boost), reference_band_factor(diagonals, floor, boost)
+            for name in ("lower", "pivots", "upper", "upper2"):
+                assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+            assert (got.swapped, got.perm_sign, got.singular, got.boosts) == (
+                want.swapped, want.perm_sign, want.singular, want.boosts)
+            singular, boosts, swaps = singular + got.singular, boosts + len(got.boosts), swaps + sum(got.swapped)
+            if got.singular:
+                continue
+            n = len(band)
+            rhs = rng.standard_normal(n)
+            rhs[rng.random(n) < 0.2] = 0.0
+            rhs[rng.random(n) < 0.1] = -0.0
+            for b in (rhs.tolist(), np.eye(n)[rng.integers(n)].tolist()):
+                assert bits(linalg._band_solve(got, b)) == bits(reference_band_solve(want, b))
+                assert bits(linalg._band_solve_t(got, b)) == bits(reference_band_solve_t(want, b))
+    assert singular >= 1000 and boosts >= 3000 and swaps >= 10000
+
+
 def test_scalar_schur_factor_is_the_dense_kernel_step_for_step():
     rng = np.random.default_rng(47)
     blocks = []
@@ -1440,14 +1558,100 @@ def test_band_det_pass_results_do_not_depend_on_how_the_systems_are_split():
         assert sum((pass_det_bits(systems[i:i + size]) for i in range(0, len(systems), size)), []) == whole
 
 
-def test_pass_size_takes_only_general_bands_in_passes_within_the_byte_budget(monkeypatch):
+def ac_ch_states(grid):
+    """Constant and non-constant AC/CH states, built without numpy's transcendental functions."""
+    x = grid.nodes
+    return (
+        np.zeros(grid.n_nodes),
+        np.full(grid.n_nodes, -1.0),
+        np.full(grid.n_nodes, -0.05),
+        0.9 * x / np.sqrt(x * x + 0.01),
+        0.8 - 1.6 * x * x,
+    )
+
+
+@pytest.mark.parametrize("n_cells", [20, 100, 200, 800])
+def test_band_det_pass_is_lu_factor_bitwise_on_ac_and_ch_linearizations(n_cells):
+    # The AC and CH Jacobians are plain tridiagonal bands, each its own
+    # mirror at a constant state: the tridiagonal pass takes them.
+    grid = GridSpec(n_cells)
+    signs = set()
+    for kind, mu0 in (("ac", 0.0), ("ch", 0.05)):
+        model = model_by_kind(kind, grid)
+        for state in ac_ch_states(grid):
+            systems = [model.linearize(state, ModelParams(epsilon=e, mu0=mu0)) for e in np.linspace(0.05, 0.7, 41)]
+            assert linalg.pass_size(systems[0], len(systems)) == len(systems)
+            want = [scalar_det_bits(s) for s in systems]
+            assert pass_det_bits(systems) == want
+            signs |= {sign for sign, _ in want}
+    assert signs == {-1, 1}
+
+
+def test_tridiagonal_pass_is_lu_factor_bitwise_on_random_bands_however_split():
+    # Entries over six decades or from a few values (pivot ties), with exact
+    # and signed zeros; junk (NaN too) outside the matrix, which lu_factor
+    # never reads; exactly singular bands, at the first pivot or later; and
+    # bands lu_factor refuses: a NaN or inf entry, or a row sum that
+    # overflows.  Each result is lu_factor's, or None where it raises.
+    rng = np.random.default_rng(109)
+    for nb in (1, 2, 3, 17, 60):
+        systems = []
+        for i in range(90):
+            if i % 3:
+                band = rng.choice([-1.0, 1.0], (nb, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (nb, 3))
+            else:
+                band = rng.choice([-2.0, -1.0, 1.0, 2.0], (nb, 3))
+            band[rng.random((nb, 3)) < 0.15] = 0.0
+            band[rng.random((nb, 3)) < 0.05] = -0.0
+            band[0, 0], band[-1, 2] = rng.choice([np.nan, 7.0, -0.0]), rng.choice([np.inf, 3.0])
+            r = int(rng.integers(nb))
+            if i % 10 == 1:  # a zero column
+                band[r, 1] = 0.0
+                if r > 0:
+                    band[r - 1, 2] = 0.0
+                if r + 1 < nb:
+                    band[r + 1, 0] = 0.0
+            elif i % 10 == 2:
+                band[r, 1] = rng.choice([np.nan, np.inf, -np.inf])
+            elif i % 10 == 3:
+                band[r] = [1e308, 1e308, 1e308]
+            systems.append(BandBorder(band=band, kl=1))
+        want = []
+        for system in systems:
+            try:
+                with np.errstate(over="ignore"):
+                    want.append(scalar_det_bits(system))
+            except ValueError:
+                want.append(None)
+        whole = pass_det_bits(systems)
+        assert whole == want
+        if nb > 1:
+            assert sum(w is None for w in want) >= 18 and sum(w == (0, (-math.inf).hex()) for w in want) >= 9
+            assert {w[0] for w in want if w} == {-1, 0, 1}
+        for size in (1, 7, 40, 89):
+            assert sum((pass_det_bits(systems[i:i + size]) for i in range(0, len(systems), size)), []) == whole
+
+
+def test_pass_size_takes_passes_by_band_width_and_count_within_the_byte_budget(monkeypatch):
     def acok(n_cells):
         grid = GridSpec(n_cells)
         return model_by_kind("acok", grid).linearize(np.full(grid.n_nodes, 0.5), ModelParams(epsilon=0.3, gamma=1.0))
 
-    grid = GridSpec(100)
-    ac = model_by_kind("ac", grid).linearize(np.zeros(grid.n_nodes), ModelParams(epsilon=0.3))
-    assert linalg.pass_size(ac, 1000) == 0  # tridiagonal: _band_factor's
+    def ac(n_cells):
+        grid = GridSpec(n_cells)
+        return model_by_kind("ac", grid).linearize(np.zeros(grid.n_nodes), ModelParams(epsilon=0.3))
+
+    # Plain tridiagonal bands: ac-slice's and ac-arclength's first levels
+    # take one pass, ch-scan-n800's 19 probes none.
+    assert linalg.pass_size(ac(100), 123) == 123 and linalg.pass_size(ac(100), 91) == 91
+    assert linalg.pass_size(ac(800), 19) == 0
+    assert linalg.pass_size(ac(100), linalg.MIN_TRIDIAGONAL_PASS_SYSTEMS - 1) == 0
+    assert linalg.pass_size(ac(100), linalg.MIN_TRIDIAGONAL_PASS_SYSTEMS) == linalg.MIN_TRIDIAGONAL_PASS_SYSTEMS
+    assert linalg.pass_size(ac(1024), 401) == 81  # five passes
+    assert linalg.pass_size(ac(4096), 1000) == 0  # 21 fit the byte budget: below the minimum
+    bordered = ac(100).bordered(np.ones(101), np.ones(101), 0.0)
+    assert linalg.pass_size(bordered, 1000) == 0  # a tridiagonal band with a border: _bordered_factor's
+    # Bands _band_lu factors.
     assert linalg.pass_size(acok(100), 141) == 141  # acok-slice's first level: one pass
     assert linalg.pass_size(acok(100), linalg.MIN_PASS_SYSTEMS - 1) == 0
     assert linalg.pass_size(acok(200), 601) == 151  # four passes
@@ -1455,6 +1659,7 @@ def test_pass_size_takes_only_general_bands_in_passes_within_the_byte_budget(mon
     assert linalg.pass_size(acok(4096), 21) == linalg.pass_size(acok(2048), 1000) == 0
     monkeypatch.setattr(linalg, "PASS_BYTES", 64 * 1024)
     assert linalg.pass_size(acok(100), 141) == 0  # 5 per pass: below the minimum
+    assert linalg.pass_size(ac(100), 123) == 0  # 13 per pass
 
 
 def test_band_det_pass_rejects_bands_it_does_not_take_and_mixed_shapes():
@@ -1470,6 +1675,10 @@ def test_band_det_pass_rejects_bands_it_does_not_take_and_mixed_shapes():
     for other in (band(11, 2, 2), band(10, 2, 1)):
         with pytest.raises(ValueError, match="share"):
             linalg.band_det_pass([band(10, 2, 2), other], 2)
+    plain = BandBorder(band=rng.standard_normal((10, 3)), kl=1)
+    for other in (BandBorder(band=rng.standard_normal((11, 3)), kl=1), band(10, 1, 1), band(10, 2, 2)):
+        with pytest.raises(ValueError, match="share"):
+            linalg.band_det_pass([plain, other], 2)
 
 
 # ---------------------------------------------------------------------------
