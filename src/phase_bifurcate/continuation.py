@@ -37,6 +37,7 @@ import numpy as np
 
 from .linalg import (
     Factorization, SingularMatrixError, band_det_pass, det_sign, log_abs_det, lu_factor, lu_solve, null_vector, pass_size,
+    solve_once,
 )
 from . import analysis
 from .models import MODELS, ModelParams
@@ -239,6 +240,15 @@ def _newton(model, params, guess, settings, sign: Optional[int] = None) -> tuple
     is not factored: the point takes ``sign`` and None comes back instead.
     Raises NewtonFailure on singular Jacobian, iteration cap, or three
     consecutive residual increases.
+
+    Each correction is one ``linalg.solve_once``, which keeps no
+    factorization.  At an exactly even or odd AC/CH state with a residual of
+    the same parity, it factors and solves only the Jacobian's block of that
+    parity, so the correction never leaves its parity subspace.  A singular
+    block of the other parity therefore does not stop the correction; only a
+    singular block of its own parity (or a singular Jacobian, off that
+    shortcut) fails it as "singular".  The factorization at the accepted
+    state, which gives the det sign, is always the full one.
     """
     x = np.array(guess, dtype=float)
     r = model.residual(x, params)
@@ -251,10 +261,10 @@ def _newton(model, params, guess, settings, sign: Optional[int] = None) -> tuple
     while rn > settings.newton_tol:
         if iters >= settings.max_newton_iters:
             raise NewtonFailure("no_convergence", iters, rn)
-        fact = lu_factor(model.linearize(x, params))
-        if fact.singular:
-            raise NewtonFailure("singular", iters, rn)
-        x = x + lu_solve(fact, -r)
+        try:
+            x = x + solve_once(model.linearize(x, params), -r)
+        except SingularMatrixError:
+            raise NewtonFailure("singular", iters, rn) from None
         r = model.residual(x, params)
         rn = _sup(r)
         iters += 1
@@ -293,8 +303,9 @@ def euler_predict(model, params, point: BranchPoint, step: float, fact: Optional
     Where F_mu is exactly zero (a constant state that does not move with the
     parameter) dx is zero and no solve is made: the prediction is a copy of
     the state.  ``fact`` None says that ``J`` is known to be regular at
-    ``point`` (a well, ``models.TrivialBranch``); it is then factored here
-    only if a solve needs it.
+    ``point`` (a well, ``models.TrivialBranch``); it is then solved with
+    ``linalg.solve_once`` (on one parity block where it can) only if a solve
+    is needed.
     """
     fmu = model.param_derivative(point.state, params)
     if not fmu.any():
@@ -302,9 +313,8 @@ def euler_predict(model, params, point: BranchPoint, step: float, fact: Optional
             raise SingularMatrixError("singular matrix")
         return point.state.copy()
     if fact is None:
-        fact = lu_factor(model.linearize(point.state, params))
-    dx = lu_solve(fact, -fmu * step)
-    return point.state + dx
+        return point.state + solve_once(model.linearize(point.state, params), -fmu * step)
+    return point.state + lu_solve(fact, -fmu * step)
 
 
 def _clip_target(current: float, step: float, direction: int, settings: ContinuationSettings) -> float:

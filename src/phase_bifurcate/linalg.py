@@ -25,6 +25,13 @@ and columns, which is how the models hand over their linearizations.
   even or odd guesses keep their parity exactly, and an even or odd
   right-hand side usually needs only one solve.  Any other band solves
   top-down once.
+* ``solve_once`` factors and solves for one right-hand side and keeps no
+  factorization (each Newton correction).  On an unbordered band of odd
+  order that is its own mirror, with a right-hand side that is exactly even
+  or odd by value, it factors and solves only the parity block of that
+  right-hand side, about half the band, with the same kernels and the full
+  band's pivot floor, and mirrors the result back.  Any other system goes
+  through ``lu_factor`` and ``lu_solve``.
 * Any other band with at most two sub- and superdiagonals (ACOK's
   augmented Poisson form has ``kl = ku = 2``) gets a ``dgbtf2``-style band
   LU with partial pivoting inside the band, O(N); LAPACK makes the same
@@ -88,6 +95,7 @@ __all__ = [
     "SingularMatrixError",
     "lu_factor",
     "lu_solve",
+    "solve_once",
     "det_sign",
     "log_abs_det",
     "null_vector",
@@ -398,9 +406,21 @@ def _band_floor(band: tuple, pivot_rtol: float) -> float:
     """
     sub, diag, sup = (np.abs(d) for d in band)
     off = np.zeros(len(diag))
-    off[1:] += sub
-    off[:-1] += sup
-    return float(pivot_rtol) * _finite_max(off + diag)
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below
+        off[1:] += sub
+        off[:-1] += sup
+        off += diag
+    return float(pivot_rtol) * _finite_max(off)
+
+
+def _own_mirror(band: tuple) -> bool:
+    """Whether the tridiagonal ``(sub, diag, sup)`` arrays equal their mirror ``(sup[::-1], diag[::-1], sub[::-1])``.
+
+    Bit for bit, signed zeros included: only then is the elimination of the
+    band also its mirror's, operation for operation.
+    """
+    sub, diag, sup = band
+    return sub.tobytes() == sup[::-1].tobytes() and diag.tobytes() == diag[::-1].tobytes()
 
 
 def _finite_max(row_sums: np.ndarray) -> float:
@@ -728,10 +748,11 @@ def _bordered_factor(system: BandBorder, pivot_rtol: float) -> BorderedLuFactori
     ``(-1)^boosts`` times the user matrix's.
     """
     # Row sums of |full matrix| give the floor, the band's alone the boost.
-    band_sums, abs_rows = np.abs(system.band).sum(axis=1), np.abs(system.rows)
-    corner_sums = np.abs(system.corner).sum(axis=1)
-    floor = float(pivot_rtol) * max(_finite_max(band_sums + np.abs(system.cols).sum(axis=1)),
-                                    _finite_max(abs_rows.sum(axis=1) + corner_sums))
+    abs_rows = np.abs(system.rows)
+    with np.errstate(over="ignore"):  # an overflowing sum is refused by _finite_max
+        band_sums, corner_sums = np.abs(system.band).sum(axis=1), np.abs(system.corner).sum(axis=1)
+        band_rows, border_rows = band_sums + np.abs(system.cols).sum(axis=1), abs_rows.sum(axis=1) + corner_sums
+    floor = float(pivot_rtol) * max(_finite_max(band_rows), _finite_max(border_rows))
     scale = float(band_sums.max(initial=0.0))
     boost_floor, boost = max(floor, _BOOST_RTOL * scale), scale if scale > 0.0 else 1.0
     if system.kl == system.ku == 1:
@@ -875,8 +896,7 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
                 raise ValueError("matrix contains non-finite entries")
             return _dense_factor(a.copy(), pivot_rtol)
     fact = _band_factor(tuple(d.tolist() for d in band), _band_floor(band, pivot_rtol))
-    sub, diag, sup = band
-    fact.own_mirror = sub.tobytes() == sup[::-1].tobytes() and diag.tobytes() == diag[::-1].tobytes()
+    fact.own_mirror = _own_mirror(band)
     return fact
 
 
@@ -941,6 +961,73 @@ def lu_solve(fact: Factorization, rhs) -> np.ndarray:
     if isinstance(fact, BandLuFactorization):
         return np.array(_band_solve_equivariant(fact, b.tolist()))
     return _dense_solve(fact, b)
+
+
+def solve_once(system, rhs) -> np.ndarray:
+    """``lu_solve(lu_factor(system), rhs)`` where the factorization is not wanted again; Newton's step.
+
+    An unbordered tridiagonal band of odd order ``n = 2m + 1`` that is its
+    own mirror bit for bit (``_own_mirror``: the AC/CH Jacobian at an even or
+    odd state) commutes with the reversal ``P``, so it maps even vectors to
+    even ones and odd to odd: its two parity blocks (Golubitsky, Stewart &
+    Schaeffer, *Singularities and Groups in Bifurcation Theory* II, ch.
+    XIII).  For a right-hand side that is exactly even or exactly odd by
+    value, only that block is factored and solved, by ``_band_factor`` and
+    ``_band_solve`` (``_parity_block_solve``), and the result is mirrored
+    back, so it is exactly even or odd by construction.  Its pivot floor is
+    the full band's, bit for bit.  The other block is never factored: a
+    singular block of the other parity does not stop the solve, while a
+    singular block of the right-hand side's own raises
+    ``SingularMatrixError``.  Every other system and right-hand side goes
+    through ``lu_solve(lu_factor(system), rhs)`` unchanged.
+    """
+    if isinstance(system, BandBorder) and _plain_tridiagonal(system):
+        x = _parity_block_solve(system, np.asarray(rhs, dtype=float))
+        if x is not None:
+            return x
+    return lu_solve(lu_factor(system), rhs)
+
+
+def _parity_block_solve(system: BandBorder, b: np.ndarray) -> Optional[np.ndarray]:
+    """``solve_once`` on one parity block; None where the shortcut does not apply.
+
+    With ``m = n // 2``, an even ``x`` has ``x[m + 1] = x[m - 1]``, so the
+    even block is rows and unknowns ``0 .. m`` with row ``m``'s subdiagonal
+    entry ``J[m, m - 1] + J[m, m + 1]`` (exactly ``2 J[m, m - 1]`` on an own
+    mirror band).  An odd ``x`` has ``x[m] = 0``, so the odd block is rows
+    and unknowns ``0 .. m - 1``, and row ``m`` reads ``0 = b[m]``.
+    """
+    n = system.band.shape[0]
+    if n % 2 == 0 or n < 3 or b.shape != (n,):
+        return None
+    rev = b[::-1]
+    even = bool((b == rev).all())
+    if not even and not (b == -rev).all():
+        return None
+    if not _own_mirror(_diagonals(system.band)):
+        return None
+    m = n // 2
+    top = system.band[: m + 1]  # rows 0 .. m; top[0, 0] is outside the matrix
+    # The full band's floor: each later row holds an earlier row's entries,
+    # and each row sums |sub| + |sup| before |diag|, as _band_floor does.
+    mags = np.abs(top)
+    mags[0, 0] = 0.0
+    with np.errstate(over="ignore"):  # an overflowing sum is refused by _finite_max
+        floor = DEFAULT_PIVOT_RTOL * _finite_max(mags[:, 0] + mags[:, 2] + mags[:, 1])
+    sub, diag, sup = top.T.tolist()
+    if even:
+        block = (sub[1:m] + [sub[m] + sup[m]], diag, sup[:m])
+        rhs = b[: m + 1].tolist()
+    else:
+        block = (sub[1:m], diag[:m], sup[: m - 1])
+        rhs = b[:m].tolist()
+    fact = _band_factor(block, floor)
+    if fact.singular:
+        raise SingularMatrixError("singular matrix")
+    half = _band_solve(fact, rhs)
+    if even:
+        return np.array(half + half[-2::-1])
+    return np.array(half + [0.0] + [-v for v in reversed(half)])
 
 
 def _order(fact: Factorization) -> int:

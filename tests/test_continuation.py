@@ -243,6 +243,44 @@ def test_newton_singular_reason():
     assert info.value.reason == "singular"
 
 
+class OddSingularModel:
+    """``F(x) = J x - b``, with ``J`` an own mirror band of order 5 whose odd block ``[[1, 1], [1, 1]]`` is singular.
+
+    Its even block ``[[1, 1, 0], [1, 1, 3], [0, 4, 5]]`` has det -12.
+    """
+
+    def __init__(self, b):
+        self.b = np.asarray(b, dtype=float)
+        sub, diag = [0.0, 1.0, 2.0, 3.0, 1.0], [1.0, 1.0, 5.0, 1.0, 1.0]
+        self.system = BandBorder(band=np.column_stack((sub, diag, sub[::-1])), kl=1)
+
+    def with_param(self, params, value):
+        return float(value)
+
+    def active_value(self, params):
+        return float(params)
+
+    def residual(self, state, mu):
+        return self.system.to_dense() @ state - self.b
+
+    def linearize(self, state, mu):
+        return self.system
+
+
+def test_newton_corrects_on_a_regular_block_of_a_singular_jacobian():
+    # The correction of an odd residual is solved on the odd block only: a
+    # singular odd block stops it, a singular block of the other parity does
+    # not (the full Jacobian is singular in both cases).
+    assert lu_factor(OddSingularModel(np.zeros(5)).system).singular
+    even = OddSingularModel([1.0, 2.0, 3.0, 2.0, 1.0])
+    point = newton_correct(even, 0.0, np.zeros(5), toy_settings())
+    assert point.newton_iters_used == 1 and point.residual_norm == 0.0 and point.det_sign == 0
+    assert np.array_equal(point.state, point.state[::-1])
+    with pytest.raises(NewtonFailure) as info:
+        newton_correct(OddSingularModel([1.0, 2.0, 0.0, -2.0, -1.0]), 0.0, np.zeros(5), toy_settings())
+    assert info.value.reason == "singular" and info.value.iterations == 0
+
+
 def test_newton_diverged_reason():
     with pytest.raises(NewtonFailure) as info:
         newton_correct(CubeRootModel(), 0.0, np.array([1.0]), toy_settings())
@@ -430,17 +468,16 @@ def arclength_branches(ac_detection):
 # branch, its point count, last parameter and the sha256 of its stacked
 # states.  The trivial rows were recorded since constant branches are
 # traced against the parameter whatever the settings say (they end at
-# param_min, 0.25); the offshoot rows since each seed's amplitude is
-# picked from the residual along the null mode
-# (``continuation._seed_amplitude``).
+# param_min, 0.25); the offshoot rows since each Newton correction of an
+# even or odd seed is solved on its parity block (``linalg.solve_once``).
 _ARCLENGTH_DIAGRAM_N40 = (
     ("trivial:phi=-1", 115, "0x1.0000000000000p-2", "43839bd22591d29c086c3937aa0e0cd54d0a19d332d093b890c1c20b57806074"),
     ("trivial:phi=0", 115, "0x1.0000000000000p-2", "a8fce3fb06ce3bd8c76bcdf60b4ea17197b535ab46de6001a147b10982737668"),
     ("trivial:phi=+1", 115, "0x1.0000000000000p-2", "a89d094e080837cebf58af4d9d1229bae5381281c3ea0cd9a5acd563431a1871"),
-    ("bp0+", 64, "0x1.fe94290bcb1ccp-3", "01d1831564d2f409e48eff6cacabe34fb257461d9ec838caffb5ee48d94e516f"),
-    ("bp0-", 64, "0x1.fe94290bcb1ccp-3", "5494c520548a99ae498992786ca772b763259e1d0e222f1e2a92ff95bb75b235"),
-    ("bp1+", 144, "0x1.fe5048e543813p-3", "53ee31ba353d1ebae2e48e6a631f6b0402436ab8094d64ab33821e67a2a1496e"),
-    ("bp1-", 144, "0x1.fe5048e543813p-3", "011f64c70f3acc4966d98971ff5f12610f80b48a23e82611b98027d7c09379b8"),
+    ("bp0+", 64, "0x1.fe94290bcb271p-3", "3e7e127f4b49cadf171f2c8306f539e4adaa30b223c53ca60360339031a26156"),
+    ("bp0-", 64, "0x1.fe94290bcb271p-3", "42e07f7316aac3e9eecc0542dc677bd6296ceb9711a78e122c063698bd6b2061"),
+    ("bp1+", 144, "0x1.fe5048e543384p-3", "c0506400b40b8734c2a7dded0511b495e7fa055bfbcb0316ef401def7c262a25"),
+    ("bp1-", 144, "0x1.fe5048e543384p-3", "9f44852e7abfd798b5ed75a541006c4262da1898809c66b44fea71e96374074c"),
 )
 
 
@@ -1778,6 +1815,47 @@ def test_solutions_at_rejects_out_of_window(small_diagram):
     _, model, params, settings, diagram = small_diagram
     with pytest.raises(ValueError):
         solutions_at(diagram, 0.75, model, settings)
+
+
+def test_newton_on_parity_blocks_follows_the_full_solve_on_the_ac_slice(monkeypatch):
+    # The ac-slice benchmark's run (solutions --model ac --epsilon 0.1
+    # --n-cells 100 --step 0.005 --eps-range 0.095:0.4), with every Newton
+    # correction solved on its parity block, against the same run with the
+    # full band solve: the same branches, points, parameters and iteration
+    # counts, and every state within 1e-10.
+    model = model_by_kind("ac", GridSpec(100))
+    params = ModelParams(epsilon=0.1)
+    base = default_settings("ac", param_min=0.095, param_max=0.4)
+    settings = replace(base, initial_step=0.005, max_step=max(0.005, base.max_step), min_step=min(0.005, base.min_step))
+
+    def run():
+        diagram = compute_diagram(model, params, settings, at=0.1)
+        return diagram, solutions_at(diagram, 0.1, model, settings)
+
+    halves, block_solve = [], linalg._parity_block_solve
+
+    def counting_block_solve(system, b):
+        x = block_solve(system, b)
+        halves.append(x is not None)
+        return x
+
+    monkeypatch.setattr(linalg, "_parity_block_solve", counting_block_solve)
+    diagram, sols = run()
+    assert sum(halves) >= 300  # every Newton correction on an offshoot
+    monkeypatch.setattr(continuation, "solve_once", lambda system, rhs: lu_solve(lu_factor(system), rhs))
+    full_diagram, full_sols = run()
+    assert len(sols) == len(full_sols) == 10
+    assert [b.id for b in diagram.branches] == [b.id for b in full_diagram.branches]
+    assert [(b.param, b.bif_id) for b in diagram.bifurcations] == [(b.param, b.bif_id) for b in full_diagram.bifurcations]
+    for branch, full in zip(diagram.branches, full_diagram.branches):
+        assert branch.stop_reason == full.stop_reason
+        assert [(p.param, p.newton_iters_used) for p in branch.points] == [
+            (p.param, p.newton_iters_used) for p in full.points]
+        for p, q in zip(branch.points, full.points):
+            assert np.max(np.abs(p.state - q.state)) <= 1e-10, branch.id
+    for s, t in zip(sols, full_sols):
+        assert (s.branch_id, s.param) == (t.branch_id, t.param)
+        assert np.max(np.abs(s.state - t.state)) <= 1e-10
 
 
 @pytest.mark.parametrize("kind", ["ac", "ch"])

@@ -34,6 +34,7 @@ from phase_bifurcate import (
     model_by_kind,
     null_vector,
     poisson_neumann_solve,
+    solve_once,
 )
 from phase_bifurcate.models import _laplacian_band, _neumann_system
 
@@ -342,6 +343,14 @@ def test_band_rejects_nonfinite_entries():
     off_band[0, 3] = np.nan  # not on the band: the dense path rejects it
     with pytest.raises(ValueError):
         lu_factor(off_band)
+    # Finite entries whose row sum overflows: the same ValueError, with no
+    # RuntimeWarning before it (the suite makes one an error).
+    plain = BandBorder(band=np.array([[0.0, 1e308, 1e308], [1.0, 4.0, 1.0], [1.0, 4.0, 0.0]]), kl=1)
+    bordered = plain.bordered(np.ones(3), np.ones(3), 1.0)
+    own_mirror = BandBorder(band=np.full((3, 3), 1e308), kl=1)  # the parity-block solve's floor
+    for system, solve in ((plain, lu_factor), (bordered, lu_factor), (own_mirror, lambda s: solve_once(s, np.ones(3)))):
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(system)
 
 
 def test_lu_solve_takes_one_right_hand_side():
@@ -560,6 +569,152 @@ def test_own_mirror_counts_signed_zeros():
     odd = 0.5 * (odd - odd[::-1])
     assert lu_factor(model.linearize(odd, params)).own_mirror
     assert not lu_factor(model.linearize(np.linspace(-0.3, 0.5, grid.n_nodes), params)).own_mirror
+
+
+def _parity_parts(v):
+    """The exactly even and exactly odd parts of ``v``."""
+    return 0.5 * (v + v[::-1]), 0.5 * (v - v[::-1])
+
+
+def _is_even(v):
+    return np.array_equal(v, v[::-1])
+
+
+def _is_odd(v):
+    return np.array_equal(v, -v[::-1])
+
+
+def _block_orders(monkeypatch):
+    """Spy on ``linalg._band_factor``: the list of the orders it factors, with their pivot floors."""
+    orders, band_factor = [], linalg._band_factor
+
+    def spy(band, floor, *args, **kwargs):
+        orders.append((len(band[1]), floor))
+        return band_factor(band, floor, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_band_factor", spy)
+    return orders
+
+
+@pytest.mark.parametrize("n_cells", [4, 40, 100, 200, 800])
+def test_solve_once_on_a_parity_block_agrees_with_the_full_solve(n_cells, monkeypatch):
+    # AC and CH Jacobians at exactly even and odd states are their own mirror;
+    # an even or odd right-hand side is solved on its block of order m + 1
+    # or m, and the result is exactly even or odd.  Both solves are backward
+    # stable (residual within 10 u here), so they differ by rounding times
+    # the condition number kappa, which grows like N^2: within 1e-13
+    # relative up to N = 100, within 4 u kappa at every N.
+    grid = GridSpec(n_cells)
+    n, m = grid.n_nodes, grid.n_nodes // 2
+    x = grid.nodes
+    even, odd = _parity_parts(0.8 - 1.6 * x * x)[0], _parity_parts(0.9 * x / np.sqrt(x * x + 0.01))[1]
+    cases = [("ac", 0.0, even), ("ac", 0.0, odd), ("ch", 0.0, even), ("ch", 0.0, odd), ("ch", 0.05, 0.05 + even)]
+    rng = np.random.default_rng(n_cells)
+    orders = _block_orders(monkeypatch)
+    for kind, mu0, state in cases:
+        model = model_by_kind(kind, grid)
+        for epsilon in (0.1, 0.3):
+            params = ModelParams(epsilon=epsilon, mu0=mu0)
+            system = model.linearize(state, params)
+            dense = system.to_dense()
+            norm = np.max(np.sum(np.abs(dense), axis=1))
+            kappa = norm * np.max(np.sum(np.abs(np.linalg.inv(dense)), axis=1))
+            even_case, odd_case = (_is_even, m + 1), (_is_odd, m)
+            r_even, r_odd = _parity_parts(rng.standard_normal(n))
+            newton = (-model.residual(state, params), *(odd_case if state is odd else even_case))
+            for b, is_parity, order in ((r_even, *even_case), (r_odd, *odd_case), newton):
+                assert is_parity(b)
+                full = lu_factor(system)
+                want = lu_solve(full, b)
+                orders.clear()
+                got = solve_once(system, b)
+                assert orders == [(order, full.pivot_floor)], f"{kind} mu0={mu0} eps={epsilon}"
+                assert is_parity(got)
+                gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert gap <= 4.0 * np.finfo(float).eps * kappa
+                assert n_cells > 100 or gap <= 1e-13
+                assert np.max(np.abs(b - dense @ got)) <= 10.0 * np.finfo(float).eps * norm * np.max(np.abs(got))
+
+
+def _assert_solve_once_falls_back_bitwise(system, b, monkeypatch):
+    """``solve_once`` gives ``lu_solve(lu_factor(...))``'s bytes, through ``lu_factor``."""
+    want = lu_solve(lu_factor(system), b)
+    factored, factor = [], linalg.lu_factor
+
+    def spy(matrix, *args, **kwargs):
+        factored.append(matrix)
+        return factor(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "lu_factor", spy)
+    got = solve_once(system, b)
+    monkeypatch.setattr(linalg, "lu_factor", factor)
+    assert factored == [system]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_solve_once_falls_back_to_the_full_solve_bitwise(monkeypatch):
+    rng = np.random.default_rng(30)
+    grid = GridSpec(40)
+    n = grid.n_nodes
+    x = grid.nodes
+    ac = model_by_kind("ac", grid)
+    params = ModelParams(epsilon=0.2)
+    odd = _parity_parts(np.tanh(x / 0.2))[1]
+    system = ac.linearize(odd, params)
+    r_even, r_odd = _parity_parts(rng.standard_normal(n))
+    assert lu_factor(system).own_mirror
+    # Off its mirror by one signed zero.
+    sub, diag, sup = _self_mirror_band(rng, 9)
+    diag[1], diag[-2] = 0.0, -0.0
+    signed = _band_border(sub, diag, sup)
+    assert not lu_factor(signed).own_mirror
+    b_even, b_odd = _parity_parts(rng.standard_normal(9))
+    _assert_solve_once_falls_back_bitwise(signed, b_even, monkeypatch)
+    _assert_solve_once_falls_back_bitwise(signed, b_odd, monkeypatch)
+    # A right-hand side that is neither even nor odd.
+    _assert_solve_once_falls_back_bitwise(system, r_even + 1e-3 * r_odd, monkeypatch)
+    # A band of even order.
+    sub, diag, sup = _self_mirror_band(rng, 10)
+    even_order = _band_border(sub, diag, sup)
+    assert lu_factor(even_order).own_mirror
+    _assert_solve_once_falls_back_bitwise(even_order, _parity_parts(rng.standard_normal(10))[0], monkeypatch)
+    # A bordered system (the pseudo-arclength one).
+    bordered = system.bordered(np.ones(n), np.ones(n), 0.0)
+    _assert_solve_once_falls_back_bitwise(bordered, np.append(r_even, 0.0), monkeypatch)
+    # ACOK's band, at an even state and a constant one.
+    acok = model_by_kind("acok", grid)
+    acok_params = ModelParams(epsilon=0.3, gamma=300.0)
+    for state in (np.full(n, 0.5), 0.5 + _parity_parts(0.4 * np.cos(np.pi * x))[0]):
+        acok_system = acok.linearize(state, acok_params)
+        rhs = np.zeros(len(acok_system))
+        rhs[:n] = r_even
+        _assert_solve_once_falls_back_bitwise(acok_system, rhs, monkeypatch)
+
+
+def _odd_singular_band(offset=0.0):
+    """An own mirror band of order 5 whose odd block ``[[1, 1], [1, 1 + offset]]`` is singular at offset 0.
+
+    Its even block ``[[1, 1, 0], [1, 1 + offset, 3], [0, 4, 5]]`` has det
+    ``5 offset - 12``.
+    """
+    sub, diag = np.array([1.0, 2.0, 3.0, 1.0]), np.array([1.0, 1.0 + offset, 5.0, 1.0 + offset, 1.0])
+    return _band_border(sub, diag, sub[::-1].copy())
+
+
+def test_solve_once_solves_on_a_regular_block_of_a_singular_band():
+    # Exactly singular, and with the odd block's pivot 2^-44 under the
+    # floor 1e-12 * 9 (the full band's): either way the full band is flagged
+    # singular, an even right-hand side solves and an odd one raises.
+    b_even, b_odd = np.array([1.0, 2.0, 3.0, 2.0, 1.0]), np.array([1.0, 2.0, 0.0, -2.0, -1.0])
+    for offset in (0.0, 2.0**-44):
+        system = _odd_singular_band(offset)
+        assert lu_factor(system).singular
+        got = solve_once(system, b_even)
+        assert _is_even(got)
+        residual = system.to_dense() @ got - b_even
+        assert np.max(np.abs(residual)) <= (0.0 if offset == 0.0 else 1e-15)
+        with pytest.raises(SingularMatrixError):
+            solve_once(system, b_odd)
 
 
 def test_off_band_nonzero_takes_dense_path():
@@ -1619,8 +1774,7 @@ def test_tridiagonal_pass_is_lu_factor_bitwise_on_random_bands_however_split():
         want = []
         for system in systems:
             try:
-                with np.errstate(over="ignore"):
-                    want.append(scalar_det_bits(system))
+                want.append(scalar_det_bits(system))
             except ValueError:
                 want.append(None)
         whole = pass_det_bits(systems)
