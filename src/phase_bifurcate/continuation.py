@@ -37,7 +37,6 @@ import numpy as np
 
 from .linalg import (
     Factorization, SingularMatrixError, band_det_pass, det_sign, log_abs_det, lu_factor, lu_solve, null_vector, pass_size,
-    solve_once,
 )
 from . import analysis
 from .models import MODELS, ModelParams
@@ -241,14 +240,14 @@ def _newton(model, params, guess, settings, sign: Optional[int] = None) -> tuple
     Raises NewtonFailure on singular Jacobian, iteration cap, or three
     consecutive residual increases.
 
-    Each correction is one ``linalg.solve_once``, which keeps no
-    factorization.  At an exactly even or odd AC/CH state with a residual of
-    the same parity, it factors and solves only the Jacobian's block of that
-    parity, so the correction never leaves its parity subspace.  A singular
-    block of the other parity therefore does not stop the correction; only a
-    singular block of its own parity (or a singular Jacobian, off that
-    shortcut) fails it as "singular".  The factorization at the accepted
-    state, which gives the det sign, is always the full one.
+    Each correction is one ``lu_solve(lu_factor(J), -r)``.  At an exactly
+    even or odd AC/CH state ``J`` is a ``linalg.ParityLuFactorization``, and
+    a residual of the state's parity is solved on that parity's block alone,
+    the only one factored, so the correction never leaves its parity
+    subspace.  A singular block of the other parity therefore does not stop
+    the correction; only a singular block it uses (or a singular Jacobian)
+    fails it as "singular".  The factorization at the accepted state gives
+    the det sign, which factors both blocks.
     """
     x = np.array(guess, dtype=float)
     r = model.residual(x, params)
@@ -262,7 +261,7 @@ def _newton(model, params, guess, settings, sign: Optional[int] = None) -> tuple
         if iters >= settings.max_newton_iters:
             raise NewtonFailure("no_convergence", iters, rn)
         try:
-            x = x + solve_once(model.linearize(x, params), -r)
+            x = x + lu_solve(lu_factor(model.linearize(x, params)), -r)
         except SingularMatrixError:
             raise NewtonFailure("singular", iters, rn) from None
         r = model.residual(x, params)
@@ -299,13 +298,16 @@ def euler_predict(model, params, point: BranchPoint, step: float, fact: Optional
 
     ``fact`` is the factorization of ``model.linearize`` at ``point`` (the
     tracer reuses the one from the point's correction).  Raises
-    SingularMatrixError if it is flagged singular (caller shrinks the step).
-    Where F_mu is exactly zero (a constant state that does not move with the
-    parameter) dx is zero and no solve is made: the prediction is a copy of
-    the state.  ``fact`` None says that ``J`` is known to be regular at
-    ``point`` (a well, ``models.TrivialBranch``); it is then solved with
-    ``linalg.solve_once`` (on one parity block where it can) only if a solve
-    is needed.
+    SingularMatrixError if the solve meets a singular factorization (caller
+    shrinks the step).  On a ``linalg.ParityLuFactorization`` (an even or
+    odd AC/CH state) only the blocks of F_mu's parts count: at such a state
+    F_mu has the state's parity, so a singular block of the other parity
+    does not stop the predictor.  Where F_mu is exactly zero (a constant
+    state that does not move with the parameter) dx is zero and no solve is
+    made: the prediction is a copy of the state, refused as a solve would
+    be if ``fact`` is flagged singular.  ``fact`` None says that ``J`` is
+    known to be regular at ``point`` (a well, ``models.TrivialBranch``); it
+    is then factored only if a solve is needed.
     """
     fmu = model.param_derivative(point.state, params)
     if not fmu.any():
@@ -313,7 +315,7 @@ def euler_predict(model, params, point: BranchPoint, step: float, fact: Optional
             raise SingularMatrixError("singular matrix")
         return point.state.copy()
     if fact is None:
-        return point.state + solve_once(model.linearize(point.state, params), -fmu * step)
+        fact = lu_factor(model.linearize(point.state, params))
     return point.state + lu_solve(fact, -fmu * step)
 
 
@@ -633,8 +635,8 @@ def detect_bifurcations_on_trivial(
     probes, the AC/CH tridiagonal band from 40, a grid small enough for
     the byte budget) they are all signed before the scan, in
     ``linalg.band_det_pass`` passes: a few midpoints the scan will not ask
-    for too, and each probe with ``lu_factor``'s bits, so the events are
-    the same.  A probe a pass leaves (a boosted band pivot, as at
+    for too, and each probe with ``lu_factor``'s det sign, so the events
+    are the same.  A probe a pass leaves (a boosted band pivot, as at
     gamma = 0), the bisections, the rescans and the events' factorizations
     are factored one at a time.  The analytic modes the events' null modes
     are classified against are built once per scan.

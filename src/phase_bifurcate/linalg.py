@@ -16,22 +16,17 @@ and columns, which is how the models hand over their linearizations.
   all lie on the three central diagonals (the AC/CH Jacobians), are
   eliminated in O(N) in the manner of LAPACK ``dgttrf``, with the dense
   kernel's pivoting rule (swap only if the subdiagonal entry is strictly
-  larger), pivot floor and singularity rules, once per band.  ``lu_solve``
-  on an unbordered band that is its own mirror bit for bit (the AC/CH
-  Jacobian at an even or odd state) averages the top-down solve with the
-  mirrored (order-reversed) one through the same elimination, which makes
-  it exactly reflection-equivariant: with ``P`` the reversal, ``P b``
-  gets exactly ``P`` times the solution of ``b``, so Newton iterates from
-  even or odd guesses keep their parity exactly, and an even or odd
-  right-hand side usually needs only one solve.  Any other band solves
+  larger), pivot floor and singularity rules, once per band.  An unbordered
+  band of odd order that is its own mirror bit for bit (the AC/CH Jacobian
+  at an even or odd state) commutes with the reversal ``P``; it is held as
+  its even and odd parity blocks, about half the band each, each eliminated
+  the same way, on the full band's pivot floor, the first time it is used
+  (``ParityLuFactorization``).  An exactly even or odd right-hand side is
+  solved on its own block alone, any other one on both, by its even and odd
+  parts, so every solve is exactly reflection-equivariant: ``P b`` gets
+  exactly ``P`` times the solution of ``b``, and Newton iterates from even
+  or odd guesses keep their parity exactly.  Any other band solves
   top-down once.
-* ``solve_once`` factors and solves for one right-hand side and keeps no
-  factorization (each Newton correction).  On an unbordered band of odd
-  order that is its own mirror, with a right-hand side that is exactly even
-  or odd by value, it factors and solves only the parity block of that
-  right-hand side, about half the band, with the same kernels and the full
-  band's pivot floor, and mirrors the result back.  Any other system goes
-  through ``lu_factor`` and ``lu_solve``.
 * Any other band with at most two sub- and superdiagonals (ACOK's
   augmented Poisson form has ``kl = ku = 2``) gets a ``dgbtf2``-style band
   LU with partial pivoting inside the band, O(N); LAPACK makes the same
@@ -54,14 +49,17 @@ and columns, which is how the models hand over their linearizations.
   which the engine never calls.
 * ``band_det_pass`` gives the det sign and ``log|det|`` of many systems of
   one shape in one pass, vectorized over the systems with numpy's
-  elementwise operations and reductions only, so each result is
-  ``lu_factor(s, pivot_rtol=0.0)``'s bit for bit.  Bordered bands with
-  ``kl`` or ``ku`` = 2 (ACOK's detection scan) take ``_band_lu``'s
-  operations in its order; a system that would need a boosted band pivot
-  comes back None.  Plain tridiagonal bands (the AC/CH scans) take
-  ``_band_factor``'s, with an exact zero pivot giving ``(0, -inf)``.  A
-  system ``lu_factor`` would refuse for a non-finite entry comes back
-  None too.  ``pass_size`` takes a pass only if it holds at least
+  elementwise operations and reductions only, so each result is a scalar
+  kernel's bit for bit.  Bordered bands with ``kl`` or ``ku`` = 2 (ACOK's
+  detection scan) take ``_band_lu``'s operations in its order, as
+  ``lu_factor(s, pivot_rtol=0.0)`` does; a system that would need a boosted
+  band pivot comes back None.  Plain tridiagonal bands (the AC/CH scans)
+  take ``_band_factor``'s on the whole band, with an exact zero pivot
+  giving ``(0, -inf)``: ``lu_factor``'s result, except that where it
+  splits a band into its parity blocks their ``log|det|`` can differ in the
+  last bits (their det sign agreed with the pass's across the AC/CH
+  windows and next to each crossing).  A system ``lu_factor`` would refuse
+  for a non-finite entry comes back None too.  ``pass_size`` takes a pass only if it holds at least
   ``MIN_PASS_SYSTEMS`` (``MIN_TRIDIAGONAL_PASS_SYSTEMS`` for a tridiagonal
   band) within ``PASS_BYTES``.
 
@@ -91,11 +89,11 @@ __all__ = [
     "BandBorder",
     "LuFactorization",
     "BandLuFactorization",
+    "ParityLuFactorization",
     "BorderedLuFactorization",
     "SingularMatrixError",
     "lu_factor",
     "lu_solve",
-    "solve_once",
     "det_sign",
     "log_abs_det",
     "null_vector",
@@ -173,11 +171,6 @@ class BandLuFactorization:
     ----------
     lower, pivots, upper, upper2, swapped:
         Lists of length n-1, n, n-1, n-2 and n-1 (as far as nonnegative).
-    own_mirror:
-        Whether the factored band ``(sub, diag, sup)`` equals its mirror
-        ``(sup[::-1], diag[::-1], sub[::-1])`` bit for bit, signed zeros
-        included (set by ``lu_factor``).  Only then does ``lu_solve`` solve
-        reflection-equivariantly, this factorization being its own mirrored one.
     perm_sign, singular, pivot_floor:
         As in ``LuFactorization``.
     boosts:
@@ -195,7 +188,43 @@ class BandLuFactorization:
     singular: bool
     pivot_floor: float
     boosts: list
-    own_mirror: bool = False
+
+
+@dataclass(eq=False)
+class ParityLuFactorization:
+    """Result of ``lu_factor`` on an unbordered tridiagonal band of odd order ``2m + 1`` that is its own mirror.
+
+    Such a band ``J`` (``_own_mirror``) commutes with the reversal ``P``, so
+    it maps even vectors to even ones and odd to odd: its two isotropy
+    blocks (Golubitsky, Stewart & Schaeffer, *Singularities and Groups in
+    Bifurcation Theory* II, ch. XIII; Dellnitz & Werner, *J. Comput. Appl.
+    Math.* 26, 1989).  An even ``x`` has ``x[m + 1] = x[m - 1]``, so the
+    even block is rows and unknowns ``0 .. m`` with row ``m``'s subdiagonal
+    entry ``J[m, m - 1] + J[m, m + 1]``.  An odd ``x`` has ``x[m] = 0``, so
+    the odd block is rows and unknowns ``0 .. m - 1``, and row ``m`` reads
+    ``0 = b[m]``.  ``det J`` is the product of the blocks' dets.
+
+    ``blocks`` holds the even and the odd block as ``(sub, diag, sup)``
+    lists.  ``block(parity)`` factors one by ``_band_factor`` on
+    ``pivot_floor``, the full band's, on its first use, so a solve with an
+    exactly even or odd right-hand side never factors the other block;
+    ``singular`` (either block flagged) factors both.
+    """
+
+    blocks: tuple
+    pivot_floor: float
+    factors: list = field(default_factory=lambda: [None, None])
+
+    def block(self, parity: int) -> BandLuFactorization:
+        """The factors of the even (0) or the odd (1) block."""
+        fact = self.factors[parity]
+        if fact is None:
+            fact = self.factors[parity] = _band_factor(self.blocks[parity], self.pivot_floor)
+        return fact
+
+    @property
+    def singular(self) -> bool:
+        return self.block(0).singular or self.block(1).singular
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,7 +400,7 @@ class BorderedLuFactorization:
         return self.band.pivots
 
 
-Factorization = Union[LuFactorization, BandLuFactorization, BorderedLuFactorization]
+Factorization = Union[LuFactorization, BandLuFactorization, ParityLuFactorization, BorderedLuFactorization]
 
 
 def _as_square_matrix(matrix) -> np.ndarray:
@@ -404,12 +433,12 @@ def _band_floor(band: tuple, pivot_rtol: float) -> float:
     Each row sums its two off-diagonal entries first, so the mirrored
     matrix gets the same floor bit for bit.
     """
-    sub, diag, sup = (np.abs(d) for d in band)
+    sub, diag, sup = band
     off = np.zeros(len(diag))
+    np.abs(sub, out=off[1:])
     with np.errstate(over="ignore"):  # an overflowing sum is refused below
-        off[1:] += sub
-        off[:-1] += sup
-        off += diag
+        off[:-1] += np.abs(sup)
+        off += np.abs(diag)
     return float(pivot_rtol) * _finite_max(off)
 
 
@@ -570,32 +599,6 @@ def _band_solve_t(fact: BandLuFactorization, b: list) -> list:
         w = v
     x[0] = w
     return x
-
-
-def _band_solve_equivariant(fact: BandLuFactorization, b: list) -> list:
-    """The top-down solve, averaged with the mirrored one if the band is its own mirror.
-
-    With ``P`` the reversal, an ``own_mirror`` band ``J`` is ``P J P``, so
-    its elimination is also the mirrored system's, and IEEE addition
-    commutes: ``P b`` gets exactly ``P`` times this result.  If ``b`` is
-    even by value, the mirrored solve runs the same operations on ``b``
-    itself, so it is the top-down one reversed; if ``b`` is odd, on ``-b``,
-    and negation is exact in IEEE arithmetic, so it is reversed and negated.
-    "By value" lets zeros differ in sign, and a zero's sign can change only
-    a result that is itself zero, so this holds bit for bit when the
-    top-down solve has no exact zero; otherwise the mirrored one is solved.
-    """
-    top = _band_solve(fact, b)
-    if not fact.own_mirror:
-        return top
-    rev, exact = b[::-1], 0.0 not in top
-    if exact and rev == b:
-        bottom = top[::-1]
-    elif exact and [-v for v in rev] == b:
-        bottom = [-v for v in reversed(top)]
-    else:
-        bottom = _band_solve(fact, rev)[::-1]
-    return [0.5 * (u + v) for u, v in zip(top, bottom)]
 
 
 def _dot(a: list, b: list) -> float:
@@ -873,11 +876,13 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
 
     ``matrix`` is a ``BandBorder`` or a dense square array-like.  A plain
     tridiagonal ``BandBorder``, or a dense matrix whose nonzeros all lie on
-    the three central diagonals, gets a ``BandLuFactorization`` in O(n); any
-    other ``BandBorder`` a ``BorderedLuFactorization`` in O(n), whose band
-    is factored by the same tridiagonal kernel if it is tridiagonal; any
-    other dense matrix a dense ``LuFactorization``.  A ``BandBorder`` with
-    ``kl`` or ``ku`` above 2 raises ``ValueError``.
+    the three central diagonals, gets a ``ParityLuFactorization`` if it is
+    of odd order (3 or more) and its own mirror bit for bit, whose blocks
+    are factored on first use, and a ``BandLuFactorization`` in O(n)
+    otherwise; any other ``BandBorder`` a ``BorderedLuFactorization`` in
+    O(n), whose band is factored by the same tridiagonal kernel if it is
+    tridiagonal; any other dense matrix a dense ``LuFactorization``.  A
+    ``BandBorder`` with ``kl`` or ``ku`` above 2 raises ``ValueError``.
 
     ``pivot_rtol`` is the relative singularity threshold: the absolute floor
     is ``pivot_rtol * max_i sum_j |a_ij|``.  0.0 flags only exact zero
@@ -895,9 +900,15 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
             if not np.all(np.isfinite(a)):
                 raise ValueError("matrix contains non-finite entries")
             return _dense_factor(a.copy(), pivot_rtol)
-    fact = _band_factor(tuple(d.tolist() for d in band), _band_floor(band, pivot_rtol))
-    fact.own_mirror = _own_mirror(band)
-    return fact
+    floor = _band_floor(band, pivot_rtol)
+    n = len(band[1])
+    if n % 2 == 0 or n == 1 or not _own_mirror(band):
+        return _band_factor(tuple(d.tolist() for d in band), floor)
+    m = n // 2
+    sub, diag, sup = band[0][:m].tolist(), band[1][: m + 1].tolist(), band[2][: m + 1].tolist()
+    even = (sub[: m - 1] + [sub[m - 1] + sup[m]], diag, sup[:m])
+    odd = (sub[: m - 1], diag[:m], sup[: m - 1])
+    return ParityLuFactorization((even, odd), floor)
 
 
 def _dense_factor(a: np.ndarray, pivot_rtol: float) -> LuFactorization:
@@ -941,16 +952,23 @@ def lu_solve(fact: Factorization, rhs) -> np.ndarray:
     ``rhs`` is a vector of the system's order; anything else (a matrix of
     stacked right-hand sides included) raises ``ValueError``.  Raises
     ``SingularMatrixError`` if the factorization was flagged singular.  A
-    ``BandLuFactorization`` (an unbordered tridiagonal matrix) that is its
-    own mirror solves reflection-equivariantly (module docstring); any other
-    factorization, bordered ones whatever their band, solves once, top-down.
+    ``ParityLuFactorization`` solves an exactly even or odd ``rhs`` (by
+    value) on its block alone and any other on both (``_parity_solves``),
+    which is exactly reflection-equivariant; it raises only if a block it
+    uses is flagged singular.  Any other factorization, bordered ones
+    whatever their band, solves once, top-down.  That includes an own-mirror
+    band of even order, which no AC/CH grid has (their node counts are odd).
     """
-    if fact.singular:
+    parity = isinstance(fact, ParityLuFactorization)
+    if not parity and fact.singular:
         raise SingularMatrixError("singular matrix")
     n = _order(fact)
     b = np.asarray(rhs, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"rhs of shape {b.shape} does not match matrix size {n}")
+    if parity:
+        even, odd = _parity_solves(fact, b)
+        return odd if even is None else even if odd is None else even + odd
     if isinstance(fact, BorderedLuFactorization):
         system = fact.system
         if system._all_outer:
@@ -959,79 +977,43 @@ def lu_solve(fact: Factorization, rhs) -> np.ndarray:
         full[system.outer] = b
         return np.array(_bordered_solve(fact, full.tolist()))[system.outer]
     if isinstance(fact, BandLuFactorization):
-        return np.array(_band_solve_equivariant(fact, b.tolist()))
+        return np.array(_band_solve(fact, b.tolist()))
     return _dense_solve(fact, b)
 
 
-def solve_once(system, rhs) -> np.ndarray:
-    """``lu_solve(lu_factor(system), rhs)`` where the factorization is not wanted again; Newton's step.
+def _parity_solves(fact: ParityLuFactorization, b: np.ndarray) -> list:
+    """The solutions of ``b``'s even and odd parts, each on its block, as full vectors; None for a part ``b`` lacks.
 
-    An unbordered tridiagonal band of odd order ``n = 2m + 1`` that is its
-    own mirror bit for bit (``_own_mirror``: the AC/CH Jacobian at an even or
-    odd state) commutes with the reversal ``P``, so it maps even vectors to
-    even ones and odd to odd: its two parity blocks (Golubitsky, Stewart &
-    Schaeffer, *Singularities and Groups in Bifurcation Theory* II, ch.
-    XIII).  For a right-hand side that is exactly even or exactly odd by
-    value, only that block is factored and solved, by ``_band_factor`` and
-    ``_band_solve`` (``_parity_block_solve``), and the result is mirrored
-    back, so it is exactly even or odd by construction.  Its pivot floor is
-    the full band's, bit for bit.  The other block is never factored: a
-    singular block of the other parity does not stop the solve, while a
-    singular block of the right-hand side's own raises
-    ``SingularMatrixError``.  Every other system and right-hand side goes
-    through ``lu_solve(lu_factor(system), rhs)`` unchanged.
+    ``b`` exactly even (odd) by value is its own even (odd) part, and its
+    other part is None.  Otherwise the parts are ``(b + P b)/2`` and
+    ``(b - P b)/2``: IEEE addition commutes and negation is exact, so ``P b``
+    has exactly the same even part and the negated odd part, and its
+    solution is exactly the mirrored one.  Raises ``SingularMatrixError`` if
+    a block it solves on is flagged singular.
     """
-    if isinstance(system, BandBorder) and _plain_tridiagonal(system):
-        x = _parity_block_solve(system, np.asarray(rhs, dtype=float))
-        if x is not None:
-            return x
-    return lu_solve(lu_factor(system), rhs)
-
-
-def _parity_block_solve(system: BandBorder, b: np.ndarray) -> Optional[np.ndarray]:
-    """``solve_once`` on one parity block; None where the shortcut does not apply.
-
-    With ``m = n // 2``, an even ``x`` has ``x[m + 1] = x[m - 1]``, so the
-    even block is rows and unknowns ``0 .. m`` with row ``m``'s subdiagonal
-    entry ``J[m, m - 1] + J[m, m + 1]`` (exactly ``2 J[m, m - 1]`` on an own
-    mirror band).  An odd ``x`` has ``x[m] = 0``, so the odd block is rows
-    and unknowns ``0 .. m - 1``, and row ``m`` reads ``0 = b[m]``.
-    """
-    n = system.band.shape[0]
-    if n % 2 == 0 or n < 3 or b.shape != (n,):
-        return None
+    m = len(fact.blocks[1][1])
     rev = b[::-1]
-    even = bool((b == rev).all())
-    if not even and not (b == -rev).all():
-        return None
-    if not _own_mirror(_diagonals(system.band)):
-        return None
-    m = n // 2
-    top = system.band[: m + 1]  # rows 0 .. m; top[0, 0] is outside the matrix
-    # The full band's floor: each later row holds an earlier row's entries,
-    # and each row sums |sub| + |sup| before |diag|, as _band_floor does.
-    mags = np.abs(top)
-    mags[0, 0] = 0.0
-    with np.errstate(over="ignore"):  # an overflowing sum is refused by _finite_max
-        floor = DEFAULT_PIVOT_RTOL * _finite_max(mags[:, 0] + mags[:, 2] + mags[:, 1])
-    sub, diag, sup = top.T.tolist()
-    if even:
-        block = (sub[1:m] + [sub[m] + sup[m]], diag, sup[:m])
-        rhs = b[: m + 1].tolist()
+    if (b == rev).all():
+        parts = [b, None]
+    elif (b == -rev).all():
+        parts = [None, b]
     else:
-        block = (sub[1:m], diag[:m], sup[: m - 1])
-        rhs = b[:m].tolist()
-    fact = _band_factor(block, floor)
-    if fact.singular:
-        raise SingularMatrixError("singular matrix")
-    half = _band_solve(fact, rhs)
-    if even:
-        return np.array(half + half[-2::-1])
-    return np.array(half + [0.0] + [-v for v in reversed(half)])
+        parts = [0.5 * (b + rev), 0.5 * (b - rev)]
+    for parity, part in enumerate(parts):
+        if part is None:
+            continue
+        block = fact.block(parity)
+        if block.singular:
+            raise SingularMatrixError("singular matrix")
+        half = np.array(_band_solve(block, part[: m + 1 - parity].tolist()))
+        parts[parity] = np.concatenate((half, half[-2::-1]) if parity == 0 else (half, [0.0], -half[::-1]))
+    return parts
 
 
 def _order(fact: Factorization) -> int:
     """Size of the (visible) system a factorization solves."""
+    if isinstance(fact, ParityLuFactorization):
+        return 2 * len(fact.blocks[1][1]) + 1
     return len(fact.system) if isinstance(fact, BorderedLuFactorization) else len(_pivots(fact))
 
 
@@ -1066,8 +1048,11 @@ def _sign_from_fact(fact: Factorization) -> int:
     """Permutation parity times the product of pivot signs (0 if flagged).
 
     A bordered factorization also multiplies in its Schur block's det sign
-    and the det sign of the block its visible system eliminates.
+    and the det sign of the block its visible system eliminates; a parity
+    one is the product of its two blocks' signs.
     """
+    if isinstance(fact, ParityLuFactorization):
+        return _sign_from_fact(fact.block(0)) * _sign_from_fact(fact.block(1))
     if fact.singular:
         return 0
     negatives = len([p for p in _pivots(fact) if p < 0.0])
@@ -1094,9 +1079,11 @@ def log_abs_det(fact: Factorization) -> float:
     adds its Schur block's (a boosted band pivot enters as boosted, and the
     boost's border takes it back out there).  For a ``BandBorder`` that
     hides a block (``outer``), this is ``log|det|`` of the full matrix: the
-    hidden block's ``log|det|`` more than the visible system's.  ``-inf``
-    where ``det_sign`` gives 0.
+    hidden block's ``log|det|`` more than the visible system's.  A parity
+    factorization sums its two blocks'.  ``-inf`` where ``det_sign`` gives 0.
     """
+    if isinstance(fact, ParityLuFactorization):
+        return log_abs_det(fact.block(0)) + log_abs_det(fact.block(1))
     if fact.singular:
         return -math.inf
     total = float(np.sum(np.log(np.abs(_pivots(fact)))))
@@ -1229,13 +1216,13 @@ def _pass_checks(work: np.ndarray, rows: np.ndarray, corners: list) -> tuple:
 
 
 def band_det_pass(systems: Iterable[BandBorder], count: int) -> list:
-    """``(det_sign, log_abs_det)`` of ``lu_factor(s, pivot_rtol=0.0)`` for each of ``count`` systems, factored together.
+    """``(det_sign, log_abs_det)`` at ``pivot_rtol = 0`` of each of ``count`` systems, factored together.
 
     The systems share ``kl``, ``ku`` (one of them 2, or both 1 with no
     borders), the band's order and the number of borders; each is copied
     into the pass's array as it is drawn from ``systems``, so none has to
-    be kept.  Plain tridiagonal bands go through ``_tridiagonal_det_pass``.
-    Any other pass runs
+    be kept.  Plain tridiagonal bands go through ``_tridiagonal_det_pass``,
+    the whole band's ``_band_factor`` (module docstring).  Any other pass runs
     ``_band_lu``'s operations in its order, vectorized over the systems:
     the window holds three rows of five band columns plus the border
     columns, so the borders' forward elimination is the factorization's
@@ -1366,23 +1353,22 @@ def null_vector(fact: Factorization) -> np.ndarray:
     the same on every call, so the result is bitwise reproducible.  Raises
     ``SingularMatrixError`` if the factorization was flagged singular.
 
-    An unbordered tridiagonal band that is its own mirror bit for bit
-    (``BandLuFactorization.own_mirror``) commutes with the reversal ``P``,
-    so each of its eigenspaces is spanned by even and odd vectors, and a
-    simple eigenvalue's eigenvector is exactly even (``P v = v``) or exactly
-    odd (``P v = -v``) (Golubitsky, Stewart & Schaeffer, *Singularities and
-    Groups in Bifurcation Theory* II, isotropy subgroups).  The AC/CH
-    Jacobian at a constant state, where every primary bifurcation sits, is
-    such a band.  There ``w`` is replaced by its even part ``(w + P w)/2``
-    or its odd part ``(w - P w)/2``, whichever has the larger sup-norm, so
-    the mode has its parity exactly instead of to rounding, and so do the
-    offshoots seeded from it.  That is the right choice only when a simple
-    eigenvalue crosses: at a double crossing either part spans only part of
-    the null space.  Bordered and dense factorizations are never projected.
+    A ``ParityLuFactorization`` (the AC/CH Jacobian at an even or odd
+    state, as at the constant states where every primary bifurcation sits)
+    solves ``v0``'s even and odd parts, each on its own block, and keeps
+    the solution with the larger sup-norm, the even one on a tie.  Each
+    eigenspace of such a band is spanned by even and odd vectors, so a
+    simple eigenvalue's eigenvector is exactly even or odd, and it is the
+    near-singular block's solve that carries it: the mode has its parity
+    exactly, by construction, and so do the offshoots seeded from it.  That
+    is the right choice only when a simple eigenvalue crosses: at a double
+    crossing either block's solve spans only part of the null space.
     """
     start = np.random.default_rng(1790).standard_normal(_order(fact))
-    w = lu_solve(fact, start / float(np.linalg.norm(start)))
-    if isinstance(fact, BandLuFactorization) and fact.own_mirror:
-        even, odd = 0.5 * (w + w[::-1]), 0.5 * (w - w[::-1])
+    v0 = start / float(np.linalg.norm(start))
+    if isinstance(fact, ParityLuFactorization):
+        even, odd = (lu_solve(fact, 0.5 * (v0 + side * v0[::-1])) for side in (1.0, -1.0))
         w = even if np.max(np.abs(even)) >= np.max(np.abs(odd)) else odd
+    else:
+        w = lu_solve(fact, v0)
     return _fix_sign(w / float(np.linalg.norm(w)))

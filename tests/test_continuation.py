@@ -281,6 +281,36 @@ def test_newton_corrects_on_a_regular_block_of_a_singular_jacobian():
     assert info.value.reason == "singular" and info.value.iterations == 0
 
 
+class OddSingularFamily(OddSingularModel):
+    """``F(x, mu) = J x - mu b``: ``OddSingularModel``'s band, with the parameter scaling ``b``."""
+
+    def residual(self, state, mu):
+        return self.system.to_dense() @ state - mu * self.b
+
+    def param_derivative(self, state, mu):
+        return -self.b
+
+
+def test_euler_predict_solves_on_a_regular_block_of_a_singular_jacobian():
+    # The predictor solves J dx = b dmu.  For an even b that is the even
+    # block's solve alone, so the singular odd block does not stop it, even
+    # through a factorization flagged singular (its det sign read, 0); an
+    # odd b meets the singular block and raises.
+    even = OddSingularFamily([1.0, 2.0, 3.0, 2.0, 1.0])
+    point = newton_correct(even, 1.0, np.zeros(5), toy_settings())
+    assert point.det_sign == 0
+    flagged = lu_factor(even.system)
+    assert flagged.singular
+    for fact in (None, lu_factor(even.system), flagged):
+        guess = euler_predict(even, 1.0, point, 0.5, fact)
+        assert np.array_equal(guess, guess[::-1])
+        assert np.max(np.abs(even.residual(guess, 1.5))) <= 1e-14
+    odd = OddSingularFamily([1.0, 2.0, 0.0, -2.0, -1.0])
+    for fact in (None, lu_factor(odd.system)):
+        with pytest.raises(SingularMatrixError):
+            euler_predict(odd, 1.0, BranchPoint(1.0, np.zeros(5), 0.0, 0, 0), 0.5, fact)
+
+
 def test_newton_diverged_reason():
     with pytest.raises(NewtonFailure) as info:
         newton_correct(CubeRootModel(), 0.0, np.array([1.0]), toy_settings())
@@ -468,16 +498,16 @@ def arclength_branches(ac_detection):
 # branch, its point count, last parameter and the sha256 of its stacked
 # states.  The trivial rows were recorded since constant branches are
 # traced against the parameter whatever the settings say (they end at
-# param_min, 0.25); the offshoot rows since each Newton correction of an
-# even or odd seed is solved on its parity block (``linalg.solve_once``).
+# param_min, 0.25); the offshoot rows since every solve with an even or
+# odd AC Jacobian goes through its parity blocks (``linalg.ParityLuFactorization``).
 _ARCLENGTH_DIAGRAM_N40 = (
     ("trivial:phi=-1", 115, "0x1.0000000000000p-2", "43839bd22591d29c086c3937aa0e0cd54d0a19d332d093b890c1c20b57806074"),
     ("trivial:phi=0", 115, "0x1.0000000000000p-2", "a8fce3fb06ce3bd8c76bcdf60b4ea17197b535ab46de6001a147b10982737668"),
     ("trivial:phi=+1", 115, "0x1.0000000000000p-2", "a89d094e080837cebf58af4d9d1229bae5381281c3ea0cd9a5acd563431a1871"),
-    ("bp0+", 64, "0x1.fe94290bcb271p-3", "3e7e127f4b49cadf171f2c8306f539e4adaa30b223c53ca60360339031a26156"),
-    ("bp0-", 64, "0x1.fe94290bcb271p-3", "42e07f7316aac3e9eecc0542dc677bd6296ceb9711a78e122c063698bd6b2061"),
-    ("bp1+", 144, "0x1.fe5048e543384p-3", "c0506400b40b8734c2a7dded0511b495e7fa055bfbcb0316ef401def7c262a25"),
-    ("bp1-", 144, "0x1.fe5048e543384p-3", "9f44852e7abfd798b5ed75a541006c4262da1898809c66b44fea71e96374074c"),
+    ("bp0+", 64, "0x1.fe94290bcb1bap-3", "9c3cfc226278aad0d1ffd700f65cf890953d0671157769c149840d0f8fce090f"),
+    ("bp0-", 64, "0x1.fe94290bcb1bap-3", "a7e7e7da415070eb809a2492a7690682180d37d499c93360f0a58213abec576b"),
+    ("bp1+", 144, "0x1.fe5048e543530p-3", "d4ef36aeb805d955d09e045f9670f551a758d675592224997f99d17d0be88732"),
+    ("bp1-", 144, "0x1.fe5048e543530p-3", "ef43c0167fc0e8ac54562d2b73377bf3972af63d355dea838de9dc5ec51e7d5e"),
 )
 
 
@@ -1007,7 +1037,7 @@ def test_event_modes_of_bands_that_are_not_their_own_mirror_are_not_projected(mo
         lambda p: np.full(g.n_nodes, 0.5))
     assert len(modes) > 4
     for fact, mode in modes:
-        assert not getattr(fact, "own_mirror", False)
+        assert not isinstance(fact, linalg.ParityLuFactorization)
         assert mode.tobytes() == _unprojected_null_vector(fact).tobytes()
 
 
@@ -1819,10 +1849,12 @@ def test_solutions_at_rejects_out_of_window(small_diagram):
 
 def test_newton_on_parity_blocks_follows_the_full_solve_on_the_ac_slice(monkeypatch):
     # The ac-slice benchmark's run (solutions --model ac --epsilon 0.1
-    # --n-cells 100 --step 0.005 --eps-range 0.095:0.4), with every Newton
-    # correction solved on its parity block, against the same run with the
-    # full band solve: the same branches, points, parameters and iteration
-    # counts, and every state within 1e-10.
+    # --n-cells 100 --step 0.005 --eps-range 0.095:0.4), with every solve
+    # through an even or odd Jacobian on its parity blocks, against the same
+    # run with each Newton correction and predictor solve on the whole band,
+    # top-down: the same branches, points, parameters and iteration counts,
+    # and every state within 1e-10.  Det signs and null modes come from the
+    # blocks in both runs.
     model = model_by_kind("ac", GridSpec(100))
     params = ModelParams(epsilon=0.1)
     base = default_settings("ac", param_min=0.095, param_max=0.4)
@@ -1832,17 +1864,33 @@ def test_newton_on_parity_blocks_follows_the_full_solve_on_the_ac_slice(monkeypa
         diagram = compute_diagram(model, params, settings, at=0.1)
         return diagram, solutions_at(diagram, 0.1, model, settings)
 
-    halves, block_solve = [], linalg._parity_block_solve
+    single, parity_solves = [], linalg._parity_solves
 
-    def counting_block_solve(system, b):
-        x = block_solve(system, b)
-        halves.append(x is not None)
-        return x
+    def counting_parity_solves(fact, b):
+        parts = parity_solves(fact, b)
+        single.append(any(p is None for p in parts))
+        return parts
 
-    monkeypatch.setattr(linalg, "_parity_block_solve", counting_block_solve)
+    monkeypatch.setattr(linalg, "_parity_solves", counting_parity_solves)
     diagram, sols = run()
-    assert sum(halves) >= 300  # every Newton correction on an offshoot
-    monkeypatch.setattr(continuation, "solve_once", lambda system, rhs: lu_solve(lu_factor(system), rhs))
+    assert sum(single) >= 300  # every Newton correction on an offshoot takes one block
+
+    def tagged_factor(system, *args, **kwargs):
+        fact = lu_factor(system, *args, **kwargs)
+        fact.system = system
+        return fact
+
+    def whole_band_solve(fact, rhs):
+        if not isinstance(fact, linalg.ParityLuFactorization):
+            return lu_solve(fact, rhs)
+        band = linalg._diagonals(fact.system.band)
+        whole = linalg._band_factor(tuple(d.tolist() for d in band), fact.pivot_floor)
+        if whole.singular:
+            raise SingularMatrixError("singular matrix")
+        return np.array(linalg._band_solve(whole, np.asarray(rhs, dtype=float).tolist()))
+
+    monkeypatch.setattr(continuation, "lu_factor", tagged_factor)
+    monkeypatch.setattr(continuation, "lu_solve", whole_band_solve)
     full_diagram, full_sols = run()
     assert len(sols) == len(full_sols) == 10
     assert [b.id for b in diagram.branches] == [b.id for b in full_diagram.branches]

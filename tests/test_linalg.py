@@ -21,6 +21,9 @@ from phase_bifurcate import (
     ModelParams,
     SingularMatrixError,
     ac_bifurcation,
+    ac_bifurcations_in_range,
+    ch_bifurcation,
+    ch_trivial_roots,
     default_settings,
     det_sign,
     detect_bifurcations_on_trivial,
@@ -33,8 +36,8 @@ from phase_bifurcate import (
     lu_solve,
     model_by_kind,
     null_vector,
+    ParityLuFactorization,
     poisson_neumann_solve,
-    solve_once,
 )
 from phase_bifurcate.models import _laplacian_band, _neumann_system
 
@@ -78,22 +81,37 @@ def tridiagonal(sub, diag, sup):
     return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
 
 
+def full_band_factor(system, pivot_rtol=linalg.DEFAULT_PIVOT_RTOL):
+    """``_band_factor`` on the whole of an unbordered tridiagonal ``system``, own mirror or not.
+
+    That is ``lu_factor``'s result for a band that is not its own mirror,
+    and ``band_det_pass``'s elimination for every plain tridiagonal band.
+    """
+    band = linalg._diagonals(system.band)
+    return linalg._band_factor(tuple(d.tolist() for d in band), linalg._band_floor(band, pivot_rtol))
+
+
 # ---------------------------------------------------------------------------
 # factorization and solve
 # ---------------------------------------------------------------------------
 
 
 def test_identity_factors_to_itself():
-    # The identity is tridiagonal, so lu_factor takes the band kernel.
-    fact = lu_factor(np.eye(5))
-    assert isinstance(fact, BandLuFactorization)
-    assert not fact.singular
-    assert fact.perm_sign == 1
-    assert not any(fact.swapped)
-    perm, lower, upper = band_factors(fact)
-    assert np.array_equal(perm, np.arange(5))
-    assert np.array_equal(lower, np.eye(5))
-    assert np.array_equal(upper, np.eye(5))
+    # The identity is tridiagonal, so lu_factor takes the band kernel.  Of
+    # order 4 it is factored whole; of order 5, its own mirror, as its even
+    # and odd blocks, the identities of order 3 and 2.
+    whole, split = lu_factor(np.eye(4)), lu_factor(np.eye(5))
+    assert isinstance(whole, BandLuFactorization) and isinstance(split, ParityLuFactorization)
+    assert not whole.singular and not split.singular
+    for fact, n in ((whole, 4), (split.block(0), 3), (split.block(1), 2)):
+        assert fact.perm_sign == 1
+        assert not any(fact.swapped)
+        perm, lower, upper = band_factors(fact)
+        assert np.array_equal(perm, np.arange(n))
+        assert np.array_equal(lower, np.eye(n))
+        assert np.array_equal(upper, np.eye(n))
+    assert det_sign(split) == 1 and log_abs_det(split) == 0.0
+    assert np.array_equal(lu_solve(split, np.arange(5.0)), np.arange(5.0))
     # The dense kernel's packed layout, on the identity and on a dense
     # upper-triangular input (no eliminations, no swaps).
     dense = dense_factor(np.eye(5))
@@ -259,6 +277,7 @@ def test_block_size_does_not_change_results(monkeypatch):
 @pytest.mark.parametrize("kind", ["ac", "ch"], ids=["ac-symmetric", "ch-symmetric"])
 def test_band_kernel_matches_dense_on_model_jacobians(kind):
     rng = np.random.default_rng(17)
+    mirrored = 0
     for n_cells in (4, 20, 100, 800):
         grid = GridSpec(n_cells)
         model = model_by_kind(kind, grid)
@@ -270,10 +289,13 @@ def test_band_kernel_matches_dense_on_model_jacobians(kind):
             )
             for state in states:
                 jac = model.jacobian(state, ModelParams(epsilon=eps))
+                # An even or odd state's Jacobian is its own mirror: two blocks.
+                split = linalg._own_mirror(linalg._tridiagonal_band(jac))
+                mirrored += split
                 for rtol in (0.0, linalg.DEFAULT_PIVOT_RTOL):
                     band = lu_factor(jac, pivot_rtol=rtol)
                     dense = dense_factor(jac, rtol)
-                    assert isinstance(band, BandLuFactorization)
+                    assert isinstance(band, ParityLuFactorization if split else BandLuFactorization)
                     assert det_sign(band) == det_sign(dense), f"N={n_cells} eps={eps}"
                     assert band.singular == dense.singular
                     if band.singular:
@@ -281,6 +303,7 @@ def test_band_kernel_matches_dense_on_model_jacobians(kind):
                     b = rng.standard_normal(grid.n_nodes)
                     x_band, x_dense = lu_solve(band, b), lu_solve(dense, b)
                     assert np.max(np.abs(x_band - x_dense)) <= 1e-9 * np.max(np.abs(x_dense))
+    assert mirrored == 32  # the zero and tanh states
 
 
 def test_band_pivoting_tie_break_and_swap_match_dense():
@@ -347,10 +370,10 @@ def test_band_rejects_nonfinite_entries():
     # RuntimeWarning before it (the suite makes one an error).
     plain = BandBorder(band=np.array([[0.0, 1e308, 1e308], [1.0, 4.0, 1.0], [1.0, 4.0, 0.0]]), kl=1)
     bordered = plain.bordered(np.ones(3), np.ones(3), 1.0)
-    own_mirror = BandBorder(band=np.full((3, 3), 1e308), kl=1)  # the parity-block solve's floor
-    for system, solve in ((plain, lu_factor), (bordered, lu_factor), (own_mirror, lambda s: solve_once(s, np.ones(3)))):
+    own_mirror = BandBorder(band=np.full((3, 3), 1e308), kl=1)  # the parity blocks' floor
+    for system in (plain, bordered, own_mirror):
         with pytest.raises(ValueError, match="non-finite"):
-            solve(system)
+            lu_factor(system)
 
 
 def test_lu_solve_takes_one_right_hand_side():
@@ -401,9 +424,15 @@ def test_band_floor_is_the_max_row_sum_and_mirror_invariant():
 
 
 def test_band_solve_is_reflection_equivariant_bitwise():
-    """solve(J, P b) == P solve(J, b) exactly for a band J equal to its mirror P J P, P the order reversal."""
+    """solve(J, P b) == P solve(J, b) exactly for a band J equal to its mirror P J P, P the order reversal.
+
+    Bit for bit where ``b`` has no zero, by value for the right-hand sides
+    that are even or odd by value only.  Own-mirror bands of even order,
+    which no AC/CH grid has, are not split and solve top-down
+    (``test_bands_outside_the_parity_split_solve_top_down_bitwise``).
+    """
     rng = np.random.default_rng(23)
-    cases = [tridiagonal(*_self_mirror_band(rng, n)) for n in (1, 2, 3, 10, 101) for _ in range(3)]
+    cases = [tridiagonal(*_self_mirror_band(rng, n)) for n in (1, 3, 5, 101) for _ in range(3)]
     grid = GridSpec(100)
     model = model_by_kind("ac", grid)
     odd = rng.uniform(-1.0, 1.0, grid.n_nodes)
@@ -413,10 +442,11 @@ def test_band_solve_is_reflection_equivariant_bitwise():
         n = a.shape[0]
         assert np.array_equal(a, a[::-1, ::-1])
         fact = lu_factor(a)
-        assert fact.own_mirror
-        for b in (rng.standard_normal(n), *rng.standard_normal((n, 2)).T):
-            x = lu_solve(fact, b)
-            assert np.array_equal(lu_solve(fact, b[::-1].copy()), x[::-1]), f"n={n}"
+        assert isinstance(fact, ParityLuFactorization) or n == 1
+        for b in (*rng.standard_normal((3, n)), *_parity_cases(rng, n)):
+            x, y = lu_solve(fact, b), lu_solve(fact, b[::-1].copy())
+            assert np.array_equal(y, x[::-1]), f"n={n}"
+            assert 0.0 in b or y.tobytes() == x[::-1].tobytes(), f"n={n}"
 
 
 def test_band_mirror_is_factored_on_first_solve_only(monkeypatch):
@@ -434,7 +464,7 @@ def test_band_mirror_is_factored_on_first_solve_only(monkeypatch):
     fact = lu_factor(a)
     assert weakref.ref(fact)() is fact
     assert det_sign(fact) == int(np.linalg.slogdet(a)[0])
-    assert len(factored) == 1 and not fact.own_mirror  # sign-only use pays for one elimination
+    assert len(factored) == 1 and isinstance(fact, BandLuFactorization)  # sign-only use pays for one elimination
     x = lu_solve(fact, np.ones(4))
     assert len(factored) == 1
     assert np.array_equal(lu_solve(fact, np.ones(4)), x)
@@ -448,7 +478,7 @@ def test_band_solve_falls_back_to_top_down_when_only_the_mirror_is_floored():
     # mirrored elimination; the solve is the top-down one bit for bit.
     a = np.array([[0.5, 1.0], [0.5, 1.0 + 2e-13]])
     fact = lu_factor(a, pivot_rtol=1e-13)
-    assert not fact.singular and not fact.own_mirror
+    assert not fact.singular and isinstance(fact, BandLuFactorization)
     mirror = linalg._band_factor(([1.0], [1.0 + 2e-13, 0.5], [0.5]), fact.pivot_floor)
     assert mirror.singular
     x = lu_solve(fact, np.array([1.0, 2.0]))
@@ -474,7 +504,7 @@ def test_band_that_is_not_its_own_mirror_solves_top_down_with_one_elimination(mo
     for matrix in cases:
         factored.clear()
         fact = lu_factor(matrix, pivot_rtol=1e-13)
-        assert isinstance(fact, BandLuFactorization) and not fact.own_mirror and not fact.singular
+        assert isinstance(fact, BandLuFactorization) and not fact.singular
         n = len(fact.pivots)
         for b in (np.ones(n), rng.standard_normal(n)):
             assert lu_solve(fact, b).tobytes() == np.array(linalg._band_solve(fact, b.tolist())).tobytes()
@@ -492,16 +522,6 @@ def _self_mirror_band(rng, n):
     diag = rng.standard_normal(n)
     diag[n - 1 - np.arange(n // 2)] = diag[: n // 2]
     return sub, diag, sub[::-1].copy()
-
-
-def _mirrored_by_force(fact, band, b):
-    """The equivariant solve of ``fact`` (of ``band``) by a mirrored elimination and solve."""
-    sub, diag, sup = (d.tolist() for d in band)
-    mirror = linalg._band_factor((sup[::-1], diag[::-1], sub[::-1]), fact.pivot_floor)
-    assert not mirror.singular
-    top = linalg._band_solve(fact, b)
-    bottom = linalg._band_solve(mirror, b[::-1])[::-1]
-    return [0.5 * (u + v) for u, v in zip(top, bottom)]
 
 
 def _parity_cases(rng, n):
@@ -524,51 +544,57 @@ def _parity_cases(rng, n):
 
 
 def test_own_mirror_band_solves_with_one_elimination_as_the_mirrored_one_would(monkeypatch):
+    # lu_factor eliminates nothing on an own-mirror band of odd order
+    # n = 2m + 1.  An even right-hand side (by value) factors the even block
+    # alone, of order m + 1, an odd one the odd block alone, of order m, and
+    # any other both; each on the full band's floor, once per factorization.
+    # The solution is exactly even or odd with the right-hand side, and
+    # agrees with the whole band's top-down solve to rounding.
     rng = np.random.default_rng(2022)
-    solves, factored = [], []
-    band_solve, band_factor = linalg._band_solve, linalg._band_factor
-
-    def counting_band_solve(fact, b):
-        solves.append(b)
-        return band_solve(fact, b)
-
-    def counting_band_factor(*args, **kwargs):
-        factored.append(args)
-        return band_factor(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "_band_solve", counting_band_solve)
-    monkeypatch.setattr(linalg, "_band_factor", counting_band_factor)
-    shortcuts = 0
-    for n in (1, 2, 3, 4, 101):
+    orders = _block_orders(monkeypatch)
+    singles = 0
+    for n in (3, 5, 101):
+        m = n // 2
         for _ in range(4):
             sub, diag, sup = _self_mirror_band(rng, n)
             for given in (tridiagonal(sub, diag, sup), _band_border(sub, diag, sup)):
-                fact = lu_factor(given)
-                assert isinstance(fact, BandLuFactorization) and fact.own_mirror
+                system = BandBorder.from_dense(given) if isinstance(given, np.ndarray) else given
+                whole = full_band_factor(system)
                 for b in _parity_cases(rng, n):
-                    solves.clear()
-                    factored.clear()
+                    orders.clear()
+                    fact = lu_factor(given)
+                    assert isinstance(fact, ParityLuFactorization) and not orders
                     got = lu_solve(fact, b)
-                    assert len(solves) in (1, 2) and not factored  # no second elimination
-                    shortcuts += len(solves) == 1
-                    want = _mirrored_by_force(fact, (sub, diag, sup), b.tolist())
-                    assert got.tobytes() == np.array(want).tobytes(), f"n={n}, b={b}"
-    assert shortcuts > 100  # the even and odd right-hand sides take one solve
+                    if _is_even(b):
+                        want = [(m + 1, whole.pivot_floor)]
+                        assert _is_even(got)
+                    elif _is_odd(b):
+                        want = [(m, whole.pivot_floor)]
+                        assert _is_odd(got)
+                    else:
+                        want = [(m + 1, whole.pivot_floor), (m, whole.pivot_floor)]
+                    assert orders == want, f"n={n}, b={b}"
+                    singles += len(orders) == 1
+                    assert np.array_equal(lu_solve(fact, b), got) and orders == want  # nothing factored again
+                    ref = np.array(linalg._band_solve(whole, b.tolist()))
+                    assert np.max(np.abs(got - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+    assert singles > 100  # the even and odd right-hand sides take one block
 
 
 def test_own_mirror_counts_signed_zeros():
-    sub, diag, sup = np.array([1.0, 0.0, 2.0]), np.array([3.0, -0.0, -0.0, 3.0]), np.array([2.0, 0.0, 1.0])
-    assert lu_factor(_band_border(sub, diag, sup)).own_mirror
-    assert not lu_factor(_band_border(sub, np.array([3.0, 0.0, -0.0, 3.0]), sup)).own_mirror
-    assert not lu_factor(_band_border(np.array([1.0, -0.0, 2.0]), diag, sup)).own_mirror
-    assert not lu_factor(_band_border(sub, diag, np.array([2.0, 0.0, 1.5]))).own_mirror
+    sub, diag, sup = np.array([1.0, 0.0, 0.0, 2.0]), np.array([3.0, -0.0, 5.0, -0.0, 3.0]), np.array([2.0, 0.0, 0.0, 1.0])
+    assert isinstance(lu_factor(_band_border(sub, diag, sup)), ParityLuFactorization)
+    for band in ((sub, np.array([3.0, 0.0, 5.0, -0.0, 3.0]), sup),
+                 (np.array([1.0, -0.0, 0.0, 2.0]), diag, sup),
+                 (sub, diag, np.array([2.0, 0.0, 0.0, 1.5]))):
+        assert isinstance(lu_factor(_band_border(*band)), BandLuFactorization)
     grid = GridSpec(40)
     model = model_by_kind("ac", grid)
     params = ModelParams(epsilon=0.2)
     odd = np.tanh(grid.nodes / 0.2)
     odd = 0.5 * (odd - odd[::-1])
-    assert lu_factor(model.linearize(odd, params)).own_mirror
-    assert not lu_factor(model.linearize(np.linspace(-0.3, 0.5, grid.n_nodes), params)).own_mirror
+    assert isinstance(lu_factor(model.linearize(odd, params)), ParityLuFactorization)
+    assert isinstance(lu_factor(model.linearize(np.linspace(-0.3, 0.5, grid.n_nodes), params)), BandLuFactorization)
 
 
 def _parity_parts(v):
@@ -599,8 +625,9 @@ def _block_orders(monkeypatch):
 @pytest.mark.parametrize("n_cells", [4, 40, 100, 200, 800])
 def test_solve_once_on_a_parity_block_agrees_with_the_full_solve(n_cells, monkeypatch):
     # AC and CH Jacobians at exactly even and odd states are their own mirror;
-    # an even or odd right-hand side is solved on its block of order m + 1
-    # or m, and the result is exactly even or odd.  Both solves are backward
+    # an even or odd right-hand side is solved once, on its block of order
+    # m + 1 or m alone, and the result is exactly even or odd.  The full
+    # solve is the whole band's, top-down.  Both solves are backward
     # stable (residual within 10 u here), so they differ by rounding times
     # the condition number kappa, which grows like N^2: within 1e-13
     # relative up to N = 100, within 4 u kappa at every N.
@@ -624,10 +651,10 @@ def test_solve_once_on_a_parity_block_agrees_with_the_full_solve(n_cells, monkey
             newton = (-model.residual(state, params), *(odd_case if state is odd else even_case))
             for b, is_parity, order in ((r_even, *even_case), (r_odd, *odd_case), newton):
                 assert is_parity(b)
-                full = lu_factor(system)
-                want = lu_solve(full, b)
+                full = full_band_factor(system)
+                want = np.array(linalg._band_solve(full, b.tolist()))
                 orders.clear()
-                got = solve_once(system, b)
+                got = lu_solve(lu_factor(system), b)
                 assert orders == [(order, full.pivot_floor)], f"{kind} mu0={mu0} eps={epsilon}"
                 assert is_parity(got)
                 gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
@@ -636,59 +663,31 @@ def test_solve_once_on_a_parity_block_agrees_with_the_full_solve(n_cells, monkey
                 assert np.max(np.abs(b - dense @ got)) <= 10.0 * np.finfo(float).eps * norm * np.max(np.abs(got))
 
 
-def _assert_solve_once_falls_back_bitwise(system, b, monkeypatch):
-    """``solve_once`` gives ``lu_solve(lu_factor(...))``'s bytes, through ``lu_factor``."""
-    want = lu_solve(lu_factor(system), b)
-    factored, factor = [], linalg.lu_factor
-
-    def spy(matrix, *args, **kwargs):
-        factored.append(matrix)
-        return factor(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "lu_factor", spy)
-    got = solve_once(system, b)
-    monkeypatch.setattr(linalg, "lu_factor", factor)
-    assert factored == [system]
-    assert got.tobytes() == want.tobytes()
-
-
-def test_solve_once_falls_back_to_the_full_solve_bitwise(monkeypatch):
+def test_bands_outside_the_parity_split_solve_top_down_bitwise():
+    # A band off its mirror by one signed zero, and an own-mirror band of
+    # even order (no AC/CH grid has one), are factored whole and solved
+    # top-down; bordered systems (the pseudo-arclength one, ACOK's band) go
+    # through the bordered kernel.
     rng = np.random.default_rng(30)
     grid = GridSpec(40)
     n = grid.n_nodes
     x = grid.nodes
     ac = model_by_kind("ac", grid)
-    params = ModelParams(epsilon=0.2)
-    odd = _parity_parts(np.tanh(x / 0.2))[1]
-    system = ac.linearize(odd, params)
-    r_even, r_odd = _parity_parts(rng.standard_normal(n))
-    assert lu_factor(system).own_mirror
-    # Off its mirror by one signed zero.
+    system = ac.linearize(_parity_parts(np.tanh(x / 0.2))[1], ModelParams(epsilon=0.2))
+    assert isinstance(lu_factor(system), ParityLuFactorization)
     sub, diag, sup = _self_mirror_band(rng, 9)
     diag[1], diag[-2] = 0.0, -0.0
-    signed = _band_border(sub, diag, sup)
-    assert not lu_factor(signed).own_mirror
-    b_even, b_odd = _parity_parts(rng.standard_normal(9))
-    _assert_solve_once_falls_back_bitwise(signed, b_even, monkeypatch)
-    _assert_solve_once_falls_back_bitwise(signed, b_odd, monkeypatch)
-    # A right-hand side that is neither even nor odd.
-    _assert_solve_once_falls_back_bitwise(system, r_even + 1e-3 * r_odd, monkeypatch)
-    # A band of even order.
-    sub, diag, sup = _self_mirror_band(rng, 10)
-    even_order = _band_border(sub, diag, sup)
-    assert lu_factor(even_order).own_mirror
-    _assert_solve_once_falls_back_bitwise(even_order, _parity_parts(rng.standard_normal(10))[0], monkeypatch)
-    # A bordered system (the pseudo-arclength one).
-    bordered = system.bordered(np.ones(n), np.ones(n), 0.0)
-    _assert_solve_once_falls_back_bitwise(bordered, np.append(r_even, 0.0), monkeypatch)
-    # ACOK's band, at an even state and a constant one.
+    sub2, diag2, sup2 = _self_mirror_band(rng, 10)
+    for whole in (_band_border(sub, diag, sup), _band_border(sub2, diag2, sup2)):
+        fact = lu_factor(whole)
+        assert isinstance(fact, BandLuFactorization)
+        for b in (*_parity_parts(rng.standard_normal(len(whole))), rng.standard_normal(len(whole))):
+            assert lu_solve(fact, b).tobytes() == np.array(linalg._band_solve(fact, b.tolist())).tobytes()
+    assert isinstance(lu_factor(system.bordered(np.ones(n), np.ones(n), 0.0)), BorderedLuFactorization)
     acok = model_by_kind("acok", grid)
     acok_params = ModelParams(epsilon=0.3, gamma=300.0)
     for state in (np.full(n, 0.5), 0.5 + _parity_parts(0.4 * np.cos(np.pi * x))[0]):
-        acok_system = acok.linearize(state, acok_params)
-        rhs = np.zeros(len(acok_system))
-        rhs[:n] = r_even
-        _assert_solve_once_falls_back_bitwise(acok_system, rhs, monkeypatch)
+        assert isinstance(lu_factor(acok.linearize(state, acok_params)), BorderedLuFactorization)
 
 
 def _odd_singular_band(offset=0.0):
@@ -701,20 +700,24 @@ def _odd_singular_band(offset=0.0):
     return _band_border(sub, diag, sub[::-1].copy())
 
 
-def test_solve_once_solves_on_a_regular_block_of_a_singular_band():
+def test_parity_solve_on_a_regular_block_of_a_singular_band():
     # Exactly singular, and with the odd block's pivot 2^-44 under the
-    # floor 1e-12 * 9 (the full band's): either way the full band is flagged
-    # singular, an even right-hand side solves and an odd one raises.
+    # floor 1e-12 * 9 (the full band's): either way the factorization is
+    # flagged singular with det sign 0, an even right-hand side solves, and
+    # an odd one, or one with an odd part, raises.
     b_even, b_odd = np.array([1.0, 2.0, 3.0, 2.0, 1.0]), np.array([1.0, 2.0, 0.0, -2.0, -1.0])
     for offset in (0.0, 2.0**-44):
         system = _odd_singular_band(offset)
-        assert lu_factor(system).singular
-        got = solve_once(system, b_even)
+        fact = lu_factor(system)
+        assert fact.singular and det_sign(fact) == 0 and log_abs_det(fact) == -math.inf
+        assert full_band_factor(system).singular
+        got = lu_solve(lu_factor(system), b_even)
         assert _is_even(got)
         residual = system.to_dense() @ got - b_even
         assert np.max(np.abs(residual)) <= (0.0 if offset == 0.0 else 1e-15)
-        with pytest.raises(SingularMatrixError):
-            solve_once(system, b_odd)
+        for b in (b_odd, b_even + b_odd):
+            with pytest.raises(SingularMatrixError):
+                lu_solve(lu_factor(system), b)
 
 
 def test_off_band_nonzero_takes_dense_path():
@@ -723,7 +726,8 @@ def test_off_band_nonzero_takes_dense_path():
     params = ModelParams(epsilon=0.2)
     state = 0.5 * np.tanh(grid.nodes / 0.2)
     jac = model.jacobian(state, params)
-    assert isinstance(lu_factor(jac), BandLuFactorization)
+    assert isinstance(lu_factor(jac), ParityLuFactorization)  # an odd state: its own mirror
+    assert isinstance(lu_factor(model.jacobian(state + 0.1, params)), BandLuFactorization)
     one_off = jac.copy()
     one_off[0, -1] = 1e-3
     assert isinstance(lu_factor(one_off), LuFactorization)
@@ -1587,6 +1591,12 @@ def scalar_det_bits(system):
     return det_sign(fact), log_abs_det(fact).hex()
 
 
+def full_band_det_bits(system):
+    """``scalar_det_bits`` of the whole band (``full_band_factor``), own mirror or not."""
+    fact = full_band_factor(system, pivot_rtol=0.0)
+    return det_sign(fact), log_abs_det(fact).hex()
+
+
 def pass_det_bits(systems):
     """``band_det_pass`` over ``systems`` (drawn from a generator), each result as ``scalar_det_bits`` gives it."""
     got = linalg.band_det_pass((s for s in systems), len(systems))
@@ -1728,7 +1738,10 @@ def ac_ch_states(grid):
 @pytest.mark.parametrize("n_cells", [20, 100, 200, 800])
 def test_band_det_pass_is_lu_factor_bitwise_on_ac_and_ch_linearizations(n_cells):
     # The AC and CH Jacobians are plain tridiagonal bands, each its own
-    # mirror at a constant state: the tridiagonal pass takes them.
+    # mirror at a constant state: the tridiagonal pass takes them.  The pass
+    # eliminates the whole band, where lu_factor splits an own-mirror one
+    # into its parity blocks (the same sign: the next test), so its
+    # reference is the whole band's elimination by lu_factor's kernel.
     grid = GridSpec(n_cells)
     signs = set()
     for kind, mu0 in (("ac", 0.0), ("ch", 0.05)):
@@ -1736,10 +1749,40 @@ def test_band_det_pass_is_lu_factor_bitwise_on_ac_and_ch_linearizations(n_cells)
         for state in ac_ch_states(grid):
             systems = [model.linearize(state, ModelParams(epsilon=e, mu0=mu0)) for e in np.linspace(0.05, 0.7, 41)]
             assert linalg.pass_size(systems[0], len(systems)) == len(systems)
-            want = [scalar_det_bits(s) for s in systems]
+            want = [full_band_det_bits(s) for s in systems]
             assert pass_det_bits(systems) == want
             signs |= {sign for sign, _ in want}
     assert signs == {-1, 1}
+
+
+@pytest.mark.parametrize("n_cells", [20, 100, 200, 800])
+def test_parity_blocks_give_the_whole_band_det_sign_at_ac_and_ch_constant_states(n_cells):
+    # det J is the product of the blocks' dets.  At pivot_rtol = 0 the
+    # blocks' det sign is the whole band's elimination's (band_det_pass's),
+    # across the window and within 1e-6 ... 1e-12 relative of each
+    # closed-form crossing, where the det is closest to zero.
+    grid = GridSpec(n_cells)
+    crossings = [b.param_value for b in ac_bifurcations_in_range(0.05, 0.7)]
+    checked = set()
+    for kind, mu0 in (("ac", 0.0), ("ch", 0.05)):
+        model = model_by_kind(kind, grid)
+        near = crossings if mu0 == 0.0 else [
+            ch_bifurcation(b.mode_index, b.mode_family, mu0).param_value for b in ac_bifurcations_in_range(0.05, 0.7)]
+        across = [*np.linspace(0.05, 0.7, 27)]
+        close = [c * (1.0 + side * rel) for c in near for side in (-1.0, 1.0) for rel in (1e-6, 1e-8, 1e-10, 1e-12)]
+        for eps in across + close:
+            params = ModelParams(epsilon=eps, mu0=mu0)
+            roots = ch_trivial_roots(params)
+            level = roots.values[roots.middle_index] if mu0 else 0.0
+            system = model.linearize(np.full(grid.n_nodes, level), params)
+            fact = lu_factor(system, pivot_rtol=0.0)
+            assert isinstance(fact, ParityLuFactorization)
+            whole = full_band_factor(system, pivot_rtol=0.0)
+            assert det_sign(fact) == det_sign(whole), f"{kind} eps={eps!r}"
+            if eps in across:  # next to a crossing log|det| is that of a pivot cancelled to a few digits
+                assert abs(log_abs_det(fact) - log_abs_det(whole)) <= 1e-9 * abs(log_abs_det(whole))
+            checked.add((kind, det_sign(whole)))
+    assert checked == {("ac", -1), ("ac", 1), ("ch", -1), ("ch", 1)}
 
 
 def test_tridiagonal_pass_is_lu_factor_bitwise_on_random_bands_however_split():
@@ -1882,7 +1925,7 @@ def test_null_vector_handles_exactly_singular_matrix():
 
 
 def _unprojected_null_vector(fact):
-    """``null_vector`` without the parity projection: one solve, scaled and sign-fixed."""
+    """``null_vector`` by one solve, through both blocks of a parity factorization: scaled and sign-fixed."""
     start = np.random.default_rng(1790).standard_normal(linalg._order(fact))
     w = lu_solve(fact, start / np.linalg.norm(start))
     return linalg._fix_sign(w / np.linalg.norm(w))
@@ -1897,12 +1940,12 @@ def test_null_vector_of_an_own_mirror_band_has_its_parity_exactly():
         for n in range(family == "cosine", 4):
             eps = ac_bifurcation(n, family).param_value
             fact = lu_factor(model.linearize(np.zeros(grid.n_nodes), ModelParams(epsilon=eps)), pivot_rtol=0.0)
-            assert fact.own_mirror
+            assert isinstance(fact, ParityLuFactorization)
             v = null_vector(fact)
             assert np.array_equal(v[::-1], parity * v), f"{family} {n}"
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
             assert abs(v @ eigenmode(n, family, grid)) >= 1.0 - 1e-6
-            # The projection drops only the other parity's share of the one solve.
+            # Keeping one block's solve drops only the other's share of the one solve.
             assert np.max(np.abs(v - _unprojected_null_vector(fact))) <= 1e-4
 
 
@@ -1922,7 +1965,7 @@ def test_null_vector_projects_only_own_mirror_unbordered_bands():
     ]
     for matrix in cases:
         fact = lu_factor(matrix, pivot_rtol=0.0)
-        assert not getattr(fact, "own_mirror", False)
+        assert not isinstance(fact, ParityLuFactorization)
         assert null_vector(fact).tobytes() == _unprojected_null_vector(fact).tobytes()
 
 
