@@ -53,7 +53,7 @@ def main():
           "low-k and high-k modes interleave on the way up\n")
 
     # -- trace the diagram ----------------------------------------------------
-    model = model_by_kind("acok", grid)
+    model = model_by_kind("acok", grid).engine()  # the continuation runs in u = 2 phi - 1
     params = ModelParams(epsilon=EPSILON, gamma=0.0)
     settings = default_settings("acok", param_max=GAMMA_MAX)
     t0 = time.perf_counter()
@@ -80,9 +80,10 @@ def main():
     w = grid.trapezoid_weights
     print(f"distinct nontrivial states at gamma = {SLICE_AT:.0f}: {len(states)}\n")
     print("    #   branch   origin                    sup|phi-1/2|   mass      residual")
-    for i, s in enumerate(states):
-        sup = float(np.max(np.abs(s.state - 0.5)))
-        mass = float(w @ s.state) / 2.0
+    phis = [model.phi_of(s.state) for s in states]
+    for i, (s, phi) in enumerate(zip(states, phis)):
+        sup = float(np.max(np.abs(phi - 0.5)))
+        mass = float(w @ phi) / 2.0
         print(f"    {i:<3} {s.branch_id:<8} {s.origin:<25} {sup:.6f}       "
               f"{mass:.6f}  {s.residual_norm:.1e}")
     print()
@@ -90,11 +91,11 @@ def main():
     # phi -> 1 - phi maps states to states; find each state's partner
     print("    material-symmetry pairing (phi -> 1 - phi):")
     used = set()
-    for i, s in enumerate(states):
+    for i, phi in enumerate(phis):
         if i in used:
             continue
-        mirrored = 1.0 - s.state
-        gaps = [float(np.max(np.abs(t.state - mirrored))) for t in states]
+        mirrored = 1.0 - phi
+        gaps = [float(np.max(np.abs(other - mirrored))) for other in phis]
         j = int(np.argmin(gaps))
         used.update((i, j))
         tag = "self-paired" if i == j else f"pairs with #{j}"

@@ -171,7 +171,13 @@ def residual_floor(model, params: ModelParams, settings: ContinuationSettings) -
 
 
 def resolve(args) -> tuple[RunConfig, object, ModelParams]:
-    """Fill in model-dependent defaults and validate the combination."""
+    """Fill in model-dependent defaults and validate the combination.
+
+    The model returned is the one the continuation runs (``engine()``):
+    for ACOK its form in ``u = 2 phi - 1``, whose states the commands
+    print as ``phi`` (``phi_of``).  The residual floor is the ``phi``
+    model's.
+    """
     kind = args.model
     if args.n_cells > MAX_N_CELLS:
         raise UsageError(f"--n-cells must be <= {MAX_N_CELLS}, got {args.n_cells}")
@@ -263,7 +269,7 @@ def resolve(args) -> tuple[RunConfig, object, ModelParams]:
         format=args.format,
         out=args.out,
     )
-    return cfg, model, params
+    return cfg, model.engine(), params
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -392,11 +398,12 @@ def cmd_trace(cfg: RunConfig, model, params, settings) -> int:
                     "points": [
                         {
                             "param": float(p.param),
-                            "phi_at_minus1": float(p.state[0]),
-                            "sup_norm": float(np.max(np.abs(p.state))),
+                            "phi_at_minus1": float(phi[0]),
+                            "sup_norm": float(np.max(np.abs(phi))),
                             "det_sign": int(p.det_sign),
                         }
                         for p in b.points
+                        for phi in (model.phi_of(p.state),)
                     ],
                 }
                 for b in diagram.branches
@@ -412,9 +419,8 @@ def cmd_trace(cfg: RunConfig, model, params, settings) -> int:
         lines = ["branch_id,param,phi_at_minus1,sup_norm,det_sign"]
         for b in diagram.branches:
             for p in b.points:
-                lines.append(
-                    f"{b.id},{_fmt(p.param)},{_fmt(p.state[0])},{_fmt(np.max(np.abs(p.state)))},{int(p.det_sign)}"
-                )
+                phi = model.phi_of(p.state)
+                lines.append(f"{b.id},{_fmt(p.param)},{_fmt(phi[0])},{_fmt(np.max(np.abs(phi)))},{int(p.det_sign)}")
         _emit(cfg, "\n".join(lines) + "\n")
     print(
         f"branches={summary['branch_count']} bifurcations={summary['bifurcation_count']} "
@@ -450,7 +456,7 @@ def cmd_solutions(cfg: RunConfig, model, params, settings) -> int:
                     "origin": s.origin,
                     "param": float(s.param),
                     "residual_norm": float(s.residual_norm),
-                    "state": [float(v) for v in s.state],
+                    "state": [float(v) for v in model.phi_of(s.state)],
                 }
                 for s in sols
             ],
@@ -463,7 +469,7 @@ def cmd_solutions(cfg: RunConfig, model, params, settings) -> int:
         for s in sols:
             lines.append(
                 f"{s.branch_id},{s.origin},{_fmt(s.param)},{_fmt(s.residual_norm)},"
-                + ",".join(_fmt(v) for v in s.state)
+                + ",".join(_fmt(v) for v in model.phi_of(s.state))
             )
         _emit(cfg, "\n".join(lines) + "\n")
     print(f"count={len(sols)}", file=sys.stderr)
@@ -482,8 +488,6 @@ def _fd_jacobian_error(model, params, rng) -> float:
     worst = 0.0
     for _ in range(5):
         x = 0.8 * (2.0 * rng.random(n) - 1.0)
-        if model.kind == "acok":
-            x = 0.5 + 0.45 * (2.0 * rng.random(n) - 1.0)
         jac = model.jacobian(x, params)
         fd = np.empty_like(jac)
         for j in range(n):
@@ -528,23 +532,19 @@ def cmd_verify(cfg: RunConfig, model, params, settings) -> int:
 
     # Structural symmetry of the nonlinearity, normalized by the residual's
     # own scale (the raw gap is a few ULPs of that scale, so an absolute
-    # bound would silently depend on gamma and the grid size).
+    # bound would silently depend on gamma and the grid size).  Each model
+    # the engine runs is odd at mu0 = 0: ACOK in u = 2 phi - 1, where its
+    # half symmetry phi -> 1 - phi is u -> -u.  ACOK takes a nonzero
+    # interaction strength so that the nonlocal term is exercised even when
+    # the run's gamma is 0.
     phi = 0.9 * (2.0 * rng.random(grid.n_nodes) - 1.0)
-    if model.kind == "acok":
-        # Fix a nonzero interaction strength so the nonlocal term is exercised
-        # even when the run's gamma is 0.
-        p_sym = ModelParams(epsilon=params.epsilon, mu0=params.mu0, gamma=max(params.gamma, 500.0))
-        phi_h = 0.5 + 0.45 * (2.0 * rng.random(grid.n_nodes) - 1.0)
-        base = model.residual(phi_h, p_sym)
-        sym = float(np.max(np.abs(model.residual(1.0 - phi_h, p_sym) + base)))
-        sym /= max(1.0, float(np.max(np.abs(base))))
-        checks.append(_check("half_symmetry_residual", sym, 1e-12, "<="))
-    else:
-        p0 = ModelParams(epsilon=params.epsilon, mu0=0.0, gamma=params.gamma)
-        base = model.residual(phi, p0)
-        sym = float(np.max(np.abs(model.residual(-phi, p0) + base)))
-        sym /= max(1.0, float(np.max(np.abs(base))))
-        checks.append(_check("odd_symmetry_residual", sym, 1e-12, "<="))
+    gamma = max(params.gamma, 500.0) if model.kind == "acok" else params.gamma
+    p_sym = ModelParams(epsilon=params.epsilon, mu0=0.0, gamma=gamma)
+    base = model.residual(phi, p_sym)
+    sym = float(np.max(np.abs(model.residual(-phi, p_sym) + base)))
+    sym /= max(1.0, float(np.max(np.abs(base))))
+    checks.append(_check("half_symmetry_residual" if model.kind == "acok" else "odd_symmetry_residual",
+                         sym, 1e-12, "<="))
 
     mean_worst = 0.0
     for fam, n0 in (("sine", 0), ("cosine", 1)):

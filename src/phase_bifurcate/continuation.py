@@ -187,7 +187,7 @@ class Branch:
     origin: BranchOrigin
     points: list[BranchPoint]
     stop_reason: str = "param_bound"
-    image: Optional[tuple["Branch", Callable]] = None  # (source, map) of an exact image; see ``_image``
+    image: Optional[tuple["Branch", Callable]] = None  # (source, map) of an image; see ``_image``
 
 
 @dataclass
@@ -231,7 +231,7 @@ def _sup(v: np.ndarray) -> float:
 
 
 def _newton(model, params, guess, settings, sign: Optional[int] = None) -> tuple[BranchPoint, Optional[Factorization]]:
-    """Newton iteration to `newton_tol` in residual max-norm.
+    """Newton iteration to `newton_tol` in residual max-norm (``model.residual_norm``).
 
     Returns the accepted point together with the Jacobian factorization *at*
     the accepted state (used for the det sign and reused by the predictor).
@@ -241,17 +241,17 @@ def _newton(model, params, guess, settings, sign: Optional[int] = None) -> tuple
     consecutive residual increases.
 
     Each correction is one ``lu_solve(lu_factor(J), -r)``.  At an exactly
-    even or odd AC/CH state ``J`` is a ``linalg.ParityLuFactorization``, and
-    a residual of the state's parity is solved on that parity's block alone,
-    the only one factored, so the correction never leaves its parity
-    subspace.  A singular block of the other parity therefore does not stop
-    the correction; only a singular block it uses (or a singular Jacobian)
-    fails it as "singular".  The factorization at the accepted state gives
+    even or odd state (AC/CH, or ACOK in u) ``J`` is a
+    ``linalg.ParityLuFactorization``, and a residual of the state's parity
+    is solved on that parity's block alone, the only one factored, so the
+    correction never leaves its parity subspace.  A singular block of the
+    other parity therefore does not stop the correction; only a singular
+    block it uses (or a singular Jacobian) fails it as "singular".  The factorization at the accepted state gives
     the det sign, which factors both blocks.
     """
     x = np.array(guess, dtype=float)
     r = model.residual(x, params)
-    rn = _sup(r)
+    rn = model.residual_norm(r)
     if not math.isfinite(rn):
         raise NewtonFailure("diverged", 0, rn)
     prev = rn
@@ -265,7 +265,7 @@ def _newton(model, params, guess, settings, sign: Optional[int] = None) -> tuple
         except SingularMatrixError:
             raise NewtonFailure("singular", iters, rn) from None
         r = model.residual(x, params)
-        rn = _sup(r)
+        rn = model.residual_norm(r)
         iters += 1
         if not math.isfinite(rn):
             raise NewtonFailure("diverged", iters, rn)
@@ -300,7 +300,7 @@ def euler_predict(model, params, point: BranchPoint, step: float, fact: Optional
     tracer reuses the one from the point's correction).  Raises
     SingularMatrixError if the solve meets a singular factorization (caller
     shrinks the step).  On a ``linalg.ParityLuFactorization`` (an even or
-    odd AC/CH state) only the blocks of F_mu's parts count: at such a state
+    odd state) only the blocks of F_mu's parts count: at such a state
     F_mu has the state's parity, so a singular block of the other parity
     does not stop the predictor.  Where F_mu is exactly zero (a constant
     state that does not move with the parameter) dx is zero and no solve is
@@ -559,7 +559,7 @@ def _arclength_correct(model, params, settings, frame, xg, mug, tx, tmu):
             # strength); treat as a failed step.
             raise NewtonFailure("diverged", it, prev if math.isfinite(prev) else math.inf)
         r = model.residual(x, params_at)
-        rn = _sup(r)
+        rn = model.residual_norm(r)
         c = frame.dot(x - x_pred, mu - mu_pred, tx, tmu)
         if not math.isfinite(rn):
             raise NewtonFailure("diverged", it, rn)
@@ -835,28 +835,25 @@ def branch_switch(
     next to the branch's amplitude, and Newton starts in its quadratic
     phase.  Where no branch passes, the bottom of the ladder wins and Newton
     falls onto the trivial state, which is rejected.  Defaults: s0 =
-    ``settings.seed_amplitude`` or 0.05*(sup|base|+1), dmu = 2x bisection
-    width + 1e-4*|param|.
+    ``settings.seed_amplitude`` or 0.05*(sup|phi|+1) of the base's phase
+    field phi (``model.phi_of``), in phi's units (ACOK's u = 2 phi - 1
+    takes twice that), dmu = 2x bisection width + 1e-4*|param|.
 
     Where ``_pitchfork_image`` finds a map g of the states with g(base) =
-    base and g(mode) = -mode that the residual commutes with (equivariant
-    branching: Golubitsky, Stewart & Schaeffer II, ch. XIII), g maps the +
-    offshoot onto the - one, so only the + side is traced.  The - branch
-    shares its anchor and takes g of every later state at the same
-    parameter (``_image``).  Where g commutes with the residual bit for bit
-    the image is exact and copies everything else; if the + side yields no
-    branch, neither does the - side.  Where g commutes only to rounding
-    (ACOK), the residual of every image state is evaluated at its
-    parameter.  One within ``newton_tol`` is kept with that residual, 0
-    iterations and its + point's det sign: F(g phi) = -F(phi) gives
-    J(g phi) = J(phi), so no factorization is needed.  Any
-    other goes through ``_newton`` and takes its residual, iteration count
-    and det sign from there.  If a correction fails, or the + side yields
-    no branch, the - side is traced instead, and one INFO line says why.
+    base and g(mode) = -mode that the residual commutes with bit for bit
+    (equivariant branching: Golubitsky, Stewart & Schaeffer II, ch. XIII),
+    g maps the + offshoot onto the - one, so only the + side is traced.
+    The - branch shares its anchor and takes g of every later state, with
+    every other field copied (``_image``); if the + side yields no branch,
+    neither does the - side.
     """
     base = bif.base_state
     p0 = bif.param
-    s0 = settings.seed_amplitude if settings.seed_amplitude is not None else 0.05 * (_sup(base) + 1.0)
+    # s0 is an amplitude of phi.  phi_of is affine, and its slope (1, or 1/2
+    # for ACOK's u = 2 phi - 1) takes s0 into the state's units.
+    one, zero = model.phi_of(np.array([1.0, 0.0]))
+    s0 = settings.seed_amplitude if settings.seed_amplitude is not None else 0.05 * (_sup(model.phi_of(base)) + 1.0)
+    s0 /= float(one - zero)
     dmu = 2.0 * settings.bisection_width + 1e-4 * abs(p0)
     mode_sup = bif.null_mode / _sup(bif.null_mode)
 
@@ -864,7 +861,7 @@ def branch_switch(
     anchor = BranchPoint(
         param=p0,
         state=np.array(base, dtype=float),
-        residual_norm=_sup(model.residual(base, anchor_params)),
+        residual_norm=model.residual_norm(model.residual(base, anchor_params)),
         det_sign=det_sign(lu_factor(model.linearize(base, anchor_params))),
         newton_iters_used=0,
     )
@@ -914,11 +911,10 @@ def branch_switch(
 
     plus, plus_failure = side(1, "+")
     image = _pitchfork_image(model, params, bif)
-    minus, minus_failure = None, plus_failure
-    if image is not None:
-        minus = _image(model, params, settings, plus, bif.bif_id, *image)
-    if minus is None and not (image and image[1]):
+    if image is None:
         minus, minus_failure = side(-1, "-")
+    else:
+        minus, minus_failure = _image(plus, bif.bif_id, image), plus_failure
 
     branches: list[Branch] = []
     failures: list[str] = []
@@ -933,26 +929,25 @@ def branch_switch(
     return branches
 
 
-def _pitchfork_image(model, params, bif: BifurcationPoint) -> Optional[tuple[Callable, bool]]:
-    """``(g, exact)``: the map taking a pitchfork's + offshoot onto its - one, or None.
+def _pitchfork_image(model, params, bif: BifurcationPoint) -> Optional[Callable]:
+    """The map g taking a pitchfork's + offshoot onto its - one bit for bit, or None.
 
-    With c = ``model.symmetry_center(params)`` and the base state c, g is
-    phi -> 2c - phi, exact iff c == 0.0: any other c (ACOK: 1/2) rounds in
-    ``1.0 - state``, and the cubic, the stencils and the prefix sums of G
-    round differently on the image.  A model without a center whose base is
-    its own reversal and whose mode is exactly odd (CH with an offset) takes
-    the reversal R, exact.  Any other pitchfork has no image here.
+    With c = ``model.symmetry_center(params)`` (0.0 for AC, CH without an
+    offset and ACOK in ``u``) and the base state c, g is x -> 2c - x.  A
+    model without a center whose base is its own reversal and whose mode is
+    exactly odd (CH with an offset) takes the reversal R.  Any other
+    pitchfork has no image here.
 
-    An exact g carries every other field of the + branch over, because:
+    g carries every other field of the + branch over, because:
 
-    * IEEE round-to-nearest is symmetric under negation, and the AC/CH
-      residual is built from ``phi*phi*phi`` and stencils that add each
-      node's two neighbours commutatively, so it is odd and commutes with R
-      bit for bit: each image point's residual is its + point's, negated
-      or reversed;
-    * the Jacobian depends on phi only through phi*phi, so a negated state
-      has the same Jacobian and a reversed one its mirror P J P, whose det
-      is det J;
+    * IEEE round-to-nearest is symmetric under negation, and each residual
+      is built from ``x*x*x`` and stencils that add each node's two
+      neighbours commutatively (ACOK's Green operator sums by mirror
+      pairs), so it is odd and commutes with R bit for bit: each image
+      point's residual is its + point's, negated or reversed;
+    * the Jacobian depends on x only through x*x, so a negated state has
+      the same Jacobian and a reversed one its mirror P J P, whose det is
+      det J;
     * ``0.0 - state`` and ``state[::-1]`` round nothing, and ``0.0 - state``
       gives +0.0 where tracing the - side gives +0.0 (0.0 + -0.0);
     * the constant states are closed under both maps, so
@@ -966,43 +961,23 @@ def _pitchfork_image(model, params, bif: BifurcationPoint) -> Optional[tuple[Cal
     base, center = bif.base_state, model.symmetry_center(params)
     if center is not None:
         if np.all(base == center):
-            return (lambda state: (2.0 * center) - state), center == 0.0
+            return lambda state: (2.0 * center) - state
     elif np.array_equal(base, base[::-1]) and np.array_equal(bif.null_mode[::-1], -bif.null_mode):
-        return (lambda state: state[::-1].copy()), True
+        return lambda state: state[::-1].copy()
     return None
 
 
-def _image(model, params, settings, plus: Optional[Branch], bif_id: str, g: Callable, exact: bool) -> Optional[Branch]:
-    """The - offshoot as the image under ``g`` of its + side (see ``branch_switch``), or None.
+def _image(plus: Optional[Branch], bif_id: str, g: Callable) -> Optional[Branch]:
+    """The - offshoot as the image under ``g`` of its + side (see ``branch_switch``), or None if ``plus`` is.
 
-    An exact image copies everything but the states and records ``(plus,
-    g)`` as its ``image``.  An inexact one evaluates the residual of every
-    image point: one within ``newton_tol`` keeps its state, that residual,
-    0 iterations and its + point's det sign (no factorization); any other
-    is corrected by ``_newton``.  If ``plus`` is None or a correction fails
-    it is None, and one INFO line says why.
+    It copies everything but the states and records ``(plus, g)`` as its
+    ``image``.
     """
     if plus is None:
-        if not exact:
-            logger.info("%s+ yielded no branch: tracing the - side", bif_id)
         return None
     points = plus.points[:1] + [replace(p, state=g(p.state)) for p in plus.points[1:]]
     minus = Branch(f"{bif_id}-", BranchOrigin("switched", bif_id, -1), points, plus.stop_reason)
-    if exact:
-        minus.image = (plus, g)
-        return minus
-    for i, p in enumerate(points[1:], 1):
-        params_at = model.with_param(params, p.param)
-        rn = _sup(model.residual(p.state, params_at))
-        if rn <= settings.newton_tol:
-            points[i] = replace(p, residual_norm=rn, newton_iters_used=0)
-            continue
-        try:
-            points[i], _ = _newton(model, params_at, p.state, settings)
-        except (NewtonFailure, SingularMatrixError) as exc:
-            logger.info("%s- image at param=%r failed its Newton check (%s): tracing the - side",
-                        bif_id, p.param, getattr(exc, "reason", "singular"))
-            return None
+    minus.image = (plus, g)
     return minus
 
 
@@ -1161,9 +1136,13 @@ def solutions_at(diagram: Diagram, param: float, model, settings: ContinuationSe
 
     Walks every offshoot branch, Newton-corrects the linear interpolant of
     each segment straddling ``param``, drops anything that lands on a trivial
-    state, and dedupes by state sup-norm <= dedupe_tol.  An exact image
-    branch (``Branch.image``) takes instead the map of its source's
-    corrected states, so each is the exact image of its partner.  A diagram
+    state, and dedupes by state sup-norm <= dedupe_tol.  A correction that
+    lands on a trivial state from a segment whose two ends both lie off
+    every trivial state has lost the branch (the interpolant fell into the
+    constant state's basin): it is dropped with a WARNING that names the
+    branch and the segment's two parameters.  An image branch
+    (``Branch.image``) takes instead the map of its source's corrected
+    states, so each is the exact image of its partner.  A diagram
     computed for one slice (``diagram.at`` set) can be sliced only there: any
     other ``param`` raises ValueError.
     """
@@ -1172,14 +1151,15 @@ def solutions_at(diagram: Diagram, param: float, model, settings: ContinuationSe
     if diagram.at is not None and param != diagram.at:
         raise ValueError(f"diagram was computed for the slice at {diagram.at}, not at {param}")
     params_at = model.with_param(diagram.params, param)
-    corrected: dict[str, list[BranchPoint]] = {}
+    corrected: dict[str, list[tuple[BranchPoint, BranchPoint, BranchPoint]]] = {}
 
-    def corrections(br: Branch) -> list[BranchPoint]:
+    def corrections(br: Branch) -> list[tuple[BranchPoint, BranchPoint, BranchPoint]]:
+        """``(corrected point, segment start, segment end)`` for each segment straddling ``param``."""
         if br.id in corrected:
             return corrected[br.id]
         if br.image is not None:
             source, g = br.image
-            return [replace(pt, state=g(pt.state)) for pt in corrections(source)]
+            return [(replace(pt, state=g(pt.state)), a, b) for pt, a, b in corrections(source)]
         out = corrected[br.id] = []
         pts = br.points
         for a, b in zip(pts[:-1], pts[1:]):
@@ -1194,17 +1174,23 @@ def solutions_at(diagram: Diagram, param: float, model, settings: ContinuationSe
                 alpha = (param - a.param) / (b.param - a.param)
                 guess = (1.0 - alpha) * a.state + alpha * b.state
             try:
-                out.append(newton_correct(model, params_at, guess, settings))
+                out.append((newton_correct(model, params_at, guess, settings), a, b))
             except (NewtonFailure, SingularMatrixError) as exc:
                 logger.info("slice correction failed on %s: %s", br.id, exc)
         return out
+
+    def off_trivial(p: BranchPoint) -> bool:
+        return not _near_any_trivial(model, model.with_param(diagram.params, p.param), p.state, settings.dedupe_tol)
 
     found: list[Solution] = []
     for br in diagram.branches:
         if br.origin.kind == "trivial":
             continue
-        for pt in corrections(br):
+        for pt, a, b in corrections(br):
             if _near_any_trivial(model, params_at, pt.state, settings.dedupe_tol):
+                if off_trivial(a) and off_trivial(b):
+                    logger.warning("slice correction on %s from the segment between param=%r and param=%r "
+                                   "landed on a trivial state: dropped", br.id, a.param, b.param)
                 continue
             if any(_sup(pt.state - s.state) <= settings.dedupe_tol for s in found):
                 continue

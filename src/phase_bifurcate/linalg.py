@@ -16,23 +16,27 @@ and columns, which is how the models hand over their linearizations.
   all lie on the three central diagonals (the AC/CH Jacobians), are
   eliminated in O(N) in the manner of LAPACK ``dgttrf``, with the dense
   kernel's pivoting rule (swap only if the subdiagonal entry is strictly
-  larger), pivot floor and singularity rules, once per band.  An unbordered
-  band of odd order that is its own mirror bit for bit (the AC/CH Jacobian
-  at an even or odd state) commutes with the reversal ``P``; it is held as
-  its even and odd parity blocks, about half the band each, each eliminated
-  the same way, on the full band's pivot floor, the first time it is used
-  (``ParityLuFactorization``).  An exactly even or odd right-hand side is
-  solved on its own block alone, any other one on both, by its even and odd
-  parts, so every solve is exactly reflection-equivariant: ``P b`` gets
-  exactly ``P`` times the solution of ``b``, and Newton iterates from even
-  or odd guesses keep their parity exactly.  Any other band solves
-  top-down once.
+  larger), pivot floor and singularity rules, once per band.
 * Any other band with at most two sub- and superdiagonals (ACOK's
   augmented Poisson form has ``kl = ku = 2``) gets a ``dgbtf2``-style band
   LU with partial pivoting inside the band, O(N); LAPACK makes the same
   split.  It is unrolled for ``kl = ku = 2`` over local variables: a
   narrower band is padded with zeros, whose updates it skips.  A wider
   band raises ``ValueError``.
+* A band that is its own mirror bit for bit commutes with the reversal
+  ``P`` of its unknowns (``_own_mirror``): an unbordered tridiagonal band
+  of odd order (the AC/CH Jacobian at an even or odd state), whose
+  unknowns ``P`` reverses one by one, and ACOK's augmented system with no
+  border but its own (its Jacobian at an exactly reflection-even or -odd
+  state), whose node pairs ``P`` reverses.  It is held as its even and odd
+  parity blocks, about half the band each, each eliminated by its band's
+  kernel, on the full band's floors, the first time it is used
+  (``ParityLuFactorization``); ACOK's odd block carries no border.  An
+  exactly even or odd right-hand side is solved on its own block alone,
+  any other one on both, by its even and odd parts, so every solve is
+  exactly reflection-equivariant: ``P b`` gets exactly ``P`` times the
+  solution of ``b``, and Newton iterates from even or odd guesses keep
+  their parity exactly.  Any other band solves top-down once.
 * Borders (ACOK's border, the pseudo-arclength systems, the bordered
   Neumann problem) are eliminated by mixed block elimination (Govaerts &
   Pryce, *IMA J. Numer. Anal.* 13, 1993), which stays accurate when ``A``
@@ -51,17 +55,19 @@ and columns, which is how the models hand over their linearizations.
   one shape in one pass, vectorized over the systems with numpy's
   elementwise operations and reductions only, so each result is a scalar
   kernel's bit for bit.  Bordered bands with ``kl`` or ``ku`` = 2 (ACOK's
-  detection scan) take ``_band_lu``'s operations in its order, as
-  ``lu_factor(s, pivot_rtol=0.0)`` does; a system that would need a boosted
-  band pivot comes back None.  Plain tridiagonal bands (the AC/CH scans)
-  take ``_band_factor``'s on the whole band, with an exact zero pivot
-  giving ``(0, -inf)``: ``lu_factor``'s result, except that where it
-  splits a band into its parity blocks their ``log|det|`` can differ in the
-  last bits (their det sign agreed with the pass's across the AC/CH
-  windows and next to each crossing).  A system ``lu_factor`` would refuse
-  for a non-finite entry comes back None too.  ``pass_size`` takes a pass only if it holds at least
-  ``MIN_PASS_SYSTEMS`` (``MIN_TRIDIAGONAL_PASS_SYSTEMS`` for a tridiagonal
-  band) within ``PASS_BYTES``.
+  detection scan) take ``_band_lu``'s operations in its order on the whole
+  system, as ``lu_factor(s, pivot_rtol=0.0)`` does on one it does not
+  split; a system that would need a boosted band pivot comes back None.
+  Plain tridiagonal bands (the AC/CH scans) take ``_band_factor``'s on the
+  whole band, with an exact zero pivot giving ``(0, -inf)``.  Where
+  ``lu_factor`` splits a band into its parity blocks, their ``log|det|``
+  can differ from the pass's in the last bits; their det sign agreed with
+  it across the AC/CH windows, at ACOK's three constant states over gamma
+  in [0, 3000], and next to each crossing.  A system ``lu_factor`` would
+  refuse for a non-finite entry comes back None too.  ``pass_size`` takes
+  a pass only if it holds at least ``MIN_PASS_SYSTEMS``
+  (``MIN_TRIDIAGONAL_PASS_SYSTEMS`` for a tridiagonal band) within
+  ``PASS_BYTES``.
 
 The band and Schur kernels run on Python lists, which beat numpy's per-call
 cost at these sizes for one system; the tridiagonal and ``_band_lu``
@@ -192,34 +198,49 @@ class BandLuFactorization:
 
 @dataclass(eq=False)
 class ParityLuFactorization:
-    """Result of ``lu_factor`` on an unbordered tridiagonal band of odd order ``2m + 1`` that is its own mirror.
+    """Result of ``lu_factor`` on a band that is its own mirror, with ``2m + 1`` visible unknowns: its two parity blocks.
 
-    Such a band ``J`` (``_own_mirror``) commutes with the reversal ``P``, so
-    it maps even vectors to even ones and odd to odd: its two isotropy
+    The band is either an unbordered tridiagonal one of order ``2m + 1``
+    (the AC/CH Jacobian at an even or odd state), whose unknowns the
+    reversal ``P`` maps one by one, or ACOK's augmented system (``kl = ku
+    = 2``, the one border ``s``, the node values ``v_i`` of its ``2m + 1``
+    pairs ``(v_i, u_i)`` visible), whose pairs ``P`` maps as wholes
+    (``_own_mirror`` tests both).  Such a band ``J`` commutes with ``P``,
+    so it maps even vectors to even ones and odd to odd: its two isotropy
     blocks (Golubitsky, Stewart & Schaeffer, *Singularities and Groups in
     Bifurcation Theory* II, ch. XIII; Dellnitz & Werner, *J. Comput. Appl.
-    Math.* 26, 1989).  An even ``x`` has ``x[m + 1] = x[m - 1]``, so the
-    even block is rows and unknowns ``0 .. m`` with row ``m``'s subdiagonal
-    entry ``J[m, m - 1] + J[m, m + 1]``.  An odd ``x`` has ``x[m] = 0``, so
-    the odd block is rows and unknowns ``0 .. m - 1``, and row ``m`` reads
-    ``0 = b[m]``.  ``det J`` is the product of the blocks' dets.
+    Math.* 26, 1989).  With node (pair) ``m`` in the middle:
 
-    ``blocks`` holds the even and the odd block as ``(sub, diag, sup)``
-    lists.  ``block(parity)`` factors one by ``_band_factor`` on
-    ``pivot_floor``, the full band's, on its first use, so a solve with an
-    exactly even or odd right-hand side never factors the other block;
-    ``singular`` (either block flagged) factors both.
+    * an even ``x`` has ``x[m + 1] = x[m - 1]``, so the even block is
+      nodes (pairs) ``0 .. m``, the middle one's couplings to ``m + 1``
+      folded onto those to ``m - 1``; ACOK's keeps the border, with its row
+      folded to ``w_i + w_{N - i}``;
+    * an odd ``x`` has ``x[m] = 0``, so the odd block is nodes (pairs) ``0
+      .. m - 1``; and ``s = 0`` and ``w^T u = 0`` hold on odd vectors, so
+      ACOK's carries no border.
+
+    ``det J`` is the product of the blocks' dets (times ``hidden_sign``
+    for ACOK's visible system).  ``block(parity)`` builds and factors the
+    even (0) or the odd (1) block by ``factor(parity)``, on the full
+    band's floors, on its first use: ``(sub, diag, sup)`` lists by
+    ``_band_factor`` for a tridiagonal band, a ``BandBorder`` by
+    ``_bordered_factor`` for ACOK's.  So a solve with an exactly even or
+    odd right-hand side never factors the other block; ``singular``
+    (either block flagged) factors both.  ``half`` is ``m``, and ``pairs``
+    is ACOK's whole system, None for a tridiagonal band.
     """
 
-    blocks: tuple
+    half: int
     pivot_floor: float
+    factor: Callable
+    pairs: Optional["BandBorder"] = None
     factors: list = field(default_factory=lambda: [None, None])
 
-    def block(self, parity: int) -> BandLuFactorization:
+    def block(self, parity: int):
         """The factors of the even (0) or the odd (1) block."""
         fact = self.factors[parity]
         if fact is None:
-            fact = self.factors[parity] = _band_factor(self.blocks[parity], self.pivot_floor)
+            fact = self.factors[parity] = self.factor(parity)
         return fact
 
     @property
@@ -442,14 +463,32 @@ def _band_floor(band: tuple, pivot_rtol: float) -> float:
     return float(pivot_rtol) * _finite_max(off)
 
 
-def _own_mirror(band: tuple) -> bool:
-    """Whether the tridiagonal ``(sub, diag, sup)`` arrays equal their mirror ``(sup[::-1], diag[::-1], sub[::-1])``.
+def _own_mirror(band) -> bool:
+    """Whether a band equals its mirror under the reversal of its unknowns, bit for bit, signed zeros included.
 
-    Bit for bit, signed zeros included: only then is the elimination of the
-    band also its mirror's, operation for operation.
+    ``band`` is either a tridiagonal's ``(sub, diag, sup)`` arrays, whose
+    unknowns are reversed one by one: it is its own mirror if it equals
+    ``(sup[::-1], diag[::-1], sub[::-1])``.  Or it is a ``BandBorder`` with
+    ``kl = ku = 2`` and one border (ACOK's), whose unknowns are reversed in
+    pairs ``(v_i, u_i)``: row ``2i + t`` must equal row ``2(n - 1 - i) + t``
+    with its offsets -2 and +2 exchanged, its couplings across pairs at
+    offsets -1 (a v-row) and +1 (a u-row) must be zero, and the border
+    column and row must equal their pair reversals.  Only then is the
+    reversal exact on every entry, and the band's parity blocks
+    (``ParityLuFactorization``) its restrictions.
     """
-    sub, diag, sup = band
-    return sub.tobytes() == sup[::-1].tobytes() and diag.tobytes() == diag[::-1].tobytes()
+    if not isinstance(band, BandBorder):
+        sub, diag, sup = band
+        return sub.tobytes() == sup[::-1].tobytes() and diag.tobytes() == diag[::-1].tobytes()
+    pairs = band.band.reshape(-1, 2, 5)
+    cols, rows = band.cols.reshape(-1, 2), band.rows.reshape(-1, 2)
+    return (
+        not pairs[:, 0, 1].any() and not pairs[:, 1, 3].any()
+        and pairs[:, :, ::2].tobytes() == pairs[::-1, :, ::-2].tobytes()
+        and pairs[:, 0, 3].tobytes() == pairs[::-1, 0, 3].tobytes()
+        and pairs[:, 1, 1].tobytes() == pairs[::-1, 1, 1].tobytes()
+        and cols.tobytes() == cols[::-1].tobytes() and rows.tobytes() == rows[::-1].tobytes()
+    )
 
 
 def _finite_max(row_sums: np.ndarray) -> float:
@@ -740,7 +779,22 @@ def _band_lu_solve_t(fact: _GeneralBandLu, b: list) -> list:
     return x
 
 
-def _bordered_factor(system: BandBorder, pivot_rtol: float) -> BorderedLuFactorization:
+def _floors(system: BandBorder, pivot_rtol: float) -> tuple:
+    """``(floor, boost_floor, boost)`` of ``_bordered_factor`` for ``system``.
+
+    Row sums of the full matrix's magnitudes give the floor, ``pivot_rtol``
+    times their largest, and the band's alone the boost (``_band_lu``).
+    """
+    with np.errstate(over="ignore"):  # an overflowing sum is refused by _finite_max
+        band_sums = np.abs(system.band).sum(axis=1)
+        band_rows = band_sums + np.abs(system.cols).sum(axis=1)
+        border_rows = np.abs(system.rows).sum(axis=1) + np.abs(system.corner).sum(axis=1)
+    floor = float(pivot_rtol) * max(_finite_max(band_rows), _finite_max(border_rows))
+    scale = float(band_sums.max(initial=0.0))
+    return floor, max(floor, _BOOST_RTOL * scale), scale if scale > 0.0 else 1.0
+
+
+def _bordered_factor(system: BandBorder, pivot_rtol: float, floors: Optional[tuple] = None) -> BorderedLuFactorization:
     """Band LU of ``A``, then the borders' Schur block (module docstring).
 
     A tridiagonal ``A`` goes through ``_band_factor``, any other through
@@ -748,16 +802,11 @@ def _bordered_factor(system: BandBorder, pivot_rtol: float) -> BorderedLuFactori
     boosts.  Each boosted pivot ``(r, j, delta)`` becomes one more border:
     column ``-delta e_r``, row ``e_j^T`` and corner -1, whose unknown is
     ``x_j``, so the extended system is exact for ``A`` and its det is
-    ``(-1)^boosts`` times the user matrix's.
+    ``(-1)^boosts`` times the user matrix's.  ``floors``, ``(floor,
+    boost_floor, boost)``, replaces the ones ``system`` gives (a parity
+    block of ACOK's band takes the whole band's; ``lu_factor``).
     """
-    # Row sums of |full matrix| give the floor, the band's alone the boost.
-    abs_rows = np.abs(system.rows)
-    with np.errstate(over="ignore"):  # an overflowing sum is refused by _finite_max
-        band_sums, corner_sums = np.abs(system.band).sum(axis=1), np.abs(system.corner).sum(axis=1)
-        band_rows, border_rows = band_sums + np.abs(system.cols).sum(axis=1), abs_rows.sum(axis=1) + corner_sums
-    floor = float(pivot_rtol) * max(_finite_max(band_rows), _finite_max(border_rows))
-    scale = float(band_sums.max(initial=0.0))
-    boost_floor, boost = max(floor, _BOOST_RTOL * scale), scale if scale > 0.0 else 1.0
+    floor, boost_floor, boost = floors or _floors(system, pivot_rtol)
     if system.kl == system.ku == 1:
         sub, diag, sup = system.band.T.tolist()
         band = _band_factor((sub[1:], diag, sup[:-1]), boost_floor, boost)
@@ -785,7 +834,7 @@ def _bordered_factor(system: BandBorder, pivot_rtol: float) -> BorderedLuFactori
     schur_floor = 0.0
     if pivot_rtol and k:
         right_sums = np.add.reduce(np.abs(right))
-        terms = corner_sums + (abs_rows * right_sums).sum(axis=1)
+        terms = np.abs(system.corner).sum(axis=1) + (np.abs(system.rows) * right_sums).sum(axis=1)
         if boosts:
             terms = np.append(terms, 1.0 + right_sums[[j for _, j, _ in boosts]])
         schur_floor = float(pivot_rtol) * float(terms.max())
@@ -879,17 +928,24 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
     the three central diagonals, gets a ``ParityLuFactorization`` if it is
     of odd order (3 or more) and its own mirror bit for bit, whose blocks
     are factored on first use, and a ``BandLuFactorization`` in O(n)
-    otherwise; any other ``BandBorder`` a ``BorderedLuFactorization`` in
-    O(n), whose band is factored by the same tridiagonal kernel if it is
-    tridiagonal; any other dense matrix a dense ``LuFactorization``.  A
-    ``BandBorder`` with ``kl`` or ``ku`` above 2 raises ``ValueError``.
+    otherwise.  So does ACOK's augmented system (``_pair_band``: ``kl =
+    ku = 2``, its one border and no other, the first unknown of each of
+    an odd number of pairs visible) if it is its own mirror under the
+    reversal of its pairs.  Any other ``BandBorder`` gets a
+    ``BorderedLuFactorization`` in O(n), whose band is factored by the
+    same tridiagonal kernel if it is tridiagonal; any other dense matrix a
+    dense ``LuFactorization``.  A ``BandBorder`` with ``kl`` or ``ku``
+    above 2 raises ``ValueError``.
 
     ``pivot_rtol`` is the relative singularity threshold: the absolute floor
     is ``pivot_rtol * max_i sum_j |a_ij|``.  0.0 flags only exact zero
     pivots (the bifurcation detector needs pivot *signs* arbitrarily close
-    to a singularity).
+    to a singularity).  The parity blocks are factored on the whole band's
+    floors.
     """
     if isinstance(matrix, BandBorder):
+        if _pair_band(matrix) and _own_mirror(matrix):
+            return _pair_parity_factor(matrix, pivot_rtol)
         if not _plain_tridiagonal(matrix):
             return _bordered_factor(matrix, pivot_rtol)
         band = _diagonals(matrix.band)
@@ -908,7 +964,48 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
     sub, diag, sup = band[0][:m].tolist(), band[1][: m + 1].tolist(), band[2][: m + 1].tolist()
     even = (sub[: m - 1] + [sub[m - 1] + sup[m]], diag, sup[:m])
     odd = (sub[: m - 1], diag[:m], sup[: m - 1])
-    return ParityLuFactorization((even, odd), floor)
+    return ParityLuFactorization(m, floor, lambda parity: _band_factor((even, odd)[parity], floor))
+
+
+def _pair_band(system: BandBorder) -> bool:
+    """Whether ``system`` has ACOK's augmented shape: ``kl = ku = 2``, one border, and the first unknown of each of an odd number (3 or more) of pairs visible."""
+    nb = system.band.shape[0]
+    return (
+        system.kl == system.ku == 2 and system.k == 1 and nb % 4 == 2 and nb > 2
+        and np.array_equal(system.outer, np.arange(0, nb, 2))
+    )
+
+
+def _pair_parity_factor(system: BandBorder, pivot_rtol: float) -> ParityLuFactorization:
+    """ACOK's augmented system, its own mirror under the reversal of its pairs, as its parity blocks (``ParityLuFactorization``).
+
+    Each block is built on first use (``_pair_block``) and factored by
+    ``_bordered_factor`` on the whole system's floors.
+    """
+    floors = _floors(system, pivot_rtol)
+    return ParityLuFactorization(
+        system.band.shape[0] // 4, floors[0],
+        lambda parity: _bordered_factor(_pair_block(system, parity), pivot_rtol, floors), system,
+    )
+
+
+def _pair_block(system: BandBorder, parity: int) -> BandBorder:
+    """The even (0) or odd (1) block of ACOK's augmented system (``ParityLuFactorization``).
+
+    The even block is pairs ``0 .. m`` with pair ``m``'s offsets +2 (pair
+    ``m + 1``) folded onto its offsets -2 (pair ``m - 1``), the border
+    column's first ``2m + 2`` entries and the border row folded to ``r_i +
+    r_{N - i}``; the odd block is the band of pairs ``0 .. m - 1``.
+    """
+    m = system.band.shape[0] // 4
+    if parity:
+        return BandBorder(band=system.band[: 2 * m], kl=2)
+    band = system.band[: 2 * m + 2].copy()
+    band[2 * m :, 0] += system.band[2 * m : 2 * m + 2, 4]
+    rows = system.rows.reshape(-1, 2)
+    folded = rows[: m + 1].copy()
+    folded[:m] += rows[: m : -1]
+    return BandBorder(band=band, kl=2, cols=system.cols[: 2 * m + 2], rows=folded.reshape(1, -1), corner=system.corner)
 
 
 def _dense_factor(a: np.ndarray, pivot_rtol: float) -> LuFactorization:
@@ -957,7 +1054,8 @@ def lu_solve(fact: Factorization, rhs) -> np.ndarray:
     which is exactly reflection-equivariant; it raises only if a block it
     uses is flagged singular.  Any other factorization, bordered ones
     whatever their band, solves once, top-down.  That includes an own-mirror
-    band of even order, which no AC/CH grid has (their node counts are odd).
+    band of even order, which no AC/CH grid has (their node counts are odd),
+    and ACOK's augmented system with a border added (pseudo-arclength).
     """
     parity = isinstance(fact, ParityLuFactorization)
     if not parity and fact.singular:
@@ -991,7 +1089,7 @@ def _parity_solves(fact: ParityLuFactorization, b: np.ndarray) -> list:
     solution is exactly the mirrored one.  Raises ``SingularMatrixError`` if
     a block it solves on is flagged singular.
     """
-    m = len(fact.blocks[1][1])
+    m = fact.half
     rev = b[::-1]
     if (b == rev).all():
         parts = [b, None]
@@ -1005,7 +1103,15 @@ def _parity_solves(fact: ParityLuFactorization, b: np.ndarray) -> list:
         block = fact.block(parity)
         if block.singular:
             raise SingularMatrixError("singular matrix")
-        half = np.array(_band_solve(block, part[: m + 1 - parity].tolist()))
+        half = part[: m + 1 - parity].tolist()
+        if fact.pairs is None:
+            half = np.array(_band_solve(block, half))
+        else:
+            # The block's unknowns are the pairs (v_i, u_i), then s on the
+            # even side; the right-hand side sits on the v-rows.
+            rhs = [0.0] * (2 * len(half) + 1 - parity)
+            rhs[0 : 2 * len(half) : 2] = half
+            half = np.array(_bordered_solve(block, rhs)[0 : 2 * len(half) : 2])
         parts[parity] = np.concatenate((half, half[-2::-1]) if parity == 0 else (half, [0.0], -half[::-1]))
     return parts
 
@@ -1013,7 +1119,7 @@ def _parity_solves(fact: ParityLuFactorization, b: np.ndarray) -> list:
 def _order(fact: Factorization) -> int:
     """Size of the (visible) system a factorization solves."""
     if isinstance(fact, ParityLuFactorization):
-        return 2 * len(fact.blocks[1][1]) + 1
+        return 2 * fact.half + 1
     return len(fact.system) if isinstance(fact, BorderedLuFactorization) else len(_pivots(fact))
 
 
@@ -1049,10 +1155,11 @@ def _sign_from_fact(fact: Factorization) -> int:
 
     A bordered factorization also multiplies in its Schur block's det sign
     and the det sign of the block its visible system eliminates; a parity
-    one is the product of its two blocks' signs.
+    one is the product of its two blocks' signs (times ACOK's hidden one).
     """
     if isinstance(fact, ParityLuFactorization):
-        return _sign_from_fact(fact.block(0)) * _sign_from_fact(fact.block(1))
+        sign = _sign_from_fact(fact.block(0)) * _sign_from_fact(fact.block(1))
+        return sign if fact.pairs is None else sign * fact.pairs.hidden_sign
     if fact.singular:
         return 0
     negatives = len([p for p in _pivots(fact) if p < 0.0])
@@ -1353,9 +1460,10 @@ def null_vector(fact: Factorization) -> np.ndarray:
     the same on every call, so the result is bitwise reproducible.  Raises
     ``SingularMatrixError`` if the factorization was flagged singular.
 
-    A ``ParityLuFactorization`` (the AC/CH Jacobian at an even or odd
-    state, as at the constant states where every primary bifurcation sits)
-    solves ``v0``'s even and odd parts, each on its own block, and keeps
+    A ``ParityLuFactorization`` (the AC/CH Jacobian, or ACOK's augmented
+    system, at an even or odd state, as at the constant states where every
+    primary bifurcation sits) solves ``v0``'s even and odd parts, each on
+    its own block, and keeps
     the solution with the larger sup-norm, the even one on a tie.  Each
     eigenspace of such a band is spanned by even and odd vectors, so a
     simple eigenvalue's eigenvector is exactly even or odd, and it is the

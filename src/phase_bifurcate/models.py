@@ -16,9 +16,16 @@ of nodal values; each model exposes
 - ``param_derivative(state, params)`` -- derivative with respect to the
   model's active continuation parameter,
 - ``trivial_branches(params)`` -- the spatially constant solution families,
-- ``symmetry_center(params)`` -- the constant c with ``F(2c - phi) = -F(phi)``
-  (0 for AC and offset-free CH, 1/2 for ACOK), or None (CH with an offset,
-  whose pitchforks branch switching maps by the reversal instead).
+- ``symmetry_center(params)`` -- the constant c with ``F(2c - x) = -F(x)``
+  bit for bit (0 for AC, offset-free CH and ACOK's odd form), or None (CH
+  with an offset, and ACOK in ``phi``, whose pitchforks branch switching
+  maps by the reversal instead),
+- ``engine()``, ``phi_of(state)`` and ``residual_norm(r)`` -- the model the
+  continuation runs, the phase field of one of its states, and the residual
+  norm ``newton_tol`` bounds, in ``phi``'s units.  AC and CH run themselves
+  in ``phi``.  ACOK runs ``OddOhtaKawasaki``, the same model in ``u = 2 phi
+  - 1``, where both of its symmetries hold bit for bit; the CLI prints
+  ``phi = (1 + u)/2``.
 
 The second derivative is discretized with the compact fourth-order (Numerov)
 scheme ``L = B^-1 A``: ``A`` is the folded second-difference matrix
@@ -43,11 +50,16 @@ The models:
     eps*A phi - B W'(phi)/eps - gamma*(B G B) phi with the double well
     W = 18*(phi^2 - phi)^2 pinned between 0 and 1 and the nonlocal zero-mean
     inverse Laplacian G; continued in the nonlocal strength gamma.  G is
-    applied by two prefix sums (``green_apply``); its dense matrix
-    (``green_operator``) exists only for the oracles.  The Jacobian is
-    dense, but ``linearize`` hands over an O(N) augmented form that solves
-    G's Poisson problem alongside, from ``B G B = G - 2c(I - P) - c^2 A``
-    (see the class).
+    applied by prefix sums taken outward from the middle node, summed by
+    mirror pairs, so that it commutes with the reversal bit for bit
+    (``green_apply``); its dense matrix (``green_operator``) exists only
+    for the oracles.  The Jacobian is dense, but ``linearize`` hands over
+    an O(N) augmented form that solves G's Poisson problem alongside, from
+    ``B G B = G - 2c(I - P) - c^2 A`` (see the class).
+``OddOhtaKawasaki``
+    ACOK in ``u = 2 phi - 1``: ``eps*A u - B (18/eps)(u^3 - u) - gamma*(B G B)
+    u``, twice the residual above, with the same Jacobian; odd and
+    reflection-equivariant bit for bit, like AC.
 """
 
 from __future__ import annotations
@@ -69,6 +81,7 @@ __all__ = [
     "AllenCahn",
     "CahnHilliardSteady",
     "OhtaKawasaki",
+    "OddOhtaKawasaki",
     "CubicRoots",
     "ch_trivial_roots",
     "TrivialBranch",
@@ -331,15 +344,26 @@ class _ModelBase:
         return [b.state_of(params, self.grid) for b in self.trivial_branches(params)]
 
     def symmetry_center(self, params: ModelParams) -> Optional[float]:
-        """The constant c with ``residual(2c - phi) == -residual(phi)`` at ``params``, or None.
+        """The constant c with ``residual(2c - x) == -residual(x)`` bit for bit at ``params``, or None.
 
         Branch switching takes the ``-`` offshoot of a pitchfork from the
-        constant state c as the image of its ``+`` offshoot: exact bit for
-        bit where c is 0.0, exact only up to rounding elsewhere.  Without a
-        center, an exactly odd mode's ``-`` offshoot is the reversal of the
-        ``+`` one (``continuation._pitchfork_image``).
+        constant state c as the image ``2c - x`` of its ``+`` offshoot.
+        Without a center, an exactly odd mode's ``-`` offshoot is the
+        reversal of the ``+`` one (``continuation._pitchfork_image``).
         """
         return None
+
+    def engine(self):
+        """The model the continuation runs: this one, whose state is ``phi`` (ACOK: its odd form)."""
+        return self
+
+    def phi_of(self, state: np.ndarray) -> np.ndarray:
+        """The phase field of a state of this model: the state itself (ACOK's odd form: ``(1 + u)/2``)."""
+        return state
+
+    def residual_norm(self, residual: np.ndarray) -> float:
+        """The sup-norm of ``residual`` in ``phi``'s units: the one ``newton_tol`` bounds (ACOK's odd form: half its own)."""
+        return float(np.max(np.abs(residual)))
 
     def _band(self, lap_scale: float, scale: np.ndarray) -> np.ndarray:
         """Row-wise band of ``lap_scale * A + B diag(scale)``."""
@@ -452,28 +476,51 @@ class CahnHilliardSteady(AllenCahn):
 
 
 def green_apply(f: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """``G f`` along axis 0: the zero-mean inverse of ``-A`` by two prefix sums.
+    """``G f`` along axis 0: the zero-mean inverse of ``-A`` by prefix sums, mirror-summed.
 
     ``u = G f`` solves ``-A u = f - mean(f)`` with zero trapezoidal mean.
-    Row by row the folded ``-A u = g`` reads ``u[i+1] - u[i] = -h sum_{j<=i}
-    w_j g_j``, so the fluxes are one prefix sum and ``u`` is a second one,
-    shifted to zero mean.  ``f[0]`` is subtracted first, so constants give
-    exactly 0.  Only elementwise operations, ``cumsum`` and ``add.reduce``:
-    no BLAS, so the bits do not depend on the CPU kernel.
+    Row by row the folded ``-A u = g`` reads ``u[i+1] - u[i] = -h F_i``
+    with the flux ``F_i = sum_{j<=i} w_j g_j = -sum_{j>i} w_j g_j`` (``g``
+    has zero mean), so the fluxes are prefix sums and ``u`` is a second
+    one.  Every sum is taken so that the reversal ``R`` (node ``i`` to
+    ``N - i``) maps it onto its mirror term for term, with ``m = N/2``:
+
+    * ``f[m]`` is subtracted first, so constants give exactly 0;
+    * each trapezoid mean sums ``w_i (v_i + v_{N-i})`` over the pairs
+      ``i < m``, then adds ``w_m v_m``;
+    * the fluxes left of node ``m`` are summed from the left end, those
+      right of it from the right end;
+    * the potential is built outward from ``u[m] = 0`` both ways.
+
+    So ``green_apply(R f) == R green_apply(f)`` bit for bit, and, every
+    operation being linear with IEEE's sign-symmetric rounding,
+    ``green_apply(-f) == -green_apply(f)`` too.  Only elementwise
+    operations, ``cumsum`` and ``add.reduce``: no BLAS, so the bits do not
+    depend on the CPU kernel.
     """
     f = np.asarray(f, dtype=float)
+    m = grid.n_cells // 2
     w = grid.trapezoid_weights.reshape((-1,) + (1,) * (f.ndim - 1))
-    # One zero row on top: the second prefix sum then runs in place over
-    # the fluxes shifted down by one.
-    u = np.zeros((f.shape[0] + 1,) + f.shape[1:])
-    g = np.subtract(f, f[0], out=u[1:])
-    g -= np.add.reduce(w * g, axis=0) / 2.0
+    g = f - f[m]
+    g -= _pair_mean(g, w, m)
     g *= w
-    np.cumsum(g, axis=0, out=g)
-    g *= -grid.h
-    u = np.cumsum(u[:-1], axis=0, out=u[:-1])
-    u -= np.add.reduce(w * u, axis=0) / 2.0
+    # Row 0 runs from node 0 up to m - 1, row 1 from node N down to m + 1:
+    # their prefix sums are F_0 .. F_{m-1} and -F_{N-1} .. -F_m, and the
+    # prefix sums of those, taken from node m outward, the potential.
+    pairs = np.empty((2, m) + f.shape[1:])
+    pairs[0], pairs[1] = g[:m], g[:m:-1]
+    np.add.accumulate(pairs, axis=1, out=pairs)
+    pairs *= grid.h
+    np.add.accumulate(pairs[:, ::-1], axis=1, out=pairs[:, ::-1])
+    u = np.empty_like(g)
+    u[:m], u[m], u[:m:-1] = pairs[0], 0.0, pairs[1]
+    u -= _pair_mean(u, w, m)
     return u
+
+
+def _pair_mean(v: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
+    """Trapezoidal mean of ``v`` along axis 0, summed by mirror pairs (``green_apply``)."""
+    return (np.add.reduce(w[:m] * (v[:m] + v[:m:-1]), axis=0) + w[m] * v[m]) / 2.0
 
 
 @lru_cache(maxsize=8)
@@ -541,6 +588,13 @@ class OhtaKawasaki(_ModelBase):
     leading Laplacian enters with a +eps factor (gradient-flow sign), unlike
     the eps^2-divided Allen-Cahn form.
 
+    This class takes the phase field ``phi``, the CLI's coordinate.  Its
+    symmetry ``phi -> 1 - phi`` holds only to rounding (``1 - phi``
+    rounds), so it has no ``symmetry_center``; the continuation runs on
+    ``engine()``, the same model in ``u = 2 phi - 1``
+    (``OddOhtaKawasaki``), where it is exact.  Both forms have the same
+    Jacobian.
+
     The Jacobian ``J = T - gamma B G B`` with the tridiagonal
     ``T = eps A - B diag(W''/eps)`` is dense, but ``linearize`` never forms
     it.  With ``c = h^2/12`` and ``P = 1 w^T / 2``, ``B = I + c A``,
@@ -553,8 +607,11 @@ class OhtaKawasaki(_ModelBase):
     superdiagonals.  ``J`` is the Schur complement of the Neumann block
     ``K = [[A, 1], [w^T, 0]]`` in it, so ``det_sign(J) = det_sign(M)
     det_sign(K)`` for the augmented matrix ``M``, with ``K``'s sign fixed
-    per grid (``hidden_sign``).  The dense ``jacobian`` oracle still
-    applies ``B G B`` through ``B`` and ``G``: an independent route.
+    per grid (``hidden_sign``).  At a state whose ``W''`` is mirror
+    symmetric, ``M`` is its own mirror under the reversal of the node
+    pairs, and ``linalg.lu_factor`` factors it as its two parity blocks.
+    The dense ``jacobian`` oracle still applies ``B G B`` through ``B``
+    and ``G``: an independent route.
     """
 
     kind = "acok"
@@ -565,27 +622,24 @@ class OhtaKawasaki(_ModelBase):
         self._poisson, _, self._poisson_sign = _neumann_system(grid)
 
     def residual(self, state, params: ModelParams) -> np.ndarray:
-        phi = self._require_state(state)
+        x = self._require_state(state)
         eps = params.epsilon
-        well = 36.0 * (2.0 * _cube(phi) - 3.0 * (phi * phi) + phi)
         return (
-            eps * laplacian_apply(phi, self.grid)
-            - _compact_apply(well / eps)
-            - params.gamma * self._nonlocal(phi)
+            eps * laplacian_apply(x, self.grid)
+            - _compact_apply(self._well_slope(x) / eps)
+            - params.gamma * self._nonlocal(x)
         )
 
-    def symmetry_center(self, params: ModelParams) -> Optional[float]:
-        """0.5: W is even about 1/2, and ``A``, ``B`` and ``B G B`` annihilate constants.
+    def _well_slope(self, phi: np.ndarray) -> np.ndarray:
+        """``W'(phi) = 36 (2 phi^3 - 3 phi^2 + phi)``."""
+        return 36.0 * (2.0 * _cube(phi) - 3.0 * (phi * phi) + phi)
 
-        So ``residual(1 - phi) == -residual(phi)`` in exact arithmetic, but
-        not bit for bit: ``1 - phi`` rounds, and the cubic and the prefix
-        sums round differently on the image.
-        """
-        return 0.5
+    def _well_curvature(self, phi: np.ndarray, eps: float) -> np.ndarray:
+        """``-W''(phi)/eps``: the diagonal scale of ``linearize``'s local band."""
+        return (-36.0 / eps) * (6.0 * phi * phi - 6.0 * phi + 1.0)
 
-    def _local_band(self, phi: np.ndarray, params: ModelParams) -> np.ndarray:
-        eps = params.epsilon
-        return self._band(eps, (-36.0 / eps) * (6.0 * phi * phi - 6.0 * phi + 1.0))
+    def engine(self) -> "OddOhtaKawasaki":
+        return OddOhtaKawasaki(self.grid)
 
     def linearize(self, state, params: ModelParams) -> BandBorder:
         """The augmented band-plus-border form of the Jacobian (class docstring).
@@ -593,12 +647,12 @@ class OhtaKawasaki(_ModelBase):
         v-row ``i`` is band row ``2i``, with nonzeros at offsets ``-2, 0, +1,
         +2``; u-row ``i`` is band row ``2i + 1``, at ``-2, -1, 0, +2``.
         """
-        phi = self._require_state(state)
-        n, gamma = self.grid.n_nodes, params.gamma
+        x = self._require_state(state)
+        n, gamma, eps = self.grid.n_nodes, params.gamma, params.epsilon
         c = self.grid.h * self.grid.h / 12.0
         band = np.zeros((2 * n, 5))
         # Band column k holds the unknown at offset k - 2.
-        band[0::2, 0::2] = self._local_band(phi, params) + (c * c * gamma) * self._lap
+        band[0::2, 0::2] = self._band(eps, self._well_curvature(x, eps)) + (c * c * gamma) * self._lap
         band[0::2, 2] += 2.0 * c * gamma
         band[0::2, 3] = -gamma
         band[1::2, 1] = 1.0
@@ -613,8 +667,9 @@ class OhtaKawasaki(_ModelBase):
         )
 
     def jacobian(self, state, params: ModelParams) -> np.ndarray:
-        phi = self._require_state(state)
-        local = BandBorder(band=self._local_band(phi, params), kl=1).to_dense()
+        x = self._require_state(state)
+        eps = params.epsilon
+        local = BandBorder(band=self._band(eps, self._well_curvature(x, eps)), kl=1).to_dense()
         bg = _tridiagonal_rows(green_operator(self.grid), self._compact)
         # (B G) B = (B^T (B G)^T)^T, and B^T's band is B's with sub and super swapped.
         bgb = _tridiagonal_rows(bg.T, _transposed_band(self._compact)).T
@@ -623,15 +678,65 @@ class OhtaKawasaki(_ModelBase):
     def param_derivative(self, state, params: ModelParams) -> np.ndarray:
         return -self._nonlocal(self._require_state(state))
 
-    def _nonlocal(self, phi: np.ndarray) -> np.ndarray:
-        # (B G B) phi through the stencils: B maps constants to themselves
+    def _nonlocal(self, x: np.ndarray) -> np.ndarray:
+        # (B G B) x through the stencils: B maps constants to themselves
         # exactly, so constants meet G itself and give exactly 0.
-        return _compact_apply(green_apply(_compact_apply(phi), self.grid))
+        return _compact_apply(green_apply(_compact_apply(x), self.grid))
 
     def trivial_branches(self, params: ModelParams) -> list[TrivialBranch]:
         return [
             TrivialBranch("phi=0", False, lambda p: 0.0),
             TrivialBranch("phi=1/2", True, lambda p: 0.5),
+            TrivialBranch("phi=1", False, lambda p: 1.0),
+        ]
+
+
+class OddOhtaKawasaki(OhtaKawasaki):
+    """``OhtaKawasaki`` in the odd variable ``u = 2 phi - 1``: the form the continuation runs.
+
+    With ``phi = (1 + u)/2`` the well term is ``36 phi (2 phi - 1)(phi - 1)
+    = 9 (u^3 - u)`` and ``A``, ``B G B`` annihilate the constant, so the
+    residual ``F_u(u) = eps A u - B (18/eps)(u^3 - u) - gamma (B G B) u``
+    is ``2 F(phi)`` and its Jacobian in ``u`` is ``OhtaKawasaki``'s in
+    ``phi``: at the constant states ``u = -1, 0, 1`` (labelled by their
+    ``phi``) the band is the same bit for bit.  ``residual_norm`` halves
+    ``sup|F_u|``, so ``newton_tol`` and the reported residuals keep
+    bounding the ``phi`` residual.
+
+    ``F_u`` is built from ``u*u*u``, stencils that add each node's
+    neighbours commutatively and the mirror-summed ``green_apply``, so it
+    is odd and commutes with the reversal ``R`` bit for bit, as AC's
+    residual does: the symmetry center is 0.0, and every ACOK pitchfork
+    from ``u = 0`` maps its ``+`` offshoot onto its ``-`` one exactly.
+    ``phi_of`` gives the CLI its ``phi``.
+    """
+
+    def _well_slope(self, u: np.ndarray) -> np.ndarray:
+        """``2 W'(phi)`` in ``u``: ``18 (u^3 - u)``."""
+        return 18.0 * (_cube(u) - u)
+
+    def _well_curvature(self, u: np.ndarray, eps: float) -> np.ndarray:
+        """``-W''(phi)/eps`` in ``u``: ``-(18/eps)(3 u^2 - 1)``."""
+        return (-18.0 / eps) * (3.0 * u * u - 1.0)
+
+    def engine(self) -> "OddOhtaKawasaki":
+        return self
+
+    def symmetry_center(self, params: ModelParams) -> Optional[float]:
+        """0.0: ``F_u`` is odd bit for bit (class docstring)."""
+        return 0.0
+
+    def phi_of(self, state: np.ndarray) -> np.ndarray:
+        return 0.5 + 0.5 * state
+
+    def residual_norm(self, residual: np.ndarray) -> float:
+        # F_u = 2 F(phi): halving is exact.
+        return 0.5 * float(np.max(np.abs(residual)))
+
+    def trivial_branches(self, params: ModelParams) -> list[TrivialBranch]:
+        return [
+            TrivialBranch("phi=0", False, lambda p: -1.0),
+            TrivialBranch("phi=1/2", True, lambda p: 0.0),
             TrivialBranch("phi=1", False, lambda p: 1.0),
         ]
 

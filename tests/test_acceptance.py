@@ -133,7 +133,7 @@ def acok_diagram():
     monotonically from their crossings, so natural-mode tracing suffices.
     """
     g = GridSpec(N_REF)
-    model = model_by_kind("acok", g)
+    model = model_by_kind("acok", g).engine()  # the CLI's: in u = 2 phi - 1
     params = ModelParams(epsilon=0.3, gamma=0.0)
     settings = default_settings("acok", param_max=3000.0)
     diagram = compute_diagram(model, params, settings)
@@ -248,14 +248,16 @@ def test_criterion_3_acok_bifurcation_points(acok_diagram):
     spot = detected.get(("sine", 0), math.inf)
     spot_ok = abs(spot - 146.2) <= 0.7
 
-    # no crossings may appear on the phi=0 / phi=1 trivial branches
+    # no crossings may appear on the phi=0 / phi=1 trivial branches (u = -1
+    # and u = 1 in the model's state)
     side_counts = []
     scan = default_settings("acok")  # the default [0, 2000] window
-    for value in (0.0, 1.0):
-        side = detect_bifurcations_on_trivial(
-            model, params, scan, lambda pv, v=value: np.full(g.n_nodes, v)
-        )
-        side_counts.append(len(side))
+    for tb in model.trivial_branches(params):
+        if tb.label in ("phi=0", "phi=1"):
+            side = detect_bifurcations_on_trivial(
+                model, params, scan, lambda pv, tb=tb: tb.state_of(model.with_param(params, pv), g)
+            )
+            side_counts.append(len(side))
 
     ok = not missing and not offenders and spot_ok and side_counts == [0, 0]
     gate(
@@ -285,7 +287,7 @@ def test_criterion_3_acok_bifurcation_points(acok_diagram):
 def test_criterion_4_acok_multiplicity(acok_diagram):
     g, model, params, settings, diagram = acok_diagram
     sols = solutions_at(diagram, 1000.0, model, settings)
-    states = [s.state for s in sols]
+    states = [model.phi_of(s.state) for s in sols]  # phi, as the CLI prints them
 
     distinct = all(
         np.max(np.abs(states[i] - states[j])) > 1e-4

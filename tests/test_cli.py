@@ -162,6 +162,29 @@ def test_ac_ch_residual_floor_is_pinned_bitwise(kind, n_cells, params, window, p
     assert cli.residual_floor(model, params, settings).hex() == pinned
 
 
+@pytest.mark.parametrize(
+    "n_cells, window, pinned",
+    [
+        (40, (0.0, 700.0), "0x1.17fffffffffffp-51"),
+        (100, (0.0, 700.0), "0x1.8100000000000p-49"),
+        (4096, (0.0, 2000.0), "0x1.3334733333333p-38"),
+    ],
+)
+def test_acok_residual_floor_is_pinned_bitwise(n_cells, window, pinned):
+    # Recorded before ACOK's engine moved to u = 2 phi - 1: the floor is
+    # still read off the phi model's band at phi = 0 (u = -1), the same
+    # band bit for bit.
+    model = models.model_by_kind("acok", models.GridSpec(n_cells))
+    settings = default_settings("acok", param_min=window[0], param_max=window[1])
+    params = models.ModelParams(epsilon=0.3)
+    assert cli.residual_floor(model, params, settings).hex() == pinned
+    odd = model.engine()
+    minus_one = np.full(odd.grid.n_nodes, -1.0)
+    for end in window:
+        at = model.with_param(params, end)
+        assert odd.linearize(minus_one, at).band.tobytes() == model.linearize(minus_one + 1.0, at).band.tobytes()
+
+
 def test_only_an_explicit_newton_tol_meets_the_floor(monkeypatch, capsys):
     monkeypatch.setattr(cli, "residual_floor", lambda model, params, settings: 1.0)
     argv = ["points", "--model", "ac", "--n-cells", "20", "--eps-range", "0.3:0.7"]
@@ -436,6 +459,32 @@ def test_solutions_warns_once_per_offshoot_that_stops_short_of_the_slice(caplog,
         assert reason == "min_step" and last > at == 0.2
         ids.append(branch_id)
     assert ids == ["bp1+", "bp1-", "bp2+", "bp2-"]
+
+
+@pytest.mark.parametrize("gamma", ["19", "20", "20.4"])
+def test_solutions_warns_about_a_slice_correction_that_lands_on_a_constant_state(gamma, caplog, capsys):
+    # ACOK at N=6, eps=1.5 crosses at gamma = 20.473, and bp0+ steps from
+    # 20.471 straight to 10.471, both ends off every constant state.  The
+    # slice interpolant there sits far below the square-root branch and
+    # Newton-corrects onto phi = 1/2, so the slice misses both states: the
+    # count and the exit code are unchanged, but each dropped correction is
+    # now a WARNING naming its branch and segment.  At gamma = 15 the slice
+    # finds both states and nothing is logged.
+    argv = ["solutions", "--model", "acok", "--n-cells", "6", "--epsilon", "1.5", "--gamma"]
+    with caplog.at_level("WARNING", logger="phase_bifurcate"):
+        assert run_cli(argv + [gamma]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "count=0\n"
+    assert captured.out == "branch_id,origin,param,residual_norm," + ",".join(f"phi_{i}" for i in range(7)) + "\n"
+    messages = [r.getMessage() for r in caplog.records]
+    assert [r.levelname for r in caplog.records] == ["WARNING"] * 2
+    for branch_id, message in zip(("bp0+", "bp0-"), messages):
+        assert message == (f"slice correction on {branch_id} from the segment between param=20.471071532055056 "
+                           "and param=10.471071532055056 landed on a trivial state: dropped")
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="phase_bifurcate"):
+        assert run_cli(argv + ["15"]) == 0
+    assert "count=2" in capsys.readouterr().err and not caplog.records
 
 
 def test_points_warns_once_per_closed_form_crossing_without_a_detected_event(caplog, capsys):

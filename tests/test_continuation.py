@@ -44,10 +44,13 @@ from phase_bifurcate.continuation import Branch, BranchPoint, _dedupe_branches, 
 
 
 class DenseLinearization:
-    """Toy models hand their small dense Jacobians to the engine as a band."""
+    """Toy models hand their small dense Jacobians to the engine as a band, and measure residuals by sup-norm."""
 
     def linearize(self, state, mu):
         return BandBorder.from_dense(self.jacobian(state, mu))
+
+    def residual_norm(self, residual):
+        return _sup(residual)
 
 
 class FoldModel(DenseLinearization):
@@ -262,6 +265,9 @@ class OddSingularModel:
 
     def residual(self, state, mu):
         return self.system.to_dense() @ state - self.b
+
+    def residual_norm(self, residual):
+        return _sup(residual)
 
     def linearize(self, state, mu):
         return self.system
@@ -1019,8 +1025,8 @@ def _unprojected_null_vector(fact):
 
 
 def test_event_modes_of_bands_that_are_not_their_own_mirror_are_not_projected(monkeypatch):
-    # The toy's diagonal is not a palindrome, and ACOK's linearization is
-    # bordered: their event modes are the one solve's, as they always were.
+    # The toy's diagonal is not a palindrome: its event modes are the one
+    # solve's, as they always were.
     modes = []
     null_vector = continuation.null_vector
 
@@ -1031,14 +1037,38 @@ def test_event_modes_of_bands_that_are_not_their_own_mirror_are_not_projected(mo
     monkeypatch.setattr(continuation, "null_vector", recording_null_vector)
     _toy_detection(DiagonalToy(lambda mu: [mu - 0.3141592653589793, 2.0 * mu - 1.5]), monkeypatch)
     assert len(modes) == 2
-    g = GridSpec(40)
-    detect_bifurcations_on_trivial(
-        model_by_kind("acok", g), ModelParams(epsilon=0.3), default_settings("acok", param_max=700.0),
-        lambda p: np.full(g.n_nodes, 0.5))
-    assert len(modes) > 4
     for fact, mode in modes:
         assert not isinstance(fact, linalg.ParityLuFactorization)
         assert mode.tobytes() == _unprojected_null_vector(fact).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["acok", "acok-phi"])
+def test_acok_event_modes_come_off_one_parity_block(kind):
+    # ACOK's augmented band at a constant state is its own mirror under the
+    # reversal of its node pairs: each event's factorization is held as its
+    # two parity blocks, and its null mode is the larger block solve,
+    # exactly R-even (cosine) or R-odd (sine).  The phi form has the same
+    # band bit for bit there.
+    g = GridSpec(40)
+    model = model_by_kind("acok", g)
+    model = model.engine() if kind == "acok" else model
+    level = model.trivial_branches(ModelParams(epsilon=0.3))[1].value_of(None)
+    factored = []
+
+    def recording_null_vector(fact):
+        factored.append(fact)
+        return linalg.null_vector(fact)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(continuation, "null_vector", recording_null_vector)
+        bifs = detect_bifurcations_on_trivial(
+            model, ModelParams(epsilon=0.3), default_settings("acok", param_max=700.0),
+            lambda p: np.full(g.n_nodes, level))
+    assert len(bifs) == 3 and len(factored) == 3
+    for bif, fact in zip(bifs, factored):
+        assert isinstance(fact, linalg.ParityLuFactorization)
+        mode = bif.null_mode
+        assert np.array_equal(mode[::-1], mode if bif.mode_family == "cosine" else -mode), bif.bif_id
 
 
 # ---------------------------------------------------------------------------
@@ -1125,16 +1155,15 @@ def test_negated_offshoot_shares_the_anchor_and_keeps_zeros_positive():
     plus = Branch("bp0+", BranchOrigin("switched", "bp0", 1), [anchor, point], stop_reason="slice")
     odd_model = type("Odd", (), {"symmetry_center": lambda self, params: 0.0})()
     bif = continuation.BifurcationPoint("bp0", 0.5, np.zeros(3), np.array([0.5, 1.0, 0.5]), "cosine", 0)
-    g, exact = continuation._pitchfork_image(odd_model, None, bif)
-    assert exact
-    minus = continuation._image(odd_model, None, None, plus, "bp0", g, exact)
+    g = continuation._pitchfork_image(odd_model, None, bif)
+    minus = continuation._image(plus, "bp0", g)
     assert (minus.id, minus.origin, minus.stop_reason) == ("bp0-", BranchOrigin("switched", "bp0", -1), "slice")
     assert minus.image == (plus, g) and minus.points[0] is anchor
     got = minus.points[1]
     assert got.state.tobytes() == np.array([0.0, -1.5, 2.0]).tobytes()
     assert (got.param, got.residual_norm, got.det_sign, got.newton_iters_used) == (0.4, 3e-12, -1, 3)
     assert point.state.tobytes() == np.array([0.0, 1.5, -2.0]).tobytes()
-    assert continuation._image(odd_model, None, None, None, "bp0", g, exact) is None
+    assert continuation._image(None, "bp0", g) is None
 
 
 def _ch_offset_events(n_cells, mu0, lo, hi):
@@ -1152,29 +1181,29 @@ def _is_odd(mode):
     return np.array_equal(mode[::-1], -mode)
 
 
-@pytest.mark.parametrize("kind", ["acok", "ch-mu0-0.05"])
+@pytest.mark.parametrize("kind", ["acok-phi", "ch-mu0-0.05"])
 def test_branch_switch_traces_both_sides_of_models_that_are_not_odd(kind, monkeypatch):
-    # ACOK is not odd but symmetric about 1/2: its - side is the checked
-    # image of the + side, not traced.  CH with an offset has no center: an
-    # exactly odd mode's - side is the reversal of the + side, and an even
-    # mode's two sides are traced.
-    if kind == "acok":
+    # Neither model has a center: ACOK in phi only to rounding (1 - phi
+    # rounds; its engine form in u is odd), CH with an offset not at all.
+    # An exactly odd mode's - side is the reversal of the + side, and an
+    # even mode's two sides are traced.
+    if kind == "acok-phi":
         g = GridSpec(40)
         model, params = model_by_kind("acok", g), ModelParams(epsilon=0.3)
         settings = default_settings("acok", param_min=0.0, param_max=700.0)
         tb = next(b for b in model.trivial_branches(params) if b.bifurcating)
         bifs = detect_bifurcations_on_trivial(
-            model, params, settings, lambda pv: tb.state_of(model.with_param(params, pv), g))[:1]
+            model, params, settings, lambda pv: tb.state_of(model.with_param(params, pv), g))
     else:
         model, params, settings, bifs = _ch_offset_events(40, 0.05, 0.3, 0.7)
-        assert sorted(_is_odd(bif.null_mode) for bif in bifs) == [False, True]
-    assert model.symmetry_center(params) == (0.5 if kind == "acok" else None)
+    assert sorted(_is_odd(bif.null_mode) for bif in bifs)[:2] == [False, True]
+    assert model.symmetry_center(params) is None
     traced = _count_traces(monkeypatch)
     for bif in bifs:
         traced.clear()
         sides = branch_switch(model, params, settings, bif)
         assert [b.id for b in sides] == [f"{bif.bif_id}+", f"{bif.bif_id}-"]
-        one_side = kind == "acok" or _is_odd(bif.null_mode)
+        one_side = _is_odd(bif.null_mode)
         assert traced == ([f"{bif.bif_id}+"] if one_side else [f"{bif.bif_id}+", f"{bif.bif_id}-"])
 
 
@@ -1213,13 +1242,13 @@ def test_ch_offset_reflection_images_match_the_model_along_whole_branches(n_cell
 
 @pytest.fixture(scope="module")
 def acok_events():
-    """n_cells -> (model, params, settings, bifurcations) of ACOK at eps=0.3 over gamma in [0, 700]."""
+    """n_cells -> (model, params, settings, bifurcations) of ACOK in u at eps=0.3 over gamma in [0, 700]."""
     found = {}
 
     def events(n_cells):
         if n_cells not in found:
             g = GridSpec(n_cells)
-            model, params = model_by_kind("acok", g), ModelParams(epsilon=0.3)
+            model, params = model_by_kind("acok", g).engine(), ModelParams(epsilon=0.3)
             settings = default_settings("acok", param_min=0.0, param_max=700.0)
             tb = next(b for b in model.trivial_branches(params) if b.bifurcating)
             bifs = detect_bifurcations_on_trivial(
@@ -1232,85 +1261,36 @@ def acok_events():
 
 @pytest.mark.parametrize("arclength", [False, True], ids=["natural", "arclength"])
 @pytest.mark.parametrize("n_cells", [40, 100])
-def test_acok_image_offshoots_match_the_traced_ones(acok_events, n_cells, arclength, monkeypatch):
+def test_acok_minus_offshoots_are_the_traced_ones_negated_bit_for_bit(acok_events, n_cells, arclength, monkeypatch):
+    # In u = 2 phi - 1 ACOK is odd bit for bit, as AC is: tracing the - side
+    # gives exactly the negation of the + side, at the same params, with the
+    # same det signs, residuals and iteration counts.  The image is that.
     model, params, settings, bifs = acok_events(n_cells)
     settings = replace(settings, use_pseudo_arclength=arclength)
-    assert len(bifs) == 3
+    assert model.symmetry_center(params) == 0.0 and len(bifs) == 3
+    traced = _count_traces(monkeypatch)
     imaged = [branch_switch(model, params, settings, bif) for bif in bifs]
+    assert traced == [f"{bif.bif_id}+" for bif in bifs]
     _trace_every_side(monkeypatch)
-    traced = [branch_switch(model, params, settings, bif) for bif in bifs]
-    for got, want in zip(imaged, traced):
+    both = [branch_switch(model, params, settings, bif) for bif in bifs]
+    for got, want in zip(imaged, both):
         assert [b.id for b in got] == [b.id for b in want] and len(got) == 2
         for a, b in zip(got, want):
             assert (a.origin, a.stop_reason, len(a.points)) == (b.origin, b.stop_reason, len(b.points))
-            assert [p.det_sign for p in a.points] == [p.det_sign for p in b.points]
-            if not arclength:
-                assert [p.param for p in a.points] == [p.param for p in b.points]
+            for p, q in zip(a.points, b.points):
+                assert p.state.tobytes() == q.state.tobytes()
+                assert (p.param, p.residual_norm, p.det_sign, p.newton_iters_used) == (
+                    q.param, q.residual_norm, q.det_sign, q.newton_iters_used)
         plus, minus = got
-        assert minus.points[0] is plus.points[0]
+        assert minus.image[0] is plus and minus.points[0] is plus.points[0]
         for p, m in zip(plus.points[1:], minus.points[1:]):
-            # each image point lies at the + point's parameter, with the
-            # residual of its own evaluation; one kept as it is (0 Newton
-            # iterations: all of them here, but that is up to rounding) is
-            # the image bit for bit
-            assert m.param == p.param
-            if m.newton_iters_used == 0:
-                assert m.state.tobytes() == (1.0 - p.state).tobytes()
-            assert m.residual_norm == _sup(model.residual(m.state, model.with_param(params, m.param)))
-            assert m.residual_norm <= settings.newton_tol
+            assert m.state.tobytes() == (0.0 - p.state).tobytes()
 
 
-def test_acok_image_that_fails_its_newton_check_traces_the_minus_side(acok_events, caplog, monkeypatch):
-    model, params, settings, bifs = acok_events(40)
-    bif = bifs[1]
-    last = branch_switch(model, params, settings, bif)[0].points[-1].state
-    pick = continuation._pitchfork_image
-
-    def with_a_nan_at_the_end(model_, params_, bif_):
-        g, exact = pick(model_, params_, bif_)
-        return (lambda state: np.full_like(state, np.nan) if np.array_equal(state, last) else g(state)), exact
-
-    monkeypatch.setattr(continuation, "_pitchfork_image", with_a_nan_at_the_end)
-    traced = _count_traces(monkeypatch)
-    with caplog.at_level("INFO", logger="phase_bifurcate"):
-        got = branch_switch(model, params, settings, bif)
-    assert traced == [f"{bif.bif_id}+", f"{bif.bif_id}-"] == [b.id for b in got]
-    checks = [r.getMessage() for r in caplog.records if "Newton check" in r.getMessage()]
-    assert len(checks) == 1 and checks[0].startswith(f"{bif.bif_id}- image at param=")
-    assert "(diverged): tracing the - side" in checks[0]
-    _trace_every_side(monkeypatch)
-    want = branch_switch(model, params, settings, bif)
-    for a, b in zip(got, want):
-        assert len(a.points) == len(b.points)
-        for p, q in zip(a.points, b.points):
-            assert (p.param, p.state.tobytes(), p.newton_iters_used) == (q.param, q.state.tobytes(), q.newton_iters_used)
-
-
-def test_checked_image_of_no_branch_is_none_and_says_why(acok_events, caplog):
-    model, params, settings, bifs = acok_events(40)
-    g, exact = continuation._pitchfork_image(model, params, bifs[0])
-    assert not exact
-    with caplog.at_level("INFO", logger="phase_bifurcate"):
-        assert continuation._image(model, params, settings, None, "bp0", g, exact) is None
-    assert [r.getMessage() for r in caplog.records] == ["bp0+ yielded no branch: tracing the - side"]
-
-
-def test_checked_image_corrects_an_image_off_the_branch(acok_events):
-    # A point is kept as it is only while its residual meets newton_tol;
-    # any other is corrected, and takes its own iteration count.  (bp0's
-    # first points lie next to the crossing, where a near-null mode leaves
-    # the state poorly determined by its residual; bp1's do not.)
-    model, params, settings, bifs = acok_events(40)
-    plus = branch_switch(model, params, settings, bifs[1])[0]
-    off = replace(plus, points=[plus.points[0]] + [replace(p, state=p.state + 1e-6) for p in plus.points[1:]])
-    g = continuation._pitchfork_image(model, params, bifs[1])
-    image = continuation._image(model, params, settings, off, "bp1", *g)
-    exact = continuation._image(model, params, settings, plus, "bp1", *g)
-    assert len(image.points) == len(plus.points)
-    for m, e in zip(image.points[1:], exact.points[1:]):
-        assert m.param == e.param and m.newton_iters_used >= 1
-        assert m.residual_norm <= settings.newton_tol
-        assert _sup(m.state - e.state) <= 1e-8
+def test_acok_image_of_no_branch_is_none(acok_events):
+    model, params, _, bifs = acok_events(40)
+    g = continuation._pitchfork_image(model, params, bifs[0])
+    assert g is not None and continuation._image(None, "bp0", g) is None
 
 
 def _minus_points_against_fresh_factorizations(model, params, diagram) -> int:
@@ -1324,50 +1304,48 @@ def _minus_points_against_fresh_factorizations(model, params, diagram) -> int:
 
 
 def test_acok_image_points_carry_the_det_sign_of_their_own_jacobian(acok_events):
-    # J(1 - phi) = J(phi) (F(1 - phi) = -F(phi)), so each image point takes
-    # its + point's det sign; a factorization at its own state agrees.
+    # F_u(-u) = -F_u(u) gives J(-u) = J(u), so each image point takes its +
+    # point's det sign; a factorization at its own state agrees.
     model, params, settings, _ = acok_events(40)
     diagram = compute_diagram(model, params, settings)
     assert _minus_points_against_fresh_factorizations(model, params, diagram) > 0
     # the acok-slice benchmark's arguments at N=100
     g = GridSpec(100)
-    model, params = model_by_kind("acok", g), ModelParams(epsilon=0.3, gamma=100.0)
+    model, params = model_by_kind("acok", g).engine(), ModelParams(epsilon=0.3, gamma=100.0)
     diagram = compute_diagram(model, params, default_settings("acok", param_min=0.0, param_max=700.0), at=100.0)
     assert _minus_points_against_fresh_factorizations(model, params, diagram) > 0
 
 
-def test_checked_image_point_over_newton_tol_goes_through_newton(acok_events, monkeypatch):
-    model, params, settings, bifs = acok_events(40)
-    plus = branch_switch(model, params, settings, bifs[1])[0]
-    g = continuation._pitchfork_image(model, params, bifs[1])
-    want = continuation._image(model, params, settings, plus, "bp1", *g)
-    assert all(m.newton_iters_used == 0 for m in want.points)
-    # The image check's residual at one parameter reads over newton_tol
-    # once; that point alone is corrected by _newton.
-    forced = plus.points[3].param
-    residual, calls, newtons = model.residual, [], []
-
-    def residual_once_over_tol(state, params_at):
-        r = residual(state, params_at)
-        if model.active_value(params_at) == forced and not calls:
-            calls.append(forced)
-            return r + 10.0 * settings.newton_tol
-        return r
-
-    newton = continuation._newton
-
-    def spy(model_, params_at, guess, settings_):
-        newtons.append(model_.active_value(params_at))
-        return newton(model_, params_at, guess, settings_)
-
-    monkeypatch.setattr(model, "residual", residual_once_over_tol)
-    monkeypatch.setattr(continuation, "_newton", spy)
-    got = continuation._image(model, params, settings, plus, "bp1", *g)
-    assert calls == [forced] and newtons == [forced]
-    assert len(got.points) == len(want.points)
-    for m, e in zip(got.points, want.points):
-        assert (m.param, m.state.tobytes(), m.residual_norm, m.newton_iters_used, m.det_sign) == (
-            e.param, e.state.tobytes(), e.residual_norm, e.newton_iters_used, e.det_sign)
+@pytest.mark.parametrize("n_cells", [40, 100, 200])
+def test_acok_offshoots_are_exactly_reflection_even_or_odd(acok_events, n_cells):
+    # Each null mode at u = 0 comes off one parity block, so it is exactly
+    # R-even or R-odd; every Newton iterate, predictor and slice correction
+    # of its offshoots keeps that parity, so every point is exact too, and
+    # its - partner is its exact negation with the residual negated.
+    if n_cells == 200:
+        g = GridSpec(200)
+        model, params = model_by_kind("acok", g).engine(), ModelParams(epsilon=0.3)
+        settings = default_settings("acok", param_min=0.0, param_max=700.0)
+    else:
+        model, params, settings, _ = acok_events(n_cells)
+    diagram = compute_diagram(model, params, settings)
+    offshoots = [b for b in diagram.branches if b.origin.kind == "switched"]
+    assert len(offshoots) == 6
+    points = 0
+    for b in offshoots:
+        parity = {bool(np.array_equal(p.state[::-1], p.state)) for p in b.points[1:]}
+        odd = {bool(np.array_equal(p.state[::-1], -p.state)) for p in b.points[1:]}
+        assert len(parity) == 1 and len(odd) == 1 and parity != odd, b.id
+        points += len(b.points) - 1
+        if b.image is not None:
+            plus = b.image[0]
+            for p, m in zip(plus.points[1:], b.points[1:]):
+                at = model.with_param(params, m.param)
+                assert m.state.tobytes() == (0.0 - p.state).tobytes()
+                assert model.residual(m.state, at).tobytes() == (0.0 - model.residual(p.state, at)).tobytes()
+    assert points > 50
+    for s in solutions_at(diagram, 100.0, model, settings):
+        assert np.array_equal(s.state[::-1], s.state) or np.array_equal(s.state[::-1], -s.state)
 
 
 def test_branch_switch_offshoot_grows_from_zero(ac_detection):
@@ -1544,10 +1522,10 @@ def _acok_switch_seeds(n_cells, monkeypatch, every_side=True) -> list:
     """(bifurcation, offshoots, logged seeds) of each ACOK event at eps=0.3 over gamma in [0, 700].
 
     With ``every_side`` both sides are seeded and traced; without, the -
-    side is the checked image of the + side.
+    side is the negation of the + side.
     """
     g = GridSpec(n_cells)
-    model, params = model_by_kind("acok", g), ModelParams(epsilon=0.3)
+    model, params = model_by_kind("acok", g).engine(), ModelParams(epsilon=0.3)
     if every_side:
         _trace_every_side(monkeypatch)
     settings = default_settings("acok", param_min=0.0, param_max=700.0)

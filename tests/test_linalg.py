@@ -82,11 +82,13 @@ def tridiagonal(sub, diag, sup):
 
 
 def full_band_factor(system, pivot_rtol=linalg.DEFAULT_PIVOT_RTOL):
-    """``_band_factor`` on the whole of an unbordered tridiagonal ``system``, own mirror or not.
+    """The whole of ``system`` factored, own mirror or not: ``_band_factor`` for an unbordered tridiagonal band, ``_bordered_factor`` otherwise.
 
     That is ``lu_factor``'s result for a band that is not its own mirror,
-    and ``band_det_pass``'s elimination for every plain tridiagonal band.
+    and ``band_det_pass``'s elimination for every band it takes.
     """
+    if not linalg._plain_tridiagonal(system):
+        return linalg._bordered_factor(system, pivot_rtol)
     band = linalg._diagonals(system.band)
     return linalg._band_factor(tuple(d.tolist() for d in band), linalg._band_floor(band, pivot_rtol))
 
@@ -684,10 +686,16 @@ def test_bands_outside_the_parity_split_solve_top_down_bitwise():
         for b in (*_parity_parts(rng.standard_normal(len(whole))), rng.standard_normal(len(whole))):
             assert lu_solve(fact, b).tobytes() == np.array(linalg._band_solve(fact, b.tolist())).tobytes()
     assert isinstance(lu_factor(system.bordered(np.ones(n), np.ones(n), 0.0)), BorderedLuFactorization)
-    acok = model_by_kind("acok", grid)
+    # ACOK's augmented band splits only where it is its own pair mirror: not
+    # at a state without that symmetry, nor with a caller's border added.
+    acok = model_by_kind("acok", grid).engine()
     acok_params = ModelParams(epsilon=0.3, gamma=300.0)
-    for state in (np.full(n, 0.5), 0.5 + _parity_parts(0.4 * np.cos(np.pi * x))[0]):
-        assert isinstance(lu_factor(acok.linearize(state, acok_params)), BorderedLuFactorization)
+    for state in (np.zeros(n), *_parity_parts(0.4 * np.cos(np.pi * x) + 0.3 * np.sin(np.pi * x))):
+        system = acok.linearize(state, acok_params)
+        assert isinstance(lu_factor(system), ParityLuFactorization)
+        assert isinstance(lu_factor(system.bordered(np.ones(n), np.ones(n), 0.0)), BorderedLuFactorization)
+    lopsided = acok.linearize(0.4 * np.cos(np.pi * x) + 0.3 * np.sin(np.pi * x), acok_params)
+    assert isinstance(lu_factor(lopsided), BorderedLuFactorization)
 
 
 def _odd_singular_band(offset=0.0):
@@ -900,6 +908,67 @@ def acok_crossing(m, grid, epsilon):
     a = (4.0 / grid.h**2) * math.sin(m * math.pi * grid.h / 4.0) ** 2
     b = 1.0 - grid.h**2 * a / 12.0
     return a * (18.0 * b / epsilon - epsilon * a) / (b * b)
+
+
+def _acok_symmetric_states(grid):
+    """An R-even and an R-odd ACOK state in u, built without transcendental functions."""
+    x = grid.nodes
+    return 0.9 - 1.6 * x * x * (1.0 - 0.4 * x * x), 0.7 * x * (1.0 - 0.5 * x * x)
+
+
+@pytest.mark.parametrize("n_cells", [20, 100, 200])
+def test_acok_correction_factors_only_the_block_of_its_parity(n_cells, monkeypatch):
+    # A Newton correction at an exactly R-even state (residual R-even too)
+    # factors the even block alone: pairs 0 .. m with the border; one at an
+    # R-odd state the odd block alone: pairs 0 .. m - 1, no border, so no
+    # Schur block and no transposed solve.  Each correction is the whole
+    # system's to rounding and has its parity exactly.
+    grid = GridSpec(n_cells)
+    model = model_by_kind("acok", grid).engine()
+    params = ModelParams(epsilon=0.3, gamma=300.0)
+    m = n_cells // 2
+    factored, transposed = [], []
+    bordered_factor, solve_t = linalg._bordered_factor, linalg._band_lu_solve_t
+
+    def spy(system, *args, **kwargs):
+        factored.append((system.band.shape[0], system.k))
+        return bordered_factor(system, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_bordered_factor", spy)
+    monkeypatch.setattr(linalg, "_band_lu_solve_t", lambda *a: transposed.append(1) or solve_t(*a))
+    for parity, state in enumerate(_acok_symmetric_states(grid)):
+        factored.clear()
+        transposed.clear()
+        residual = model.residual(state, params)
+        assert np.array_equal(residual[::-1], -residual if parity else residual)
+        system = model.linearize(state, params)
+        step = lu_solve(lu_factor(system), -residual)
+        assert factored == [(2 * m + 2, 1)] if parity == 0 else [(2 * m, 0)]
+        assert len(transposed) == (0 if parity else 1)
+        assert np.array_equal(step[::-1], -step if parity else step)
+        whole = lu_solve(full_band_factor(system), -residual)
+        assert np.max(np.abs(step - whole)) <= 1e-11 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_acok_singular_block_of_the_other_parity_does_not_stop_a_solve(m):
+    # At a closed-form crossing on u = 0 the block of the crossing mode's
+    # parity (odd for odd m, the sine family) is flagged singular.  A
+    # right-hand side of the other parity is solved on the other block; one
+    # of the crossing's parity, or of both, raises.
+    grid = GridSpec(40)
+    model = model_by_kind("acok", grid).engine()
+    params = ModelParams(epsilon=0.3, gamma=acok_crossing(m, grid, 0.3))
+    fact = lu_factor(model.linearize(np.zeros(grid.n_nodes), params))
+    singular = m % 2
+    assert fact.block(singular).singular and not fact.block(1 - singular).singular
+    assert fact.singular and det_sign(fact) == 0
+    parts = _parity_parts(np.random.default_rng(m).standard_normal(grid.n_nodes))
+    x = lu_solve(fact, parts[1 - singular])
+    assert np.max(np.abs(model.jacobian(np.zeros(grid.n_nodes), params) @ x - parts[1 - singular])) <= 1e-9
+    for b in (parts[singular], parts[0] + parts[1]):
+        with pytest.raises(SingularMatrixError):
+            lu_solve(fact, b)
 
 
 def refined_solve(matrix, rhs, sweeps=4):
@@ -1606,6 +1675,10 @@ def pass_det_bits(systems):
 
 @pytest.mark.parametrize("n_cells", [20, 100, 200])
 def test_band_det_pass_is_lu_factor_bitwise_on_acok_linearizations(n_cells):
+    # The pass eliminates the whole system, where lu_factor splits one that
+    # is its own pair mirror (the constant and the even states here) into
+    # its parity blocks (the same sign: the next test), so its reference is
+    # the whole system's elimination by lu_factor's kernel.
     grid = GridSpec(n_cells)
     model = model_by_kind("acok", grid)
     gammas = np.linspace(0.37, 3000.0, 41)
@@ -1613,10 +1686,41 @@ def test_band_det_pass_is_lu_factor_bitwise_on_acok_linearizations(n_cells):
     for epsilon in (0.1, 0.3):
         for state in acok_states(grid):
             systems = [model.linearize(state, ModelParams(epsilon=epsilon, gamma=g)) for g in gammas]
-            want = [scalar_det_bits(s) for s in systems]
+            want = [full_band_det_bits(s) for s in systems]
             assert pass_det_bits(systems) == want
+            assert [scalar_det_bits(s)[0] for s in systems] == [sign for sign, _ in want]
             signs |= {sign for sign, _ in want}
     assert signs == {-1, 1}
+
+
+@pytest.mark.parametrize("n_cells", [20, 100, 200, 800])
+def test_parity_blocks_give_the_whole_system_det_sign_at_acok_constant_states(n_cells):
+    # det M is the product of the blocks' dets.  At pivot_rtol = 0 the
+    # blocks' det sign (times hidden_sign) is the whole system's _band_lu +
+    # Schur det sign and band_det_pass's, at the three constant states
+    # across gamma in [0, 3000], and within 1e-6 ... 1e-12 relative of each
+    # closed-form crossing on u = 0, where the det is closest to zero.
+    grid = GridSpec(n_cells)
+    model = model_by_kind("acok", grid).engine()
+    crossings = [acok_crossing(m, grid, 0.3) for m in range(1, n_cells + 1)]
+    crossings = [c for c in crossings if 0.0 < c <= 3000.0]
+    checked = set()
+    for level in (-1.0, 0.0, 1.0):
+        across = [*np.linspace(0.0, 3000.0, 31)]
+        close = [c * (1.0 + side * rel) for c in crossings for side in (-1.0, 1.0) for rel in (1e-6, 1e-8, 1e-10, 1e-12)]
+        gammas = across + (close if level == 0.0 else [])
+        systems = [model.linearize(np.full(grid.n_nodes, level), ModelParams(epsilon=0.3, gamma=g)) for g in gammas]
+        passed = pass_det_bits(systems)
+        for gamma, system, in_pass in zip(gammas, systems, passed):
+            fact = lu_factor(system, pivot_rtol=0.0)
+            assert isinstance(fact, ParityLuFactorization)
+            whole = full_band_factor(system, pivot_rtol=0.0)
+            assert det_sign(fact) == det_sign(whole), f"u={level} gamma={gamma!r}"
+            assert in_pass is None or in_pass[0] == det_sign(whole), f"u={level} gamma={gamma!r}"
+            if gamma in across and gamma > 0.0:
+                assert abs(log_abs_det(fact) - log_abs_det(whole)) <= 1e-9 * abs(log_abs_det(whole))
+            checked.add((level, det_sign(whole)))
+    assert checked == {(-1.0, -1), (0.0, -1), (0.0, 1), (1.0, -1)}
 
 
 def test_band_det_pass_is_lu_factor_bitwise_on_random_bordered_bands():
@@ -1673,10 +1777,10 @@ def test_band_det_pass_leaves_a_band_that_needs_a_boost_to_lu_factor():
     model = model_by_kind("acok", grid)
     state = np.full(grid.n_nodes, 0.5)
     systems = [model.linearize(state, ModelParams(epsilon=0.3, gamma=g)) for g in (0.0, 100.0, 0.0, 250.0)]
-    assert [bool(lu_factor(s, pivot_rtol=0.0).band.boosts) for s in systems] == [True, False, True, False]
+    assert [bool(full_band_factor(s, pivot_rtol=0.0).band.boosts) for s in systems] == [True, False, True, False]
     got = pass_det_bits(systems)
     assert got[0] is None and got[2] is None
-    assert [got[1], got[3]] == [scalar_det_bits(systems[1]), scalar_det_bits(systems[3])]
+    assert [got[1], got[3]] == [full_band_det_bits(systems[1]), full_band_det_bits(systems[3])]
 
 
 def test_band_det_pass_leaves_a_non_finite_system_to_lu_factor():

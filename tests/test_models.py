@@ -135,12 +135,14 @@ def test_trivial_states_have_tiny_residual():
 
 @pytest.mark.parametrize("n_cells", [50, 800, 4096])
 def test_acok_constant_states_have_exactly_zero_residual(n_cells):
-    # The well vanishes exactly at 0, 1/2 and 1, A and B act exactly on
-    # constants, and green_apply subtracts f[0] first: no rounding is left.
+    # The well vanishes exactly at 0, 1/2 and 1 (u = -1, 0, 1), A and B act
+    # exactly on constants, and green_apply subtracts f[m] first: no
+    # rounding is left, in phi and in u.
     model = model_by_kind("acok", GridSpec(n_cells))
     params = ModelParams(epsilon=0.3, gamma=3000.0)
-    for state in model.trivial_states(params):
-        assert np.max(np.abs(model.residual(state, params))) == 0.0
+    for form in (model, model.engine()):
+        for state in form.trivial_states(params):
+            assert np.max(np.abs(form.residual(state, params))) == 0.0
 
 
 def test_trivial_branches_bifurcating_flags_and_values():
@@ -151,6 +153,9 @@ def test_trivial_branches_bifurcating_flags_and_values():
     ok_params = ModelParams(epsilon=0.3, gamma=100.0)
     ok = model_by_kind("acok", g).trivial_branches(ok_params)
     assert [(b.value_of(ok_params), b.bifurcating) for b in ok] == [(0.0, False), (0.5, True), (1.0, False)]
+    odd = model_by_kind("acok", g).engine().trivial_branches(ok_params)
+    assert [(b.label, b.value_of(ok_params)) for b in odd] == [("phi=0", -1.0), ("phi=1/2", 0.0), ("phi=1", 1.0)]
+    assert [b.label for b in ok] == [b.label for b in odd] and [b.bifurcating for b in ok] == [b.bifurcating for b in odd]
     ch_params = ModelParams(epsilon=0.3, mu0=0.05)
     ch = model_by_kind("ch", g).trivial_branches(ch_params)
     assert sum(b.bifurcating for b in ch) == 1
@@ -342,33 +347,84 @@ def test_acok_residual_reflection_equivariance():
         ("ac", ModelParams(epsilon=0.17), 0.0),
         ("ch", ModelParams(epsilon=0.17, mu0=0.0), 0.0),
         ("ch", ModelParams(epsilon=0.17, mu0=0.05), None),
-        ("acok", ModelParams(epsilon=0.3, gamma=0.0), 0.5),
-        ("acok", ModelParams(epsilon=0.3, gamma=1000.0), 0.5),
+        ("acok", ModelParams(epsilon=0.3, gamma=0.0), 0.0),
+        ("acok", ModelParams(epsilon=0.3, gamma=1000.0), 0.0),
     ],
     ids=["ac", "ch-mu0-0", "ch-mu0-0.05", "acok-gamma0", "acok-gamma1000"],
 )
 def test_symmetry_center_negates_the_residual(kind, params, center):
-    # Bit for bit where the center is 0.0 (the branch-switch image is taken
-    # unchecked there), to rounding where it is 0.5 (checked by Newton).
+    # Bit for bit for every model the engine runs (ACOK in u = 2 phi - 1):
+    # the branch-switch image is taken unchecked.  The phi form of ACOK has
+    # no center, since 1 - phi rounds.
     g = GridSpec(100)
-    model = model_by_kind(kind, g)
+    model = model_by_kind(kind, g).engine()
     assert model.symmetry_center(params) == center
+    assert model_by_kind(kind, g).symmetry_center(params) == (None if kind == "acok" else center)
     if center is None:
         return
     rng = np.random.default_rng(79)
     for _ in range(5):
-        phi = center + 0.9 * (2.0 * rng.random(g.n_nodes) - 1.0)
-        r = model.residual(phi, params)
-        r_image = model.residual((2.0 * center) - phi, params)
-        if center == 0.0:
-            assert r_image.tobytes() == (0.0 - r).tobytes()
-        else:
-            assert np.max(np.abs(r_image + r)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
+        state = center + 0.9 * (2.0 * rng.random(g.n_nodes) - 1.0)
+        r = model.residual(state, params)
+        assert model.residual((2.0 * center) - state, params).tobytes() == (0.0 - r).tobytes()
+
+
+@pytest.mark.parametrize("n_cells", [40, 100, 200, 800])
+def test_acok_odd_residual_is_odd_and_commutes_with_the_reversal_bitwise(n_cells):
+    # F_u(-u) = -F_u(u) and F_u(R u) = R F_u(u), both bit for bit, on random
+    # states: what the exact - offshoots and the parity blocks rest on.
+    g = GridSpec(n_cells)
+    model = model_by_kind("acok", g).engine()
+    rng = np.random.default_rng(n_cells)
+    for gamma in (0.0, 100.0, 1000.0, 3000.0):
+        params = ModelParams(epsilon=0.3, gamma=gamma)
+        for _ in range(5):
+            u = rng.uniform(-1.0, 1.0, g.n_nodes)
+            r = model.residual(u, params)
+            assert model.residual(-u, params).tobytes() == (-r).tobytes()
+            assert model.residual(u[::-1].copy(), params).tobytes() == r[::-1].tobytes()
+
+
+@pytest.mark.parametrize("n_cells", [40, 100, 800])
+def test_acok_odd_form_is_twice_the_phi_residual_with_the_same_jacobian(n_cells):
+    # F_u(u) = 2 F(phi) with phi = (1 + u)/2, and d F_u/du = d F/d phi: the
+    # same band bit for bit at the three constant states, the same dense
+    # Jacobian to rounding elsewhere.  residual_norm reads F_u in phi's units.
+    g = GridSpec(n_cells)
+    phi_model = model_by_kind("acok", g)
+    model = phi_model.engine()
+    rng = np.random.default_rng(7)
+    for gamma in (0.0, 300.0, 3000.0):
+        params = ModelParams(epsilon=0.3, gamma=gamma)
+        for u_c, phi_c in ((-1.0, 0.0), (0.0, 0.5), (1.0, 1.0)):
+            u, phi = np.full(g.n_nodes, u_c), np.full(g.n_nodes, phi_c)
+            assert model.linearize(u, params).band.tobytes() == phi_model.linearize(phi, params).band.tobytes()
+        u = rng.uniform(-0.9, 0.9, g.n_nodes)
+        phi = model.phi_of(u)
+        r, r_phi = model.residual(u, params), phi_model.residual(phi, params)
+        assert np.max(np.abs(r - 2.0 * r_phi)) <= 1e-13 * np.max(np.abs(r))
+        assert model.residual_norm(r) == 0.5 * np.max(np.abs(r))
+        jac, jac_phi = model.jacobian(u, params), phi_model.jacobian(phi, params)
+        assert np.max(np.abs(jac - jac_phi)) <= 1e-12 * np.max(np.abs(jac_phi))
 
 
 # ---------------------------------------------------------------------------
 # Green operator and Poisson solve
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_cells", [40, 42, 100, 200, 800, 4096])
+def test_green_apply_commutes_with_the_reversal_and_negation_bitwise(n_cells):
+    # Mirror-summed: each sum meets its mirror's terms in the same order.
+    g = GridSpec(n_cells)
+    rng = np.random.default_rng(n_cells + 1)
+    for _ in range(10):
+        f = rng.standard_normal(g.n_nodes)
+        u = green_apply(f, g)
+        assert green_apply(f[::-1].copy(), g).tobytes() == u[::-1].tobytes()
+        assert green_apply(-f, g).tobytes() == (-u).tobytes()
+    stacked = rng.standard_normal((g.n_nodes, 3))
+    assert green_apply(stacked[::-1].copy(), g).tobytes() == green_apply(stacked, g)[::-1].tobytes()
 
 
 def test_green_annihilates_constants():
@@ -459,16 +515,23 @@ def test_green_matches_poisson_solve_to_rounding():
         assert np.max(np.abs(green_operator(g) @ f - u)) <= 1e-12
 
 
-# sha256 of green_apply(f) and of the ACOK residual on polynomial inputs
-# (no numpy transcendentals, whose SIMD paths differ by CPU).  Neither
-# calls BLAS, so the bits hold under every OpenBLAS kernel.
+# sha256 of green_apply(f), of the ACOK residual and of its odd form on
+# polynomial inputs (no numpy transcendentals, whose SIMD paths differ by
+# CPU).  None calls BLAS, so the bits hold under every OpenBLAS kernel.
+# Re-recorded when green_apply became mirror-summed: against the previous
+# pins' arrays green_apply moved by at most 4.7e-16, 1.3e-15 and 4.5e-14
+# relative (N = 100, 200, 4096) and the phi residual by 8.5e-16, 8.5e-16
+# and 7.9e-15.
 _ACOK_RESIDUAL_PINS = {
-    100: ("21b729cd4813886e867039e1a2f0ce693856c2fc7f2ed611ad62b8c4542cfd29",
-          "439d7f3097b6afdbc684fe86592baecce83225df2ad08d6af805321fd33a1837"),
-    200: ("0d7b9b7357a08c20909429dc38822484f6b916c0478afe3b3a2620411e1d1aba",
-          "db686e57289e32964c4cdd2e5c3203774efb7aaace85ce4f9b7dcce302243b37"),
-    4096: ("f90f80f6f518af9a4e2a05aa9860db97efd26da8173132612cb5776058757274",
-           "6fd760a4fec47fb517c5f9de435e06f294c1f8ea932f23a204e75e7198359bd5"),
+    100: ("8f20292a9cd8011c20ccbf959a654d94ca6f216558274ea9d8182ac196ecd1c0",
+          "e2c193736479ddfc5380ee8eac477256837033ecb8c47bc919c344c997bab730",
+          "c1266159c17989564d059c8e2d757852e8205b445e6977e35e92ca0e02a951d9"),
+    200: ("cee02e3e2b6aa89ec7d6d0a8acf54e96b1b34e9a397eb14b6af0a8a494b53add",
+          "2f4bd52e6f8379e85b9f250008f043ffb1378b2266d94da7180f6d37bcc74077",
+          "9f5ee154f5d7ace424d74a4f71d3e238700c117947b26671ffcbf8931dfcd1fa"),
+    4096: ("1fe676767c2069fa1a81d416627bfbe7ee912fca948584f843922dcf7b344fa2",
+           "bdab2be7a2efa39e37686fddae3bbefc4f5c308c79a4afa2babf7170b026f2c3",
+           "7e94f563c7b50f323b7002cb5457696476a6d6ba5c1e41e0829263de64a5e893"),
 }
 
 
@@ -478,8 +541,9 @@ def test_acok_residual_is_pinned_bitwise(n_cells):
     x = grid.nodes
     f = x * (1.0 - x * x) + 0.3 * x * x
     psi = 0.5 + 0.4 * x * (1.0 - 0.5 * x * x)
-    r = model_by_kind("acok", grid).residual(psi, ModelParams(epsilon=0.3, gamma=1000.0))
-    digests = tuple(hashlib.sha256(u.tobytes()).hexdigest() for u in (green_apply(f, grid), r))
+    model, params = model_by_kind("acok", grid), ModelParams(epsilon=0.3, gamma=1000.0)
+    outputs = (green_apply(f, grid), model.residual(psi, params), model.engine().residual(2.0 * psi - 1.0, params))
+    digests = tuple(hashlib.sha256(u.tobytes()).hexdigest() for u in outputs)
     assert digests == _ACOK_RESIDUAL_PINS[n_cells]
 
 
