@@ -779,16 +779,16 @@ def _band_lu_solve_t(fact: _GeneralBandLu, b: list) -> list:
     return x
 
 
-def _floors(system: BandBorder, pivot_rtol: float) -> tuple:
-    """``(floor, boost_floor, boost)`` of ``_bordered_factor`` for ``system``.
+def _floors(system: BandBorder, pivot_rtol: float, abs_rows: np.ndarray, corner_sums: np.ndarray) -> tuple:
+    """``(floor, boost_floor, boost)`` of ``_bordered_factor`` for ``system``, given ``|rows|`` and ``|corner|``'s row sums.
 
     Row sums of the full matrix's magnitudes give the floor, ``pivot_rtol``
     times their largest, and the band's alone the boost (``_band_lu``).
+    Called under ``np.errstate(over="ignore")``: an overflowing sum is
+    refused by ``_finite_max``.
     """
-    with np.errstate(over="ignore"):  # an overflowing sum is refused by _finite_max
-        band_sums = np.abs(system.band).sum(axis=1)
-        band_rows = band_sums + np.abs(system.cols).sum(axis=1)
-        border_rows = np.abs(system.rows).sum(axis=1) + np.abs(system.corner).sum(axis=1)
+    band_sums = np.abs(system.band).sum(axis=1)
+    band_rows, border_rows = band_sums + np.abs(system.cols).sum(axis=1), abs_rows.sum(axis=1) + corner_sums
     floor = float(pivot_rtol) * max(_finite_max(band_rows), _finite_max(border_rows))
     scale = float(band_sums.max(initial=0.0))
     return floor, max(floor, _BOOST_RTOL * scale), scale if scale > 0.0 else 1.0
@@ -806,7 +806,10 @@ def _bordered_factor(system: BandBorder, pivot_rtol: float, floors: Optional[tup
     boost_floor, boost)``, replaces the ones ``system`` gives (a parity
     block of ACOK's band takes the whole band's; ``lu_factor``).
     """
-    floor, boost_floor, boost = floors or _floors(system, pivot_rtol)
+    abs_rows = np.abs(system.rows)
+    with np.errstate(over="ignore"):
+        corner_sums = np.abs(system.corner).sum(axis=1)
+        floor, boost_floor, boost = floors or _floors(system, pivot_rtol, abs_rows, corner_sums)
     if system.kl == system.ku == 1:
         sub, diag, sup = system.band.T.tolist()
         band = _band_factor((sub[1:], diag, sup[:-1]), boost_floor, boost)
@@ -834,7 +837,7 @@ def _bordered_factor(system: BandBorder, pivot_rtol: float, floors: Optional[tup
     schur_floor = 0.0
     if pivot_rtol and k:
         right_sums = np.add.reduce(np.abs(right))
-        terms = np.abs(system.corner).sum(axis=1) + (np.abs(system.rows) * right_sums).sum(axis=1)
+        terms = corner_sums + (abs_rows * right_sums).sum(axis=1)
         if boosts:
             terms = np.append(terms, 1.0 + right_sums[[j for _, j, _ in boosts]])
         schur_floor = float(pivot_rtol) * float(terms.max())
@@ -944,9 +947,9 @@ def lu_factor(matrix, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
     floors.
     """
     if isinstance(matrix, BandBorder):
-        if _pair_band(matrix) and _own_mirror(matrix):
-            return _pair_parity_factor(matrix, pivot_rtol)
         if not _plain_tridiagonal(matrix):
+            if _pair_band(matrix) and _own_mirror(matrix):
+                return _pair_parity_factor(matrix, pivot_rtol)
             return _bordered_factor(matrix, pivot_rtol)
         band = _diagonals(matrix.band)
     else:
@@ -982,7 +985,8 @@ def _pair_parity_factor(system: BandBorder, pivot_rtol: float) -> ParityLuFactor
     Each block is built on first use (``_pair_block``) and factored by
     ``_bordered_factor`` on the whole system's floors.
     """
-    floors = _floors(system, pivot_rtol)
+    with np.errstate(over="ignore"):
+        floors = _floors(system, pivot_rtol, np.abs(system.rows), np.abs(system.corner).sum(axis=1))
     return ParityLuFactorization(
         system.band.shape[0] // 4, floors[0],
         lambda parity: _bordered_factor(_pair_block(system, parity), pivot_rtol, floors), system,
