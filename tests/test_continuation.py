@@ -1181,13 +1181,13 @@ def _is_odd(mode):
     return np.array_equal(mode[::-1], -mode)
 
 
-@pytest.mark.parametrize("kind", ["acok-phi", "ch-mu0-0.05"])
+@pytest.mark.parametrize("kind", ["acok", "ch-mu0-0.05"])
 def test_branch_switch_traces_both_sides_of_models_that_are_not_odd(kind, monkeypatch):
     # Neither model has a center: ACOK in phi only to rounding (1 - phi
     # rounds; its engine form in u is odd), CH with an offset not at all.
     # An exactly odd mode's - side is the reversal of the + side, and an
     # even mode's two sides are traced.
-    if kind == "acok-phi":
+    if kind == "acok":
         g = GridSpec(40)
         model, params = model_by_kind("acok", g), ModelParams(epsilon=0.3)
         settings = default_settings("acok", param_min=0.0, param_max=700.0)
@@ -1261,7 +1261,7 @@ def acok_events():
 
 @pytest.mark.parametrize("arclength", [False, True], ids=["natural", "arclength"])
 @pytest.mark.parametrize("n_cells", [40, 100])
-def test_acok_minus_offshoots_are_the_traced_ones_negated_bit_for_bit(acok_events, n_cells, arclength, monkeypatch):
+def test_acok_image_offshoots_match_the_traced_ones(acok_events, n_cells, arclength, monkeypatch):
     # In u = 2 phi - 1 ACOK is odd bit for bit, as AC is: tracing the - side
     # gives exactly the negation of the + side, at the same params, with the
     # same det signs, residuals and iteration counts.  The image is that.
