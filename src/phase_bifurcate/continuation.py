@@ -12,8 +12,8 @@ sides (the +/- offshoots of a pitchfork) and traced over the parameter
 window; where a symmetry of the model maps the + offshoot onto the - one,
 the - offshoot is that image of the traced + one.  A diagram computed for one
 slice (``compute_diagram(..., at=p)``) traces only what ``solutions_at``
-reads at ``p``: no constant branches, and natural-mode offshoots stop at
-``p``.
+reads at ``p``: no constant branches, natural-mode offshoots stop at ``p``,
+and no det sign is read.
 
 Every factorization goes through the model's ``linearize`` (a
 ``linalg.BandBorder``, factored in O(N)); the pseudo-arclength systems add
@@ -159,10 +159,12 @@ class ContinuationSettings:
 
 @dataclass
 class BranchPoint:
+    """An accepted point: ``det_sign`` is the sign of det J there, None on a slice diagram (``compute_diagram``)."""
+
     param: float
     state: np.ndarray
     residual_norm: float
-    det_sign: int
+    det_sign: Optional[int]
     newton_iters_used: int
 
 
@@ -230,13 +232,18 @@ def _sup(v: np.ndarray) -> float:
     return float(np.max(np.abs(v)))
 
 
-def _newton(model, params, guess, settings, sign: Optional[int] = None) -> tuple[BranchPoint, Optional[Factorization]]:
+def _newton(
+    model, params, guess, settings, sign: Optional[int] = None, *, signed: bool = True
+) -> tuple[BranchPoint, Optional[Factorization]]:
     """Newton iteration to `newton_tol` in residual max-norm (``model.residual_norm``).
 
     Returns the accepted point together with the Jacobian factorization *at*
     the accepted state (used for the det sign and reused by the predictor).
     With ``sign`` (the det sign there, known beforehand) the accepted state
     is not factored: the point takes ``sign`` and None comes back instead.
+    With ``signed`` False its caller reads no det sign: the accepted state is
+    not factored either, the point's det sign is None and None comes back
+    (a caller that predicts from the point factors it then).
     Raises NewtonFailure on singular Jacobian, iteration cap, or three
     consecutive residual increases.
 
@@ -276,7 +283,7 @@ def _newton(model, params, guess, settings, sign: Optional[int] = None) -> tuple
         else:
             growths = 0
         prev = rn
-    fact = None if sign is not None else lu_factor(model.linearize(x, params))
+    fact = lu_factor(model.linearize(x, params)) if signed and sign is None else None
     point = BranchPoint(
         param=model.active_value(params),
         state=x,
@@ -355,8 +362,12 @@ def trace_branch(
     With ``at`` set, natural tracing stops (reason "slice") once the last
     point is at or past ``at`` in ``direction``: the points kept are exactly
     the full trace's up to its first point at or past ``at``, and a start
-    already there is not stepped from.  Pseudo-arclength tracing ignores
-    ``at``, since a fold can bring the branch back across it.  ``_fact``
+    already there is not stepped from.  Pseudo-arclength tracing does not
+    stop at ``at``, since a fold can bring the branch back across it.  With
+    ``at`` set, in either mode, no det sign is read: every traced point's is
+    None, and a natural point is factored only if a predictor solves from
+    it (a lazy ``linalg.ParityLuFactorization`` at an even or odd state,
+    so only F_mu's block is eliminated).  ``_fact``
     (``_newton``'s factorization at ``start``) spares natural tracing a refactor.
     ``_sign``, in natural mode, is every point's det sign, known beforehand
     (a well: ``models.TrivialBranch``); no point is then factored for its
@@ -366,7 +377,7 @@ def trace_branch(
         raise ValueError(f"direction must be +1 or -1, got {direction}")
     origin = origin or BranchOrigin("trivial", "unlabeled")
     if settings.use_pseudo_arclength:
-        return _trace_arclength(model, params, settings, start, direction, origin, branch_id, prepend)
+        return _trace_arclength(model, params, settings, start, direction, origin, branch_id, prepend, at is None)
     return _trace_natural(model, params, settings, start, direction, origin, branch_id, prepend, at, _fact, _sign)
 
 
@@ -393,7 +404,7 @@ def _trace_natural(model, params, settings, start, direction, origin, branch_id,
             if cur_fact is None and sign is None:
                 cur_fact = lu_factor(model.linearize(cur.state, cur_params))
             guess = euler_predict(model, cur_params, cur, target - cur.param, fact=cur_fact)
-            nxt, nxt_fact = _newton(model, model.with_param(params, target), guess, settings, sign)
+            nxt, nxt_fact = _newton(model, model.with_param(params, target), guess, settings, sign, signed=at is None)
         except (NewtonFailure, SingularMatrixError):
             step *= 0.5
             easy = 0
@@ -443,27 +454,28 @@ def _bordered_jacobian(model, params_at, x, frame, tx, tmu):
         model.param_derivative(x, params_at), tx / frame.n, tmu / frame.pscale**2)
 
 
-def _arclength_tangent(model, params_at, x, frame, prev_tx, prev_tmu):
+def _arclength_tangent(model, params_at, x, frame, prev_tx, prev_tmu, signed: bool):
     """Unit tangent ``(tx, tmu)`` at ``x`` (None if the bordered matrix is
-    singular), oriented by the previous tangent, and the sign of det(J).
+    singular), oriented by the previous tangent, and the sign of det(J)
+    (None unless ``signed``).
 
     By Cramer's rule the raw tangent's parameter component is
     det(J) / det(bordered), so J itself is factored only when the bordered
-    matrix is singular.
+    matrix is singular and the sign is read.
     """
     n = frame.n
     fact = lu_factor(_bordered_jacobian(model, params_at, x, frame, prev_tx, prev_tmu))
     if fact.singular:
-        return None, det_sign(lu_factor(model.linearize(x, params_at)))
+        return None, det_sign(lu_factor(model.linearize(x, params_at))) if signed else None
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
     t = lu_solve(fact, rhs)
     tx, tmu = t[:n], float(t[n])
     nrm = frame.norm(tx, tmu)
-    return (tx / nrm, tmu / nrm), det_sign(fact) * int(np.sign(tmu))
+    return (tx / nrm, tmu / nrm), det_sign(fact) * int(np.sign(tmu)) if signed else None
 
 
-def _trace_arclength(model, params, settings, start, direction, origin, branch_id, prepend) -> Branch:
+def _trace_arclength(model, params, settings, start, direction, origin, branch_id, prepend, signed) -> Branch:
     prepend = list(prepend)
     frame = _ArclengthFrame(start.state.shape[0], settings)
     points: list[BranchPoint] = prepend + [start]
@@ -489,7 +501,7 @@ def _trace_arclength(model, params, settings, start, direction, origin, branch_i
             prev_tx, prev_tmu = np.zeros_like(x), float(direction)
     else:
         prev_tx, prev_tmu = np.zeros_like(x), float(direction)
-    tangent, _ = _arclength_tangent(model, model.with_param(params, mu), x, frame, prev_tx, prev_tmu)
+    tangent, _ = _arclength_tangent(model, model.with_param(params, mu), x, frame, prev_tx, prev_tmu, signed)
 
     easy = 0
     while len(points) < settings.max_branch_points:
@@ -517,7 +529,7 @@ def _trace_arclength(model, params, settings, start, direction, origin, branch_i
             break
         (x, mu, iters, res) = accepted
         # The next step's tangent, computed now: its solve gives this point's det sign.
-        tangent, sign = _arclength_tangent(model, model.with_param(params, mu), x, frame, tx, tmu)
+        tangent, sign = _arclength_tangent(model, model.with_param(params, mu), x, frame, tx, tmu, signed)
         points.append(BranchPoint(param=mu, state=x.copy(), residual_norm=res, det_sign=sign, newton_iters_used=iters))
         if mu < settings.param_min - 1e-12 * frame.pscale or mu > settings.param_max + 1e-12 * frame.pscale:
             stop = "param_bound"
@@ -826,7 +838,9 @@ def branch_switch(
     yields no branch, which is legitimate for one-sided directions; when
     neither side yields one, a WARNING names each side's last failure.
     Each seed is logged at INFO.
-    ``at`` is passed on to ``trace_branch`` (the seeding does not depend on it).
+    ``at`` is passed on to ``trace_branch``; the seeding does not depend on
+    it, but with ``at`` set no det sign is read: the anchor and the seeds
+    are not factored for one, and their det signs are None.
 
     At each offset ``_seed_amplitude`` picks a from the ladder s0*2**-k
     (k < ``SEED_LADDER_DEPTH``): the one with the smallest sup|F|/a.  Near a
@@ -862,7 +876,7 @@ def branch_switch(
         param=p0,
         state=np.array(base, dtype=float),
         residual_norm=model.residual_norm(model.residual(base, anchor_params)),
-        det_sign=det_sign(lu_factor(model.linearize(base, anchor_params))),
+        det_sign=det_sign(lu_factor(model.linearize(base, anchor_params))) if at is None else None,
         newton_iters_used=0,
     )
     offsets = [s * dmu for scale in (1.0, 10.0, 100.0) for s in (-scale, +scale)]
@@ -879,7 +893,7 @@ def branch_switch(
             amplitude = _seed_amplitude(model, params_at, base, sigma * mode_sup, s0)
             guess = base + (sigma * amplitude) * mode_sup
             try:
-                seed, seed_fact = _newton(model, params_at, guess, settings)
+                seed, seed_fact = _newton(model, params_at, guess, settings, signed=at is None)
             except NewtonFailure as exc:
                 logger.info("%s%s seed at param=%r, amplitude %.3e: %s after %d Newton iterations",
                             bif.bif_id, tag, p1, amplitude, exc.reason, exc.iterations)
@@ -1076,7 +1090,9 @@ def compute_diagram(model, params, settings: ContinuationSettings, *, at: Option
     ``at`` (pseudo-arclength offshoots are traced in full).  Every segment
     that straddles ``at`` is kept bit for bit, so the slice's answer is the
     full diagram's as long as dedupe, which then compares the shortened
-    offshoots, drops the same ones.  The diagram records ``at``.
+    offshoots, drops the same ones.  No det sign is read either: every
+    point's is None, and a point is factored only where a natural trace's
+    predictor solves from it.  The diagram records ``at``.
     """
     if model.active_parameter == "epsilon" and settings.param_min <= 0.0:
         raise ValueError("epsilon continuation requires a strictly positive parameter range")
@@ -1091,7 +1107,7 @@ def compute_diagram(model, params, settings: ContinuationSettings, *, at: Option
         start_params = model.with_param(params, settings.param_max)
         start_state = tb.state_of(start_params, model.grid)
         try:
-            start, start_fact = _newton(model, start_params, start_state, settings)
+            start, start_fact = _newton(model, start_params, start_state, settings, signed=at is None)
         except NewtonFailure as exc:
             logger.warning("trivial branch %s failed at param_max: %s", tb.label, exc)
             continue
@@ -1142,7 +1158,8 @@ def solutions_at(diagram: Diagram, param: float, model, settings: ContinuationSe
     constant state's basin): it is dropped with a WARNING that names the
     branch and the segment's two parameters.  An image branch
     (``Branch.image``) takes instead the map of its source's corrected
-    states, so each is the exact image of its partner.  A diagram
+    states, so each is the exact image of its partner.  No correction
+    factors its accepted state: a ``Solution`` carries no det sign.  A diagram
     computed for one slice (``diagram.at`` set) can be sliced only there: any
     other ``param`` raises ValueError.
     """
@@ -1174,7 +1191,7 @@ def solutions_at(diagram: Diagram, param: float, model, settings: ContinuationSe
                 alpha = (param - a.param) / (b.param - a.param)
                 guess = (1.0 - alpha) * a.state + alpha * b.state
             try:
-                out.append((newton_correct(model, params_at, guess, settings), a, b))
+                out.append((_newton(model, params_at, guess, settings, signed=False)[0], a, b))
             except (NewtonFailure, SingularMatrixError) as exc:
                 logger.info("slice correction failed on %s: %s", br.id, exc)
         return out

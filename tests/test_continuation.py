@@ -39,7 +39,7 @@ from phase_bifurcate import (
     solutions_at,
     trace_branch,
 )
-from phase_bifurcate import continuation
+from phase_bifurcate import cli, continuation
 from phase_bifurcate.continuation import Branch, BranchPoint, _dedupe_branches, _sup
 
 
@@ -1309,10 +1309,11 @@ def test_acok_image_points_carry_the_det_sign_of_their_own_jacobian(acok_events)
     model, params, settings, _ = acok_events(40)
     diagram = compute_diagram(model, params, settings)
     assert _minus_points_against_fresh_factorizations(model, params, diagram) > 0
-    # the acok-slice benchmark's arguments at N=100
+    # the acok-slice benchmark's model and window at N=100, as a full diagram
+    # (a slice diagram reads no det sign)
     g = GridSpec(100)
     model, params = model_by_kind("acok", g).engine(), ModelParams(epsilon=0.3, gamma=100.0)
-    diagram = compute_diagram(model, params, default_settings("acok", param_min=0.0, param_max=700.0), at=100.0)
+    diagram = compute_diagram(model, params, default_settings("acok", param_min=0.0, param_max=700.0))
     assert _minus_points_against_fresh_factorizations(model, params, diagram) > 0
 
 
@@ -1410,9 +1411,9 @@ def test_branch_switch_warns_once_when_neither_side_yields_a_branch(caplog, monk
     seeds = []
     newton = continuation._newton
 
-    def recording_newton(model_, params_at, guess, settings_):
+    def recording_newton(model_, params_at, guess, settings_, signed=True):
         seeds.append((params_at, guess))
-        return newton(model_, params_at, guess, settings_)
+        return newton(model_, params_at, guess, settings_, signed=signed)
 
     monkeypatch.setattr(continuation, "_newton", recording_newton)
     with caplog.at_level("INFO", logger="phase_bifurcate"):
@@ -1488,34 +1489,37 @@ def _log_seeds(monkeypatch) -> list:
         seeds.append(dict(direction=direction, tried=tried, picked=picked))
         return picked
 
-    def logging_newton(model, params_at, guess, settings, *sign):
+    def logging_newton(model, params_at, guess, settings, *sign, signed=True):
         if tracing:
-            return newton(model, params_at, guess, settings, *sign)
+            return newton(model, params_at, guess, settings, *sign, signed=signed)
         seed = seeds[-1]
         seed["param"] = model.active_value(params_at)
         try:
-            point, fact = newton(model, params_at, guess, settings, *sign)
+            point, fact = newton(model, params_at, guess, settings, *sign, signed=signed)
         except NewtonFailure as exc:
             seed.update(outcome=exc.reason, iters=exc.iterations)
             raise
         seed.update(outcome="converged", iters=point.newton_iters_used, state=point.state)
         return point, fact
 
-    def flagged(fn):
-        def call(*args, **kwargs):
-            tracing.append(True)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                tracing.pop()
-
-        return call
-
     monkeypatch.setattr(continuation, "_seed_amplitude", logging_pick)
     monkeypatch.setattr(continuation, "_newton", logging_newton)
-    monkeypatch.setattr(continuation, "trace_branch", flagged(trace))
-    monkeypatch.setattr(continuation, "_image", flagged(check))
+    monkeypatch.setattr(continuation, "trace_branch", _flagged(tracing, trace))
+    monkeypatch.setattr(continuation, "_image", _flagged(tracing, check))
     return seeds
+
+
+def _flagged(flag: list, fn):
+    """``fn``, with ``flag`` non-empty while a call to it runs."""
+
+    def call(*args, **kwargs):
+        flag.append(True)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            flag.pop()
+
+    return call
 
 
 def _acok_switch_seeds(n_cells, monkeypatch, every_side=True) -> list:
@@ -1981,6 +1985,63 @@ def test_slice_diagram_offshoots_stop_at_the_slice(slice_case):
         assert len(br.points) == kept
         for p_s, p_f in zip(br.points, whole.points):
             assert p_s.param == p_f.param and np.array_equal(p_s.state, p_f.state)
+
+
+def test_slice_diagram_reads_no_det_sign(slice_case):
+    # solutions_at reads no det sign, so no point of a slice diagram carries
+    # one, natural or pseudo-arclength, anchors and seeds included; every
+    # point of the full diagram does.
+    *_, full, sliced = slice_case
+    assert all(p.det_sign is None for b in sliced.branches for p in b.points)
+    assert all(p.det_sign in (-1, 0, 1) for b in full.branches for p in b.points)
+
+
+# The ac-slice and acok-slice benchmark workloads at seed 0, with the band
+# kernel each one's blocks go through and that kernel's call count for the
+# whole run.  Reading every accepted point's det sign (anchors, trivial
+# starts, offshoot points and slice corrections) took 581 and 205 calls.
+_SLICE_WORKLOADS = {
+    "ac-slice": ("solutions --model ac --epsilon 0.1 --n-cells 100 --step 0.005 --eps-range 0.095:0.4",
+                 "_band_factor", 458),
+    "acok-slice": ("solutions --model acok --gamma 100 --epsilon 0.3 --n-cells 100 --gamma-range 0.0:700.0",
+                   "_bordered_factor", 156),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_SLICE_WORKLOADS))
+def test_slice_run_reads_det_signs_only_while_detecting(workload, monkeypatch, capsys):
+    # solutions prints no det sign: only the detection scan's probes read
+    # one, and outside it a parity block is eliminated only where a solve
+    # uses it.  solutions_at solves with every factorization it makes, so it
+    # factors only inside Newton iterations, never an accepted state.
+    argv, kernel, most = _SLICE_WORKLOADS[workload]
+    detecting, outside, eliminated = [], [], []
+    factored, solved, slicing = [], [], []
+
+    def spy(fn, before=None, after=None):
+        def call(*args, **kwargs):
+            if before:
+                before(args)
+            out = fn(*args, **kwargs)
+            if after:
+                after(out)
+            return out
+
+        return call
+
+    monkeypatch.setattr(continuation, "detect_bifurcations_on_trivial",
+                        _flagged(detecting, continuation.detect_bifurcations_on_trivial))
+    monkeypatch.setattr(cli, "solutions_at", _flagged(slicing, cli.solutions_at))
+    monkeypatch.setattr(continuation, "det_sign",
+                        spy(det_sign, before=lambda a: detecting or outside.append(type(a[0]).__name__)))
+    monkeypatch.setattr(linalg, kernel, spy(getattr(linalg, kernel), before=eliminated.append))
+    monkeypatch.setattr(continuation, "lu_factor", spy(lu_factor, after=lambda f: slicing and factored.append(f)))
+    monkeypatch.setattr(continuation, "lu_solve", spy(lu_solve, before=lambda a: slicing and solved.append(a[0])))
+    assert cli.main(argv.split()) == 0
+    capsys.readouterr()
+    assert outside == []
+    assert 0 < len(eliminated) <= most
+    assert factored and [id(f) for f in factored] == [id(f) for f in solved]
 
 
 def test_slice_diagram_cuts_offshoots_that_lead_away():
